@@ -66,11 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_FLAGS)
 
 
-def _add_common(parser):
+def _add_common(parser, table_output=False):
     parser.add_argument("--config", help="key=value file; flags override its entries")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--precision", choices=("single", "double"), default=None)
+    if table_output:
+        parser.add_argument("--format", choices=("csv", "json"), default=None)
+        parser.add_argument("--precision", choices=("single", "double"), default=None)
 
 
 def build_parser() -> _Parser:
@@ -78,14 +79,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("approx-table", parents=[], help="approximation error grids")
-    _add_common(p)
+    _add_common(p, table_output=True)
     p.add_argument("--kind", choices=("taylor", "pade", "both"), default="both")
     p.add_argument("--degrees", default=None, help="comma list, default 50,100,200,300")
     p.add_argument("--ratios", default=None, help="comma list in [0,1)")
     p.add_argument("--out", default=None, help="output directory (default .)")
 
     p = sub.add_parser("bounds", help="gradient upper bounds per scheme")
-    _add_common(p)
+    _add_common(p, table_output=True)
     p.add_argument("--degree", type=int, default=None, help="series degree (default 100)")
     p.add_argument("--trunc-threshold", type=float, default=None)
     p.add_argument("--out", default=None, help="output file (default bounds.csv)")
@@ -109,7 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
 
     p = sub.add_parser("condition", help="condition numbers of covariances")
-    _add_common(p)
+    _add_common(p, table_output=True)
     p.add_argument("--input", default=None, help="feature file (GCPF binary)")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

@@ -1,7 +1,7 @@
 """Dense symmetric-matrix foundations.
 
-Covariance construction, a self-contained cyclic-Jacobi eigensolver,
-eigenvalue clamping, fractional matrix powers, and condition numbers.
+Covariance construction, the symmetric eigendecomposition (LAPACK through
+numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
 Everything here is a pure function over small immutable value types; all
 heavier schemes build on these primitives.
 """
@@ -22,10 +22,6 @@ EPS_SINGLE = 1.1920929e-07
 #: covariance matrices with condition number strictly above this are treated
 #: as unstable in double precision
 ILL_CONDITIONED_THRESHOLD = 1e14
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class Precision:
@@ -177,112 +173,26 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     return SymPsdMatrix(0.5 * (p + p.T))
 
 
-def _round_robin_rounds(d: int) -> list:
-    """Tournament schedule: d-1 (or d) rounds of disjoint index pairs
-    covering every pair exactly once."""
-    players = list(range(d)) + ([None] if d % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for k in range(m // 2):
-            lo, hi = players[k], players[m - 1 - k]
-            if lo is not None and hi is not None:
-                pairs.append((min(lo, hi), max(lo, hi)))
-        rounds.append(pairs)
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-_ROUNDS_CACHE: dict = {}
-
-
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy).
 
-    Each sweep visits every off-diagonal pair once, grouped into rounds of
-    disjoint planes so one orthogonal update annihilates several entries at a
-    time; rotations in disjoint planes do not interact, so each targeted
-    entry is zeroed exactly as in the classical sequential sweep. Iterates
-    until the largest off-diagonal entry falls below a relative threshold.
-    Deterministic for a fixed input. Eigenvalues come back sorted
-    non-increasing; each eigenvector column has its largest-magnitude
-    component made positive so the +/-U ambiguity never leaks into results.
+    Eigenvalues come back sorted non-increasing; each eigenvector column has
+    its largest-magnitude component made positive so the +/-U ambiguity
+    never leaks into results.
 
     Raises:
-        NumericalFailureError: sweep budget exhausted before convergence; the
-            error carries the remaining off-diagonal residual.
+        NumericalFailureError: LAPACK did not converge.
     """
-    a = np.array(p.data, dtype=np.float64, copy=True)
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return EigenDecomposition(a[0].copy(), v)
-
-    scale = np.abs(a).max()
-    tol = _JACOBI_TOL * scale
-    skip_below = 0.1 * tol  # entries this small cannot break the sweep criterion
-    if d not in _ROUNDS_CACHE:
-        _ROUNDS_CACHE[d] = [
-            (np.array([i for i, _ in pairs]), np.array([j for _, j in pairs]))
-            for pairs in _round_robin_rounds(d)
-        ]
-    rounds = _ROUNDS_CACHE[d]
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = _max_offdiag(a)
-        if off <= tol:
-            converged = True
-            break
-        for ii, jj in rounds:
-            aij = a[ii, jj]
-            active = np.abs(aij) > skip_below
-            if not active.any():
-                continue
-            ii_a = ii[active]
-            jj_a = jj[active]
-            aij = aij[active]
-            theta = (a[jj_a, jj_a] - a[ii_a, ii_a]) / (2.0 * aij)
-            theta_ok = np.isfinite(theta)
-            if not theta_ok.all():
-                ii_a, jj_a, theta = ii_a[theta_ok], jj_a[theta_ok], theta[theta_ok]
-                if theta.size == 0:
-                    continue
-            t = np.where(theta >= 0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(d)
-            rot[ii_a, ii_a] = c
-            rot[jj_a, jj_a] = c
-            rot[ii_a, jj_a] = s
-            rot[jj_a, ii_a] = -s
-            a = rot.T @ a @ rot
-            a[ii_a, jj_a] = 0.0
-            a[jj_a, ii_a] = 0.0
-            v = v @ rot
-    else:
-        converged = _max_offdiag(a) <= tol
-    if not converged:
-        raise NumericalFailureError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps",
-            off_diagonal_residual=float(_max_offdiag(a)),
-        )
-
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    u = v[:, order]
+    try:
+        lam, u = np.linalg.eigh(p.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    lam = lam[::-1]
+    u = u[:, ::-1]
     # sign convention: largest-magnitude component of each column positive
     anchor = np.argmax(np.abs(u), axis=0)
-    flip = u[anchor, np.arange(d)] < 0
-    u[:, flip] *= -1.0
+    u[:, u[anchor, np.arange(u.shape[1])] < 0] *= -1.0
     return EigenDecomposition(lam, u)
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.abs(off).max()) if a.shape[0] > 1 else 0.0
 
 
 def clamp_eigenvalues(e: EigenDecomposition, prec: Precision) -> EigenDecomposition:

@@ -328,19 +328,20 @@ class GradBound:
         return bool(np.isfinite(self.max_value) and self.max_value < FLOAT32_MAX)
 
 
-def pade_bound_ratio(degree: int, prec: Precision = Precision.double()) -> float:
-    """|P(1) / Q(1)| for this implementation's Pade coefficients in ``prec``.
+def pade_bound_ratio(degree: int) -> float:
+    """|P(1) / Q(1)| for the Pade coefficients ``k_matrix`` uses.
 
-    This is the surrogate's value at ratio 1 (an exact eigenvalue tie),
-    evaluated by the same Horner recurrence ``k_matrix`` applies, so it is the
-    magnitude a tie actually produces. The true [M/N] approximant of 1/(1-x)
-    has a denominator root at x = 1 (1 + sum(q) = 0 in exact arithmetic), so
-    the magnitude is set entirely by roundoff: it depends on the solver and on
+    This is the surrogate's value at ratio 1 (an exact eigenvalue tie), built
+    from the same double-precision coefficients and evaluated by the same
+    Horner recurrence ``k_matrix`` applies, so it is the magnitude a tie
+    actually produces. The true [M/N] approximant of 1/(1-x) has a
+    denominator root at x = 1 (1 + sum(q) = 0 in exact arithmetic), so the
+    magnitude is set entirely by roundoff: it depends on the solver and on
     the evaluation order, and is not a portable constant. A denominator that
-    rounds to exactly zero gives ``inf``; ``pade(10)`` in single precision does.
+    rounds to exactly zero gives ``inf``.
     """
     try:
-        return abs(eval_rational(reciprocal_gap_pade(degree, prec), 1.0))
+        return abs(eval_rational(reciprocal_gap_pade(degree), 1.0))
     except PoleError:
         return math.inf
 
@@ -349,11 +350,10 @@ def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
     """Largest |K_ij| the scheme can emit, with its trigger condition.
 
     The bounds assume eigenvalues clamped to at least ``prec.eps``. The Pade
-    value is ``pade_bound_ratio / eps``, which is ``inf`` when the denominator
-    at the tie rounds to exactly zero in ``prec``. In double precision it is
-    exactly the |K_ij| that ``k_matrix`` emits at a tie at ``eps``, so it is
-    attained; ``k_matrix`` always evaluates in double precision, so the single
-    value comes from the float32 coefficients alone.
+    value is ``pade_bound_ratio / eps``: ``k_matrix`` always builds and
+    evaluates its Pade coefficients in double precision, so in either
+    precision this is exactly the |K_ij| that ``k_matrix`` emits at a tie at
+    ``eps``, and it is attained.
     """
     eps = prec.eps
     kind = scheme.kind
@@ -371,7 +371,7 @@ def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
             scheme.label, "T", scheme.threshold, "|1/(lambda_i - lambda_j)| >= T"
         )
     if kind == "pade":
-        ratio = pade_bound_ratio(scheme.degree, prec)
+        ratio = pade_bound_ratio(scheme.degree)
         return GradBound(
             scheme.label,
             "(1/lambda_i) * sum(p_m) / (1 + sum(q_n))",

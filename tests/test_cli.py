@@ -155,6 +155,12 @@ class TestGradCheck:
     def test_pade_robust_near_degeneracy(self):
         assert run("gradcheck", "--scheme", "pade", "--d", "8", "--cond", "1e6") == EXIT_OK
 
+    def test_table_flags_rejected_where_unread(self):
+        # --format and --precision only shape table output; elsewhere they
+        # would be silently ignored, so argparse rejects them
+        assert run("gradcheck", "--precision", "single") == EXIT_BAD_FLAGS
+        assert run("train-toy", "--format", "json") == EXIT_BAD_FLAGS
+
 
 class TestCondition:
     def test_feature_file_input(self, tmp_path):

@@ -17,7 +17,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DomainError, InvalidInputError
+from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
 
 from conftest import random_spd
 
@@ -146,13 +146,24 @@ class TestEigh:
         e = eigh(SymPsdMatrix(np.zeros((3, 3))))
         np.testing.assert_allclose(e.eigenvalues, np.zeros(3))
 
-    def test_moderately_large_matrix(self, rng):
-        p = random_spd(64, rng)
+    @pytest.mark.parametrize("d", [1, 64, 256])  # 256: the paper's pooling width
+    def test_moderately_large_matrix(self, rng, d):
+        p = random_spd(d, rng)
         e = eigh(p)
         assert np.abs(e.reconstruct() - p.data).max() <= 1e-9 * (1.0 + e.eigenvalues[0])
-        assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(64)).max() <= 1e-10
+        assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d)).max() <= 1e-10
         ref = np.linalg.eigvalsh(p.data)[::-1]
         np.testing.assert_allclose(e.eigenvalues, ref, rtol=1e-9, atol=1e-10)
+        anchors = np.argmax(np.abs(e.eigenvectors), axis=0)
+        assert np.all(e.eigenvectors[anchors, np.arange(d)] > 0)
+
+    def test_solver_failure_is_typed(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError):
+            eigh(SymPsdMatrix(np.eye(2)))
 
 
 class TestClamp:

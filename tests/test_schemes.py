@@ -122,8 +122,10 @@ class TestKMatrix:
             assert np.abs(np.diag(k)).max() == 0.0
             np.testing.assert_allclose(k, -k.T, atol=1e-10)
 
-    def test_boundedness(self, rng):
-        prec = Precision.double()
+    @pytest.mark.parametrize(
+        "prec", [Precision.double(), Precision.single()], ids=["double", "single"]
+    )
+    def test_boundedness(self, rng, prec):
         lam = np.sort(rng.uniform(0.1, 1.0, size=6))[::-1]
         lam[3] = lam[2]  # plant a tie
         # and a tie at the clamp floor, where the bounds are attained
@@ -305,14 +307,14 @@ class TestBounds:
 
 class TestBetaSmoothness:
     @staticmethod
-    def _grad_fn(scheme):
+    def _grad_fn(scheme, chain_to_x=True):
         w = np.ones((3, 3))
 
         def fn(x_arr):
             x = FeatureMatrix(x_arr)
             e = clamp_eigenvalues(eigh(covariance(x)), Precision.double())
             gp = grad_covariance(w, e, scheme)
-            return ns_gradient_of_x(gp, x)
+            return ns_gradient_of_x(gp, x) if chain_to_x else gp
 
         return fn
 
@@ -321,19 +323,24 @@ class TestBetaSmoothness:
         fn = lambda x: w  # constant gradient field
         assert beta_smoothness(fn, np.ones((3, 8)), samples=4) == 0.0
 
-    def test_ordinary_rougher_than_trunc_near_degeneracy(self):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ordinary_rougher_than_trunc_near_degeneracy(self, seed):
         # eigengap at the eigensolver resolution limit: the 1/(gap) entry
-        # jitters with roundoff under perturbation while truncation pins it
+        # jitters with roundoff under perturbation while truncation pins it.
+        # Measured on dl/dP, where K acts: the 1/gap term lives only in the
+        # antisymmetric part of dl/dP, and the chain to X, (G + G^T) X Ibar,
+        # cancels that part exactly, so on dl/dX both schemes are O(1) and
+        # the comparison is a coin flip between roundoff and clipping bias.
         from specgrad.synth import feature_matrix_with_spectrum
 
-        gen = np.random.default_rng(0)
+        gen = np.random.default_rng(seed)
         lam = np.array([1.0, 0.5 + 4e-16, 0.5])
         x0 = feature_matrix_with_spectrum(lam, 16, gen).data
         rough = beta_smoothness(
-            self._grad_fn(BackwardScheme.ordinary()), x0, samples=48, rng=3
+            self._grad_fn(BackwardScheme.ordinary(), chain_to_x=False), x0, samples=48, rng=3
         )
         smooth = beta_smoothness(
-            self._grad_fn(BackwardScheme.trunc(1e10)), x0, samples=48, rng=3
+            self._grad_fn(BackwardScheme.trunc(1e10), chain_to_x=False), x0, samples=48, rng=3
         )
         assert rough > smooth
 
