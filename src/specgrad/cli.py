@@ -81,8 +81,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("approx-table", parents=[], help="approximation error grids")
     _add_common(p, table_output=True)
     p.add_argument("--kind", choices=("taylor", "pade", "both"), default="both")
-    p.add_argument("--degrees", default=None, help="comma list, default 50,100,200,300")
-    p.add_argument("--ratios", default=None, help="comma list in [0,1)")
+    p.add_argument(
+        "--degrees", type=_parse_int_list, default=None,
+        help="comma list, default 50,100,200,300",
+    )
+    p.add_argument("--ratios", type=_parse_float_list, default=None, help="comma list in [0,1)")
     p.add_argument("--out", default=None, help="output directory (default .)")
 
     p = sub.add_parser("bounds", help="gradient upper bounds per scheme")
@@ -137,7 +140,10 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=None, help="Newton-Schulz iterations")
     p.add_argument("--switch-frac", type=float, default=None, help="1.0 = never switch")
     p.add_argument("--warmup-frac", type=float, default=None)
-    p.add_argument("--lr-schedule", default=None, help='e.g. "0:0.08,192:0.008"')
+    p.add_argument(
+        "--lr-schedule", type=_parse_lr_schedule, default=None,
+        help='e.g. "0:0.08,192:0.008"',
+    )
     p.add_argument("--init-cond", type=float, default=None)
     p.add_argument("--out", default=None, help="JSON-lines log (default train_log.jsonl)")
     return parser
@@ -155,17 +161,18 @@ class _Resolver:
         if flag is not None:
             return flag
         if key in self.file:
-            raw = self.file[key]
-            if conv is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return conv(raw)
+            try:
+                return conv(self.file[key])
+            except ValueError as err:
+                raise InvalidInputError(
+                    f"config value {key}={self.file[key]!r} is malformed"
+                ) from err
         return default
 
     def seed(self) -> int:
-        if self.args.seed is not None:
-            return self.args.seed
-        if "seed" in self.file:
-            return int(self.file["seed"])
+        seed = self.get("seed", int, None)
+        if seed is not None:
+            return seed
         env = os.environ.get(SEED_ENV_VAR)
         return int(env) if env else 0
 
@@ -202,6 +209,15 @@ def _scheme_from_flags(name, res) -> BackwardScheme:
     raise InvalidInputError(f"unknown scheme {name!r}")
 
 
+def _write_table(path, fmt, header, rows, config) -> None:
+    """Write a table as CSV (config as preamble) or JSON, then report the path."""
+    if fmt == "csv":
+        io.write_csv(path, header, rows, preamble=config)
+    else:
+        io.write_json(path, {"config": config, "header": header, "rows": rows})
+    print(f"wrote {path}")
+
+
 def _table_rows(table):
     header = ["ratio"] + [f"deg{k}" for k in table.degrees]
     rows = [[r] + list(table.errors[i]) for i, r in enumerate(table.ratios)]
@@ -213,11 +229,7 @@ def cmd_approx_table(args) -> int:
     seed = res.seed()
     kind = res.get("kind", str, "both")
     degrees = res.get("degrees", _parse_int_list, DEFAULT_DEGREES)
-    if isinstance(degrees, str):
-        degrees = _parse_int_list(degrees)
     ratios = res.get("ratios", _parse_float_list, DEFAULT_RATIOS)
-    if isinstance(ratios, str):
-        ratios = _parse_float_list(ratios)
     prec = Precision(res.get("precision", str, "double"))
     fmt = res.get("format", str, "csv")
     outdir = Path(res.get("out", str, "."))
@@ -235,12 +247,7 @@ def cmd_approx_table(args) -> int:
             "precision": prec.mode,
             "seed": seed,
         }
-        path = outdir / f"approx_{k}.{fmt}"
-        if fmt == "csv":
-            io.write_csv(path, header, rows, preamble=config)
-        else:
-            io.write_json(path, {"config": config, "header": header, "rows": rows})
-        print(f"wrote {path}")
+        _write_table(outdir / f"approx_{k}.{fmt}", fmt, header, rows, config)
     return EXIT_OK
 
 
@@ -278,11 +285,7 @@ def cmd_bounds(args) -> int:
         "precision": prec.mode,
         "seed": seed,
     }
-    if fmt == "csv":
-        io.write_csv(out, header, rows, preamble=config)
-    else:
-        io.write_json(out, {"config": config, "header": header, "rows": rows})
-    print(f"wrote {out}")
+    _write_table(out, fmt, header, rows, config)
     return EXIT_OK
 
 
@@ -366,11 +369,7 @@ def cmd_condition(args) -> int:
     }
     header = ["index", "condition_number", "ill_conditioned"]
     rows = [[i, v, f] for i, (v, f) in enumerate(zip(values, flags))]
-    if fmt == "csv":
-        io.write_csv(out, header, rows, preamble=config)
-    else:
-        io.write_json(out, {"config": config, "header": header, "rows": rows})
-    print(f"wrote {out}")
+    _write_table(out, fmt, header, rows, config)
     return EXIT_OK
 
 
@@ -389,12 +388,11 @@ def cmd_train_toy(args) -> int:
     init_cond = res.get("init-cond", float, 1e4)
     iters = res.get("iters", int, 5)
     out = res.get("out", str, "train_log.jsonl")
-
-    lr_text = res.get("lr-schedule", str, None)
-    if lr_text:
-        lr_schedule = _parse_lr_schedule(lr_text)
-    else:
-        lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
+    lr_schedule = res.get(
+        "lr-schedule",
+        _parse_lr_schedule,
+        ((0, 0.08), (max(1, int(0.8 * steps)), 0.008)),
+    )
 
     spec = ToyModelSpec(
         d=d,

@@ -38,14 +38,20 @@ EIG_SQRT = "eig_sqrt"
 NEWTON_SCHULZ = "newton_schulz"
 
 
+#: the layer computes in float64 and clamps eigenvalues at its epsilon
+DOUBLE = Precision.double()
+
+
 @dataclass(frozen=True)
 class GcpLayerConfig:
-    """Forward method, backward scheme, and working precision of the layer."""
+    """Forward square-root method and backward scheme of the layer.
+
+    The Newton-Schulz forward runs ``backward.iterations`` steps, so its
+    backward always reverses the trace the forward built.
+    """
 
     backward: BackwardScheme
     forward: str = EIG_SQRT
-    forward_iterations: int = DEFAULT_ITERATIONS
-    precision: Precision = Precision.double()
 
     def __post_init__(self):
         if self.forward not in (EIG_SQRT, NEWTON_SCHULZ):
@@ -55,11 +61,6 @@ class GcpLayerConfig:
                 raise InvalidInputError(
                     "a Newton-Schulz forward pairs only with the Newton-Schulz backward"
                 )
-            if self.backward.iterations != self.forward_iterations:
-                raise InvalidInputError(
-                    "forward and backward iteration counts must match when both "
-                    "run through the same Newton-Schulz trace"
-                )
         elif self.backward.kind == "power_iteration":
             raise InvalidInputError(
                 "the power-iteration rule only approximates the leading-eigenvector "
@@ -67,26 +68,17 @@ class GcpLayerConfig:
             )
 
     @classmethod
-    def eig(
-        cls, backward: BackwardScheme, precision: Precision = Precision.double()
-    ) -> "GcpLayerConfig":
-        return cls(backward=backward, forward=EIG_SQRT, precision=precision)
+    def eig(cls, backward: BackwardScheme) -> "GcpLayerConfig":
+        return cls(backward=backward, forward=EIG_SQRT)
 
     @classmethod
-    def newton_schulz(
-        cls, iterations: int = DEFAULT_ITERATIONS, precision: Precision = Precision.double()
-    ) -> "GcpLayerConfig":
-        return cls(
-            backward=BackwardScheme.newton_schulz(iterations),
-            forward=NEWTON_SCHULZ,
-            forward_iterations=iterations,
-            precision=precision,
-        )
+    def newton_schulz(cls, iterations: int = DEFAULT_ITERATIONS) -> "GcpLayerConfig":
+        return cls(backward=BackwardScheme.newton_schulz(iterations), forward=NEWTON_SCHULZ)
 
     @property
     def label(self) -> str:
         if self.forward == NEWTON_SCHULZ:
-            return f"newton_schulz({self.forward_iterations})"
+            return f"newton_schulz({self.backward.iterations})"
         return f"eig_sqrt+{self.backward.label}"
 
 
@@ -106,12 +98,12 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
     """Covariance, then the configured square root; returns Q and the cache."""
     p = covariance(x)
     if cfg.forward == NEWTON_SCHULZ:
-        q, trace = ns_forward(p, cfg.forward_iterations)
+        q, trace = ns_forward(p, cfg.backward.iterations)
         return q, GcpCache(x=x, p=p, config=cfg, ns_trace=trace)
 
     e_raw = eigh(p)
-    e = clamp_eigenvalues(e_raw, cfg.precision)
-    clamped = count_clamped(e_raw, cfg.precision)
+    e = clamp_eigenvalues(e_raw, DOUBLE)
+    clamped = count_clamped(e_raw, DOUBLE)
     q = matrix_power(e, 0.5)
     trace = None
     if cfg.backward.kind == "newton_schulz":
@@ -161,17 +153,13 @@ def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, list
     return grad_x, bad_entries
 
 
-def gcp_backward(
-    cache: GcpCache, grad_q: np.ndarray, cfg: GcpLayerConfig | None = None
-) -> np.ndarray:
+def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features.
 
     Raises:
         NumericalFailureError: the gradient contains non-finite values; the
             error names the scheme and the offending K-matrix entries.
     """
-    if cfg is not None and cfg != cache.config:
-        raise InvalidInputError("configuration does not match the cached forward pass")
     grad_q = np.asarray(grad_q, dtype=np.float64)
     d = cache.p.d
     if grad_q.shape != (d, d):

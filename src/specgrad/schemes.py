@@ -126,7 +126,7 @@ class KMatrix:
         if np.any(np.diag(k) != 0.0):
             raise InvalidInputError("K matrix diagonal must be exactly zero")
         finite = np.isfinite(k) & np.isfinite(k.T)
-        skew = np.abs(k + k.T)[finite]
+        skew = np.abs(k[finite] + k.T[finite])
         scale = max(np.abs(k[np.isfinite(k)]).max(initial=0.0), 1.0)
         if skew.size and skew.max() > 1e-12 * scale:
             raise InvalidInputError("K matrix is not antisymmetric")
@@ -166,9 +166,10 @@ def grad_eigvec_eigval(
 def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     """The scheme-specific replacement for the 1/(lambda_i - lambda_j) matrix.
 
-    Taylor and Pade entries are computed on the upper triangle only, where the
-    eigenvalue ordering keeps the ratio lambda_j / lambda_i at or below one,
-    and mirrored with a sign flip. At an exact tie (ratio 1) Taylor gives
+    Every scheme computes the upper triangle only, where the eigenvalue
+    ordering keeps lambda_i >= lambda_j (so the ratio lambda_j / lambda_i is at
+    or below one), and the lower triangle is its negation; an exact tie under
+    ``ordinary`` gives +inf above and -inf below. At a tie Taylor gives
     (K+1)/lambda_i. Pade sits on the pole of 1/(1-x) there: its denominator is
     roundoff, so the entry's size and sign are those of the roundoff
     (``pade(100)`` gives a negative upper-triangle entry), and a denominator
@@ -181,49 +182,37 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     if kind not in _K_SCHEMES:
         raise InvalidInputError(f"scheme {scheme.label} does not define a K matrix")
 
-    if kind == "ordinary":
-        # direct per-entry formula; exact ties produce +inf entries on purpose
-        diff = lam[:, None] - lam[None, :]
-        with np.errstate(divide="ignore"):
-            k = np.where(np.eye(d, dtype=bool), 0.0, 1.0 / diff)
-        np.fill_diagonal(k, 0.0)
-        return KMatrix(k, scheme.label)
-
     rows, cols = np.triu_indices(d, k=1)
-    if kind in ("trunc", "topn"):
+    if kind in ("ordinary", "trunc", "topn"):
+        lam_eff = lam
         if kind == "topn":
             lam_eff = lam.copy()
             lam_eff[scheme.resolve_top_n(d) :] = 0.0
-        else:
-            lam_eff = lam
         gaps = lam_eff[rows] - lam_eff[cols]  # >= 0 by the ordering
         with np.errstate(divide="ignore"):
             vals = 1.0 / gaps
         if kind == "topn":
             vals = np.where((lam_eff[rows] == 0.0) & (lam_eff[cols] == 0.0), 0.0, vals)
-        else:
+        elif kind == "trunc":
             vals = np.minimum(vals, scheme.threshold)
-        k = np.zeros((d, d))
-        k[rows, cols] = vals
-        k[cols, rows] = -vals
-        return KMatrix(k, scheme.label)
-
-    # series surrogates: upper triangle via ratios <= 1, lower = -transpose
-    if np.any(lam <= 0):
-        raise DomainError("series schemes need strictly positive (clamped) eigenvalues")
-    ratios = lam[cols] / lam[rows]
-    if kind == "taylor":
-        vals = horner(np.ones(scheme.degree + 1), ratios) / lam[rows]
     else:
-        pa = reciprocal_gap_pade(scheme.degree)
-        num = horner(pa.p, ratios)
-        den = horner(pa.q_full, ratios)
-        if np.any(den == 0.0):
-            bad = ratios[den == 0.0][0]
-            raise NumericalFailureError(
-                f"Pade denominator vanishes at eigenvalue ratio {bad!r}", ratio=float(bad)
-            )
-        vals = num / den / lam[rows]
+        # series surrogates: ratios lambda_j / lambda_i <= 1
+        if np.any(lam <= 0):
+            raise DomainError("series schemes need strictly positive (clamped) eigenvalues")
+        ratios = lam[cols] / lam[rows]
+        if kind == "taylor":
+            vals = horner(np.ones(scheme.degree + 1), ratios) / lam[rows]
+        else:
+            pa = reciprocal_gap_pade(scheme.degree)
+            num = horner(pa.p, ratios)
+            den = horner(pa.q_full, ratios)
+            if np.any(den == 0.0):
+                bad = ratios[den == 0.0][0]
+                raise NumericalFailureError(
+                    f"Pade denominator vanishes at eigenvalue ratio {bad!r}",
+                    ratio=float(bad),
+                )
+            vals = num / den / lam[rows]
     k = np.zeros((d, d))
     k[rows, cols] = vals
     k[cols, rows] = -vals

@@ -19,15 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    FeatureMatrix,
-    Precision,
-    clamp_eigenvalues,
-    condition_number,
-    eigh,
-)
+from .core import FeatureMatrix, clamp_eigenvalues, condition_number, eigh
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
+    DOUBLE,
     GcpLayerConfig,
     gcp_backward,
     gcp_forward,
@@ -112,7 +107,6 @@ class ToyModelSpec:
     forward_iterations: int = 5
     init_condition: float = 1e4
     init_seed: int = 0
-    precision: Precision = Precision.double()
 
     def __post_init__(self):
         if self.d < 2 or self.raw_dim < self.d or self.n_cols < 2:
@@ -232,10 +226,6 @@ class TrainingLog:
     def final_loss(self) -> float:
         return self.records[-1].loss if self.records else float("nan")
 
-    def mean_loss(self, lo: int, hi: int) -> float:
-        chunk = [r.loss for r in self.records[lo:hi]]
-        return float(np.mean(chunk)) if chunk else float("nan")
-
     def mean_condition(self, lo: int, hi: int) -> float:
         chunk = [r.mean_condition_number for r in self.records[lo:hi]]
         return float(np.mean(chunk)) if chunk else float("nan")
@@ -249,6 +239,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
+
+
+def _classify(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray, y: int):
+    """Pooled forward of one example through the classifier.
+
+    Returns the layer cache, the pooled vector, the class probabilities, the
+    cross-entropy loss, and whether the prediction hit the label.
+    """
+    q, cache = gcp_forward(FeatureMatrix(model.w1 @ r), cfg)
+    v = upper_triangle_vector(q)
+    logits = model.w2 @ v + model.b2
+    prob = _softmax(logits)
+    loss = -float(np.log(max(prob[y], 1e-300)))
+    return cache, v, prob, loss, int(np.argmax(logits) == y)
 
 
 def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
@@ -265,17 +269,12 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     loss = 0.0
     hits = 0
     conds = []
-    prec = cfg.precision
     for r, y in zip(rb, yb):
-        x = FeatureMatrix(model.w1 @ r)
-        q, cache = gcp_forward(x, cfg)
-        e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p), prec)
+        cache, v, prob, sample_loss, hit = _classify(model, cfg, r, y)
+        e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p), DOUBLE)
         conds.append(condition_number(e).value)
-        v = upper_triangle_vector(q)
-        logits = model.w2 @ v + model.b2
-        prob = _softmax(logits)
-        loss += -float(np.log(max(prob[y], 1e-300)))
-        hits += int(np.argmax(logits) == y)
+        loss += sample_loss
+        hits += hit
         dlogits = prob.copy()
         dlogits[y] -= 1.0
         dw2 += np.outer(dlogits, v)
@@ -301,9 +300,7 @@ def run_hybrid_training(
     the failure, which is itself a valid outcome for divergence-prone schemes.
     """
     model = ToyModel.initialize(model_spec)
-    ns_cfg = GcpLayerConfig.newton_schulz(
-        model_spec.forward_iterations, precision=model_spec.precision
-    )
+    ns_cfg = GcpLayerConfig.newton_schulz(model_spec.forward_iterations)
     velocity = {
         "w1": np.zeros_like(model.w1),
         "w2": np.zeros_like(model.w2),
@@ -312,9 +309,7 @@ def run_hybrid_training(
     records: list = []
     for step, (rb, yb) in enumerate(data_stream):
         if schedule.switched(step):
-            cfg = GcpLayerConfig.eig(
-                schedule.post_switch_scheme, precision=model_spec.precision
-            )
+            cfg = GcpLayerConfig.eig(schedule.post_switch_scheme)
         else:
             cfg = ns_cfg
         lr = schedule.effective_lr(step)
@@ -348,11 +343,8 @@ def evaluate_model(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple
     loss = 0.0
     hits = 0
     for r, y in zip(task.inputs, task.labels):
-        x = FeatureMatrix(model.w1 @ r)
-        q, _ = gcp_forward(x, cfg)
-        logits = model.w2 @ upper_triangle_vector(q) + model.b2
-        prob = _softmax(logits)
-        loss += -float(np.log(max(prob[y], 1e-300)))
-        hits += int(np.argmax(logits) == y)
+        _, _, _, sample_loss, hit = _classify(model, cfg, r, y)
+        loss += sample_loss
+        hits += hit
     n = task.n_samples
     return loss / n, 1.0 - hits / n

@@ -110,6 +110,25 @@ def _hdr(out):
     return header
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (("approx-table", "--degrees", "x"), None),
+        (("approx-table", "--ratios", "0.5,abc"), None),
+        (("train-toy", "--lr-schedule", "0:x"), None),
+        (("approx-table",), "degrees=1,x\n"),
+    ],
+    ids=["degrees-flag", "ratios-flag", "lr-schedule-flag", "degrees-config"],
+)
+def test_malformed_list_value_exits_64(tmp_path, argv, config):
+    argv = argv + ("--out", str(tmp_path / "out"))
+    if config is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(config)
+        argv = argv + ("--config", str(path))
+    assert run(*argv) == EXIT_BAD_FLAGS
+
+
 class TestBounds:
     def test_reference_rows_double(self, tmp_path):
         path = tmp_path / "bounds.csv"

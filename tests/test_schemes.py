@@ -85,6 +85,7 @@ class TestKMatrix:
     def test_ordinary_tie_gives_inf(self):
         k = k_matrix(eig_of([1.0, 1.0]), BackwardScheme.ordinary())
         assert math.isinf(k.data[0, 1])
+        assert k.data[1, 0] == -math.inf
         assert k.nonfinite_entries() == [(0, 1), (1, 0)]
 
     def test_topn_zeroes_dropped_pairs(self):
