@@ -60,6 +60,23 @@ _GRADCHECK_TOLERANCES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on bad flags and hands each command its flags' ``choices``.
+
+    The choices reach the namespace as ``flag_choices`` so that ``_Resolver``
+    can hold config-file values to the same sets as flags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flag_choices = {}
+        super().__init__(*args, **kwargs)
+        self.set_defaults(flag_choices=self.flag_choices)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.choices is not None:
+            self.flag_choices[action.dest] = action.choices
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -80,7 +97,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("approx-table", parents=[], help="approximation error grids")
     _add_common(p, table_output=True)
-    p.add_argument("--kind", choices=("taylor", "pade", "both"), default="both")
+    p.add_argument("--kind", choices=("taylor", "pade", "both"), default=None)
     p.add_argument(
         "--degrees", type=_parse_int_list, default=None,
         help="comma list, default 50,100,200,300",
@@ -157,16 +174,24 @@ class _Resolver:
         self.file = io.read_config_file(args.config) if args.config else {}
 
     def get(self, key, conv, default):
-        flag = getattr(self.args, key.replace("-", "_"), None)
+        dest = key.replace("-", "_")
+        flag = getattr(self.args, dest, None)
         if flag is not None:
             return flag
         if key in self.file:
             try:
-                return conv(self.file[key])
+                value = conv(self.file[key])
             except ValueError as err:
                 raise InvalidInputError(
                     f"config value {key}={self.file[key]!r} is malformed"
                 ) from err
+            choices = self.args.flag_choices.get(dest)
+            if choices is not None and value not in choices:
+                raise InvalidInputError(
+                    f"config value {key}={self.file[key]!r} is not one of "
+                    f"{', '.join(choices)}"
+                )
+            return value
         return default
 
     def seed(self) -> int:
@@ -174,7 +199,12 @@ class _Resolver:
         if seed is not None:
             return seed
         env = os.environ.get(SEED_ENV_VAR)
-        return int(env) if env else 0
+        if not env:
+            return 0
+        try:
+            return int(env)
+        except ValueError as err:
+            raise InvalidInputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from err
 
 
 def _parse_float_list(text) -> tuple:

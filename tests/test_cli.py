@@ -97,6 +97,13 @@ class TestApproxTable:
     def test_unwritable_path_exits_74(self):
         assert run("approx-table", "--out", "/proc/definitely/not/writable") == EXIT_IO
 
+    def test_config_kind_selects_one_table(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("kind=taylor\ndegrees=50\nratios=0.5\n")
+        out = tmp_path / "t"
+        assert run("approx-table", "--config", str(conf), "--out", str(out)) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == ["approx_taylor.csv"]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "j"
         assert run("approx-table", "--kind", "pade", "--format", "json", "--out", str(out)) == EXIT_OK
@@ -127,6 +134,32 @@ def test_malformed_list_value_exits_64(tmp_path, argv, config):
         path.write_text(config)
         argv = argv + ("--config", str(path))
     assert run(*argv) == EXIT_BAD_FLAGS
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("bounds", "format=xml\n"),
+        ("bounds", "precision=quad\n"),
+        ("approx-table", "kind=xml\n"),
+    ],
+    ids=["format", "precision", "kind"],
+)
+def test_config_value_outside_choices_exits_64(tmp_path, capsys, command, config):
+    path = tmp_path / "run.conf"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert run(command, "--config", str(path), "--out", str(out)) == EXIT_BAD_FLAGS
+    assert config.partition("=")[0] + "=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPECGRAD_SEED", "x")
+    out = tmp_path / "bounds.csv"
+    assert run("bounds", "--out", str(out)) == EXIT_BAD_FLAGS
+    assert "SPECGRAD_SEED" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBounds:
