@@ -7,9 +7,11 @@ Subcommands:
   condition      condition numbers of covariances from a feature file or synthetic
   train-toy      hybrid training protocol on the synthetic 3-class task
 
-Exit codes: 0 success, 1 check failure, 2 training divergence, 64 bad flags,
-74 I/O error. All randomness flows from --seed (fallback: config file, then
-the SPECGRAD_SEED environment variable).
+Exit codes: 0 success, 1 check failure, 2 training divergence, 3 numerical
+failure outside training (overflow of a product of valid input, an
+eigensolver that did not converge, a Pade pole), 64 bad flags or invalid
+input, 74 I/O error. All randomness flows from --seed (fallback: config
+file, then the SPECGRAD_SEED environment variable).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import io
 from .core import FeatureMatrix, Precision, clamp_eigenvalues, condition_number, covariance, eigh
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .layer import GcpLayerConfig, grad_check
 from .pade import approximation_error_table
 from .schemes import BackwardScheme, gradient_upper_bound
@@ -40,6 +42,7 @@ from .training import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_DIVERGED = 2
+EXIT_NUMERICAL_FAILURE = 3
 EXIT_BAD_FLAGS = 64
 EXIT_IO = 74
 
@@ -496,6 +499,9 @@ def main(argv=None) -> int:
     except InvalidInputError as err:
         print(f"specgrad: invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    except NumericalFailureError as err:
+        print(f"specgrad: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
     except OSError as err:
         print(f"specgrad: i/o error: {err}", file=sys.stderr)
         return EXIT_IO

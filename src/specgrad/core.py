@@ -4,6 +4,21 @@ Covariance construction, the symmetric eigendecomposition (LAPACK through
 numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
 Everything here is a pure function over small immutable value types; all
 heavier schemes build on these primitives.
+
+Validation contract: input is checked once, where it enters the program.
+The public constructors of the value types (``FeatureMatrix``,
+``SymPsdMatrix``, ``EigenDecomposition``, ``schemes.KMatrix``) check every
+invariant and copy their arrays, and so do the CLI and ``grad_check`` on
+their input. The package's own producers (``covariance``, ``eigh``,
+``clamp_eigenvalues``, ``matrix_power``, ``newton_schulz.ns_forward``,
+``schemes.k_matrix``) and the features that ``grad_check`` and the training
+loop derive from checked input build their results through ``_trusted``,
+which skips those checks: the results hold the invariants by construction,
+and ``tests/test_trusted.py`` pins that each one passes its public
+constructor. Where arithmetic on finite input can overflow (the covariance,
+a matrix power, and in training the features and the loss gradient at Q),
+a non-finite product raises ``NumericalFailureError``, not
+``InvalidInputError``, since the input was valid.
 """
 
 from __future__ import annotations
@@ -54,6 +69,41 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _trusted(cls, **fields):
+    """Build a value object from fields that hold its invariants by construction.
+
+    The one path by which the package's producers skip ``__post_init__``:
+    every field is set as given and every array is marked read-only in place,
+    without a copy. Callers pass all of the class's fields, as arrays that
+    nothing else holds a writeable reference to.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> None:
+    """Raise ``NumericalFailureError`` if an internal product went non-finite.
+
+    For products of checked, finite input, where only overflow can produce
+    inf or nan. The error names the product and carries the largest |entry|
+    of the ``operand`` it was computed from, which shows how far the values
+    had grown.
+    """
+    finite = np.isfinite(product)
+    if not finite.all():
+        largest = float(np.abs(operand).max())
+        raise NumericalFailureError(
+            f"{where} is non-finite in {product.size - int(finite.sum())} of "
+            f"{product.size} entries (largest |operand entry| {largest:.3e})",
+            where=where,
+            max_entry=largest,
+        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +220,8 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     """
     xc = x.data - x.data.mean(axis=1, keepdims=True)
     p = (xc @ xc.T) / x.n_samples
-    return SymPsdMatrix(0.5 * (p + p.T))
+    _require_finite(p, "covariance", x.data)
+    return _trusted(SymPsdMatrix, data=0.5 * (p + p.T))
 
 
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:
@@ -187,12 +238,14 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
         lam, u = np.linalg.eigh(p.data)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    lam = lam[::-1]
-    u = u[:, ::-1]
+    # LAPACK returns ascending eigenvalues with orthonormal columns, so the
+    # reversed copies are in non-increasing order and owned by the result
+    lam = np.array(lam[::-1], dtype=np.float64)
+    u = np.array(u[:, ::-1], dtype=np.float64)
     # sign convention: largest-magnitude component of each column positive
     anchor = np.argmax(np.abs(u), axis=0)
     u[:, u[anchor, np.arange(u.shape[1])] < 0] *= -1.0
-    return EigenDecomposition(lam, u)
+    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
 def clamp_eigenvalues(e: EigenDecomposition, prec: Precision) -> EigenDecomposition:
@@ -201,7 +254,7 @@ def clamp_eigenvalues(e: EigenDecomposition, prec: Precision) -> EigenDecomposit
     Idempotent, preserves ordering, and leaves the eigenvectors untouched.
     """
     lam = np.maximum(e.eigenvalues, prec.eps)
-    return EigenDecomposition(lam, e.eigenvectors)
+    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=e.eigenvectors)
 
 
 def count_clamped(e: EigenDecomposition, prec: Precision) -> int:
@@ -219,7 +272,8 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     powered = np.power(lam, alpha)
     u = e.eigenvectors
     q = (u * powered) @ u.T
-    return SymPsdMatrix(0.5 * (q + q.T))
+    _require_finite(q, f"matrix power {alpha}", lam)
+    return _trusted(SymPsdMatrix, data=0.5 * (q + q.T))
 
 
 def condition_number(e: EigenDecomposition) -> ConditionNumber:

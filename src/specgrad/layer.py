@@ -18,6 +18,7 @@ from .core import (
     FeatureMatrix,
     Precision,
     SymPsdMatrix,
+    _trusted,
     clamp_eigenvalues,
     count_clamped,
     covariance,
@@ -220,6 +221,18 @@ class GradCheckReport:
         }
 
 
+def _bumped(data: np.ndarray, i: int, j: int, h: float) -> FeatureMatrix:
+    """Checked features with entry (i, j) moved by h.
+
+    Finite: an entry large enough for the 1e-6 relative step to overflow
+    already overflows the covariance of the unbumped input, which
+    ``grad_check`` computes first.
+    """
+    out = np.array(data)
+    out[i, j] = data[i, j] + h
+    return _trusted(FeatureMatrix, data=out)
+
+
 def grad_check(
     cfg: GcpLayerConfig,
     x: FeatureMatrix,
@@ -246,11 +259,8 @@ def grad_check(
     for i in range(d):
         for j in range(n):
             h = 1e-6 * (1.0 + abs(data[i, j]))
-            bumped = np.array(data)
-            bumped[i, j] = data[i, j] + h
-            q_plus, _ = gcp_forward(FeatureMatrix(bumped), cfg)
-            bumped[i, j] = data[i, j] - h
-            q_minus, _ = gcp_forward(FeatureMatrix(bumped), cfg)
+            q_plus, _ = gcp_forward(_bumped(data, i, j, h), cfg)
+            q_minus, _ = gcp_forward(_bumped(data, i, j, -h), cfg)
             fd[i, j] = float(np.sum(w * (q_plus.data - q_minus.data))) / (2.0 * h)
 
     finite = np.isfinite(analytic)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, SymPsdMatrix, apply_centering
+from .core import FeatureMatrix, SymPsdMatrix, _trusted, apply_centering
 from .errors import DomainError, InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
@@ -79,13 +79,19 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
 
     Raises:
         DomainError: tr(P) <= 0, so the pre-normalization is undefined.
-        NumericalFailureError: an iterate exceeded the divergence guard.
+        NumericalFailureError: tr(P) overflowed, or an iterate exceeded the
+            divergence guard.
     """
     if iterations < 1:
         raise InvalidInputError(f"need at least one iteration, got {iterations}")
     trace_p = p.trace()
     if trace_p <= 0.0:
         raise DomainError(f"trace pre-normalization needs tr(P) > 0, got {trace_p:.3e}")
+    if trace_p == np.inf:
+        # a finite P whose diagonal sums past the float range; the root would be nan
+        raise NumericalFailureError(
+            "tr(P) overflowed", where="trace", max_entry=float(np.abs(p.data).max())
+        )
     d = p.d
     a = p.data / trace_p
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
@@ -114,7 +120,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
 
     q = np.sqrt(trace_p) * y_seq[-1]
     trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), trace_p)
-    return SymPsdMatrix(0.5 * (q + q.T)), trace
+    return _trusted(SymPsdMatrix, data=0.5 * (q + q.T)), trace
 
 
 def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenDecomposition, Precision, SymPsdMatrix
+from .core import EigenDecomposition, Precision, SymPsdMatrix, _trusted
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -213,10 +213,11 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
                     ratio=float(bad),
                 )
             vals = num / den / lam[rows]
+    # zero diagonal and negated mirror: antisymmetric by construction
     k = np.zeros((d, d))
     k[rows, cols] = vals
     k[cols, rows] = -vals
-    return KMatrix(k, scheme.label)
+    return _trusted(KMatrix, data=k, scheme=scheme.label)
 
 
 def grad_covariance(

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, clamp_eigenvalues, condition_number, eigh
+from .core import (
+    FeatureMatrix,
+    _require_finite,
+    _trusted,
+    clamp_eigenvalues,
+    condition_number,
+    eigh,
+)
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
     DOUBLE,
@@ -247,7 +254,9 @@ def _classify(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray, y: int):
     Returns the layer cache, the pooled vector, the class probabilities, the
     cross-entropy loss, and whether the prediction hit the label.
     """
-    q, cache = gcp_forward(FeatureMatrix(model.w1 @ r), cfg)
+    features = model.w1 @ r
+    _require_finite(features, "features w1 @ r", model.w1)
+    q, cache = gcp_forward(_trusted(FeatureMatrix, data=features), cfg)
     v = upper_triangle_vector(q)
     logits = model.w2 @ v + model.b2
     prob = _softmax(logits)
@@ -259,7 +268,9 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     """Loss, accuracy, mean covariance condition, and parameter gradients.
 
     Overflow is allowed to flow through as inf/nan; the caller detects it and
-    records the divergence instead of crashing.
+    records the divergence instead of crashing. A non-finite product that
+    would reach the layer (features, covariance, loss gradient at Q) raises
+    ``NumericalFailureError`` instead, which the caller records the same way.
     """
     batch = rb.shape[0]
     d = model.w1.shape[0]
@@ -280,6 +291,7 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
         dw2 += np.outer(dlogits, v)
         db2 += dlogits
         gq = grad_from_upper_triangle(model.w2.T @ dlogits, d)
+        _require_finite(gq, "loss gradient at Q", model.w2)
         gx = gcp_backward(cache, gq)
         dw1 += gx @ r.T
     scale = 1.0 / batch

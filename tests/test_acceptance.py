@@ -113,6 +113,17 @@ def test_criterion_1_taylor_error_table():
 
 
 def test_criterion_2_pade_error_table():
+    """Every Pade error cell is at most 1e-9 because Pade is 1/(1-x) itself.
+
+    The diagonal approximant of the geometric series has q_n = -1/N and
+    Q(x) = (1-x) P(x), so below the pole it differs from 1/(1-x) only by
+    roundoff, of relative order u/(1-x): the largest cell, at ratio 0.999
+    where 1/(1-x) = 1000, is about 7e-11. The cells measure roundoff, not
+    truncation. The same identity makes the Pade gradient bound roundoff at
+    a tie, where the ratio 1 sits on the pole (criterion 3), and
+    tests/test_schemes.py pins that the Pade K matrix equals the ordinary
+    one wherever the relative eigenvalue gaps are bounded away from zero.
+    """
     with criterion(2, "Pade error table all cells <= 1e-9", budget_seconds=5.0):
         table = approximation_error_table("pade", DEGREES, RATIOS, Precision.double())
         assert float(table.errors.max()) <= 1e-9

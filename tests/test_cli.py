@@ -9,6 +9,7 @@ from specgrad.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
     EXIT_IO,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     main,
 )
@@ -249,6 +250,27 @@ class TestCondition:
         assert float(meta["summary_mean"]) == pytest.approx(1.0, abs=1e-6)
         assert float(meta["ill_fraction"]) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entry,code,message",
+        [
+            # finite input whose covariance overflows: a numerical failure
+            (1e200, EXIT_NUMERICAL_FAILURE, "specgrad: numerical failure: covariance"),
+            # non-finite input stays invalid input
+            (np.nan, EXIT_BAD_FLAGS, "specgrad: invalid input: feature matrix"),
+        ],
+        ids=["overflow", "nan"],
+    )
+    def test_failure_is_one_line_with_its_exit_code(self, tmp_path, capsys, entry, code, message):
+        block = np.random.default_rng(5).normal(size=(3, 6))
+        block[0, 0] = entry
+        feat = tmp_path / "feats.gcpf"
+        io.write_feature_file(feat, [block])
+        assert run("condition", "--input", str(feat), "--out", str(tmp_path / "c.csv")) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_synthetic_matches_direct_computation(self, tmp_path):
         out = tmp_path / "cond.csv"
         assert run(
@@ -333,6 +355,19 @@ class TestTrainToy:
         records = io.read_jsonl(out)
         assert records[-1]["status"] == "diverged"
         assert records[-1]["failure_step"] is not None
+
+    def test_rank_deficient_pade_blowup_is_logged_as_divergence(self, tmp_path):
+        # N = 4 < d = 8 ties the clamped tail; after the swap to the exact
+        # forward the weights grow until the covariance overflows at step 151
+        out = tmp_path / "log.jsonl"
+        code = run(
+            "train-toy", "--seed", "3", "--n", "4", "--backward", "pade", "--out", str(out)
+        )
+        assert code == EXIT_DIVERGED
+        status = io.read_jsonl(out)[-1]
+        assert status["status"] == "diverged"
+        assert status["failure_step"] == 151
+        assert status["failure_reason"].startswith("covariance is non-finite")
 
     def test_topn_on_fine_grained_task(self, tmp_path):
         # discarding small eigenvalues erases the class signal; the run may

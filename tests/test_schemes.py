@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specgrad.core import (
+    EPS_DOUBLE,
     EigenDecomposition,
     FeatureMatrix,
     Precision,
@@ -15,6 +16,7 @@ from specgrad.core import (
 )
 from specgrad.errors import DegenerateInputError, DomainError, InvalidInputError
 from specgrad.newton_schulz import ns_gradient_of_x
+from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
     FLOAT32_MAX,
     BackwardScheme,
@@ -29,6 +31,12 @@ from specgrad.schemes import (
 )
 
 from conftest import random_spd
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for double precision."""
+    u = EPS_DOUBLE / 2
+    return k * u / (1 - k * u)
 
 
 def eig_of(lam, u=None):
@@ -108,6 +116,41 @@ class TestKMatrix:
     def test_pade_near_pole_accuracy(self):
         k = k_matrix(eig_of([1.0, 0.999]), BackwardScheme.pade(100))
         assert k.data[0, 1] == pytest.approx(1000.0, rel=1e-6)
+
+    @pytest.mark.parametrize("degree", [10, 50, 100, 200])
+    @pytest.mark.parametrize("delta", [0.5, 1e-2, 1e-4, 1e-8])
+    def test_pade_equals_ordinary_away_from_ties(self, degree, delta):
+        """Pade K is the ordinary K to roundoff wherever relative gaps are >= delta.
+
+        The approximant of 1/(1-x) has q_n = -1/N, so Q(x) = (1-x) P(x) with
+        p_m = 1 - m/N >= 0 and P(x) >= 1 on [0, 1]: it is 1/(1-x) itself, not
+        an approximation. At a pair with relative gap g = 1 - lambda_j/lambda_i
+        the first-order roundoff of the Pade entry against 1/(lambda_i -
+        lambda_j) is, with u the unit roundoff and gamma_k = k u / (1 - k u):
+        u/g for rounding the ratio; 2 gamma_{2N}/g and 2 gamma_{N+1}/g for
+        Horner and the coefficients of Q (sum|q_full| = 2, |Q| = g P >= g);
+        gamma_{2M} + gamma_{M+N+1} for P (positive terms); 3u for the gap and
+        the two divisions. For M = N + 1 that sums to at most
+        gamma_{5(M+N+1)} / g. Only at a tie (g = 0) does Pade differ from the
+        ordinary rule, and there its entry is roundoff at the pole.
+        """
+        m, n = diagonal_degrees(degree)
+        np.testing.assert_allclose(
+            reciprocal_gap_pade(degree).p[:n], 1.0 - np.arange(n) / n, rtol=0, atol=gamma(m + n + 1)
+        )
+        d = 8
+        rows, cols = np.triu_indices(d, k=1)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            steps = delta * rng.uniform(1.0, 1.5, size=d - 1)
+            lam = rng.uniform(0.5, 2.0) * np.cumprod(np.concatenate([[1.0], 1.0 - steps]))
+            e = eig_of(lam)
+            pade = k_matrix(e, BackwardScheme.pade(degree)).data[rows, cols]
+            ordinary = k_matrix(e, BackwardScheme.ordinary()).data[rows, cols]
+            g = (lam[rows] - lam[cols]) / lam[rows]
+            assert g.min() >= delta
+            bound = gamma(5 * (m + n + 1)) / g * np.abs(ordinary)
+            assert np.all(np.abs(pade - ordinary) <= bound), (seed, np.max(np.abs(pade - ordinary) / bound))
 
     def test_antisymmetry_all_schemes(self, rng):
         e = eigh(random_spd(6, rng))

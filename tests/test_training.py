@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from specgrad.errors import InvalidInputError
+from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import GcpLayerConfig
 from specgrad.schemes import BackwardScheme
 from specgrad.training import (
     HybridSchedule,
+    ToyModel,
     ToyModelSpec,
+    _batch_pass,
     batch_stream,
     evaluate_model,
     make_toy_task,
@@ -165,3 +167,20 @@ class TestTraining:
         assert log.status == "diverged"
         assert log.failure_step is not None
         assert len(log.records) >= 1
+
+    @pytest.mark.parametrize("where", ["features w1 @ r", "loss gradient at Q"])
+    def test_overflow_before_the_layer_is_a_numerical_failure(self, where):
+        # finite weights whose products overflow: a divergence to record, not bad input
+        spec = small_spec()
+        task = make_toy_task(spec, 8, seed=6)
+        model = ToyModel.initialize(spec)
+        if where == "features w1 @ r":
+            model.w1 = np.full_like(model.w1, 1e308)
+        else:
+            # every logit overflows to +inf, so the softmax and dl/dQ are nan
+            model.w1 *= 100.0
+            model.w2 = np.full_like(model.w2, 1e308)
+        cfg = GcpLayerConfig.eig(BackwardScheme.pade(100))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailureError) as err:
+            _batch_pass(model, cfg, task.inputs[:2], task.labels[:2])
+        assert err.value.details["where"] == where
