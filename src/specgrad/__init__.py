@@ -1,10 +1,11 @@
 """Differentiable matrix square root with selectable backward gradient schemes.
 
 The package pairs two forward square-root methods (exact eigendecomposition
-and coupled Newton-Schulz iteration) with a catalogue of backward rules
-(ordinary analytic, top-n, truncation, power iteration, Taylor, Pade), plus
-the Pade approximant machinery behind the rational scheme, a hybrid training
-protocol, and a CLI harness that reproduces the desk-scale tables.
+and coupled Newton-Schulz iteration) with six backward rules (ordinary
+analytic, top-n, truncation, Taylor, Pade, Newton-Schulz), plus the
+standalone power-iteration gradient, the Pade approximant machinery behind
+the rational scheme, a hybrid training protocol, and a CLI harness that
+reproduces the desk-scale tables.
 """
 
 from .core import (

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,9 @@ import numpy as np
 from . import io
 from .core import FeatureMatrix, Precision, clamp_eigenvalues, condition_number, covariance, eigh
 from .errors import InvalidInputError, NumericalFailureError
-from .layer import GcpLayerConfig, grad_check
+from .layer import EIG_SQRT, NEWTON_SCHULZ, GcpLayerConfig, grad_check
 from .pade import approximation_error_table
-from .schemes import BackwardScheme, gradient_upper_bound
+from .schemes import SCHEME_PARAMS, BackwardScheme, gradient_upper_bound
 from .synth import feature_matrix_with_spectrum, gaussian_features, spectrum_for_condition
 from .training import (
     HybridSchedule,
@@ -51,15 +52,19 @@ SEED_ENV_VAR = "SPECGRAD_SEED"
 DEFAULT_DEGREES = (50, 100, 200, 300)
 DEFAULT_RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
 
-_GRADCHECK_TOLERANCES = {
-    "ordinary": 1e-5,
-    "topn": 1e-4,
-    "trunc": 1e-4,
-    "taylor": 1e-4,
-    "pade": 1e-4,
-    "newton": 1e-4,
-    "isqrt": 1e-4,
+#: What one --scheme / --backward name selects: the backward kind, the flag
+#: of its parameter, gradcheck's tolerance, and the forward it pairs with.
+_CliScheme = namedtuple("_CliScheme", "kind flag tolerance forward", defaults=(EIG_SQRT,))
+_SCHEMES = {
+    "ordinary": _CliScheme("ordinary", None, 1e-5),
+    "topn": _CliScheme("topn", "topn", 1e-4),
+    "trunc": _CliScheme("trunc", "trunc-threshold", 1e-4),
+    "taylor": _CliScheme("taylor", "degree", 1e-4),
+    "pade": _CliScheme("pade", "degree", 1e-4),
+    "newton": _CliScheme("newton_schulz", "iters", 1e-4),
+    "isqrt": _CliScheme("newton_schulz", "iters", 1e-4, NEWTON_SCHULZ),
 }
+_SCHEME_FLAGS = tuple(dict.fromkeys(s.flag for s in _SCHEMES.values() if s.flag))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +115,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="gradient upper bounds per scheme")
     _add_common(p, table_output=True)
-    p.add_argument("--degree", type=int, default=None, help="series degree (default 100)")
+    p.add_argument(
+        "--degree", type=int, default=None,
+        help=f"series degree (default {SCHEME_PARAMS['pade'].default})",
+    )
     p.add_argument("--trunc-threshold", type=float, default=None)
     p.add_argument("--out", default=None, help="output file (default bounds.csv)")
 
@@ -118,7 +126,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument(
         "--scheme",
-        choices=tuple(_GRADCHECK_TOLERANCES),
+        choices=tuple(_SCHEMES),
         default=None,
         help="isqrt = Newton-Schulz forward and backward",
     )
@@ -150,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", choices=("balanced", "fine-grained"), default=None)
     p.add_argument(
         "--backward",
-        choices=("ordinary", "topn", "trunc", "taylor", "pade", "newton"),
+        choices=tuple(n for n, s in _SCHEMES.items() if s.forward == EIG_SQRT),
         default=None,
         help="scheme after the swap",
     )
@@ -226,20 +234,22 @@ def _parse_lr_schedule(text) -> tuple:
     return tuple(pairs)
 
 
-def _scheme_from_flags(name, res) -> BackwardScheme:
-    if name == "ordinary":
-        return BackwardScheme.ordinary()
-    if name == "topn":
-        return BackwardScheme.topn(res.get("topn", int, None))
-    if name == "trunc":
-        return BackwardScheme.trunc(res.get("trunc-threshold", float, 1e10))
-    if name == "taylor":
-        return BackwardScheme.taylor(res.get("degree", int, 100))
-    if name == "pade":
-        return BackwardScheme.pade(res.get("degree", int, 100))
-    if name in ("newton", "isqrt"):
-        return BackwardScheme.newton_schulz(res.get("iters", int, 10))
-    raise InvalidInputError(f"unknown scheme {name!r}")
+def _scheme_from_flags(name, res, also_read=()) -> BackwardScheme:
+    """The scheme ``name`` selects, its parameter from flag, config or default.
+
+    Another scheme's parameter flag is rejected unless the command reads it
+    otherwise; config entries are not, since one file may serve several
+    commands. A command without the scheme's flag uses the default.
+    """
+    entry = _SCHEMES[name]
+    for flag in _SCHEME_FLAGS:
+        given = getattr(res.args, flag.replace("-", "_"), None) is not None
+        if given and flag not in (entry.flag, *also_read):
+            raise InvalidInputError(f"--{flag} is not read by scheme {name}")
+    spec = SCHEME_PARAMS[entry.kind]
+    if spec is None or not hasattr(res.args, entry.flag.replace("-", "_")):
+        return BackwardScheme(entry.kind, spec.default if spec else None)
+    return BackwardScheme(entry.kind, res.get(entry.flag, spec.type, spec.default))
 
 
 def _write_table(path, fmt, header, rows, config) -> None:
@@ -284,37 +294,29 @@ def cmd_approx_table(args) -> int:
     return EXIT_OK
 
 
-_BOUNDS_ORDER = ("pade", "taylor", "trunc", "topn", "newton_schulz", "ordinary")
+_BOUNDS_ORDER = ("pade", "taylor", "trunc", "topn", "newton", "ordinary")
 
 
 def cmd_bounds(args) -> int:
     res = _Resolver(args)
     seed = res.seed()
-    degree = res.get("degree", int, 100)
-    threshold = res.get("trunc-threshold", float, 1e10)
     prec = Precision(res.get("precision", str, "double"))
     fmt = res.get("format", str, "csv")
     out = Path(res.get("out", str, f"bounds.{fmt}"))
 
-    schemes = {
-        "pade": BackwardScheme.pade(degree),
-        "taylor": BackwardScheme.taylor(degree),
-        "trunc": BackwardScheme.trunc(threshold),
-        "topn": BackwardScheme.topn(),
-        "newton_schulz": BackwardScheme.newton_schulz(),
-        "ordinary": BackwardScheme.ordinary(),
-    }
+    schemes = [_scheme_from_flags(name, res, _SCHEME_FLAGS) for name in _BOUNDS_ORDER]
+    params = {s.kind: s.param for s in schemes}
     header = ["scheme", "analytic_form", "max_value", "trigger", "single_safe"]
     rows = []
-    for name in _BOUNDS_ORDER:
-        bound = gradient_upper_bound(schemes[name], prec)
+    for scheme in schemes:
+        bound = gradient_upper_bound(scheme, prec)
         rows.append(
-            [name, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
+            [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
         )
     config = {
         "command": "bounds",
-        "degree": degree,
-        "trunc_threshold": threshold,
+        "degree": params["pade"],
+        "trunc_threshold": params["trunc"],
         "precision": prec.mode,
         "seed": seed,
     }
@@ -332,14 +334,12 @@ def cmd_gradcheck(args) -> int:
     loss_kind = res.get("loss", str, "sum")
     rng = np.random.default_rng(seed)
 
+    entry = _SCHEMES[scheme_name]
+    cfg = GcpLayerConfig(_scheme_from_flags(scheme_name, res), entry.forward)
+
     x = feature_matrix_with_spectrum(spectrum_for_condition(d, cond), n, rng)
-    scheme = _scheme_from_flags(scheme_name, res)
-    if scheme_name == "isqrt":
-        cfg = GcpLayerConfig.newton_schulz(scheme.iterations)
-    else:
-        cfg = GcpLayerConfig.eig(scheme)
     report = grad_check(cfg, x, loss_kind=loss_kind, seed=seed)
-    tol = _GRADCHECK_TOLERANCES[scheme_name]
+    tol = entry.tolerance
     passed = report.passes(tol)
 
     payload = {
@@ -437,7 +437,8 @@ def cmd_train_toy(args) -> int:
     )
     switch_step = None if switch_frac >= 1.0 else int(switch_frac * steps)
     schedule = HybridSchedule(
-        post_switch_scheme=_scheme_from_flags(backward, res),
+        # --iters also sets the forward iterations, so every backward reads it
+        post_switch_scheme=_scheme_from_flags(backward, res, also_read=("iters",)),
         switch_step=switch_step,
         warmup_steps=int(warmup_frac * steps),
         lr_schedule=lr_schedule,
@@ -495,7 +496,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # numpy's floating-point warnings would precede the one-line report
+        # of the typed error each such operation leads to
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except InvalidInputError as err:
         print(f"specgrad: invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_FLAGS

@@ -149,7 +149,7 @@ class SymPsdMatrix:
         scale = np.abs(data).max() if data.size else 0.0
         if scale > 0 and np.abs(data - data.T).max() > 1e-12 * scale:
             raise InvalidInputError("matrix is not symmetric to 1e-12 relative tolerance")
-        sym = 0.5 * (data + data.T)
+        sym = 0.5 * data + 0.5 * data.T  # halving first cannot overflow
         object.__setattr__(self, "data", _as_readonly(sym))
 
     @property

@@ -47,7 +47,7 @@ DOUBLE = Precision.double()
 class GcpLayerConfig:
     """Forward square-root method and backward scheme of the layer.
 
-    The Newton-Schulz forward runs ``backward.iterations`` steps, so its
+    The Newton-Schulz forward runs ``backward.param`` steps, so its
     backward always reverses the trace the forward built.
     """
 
@@ -57,15 +57,9 @@ class GcpLayerConfig:
     def __post_init__(self):
         if self.forward not in (EIG_SQRT, NEWTON_SCHULZ):
             raise InvalidInputError(f"unknown forward method {self.forward!r}")
-        if self.forward == NEWTON_SCHULZ:
-            if self.backward.kind != "newton_schulz":
-                raise InvalidInputError(
-                    "a Newton-Schulz forward pairs only with the Newton-Schulz backward"
-                )
-        elif self.backward.kind == "power_iteration":
+        if self.forward == NEWTON_SCHULZ and self.backward.kind != "newton_schulz":
             raise InvalidInputError(
-                "the power-iteration rule only approximates the leading-eigenvector "
-                "block and is not a full layer backward; use the standalone ops"
+                "a Newton-Schulz forward pairs only with the Newton-Schulz backward"
             )
 
     @classmethod
@@ -79,7 +73,7 @@ class GcpLayerConfig:
     @property
     def label(self) -> str:
         if self.forward == NEWTON_SCHULZ:
-            return f"newton_schulz({self.backward.iterations})"
+            return f"newton_schulz({self.backward.param})"
         return f"eig_sqrt+{self.backward.label}"
 
 
@@ -99,7 +93,7 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
     """Covariance, then the configured square root; returns Q and the cache."""
     p = covariance(x)
     if cfg.forward == NEWTON_SCHULZ:
-        q, trace = ns_forward(p, cfg.backward.iterations)
+        q, trace = ns_forward(p, cfg.backward.param)
         return q, GcpCache(x=x, p=p, config=cfg, ns_trace=trace)
 
     e_raw = eigh(p)
@@ -109,7 +103,7 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
     trace = None
     if cfg.backward.kind == "newton_schulz":
         # exact forward, iterative backward: the gradient replays a fresh trace
-        _, trace = ns_forward(p, cfg.backward.iterations)
+        _, trace = ns_forward(p, cfg.backward.param)
     return q, GcpCache(
         x=x, p=p, config=cfg, eig=e, ns_trace=trace, clamped_count=clamped
     )
@@ -140,14 +134,13 @@ def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, list
     Returns the d x N gradient and the list of non-finite K-matrix entries
     (empty for the Newton-Schulz backward, which has no K matrix).
     """
-    cfg = cache.config
     bad_entries: list = []
-    if cfg.backward.kind == "newton_schulz":
+    if cache.ns_trace is not None:
         grad_p = ns_backward(cache.ns_trace, grad_q)
     else:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            k = k_matrix(cache.eig, cfg.backward)
-            grad_p = grad_covariance(grad_q, cache.eig, cfg.backward, k=k)
+            k = k_matrix(cache.eig, cache.config.backward)
+            grad_p = grad_covariance(grad_q, cache.eig, k)
         bad_entries = k.nonfinite_entries()
     with np.errstate(invalid="ignore", over="ignore"):
         grad_x = ns_gradient_of_x(grad_p, cache.x)

@@ -5,14 +5,15 @@ off-diagonal sensitivity through the antisymmetric matrix K with entries
 1/(lambda_i - lambda_j), which explodes when eigenvalues collide. This module
 implements the ordinary rule plus the remedies that tame it: dropping small
 eigenvalues (top-n), clipping (truncation), truncated geometric series
-(taylor), and a rational surrogate (pade), along with the power-iteration
-gradient, per-scheme analytic upper bounds, and an empirical gradient
-smoothness estimator.
+(taylor), and a rational surrogate (pade), along with the standalone
+power-iteration gradient, per-scheme analytic upper bounds, and an
+empirical gradient smoothness estimator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,85 +32,93 @@ FLOAT32_MAX = 3.4028235e38
 
 #: kept-eigenvalue fraction used when a top-n scheme does not pin n explicitly
 DEFAULT_TOPN_RATIO = 200.0 / 256.0
-DEFAULT_TRUNCATION = 1e10
-DEFAULT_DEGREE = 100
-DEFAULT_NS_BACKWARD_ITERATIONS = 10
-DEFAULT_PI_ITERATIONS = 100
 
-_K_SCHEMES = ("ordinary", "topn", "trunc", "taylor", "pade")
+#: A backward kind's one parameter: its name in the label, default and type.
+#: A ``None`` default lets it be left out (top-n: keep ``DEFAULT_TOPN_RATIO``).
+SchemeParam = namedtuple("SchemeParam", "name default type")
+
+#: every backward kind with its parameter, or ``None`` for a kind that takes none
+SCHEME_PARAMS = {
+    "ordinary": None,
+    "topn": SchemeParam("n", None, int),
+    "trunc": SchemeParam("t", 1e10, float),
+    "taylor": SchemeParam("degree", 100, int),
+    "pade": SchemeParam("degree", 100, int),
+    "newton_schulz": SchemeParam("iterations", 10, int),
+}
 
 
 @dataclass(frozen=True)
 class BackwardScheme:
-    """Tagged selection of one backward gradient rule plus its parameters."""
+    """Tagged selection of one backward gradient rule and its one parameter.
+
+    The classmethods fill in the kind's default; only ``ordinary`` and
+    ``topn`` accept ``BackwardScheme(kind)`` without a parameter.
+    """
 
     kind: str
-    top_n: int | None = None
-    threshold: float | None = None
-    degree: int | None = None
-    iterations: int | None = None
+    param: int | float | None = None
 
     def __post_init__(self):
-        known = _K_SCHEMES + ("power_iteration", "newton_schulz")
-        if self.kind not in known:
+        if self.kind not in SCHEME_PARAMS:
             raise InvalidInputError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "topn" and self.top_n is not None and self.top_n < 1:
-            raise InvalidInputError("top-n needs n >= 1")
-        if self.kind == "trunc" and not (self.threshold and self.threshold > 0):
-            raise InvalidInputError("truncation needs a positive threshold")
-        if self.kind in ("taylor", "pade") and (self.degree is None or self.degree < 1):
-            raise InvalidInputError("series schemes need degree >= 1")
-        if self.kind in ("power_iteration", "newton_schulz") and (
-            self.iterations is None or self.iterations < 1
-        ):
-            raise InvalidInputError("iterative schemes need iterations >= 1")
+        spec = SCHEME_PARAMS[self.kind]
+        if self.param is None:
+            if spec is not None and spec.default is not None:
+                raise InvalidInputError(f"{self.kind} needs its parameter {spec.name}")
+            return
+        if spec is None:
+            raise InvalidInputError(f"{self.kind} takes no parameter, got {self.param!r}")
+        try:
+            value = spec.type(self.param)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value != self.param or not value > 0:
+            raise InvalidInputError(
+                f"{self.kind} needs a positive {spec.type.__name__} {spec.name}, "
+                f"got {self.param!r}"
+            )
+        object.__setattr__(self, "param", value)
 
     @classmethod
     def ordinary(cls) -> "BackwardScheme":
         return cls("ordinary")
 
     @classmethod
-    def topn(cls, n: int | None = None) -> "BackwardScheme":
-        return cls("topn", top_n=n)
+    def topn(cls, n: int | None = SCHEME_PARAMS["topn"].default) -> "BackwardScheme":
+        return cls("topn", n)
 
     @classmethod
-    def trunc(cls, threshold: float = DEFAULT_TRUNCATION) -> "BackwardScheme":
-        return cls("trunc", threshold=threshold)
+    def trunc(cls, threshold: float = SCHEME_PARAMS["trunc"].default) -> "BackwardScheme":
+        return cls("trunc", threshold)
 
     @classmethod
-    def taylor(cls, degree: int = DEFAULT_DEGREE) -> "BackwardScheme":
-        return cls("taylor", degree=degree)
+    def taylor(cls, degree: int = SCHEME_PARAMS["taylor"].default) -> "BackwardScheme":
+        return cls("taylor", degree)
 
     @classmethod
-    def pade(cls, degree: int = DEFAULT_DEGREE) -> "BackwardScheme":
-        return cls("pade", degree=degree)
-
-    @classmethod
-    def power_iteration(cls, iterations: int = DEFAULT_PI_ITERATIONS) -> "BackwardScheme":
-        return cls("power_iteration", iterations=iterations)
+    def pade(cls, degree: int = SCHEME_PARAMS["pade"].default) -> "BackwardScheme":
+        return cls("pade", degree)
 
     @classmethod
     def newton_schulz(
-        cls, iterations: int = DEFAULT_NS_BACKWARD_ITERATIONS
+        cls, iterations: int = SCHEME_PARAMS["newton_schulz"].default
     ) -> "BackwardScheme":
-        return cls("newton_schulz", iterations=iterations)
+        return cls("newton_schulz", iterations)
 
     def resolve_top_n(self, d: int) -> int:
-        if self.top_n is not None:
-            return min(self.top_n, d)
+        if self.param is not None:
+            return min(self.param, d)
         return max(1, round(DEFAULT_TOPN_RATIO * d))
 
     @property
     def label(self) -> str:
-        if self.kind == "topn":
-            return f"topn(n={self.top_n if self.top_n is not None else 'auto'})"
-        if self.kind == "trunc":
-            return f"trunc(t={self.threshold:g})"
-        if self.kind in ("taylor", "pade"):
-            return f"{self.kind}(degree={self.degree})"
-        if self.kind in ("power_iteration", "newton_schulz"):
-            return f"{self.kind}(iterations={self.iterations})"
-        return self.kind
+        spec = SCHEME_PARAMS[self.kind]
+        if spec is None:
+            return self.kind
+        fmt = "g" if spec.type is float else ""
+        value = "auto" if self.param is None else format(self.param, fmt)
+        return f"{self.kind}({spec.name}={value})"
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,6 @@ class KMatrix:
     """Antisymmetric eigenvalue-gap matrix produced by one of the schemes."""
 
     data: np.ndarray = field()
-    scheme: str = "ordinary"
 
     def __post_init__(self):
         k = np.asarray(self.data, dtype=np.float64)
@@ -179,7 +187,7 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     lam = e.eigenvalues
     d = e.d
     kind = scheme.kind
-    if kind not in _K_SCHEMES:
+    if kind == "newton_schulz":
         raise InvalidInputError(f"scheme {scheme.label} does not define a K matrix")
 
     rows, cols = np.triu_indices(d, k=1)
@@ -194,16 +202,16 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
         if kind == "topn":
             vals = np.where((lam_eff[rows] == 0.0) & (lam_eff[cols] == 0.0), 0.0, vals)
         elif kind == "trunc":
-            vals = np.minimum(vals, scheme.threshold)
+            vals = np.minimum(vals, scheme.param)
     else:
         # series surrogates: ratios lambda_j / lambda_i <= 1
         if np.any(lam <= 0):
             raise DomainError("series schemes need strictly positive (clamped) eigenvalues")
         ratios = lam[cols] / lam[rows]
         if kind == "taylor":
-            vals = horner(np.ones(scheme.degree + 1), ratios) / lam[rows]
+            vals = horner(np.ones(scheme.param + 1), ratios) / lam[rows]
         else:
-            pa = reciprocal_gap_pade(scheme.degree)
+            pa = reciprocal_gap_pade(scheme.param)
             num = horner(pa.p, ratios)
             den = horner(pa.q_full, ratios)
             if np.any(den == 0.0):
@@ -217,25 +225,15 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     k = np.zeros((d, d))
     k[rows, cols] = vals
     k[cols, rows] = -vals
-    return _trusted(KMatrix, data=k, scheme=scheme.label)
+    return _trusted(KMatrix, data=k)
 
 
-def grad_covariance(
-    grad_q: np.ndarray,
-    e: EigenDecomposition,
-    scheme: BackwardScheme,
-    k: KMatrix | None = None,
-) -> np.ndarray:
-    """Full backward chain dl/dQ -> dl/dP through the selected scheme:
+def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np.ndarray:
+    """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``:
 
     dl/dP = U ((K^T o (U^T dl/dU)) + diag(dl/dlambda)) U^T.
-
-    ``k`` may pass in a matrix already built for this decomposition and
-    scheme to avoid recomputing it.
     """
     grad_u, grad_lam = grad_eigvec_eigval(grad_q, e)
-    if k is None:
-        k = k_matrix(e, scheme)
     u = e.eigenvectors
     inner = k.data.T * (u.T @ grad_u)
     inner = inner + np.diag(grad_lam)
@@ -351,17 +349,17 @@ def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
         return GradBound(
             scheme.label,
             "(K+1)/lambda_i",
-            (scheme.degree + 1) / eps,
+            (scheme.param + 1) / eps,
             "lambda_i = lambda_j <= eps",
         )
     if kind == "topn":
         return GradBound(scheme.label, "1/lambda_N", 1.0 / eps, "lambda_N <= eps")
     if kind == "trunc":
         return GradBound(
-            scheme.label, "T", scheme.threshold, "|1/(lambda_i - lambda_j)| >= T"
+            scheme.label, "T", scheme.param, "|1/(lambda_i - lambda_j)| >= T"
         )
     if kind == "pade":
-        ratio = pade_bound_ratio(scheme.degree)
+        ratio = pade_bound_ratio(scheme.param)
         return GradBound(
             scheme.label,
             "(1/lambda_i) * sum(p_m) / (1 + sum(q_n))",
@@ -372,7 +370,7 @@ def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
         return GradBound(
             scheme.label, "1/(lambda_i - lambda_j)", math.inf, "lambda_i = lambda_j"
         )
-    # iterative schemes admit no closed-form bound on the matrix-product chain
+    # the Newton-Schulz backward admits no closed-form bound on its product chain
     return GradBound(scheme.label, "no analytic form", None, "n/a")
 
 

@@ -233,7 +233,7 @@ def test_criterion_5_remedy_consistency():
             e = EigenDecomposition(lam, u)
             w = rng.normal(size=(4, 4))
             grads = [
-                grad_covariance(w, e, scheme)
+                grad_covariance(w, e, k_matrix(e, scheme))
                 for scheme in (
                     BackwardScheme.ordinary(),
                     BackwardScheme.taylor(100),

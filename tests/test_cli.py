@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specgrad
 from specgrad import io
+from specgrad.core import EPS_DOUBLE
 from specgrad.cli import (
     EXIT_BAD_FLAGS,
     EXIT_CHECK_FAILED,
@@ -215,6 +221,92 @@ class TestGradCheck:
         assert run("train-toy", "--format", "json") == EXIT_BAD_FLAGS
 
 
+class TestSchemeFlags:
+    @pytest.mark.parametrize(
+        "argv,label",
+        [
+            (("ordinary",), "eig_sqrt+ordinary"),
+            (("topn",), "eig_sqrt+topn(n=auto)"),
+            (("topn", "--topn", "1"), "eig_sqrt+topn(n=1)"),
+            (("trunc",), "eig_sqrt+trunc(t=1e+10)"),
+            (("trunc", "--trunc-threshold", "1e3"), "eig_sqrt+trunc(t=1000)"),
+            (("taylor",), "eig_sqrt+taylor(degree=100)"),
+            (("taylor", "--degree", "7"), "eig_sqrt+taylor(degree=7)"),
+            (("pade",), "eig_sqrt+pade(degree=100)"),
+            (("pade", "--degree", "50"), "eig_sqrt+pade(degree=50)"),
+            (("newton",), "eig_sqrt+newton_schulz(iterations=10)"),
+            (("newton", "--iters", "7"), "eig_sqrt+newton_schulz(iterations=7)"),
+            (("isqrt",), "newton_schulz(10)"),
+            (("isqrt", "--iters", "7"), "newton_schulz(7)"),
+        ],
+    )
+    def test_scheme_name_and_parameter_build_the_label(self, tmp_path, argv, label):
+        path = tmp_path / "report.json"
+        code = run(
+            "gradcheck", "--scheme", *argv, "--d", "2", "--n", "4", "--out", str(path)
+        )
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert json.loads(path.read_text())["report"]["scheme"] == label
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("gradcheck", "--scheme", "ordinary", "--degree", "7"), "--degree"),
+            (("gradcheck", "--scheme", "pade", "--topn", "3"), "--topn"),
+            (("gradcheck", "--scheme", "isqrt", "--trunc-threshold", "5"), "--trunc-threshold"),
+            (("gradcheck", "--scheme", "trunc", "--iters", "3"), "--iters"),
+            (("gradcheck", "--scheme", "ordinary", "--topn", "0"), "--topn"),
+            (("train-toy", "--backward", "taylor", "--trunc-threshold", "5"), "--trunc-threshold"),
+            (("train-toy", "--backward", "newton", "--degree", "5"), "--degree"),
+        ],
+        ids=[
+            "ordinary-degree", "pade-topn", "isqrt-trunc", "trunc-iters",
+            "ordinary-topn-0", "train-taylor-trunc", "train-newton-degree",
+        ],
+    )
+    def test_flag_the_scheme_never_reads_exits_64(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == EXIT_BAD_FLAGS
+        err = capsys.readouterr().err
+        scheme = argv[2]
+        assert err == f"specgrad: invalid input: {flag} is not read by scheme {scheme}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backward", ["ordinary", "taylor", "newton"])
+    def test_train_toy_iters_is_read_with_any_backward(self, tmp_path, backward):
+        out = tmp_path / "log.jsonl"
+        code = run(
+            "train-toy", "--backward", backward, "--iters", "7", "--steps", "10",
+            "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert io.read_jsonl(out)[0]["iters"] == 7
+
+    def test_bounds_reads_degree_and_threshold(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        code = run(
+            "bounds", "--degree", "20", "--trunc-threshold", "1e3", "--out", str(path)
+        )
+        assert code == EXIT_OK
+        meta, _, rows = io.read_csv(path)
+        table = {r[0]: r for r in rows}
+        assert meta["degree"] == "20" and meta["trunc_threshold"] == "1000"
+        assert float(table["trunc"][2]) == 1e3
+        assert float(table["taylor"][2]) == pytest.approx(21 / EPS_DOUBLE)
+
+    def test_config_entry_of_another_scheme_is_not_rejected(self, tmp_path):
+        # one config file may serve several commands and schemes
+        conf = tmp_path / "run.conf"
+        conf.write_text("degree=7\ntopn=3\n")
+        path = tmp_path / "report.json"
+        code = run(
+            "gradcheck", "--scheme", "ordinary", "--d", "2", "--n", "4",
+            "--config", str(conf), "--out", str(path),
+        )
+        assert code == EXIT_OK
+        assert json.loads(path.read_text())["report"]["scheme"] == "eig_sqrt+ordinary"
+
+
 class TestCondition:
     def test_feature_file_input(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -250,7 +342,6 @@ class TestCondition:
         assert float(meta["summary_mean"]) == pytest.approx(1.0, abs=1e-6)
         assert float(meta["ill_fraction"]) == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "entry,code,message",
         [
@@ -270,6 +361,22 @@ class TestCondition:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_overflow_prints_one_line_in_a_fresh_process(self, tmp_path):
+        # numpy prints its RuntimeWarning to stderr unless the CLI silences it
+        block = np.random.default_rng(5).normal(size=(3, 6))
+        block[0, 0] = 1e200
+        feat = tmp_path / "feats.gcpf"
+        io.write_feature_file(feat, [block])
+        env = dict(os.environ, PYTHONPATH=str(Path(specgrad.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "specgrad.cli", "condition",
+             "--input", str(feat), "--out", str(tmp_path / "c.csv")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_NUMERICAL_FAILURE
+        assert proc.stderr.startswith("specgrad: numerical failure: covariance")
+        assert proc.stderr.count("\n") == 1
 
     def test_synthetic_matches_direct_computation(self, tmp_path):
         out = tmp_path / "cond.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ class TestTypes:
         a = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
         m = SymPsdMatrix(a)
         assert np.array_equal(m.data, m.data.T)
+
+    def test_sym_matrix_keeps_entries_near_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymPsdMatrix(np.diag([1e308, 1e308]))
+        assert np.array_equal(np.diag(m.data), [1e308, 1e308])
+
+    def test_sym_matrix_symmetrizes_as_the_mean_of_a_and_its_transpose(self, rng):
+        # halving before adding rounds like halving the sum (outside subnormals)
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+            a = scale * rng.normal(size=(6, 6))
+            a = a + 1e-14 * np.abs(a).max() * rng.normal(size=a.shape) + a.T
+            assert np.array_equal(SymPsdMatrix(a).data, 0.5 * (a + a.T))
 
     def test_sym_matrix_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):

@@ -41,10 +41,6 @@ class TestConfig:
                 backward=BackwardScheme.ordinary(), forward="newton_schulz"
             )
 
-    def test_power_iteration_not_a_layer_scheme(self):
-        with pytest.raises(InvalidInputError):
-            GcpLayerConfig.eig(BackwardScheme.power_iteration(10))
-
 
 class TestForward:
     def test_constant_features_give_clamped_near_zero(self):

@@ -46,10 +46,11 @@ def eig_of(lam, u=None):
 
 class TestSchemeConfig:
     def test_defaults(self):
-        assert BackwardScheme.trunc().threshold == 1e10
-        assert BackwardScheme.taylor().degree == 100
-        assert BackwardScheme.pade().degree == 100
-        assert BackwardScheme.newton_schulz().iterations == 10
+        assert BackwardScheme.trunc().param == 1e10
+        assert BackwardScheme.taylor().param == 100
+        assert BackwardScheme.pade().param == 100
+        assert BackwardScheme.newton_schulz().param == 10
+        assert BackwardScheme.topn().param is None
 
     def test_topn_default_ratio(self):
         # top 200 of 256 scales to d
@@ -58,12 +59,52 @@ class TestSchemeConfig:
         assert BackwardScheme.topn(3).resolve_top_n(8) == 3
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            BackwardScheme("trunc", threshold=-1.0)
-        with pytest.raises(InvalidInputError):
-            BackwardScheme("taylor")
-        with pytest.raises(InvalidInputError):
-            BackwardScheme("nonsense")
+        for kind, param in (
+            ("ordinary", 3),  # ordinary reads no parameter
+            ("ordinary", 0.0),
+            ("trunc", None),  # missing parameter
+            ("taylor", None),
+            ("pade", None),
+            ("newton_schulz", None),
+            ("topn", 0),  # non-positive parameter
+            ("trunc", -1.0),
+            ("trunc", 0.0),
+            ("taylor", 0),
+            ("pade", -5),
+            ("newton_schulz", 0),
+            ("trunc", float("nan")),  # not a positive number of the kind's type
+            ("taylor", 2.5),
+            ("topn", "3"),
+            ("pade", float("inf")),
+            ("power_iteration", 10),  # standalone op, not a backward kind
+            ("power_iteration", None),
+            ("nonsense", None),
+        ):
+            with pytest.raises(InvalidInputError):
+                BackwardScheme(kind, param)
+
+    def test_parameter_takes_its_kind_type(self):
+        # trunc(1000) and trunc(1000.0) are one scheme with one label
+        assert BackwardScheme.trunc(1000) == BackwardScheme.trunc(1000.0)
+        assert type(BackwardScheme.trunc(1000).param) is float
+        assert type(BackwardScheme.taylor(np.int64(5)).param) is int
+        assert BackwardScheme.taylor(5.0).label == "taylor(degree=5)"
+
+    @pytest.mark.parametrize(
+        "scheme,label",
+        [
+            (BackwardScheme.ordinary(), "ordinary"),
+            (BackwardScheme.topn(), "topn(n=auto)"),
+            (BackwardScheme.topn(3), "topn(n=3)"),
+            (BackwardScheme.trunc(), "trunc(t=1e+10)"),
+            (BackwardScheme.trunc(1e3), "trunc(t=1000)"),
+            (BackwardScheme.taylor(), "taylor(degree=100)"),
+            (BackwardScheme.pade(), "pade(degree=100)"),
+            (BackwardScheme.newton_schulz(), "newton_schulz(iterations=10)"),
+        ],
+    )
+    def test_labels(self, scheme, label):
+        assert scheme.label == label
 
 
 class TestGradEigvecEigval:
@@ -183,7 +224,7 @@ class TestKMatrix:
             ):
                 k = np.abs(k_matrix(e, scheme).data)
                 if scheme.kind == "taylor":
-                    per_row_bound = (scheme.degree + 1) / spectrum[:, None]
+                    per_row_bound = (scheme.param + 1) / spectrum[:, None]
                     assert np.all(k <= per_row_bound + 1e-9)
                 bound = gradient_upper_bound(scheme, prec).max_value
                 assert k.max() <= bound * (1 + 1e-12)
@@ -194,8 +235,6 @@ class TestKMatrix:
         e = eigh(random_spd(3, rng))
         with pytest.raises(InvalidInputError):
             k_matrix(e, BackwardScheme.newton_schulz(10))
-        with pytest.raises(InvalidInputError):
-            k_matrix(e, BackwardScheme.power_iteration(10))
 
 
 def fd_gradient_through_x(x_arr, w, h=1e-6):
@@ -215,7 +254,7 @@ def fd_gradient_through_x(x_arr, w, h=1e-6):
 class TestGradCovariance:
     def test_zero_gradient(self, rng):
         e = eigh(random_spd(3, rng))
-        out = grad_covariance(np.zeros((3, 3)), e, BackwardScheme.ordinary())
+        out = grad_covariance(np.zeros((3, 3)), e, k_matrix(e, BackwardScheme.ordinary()))
         assert np.abs(out).max() == 0.0
 
     def test_ordinary_matches_finite_differences(self, rng):
@@ -223,7 +262,7 @@ class TestGradCovariance:
         w = rng.normal(size=(3, 3))
         x = FeatureMatrix(x_arr)
         e = clamp_eigenvalues(eigh(covariance(x)), Precision.double())
-        gp = grad_covariance(w, e, BackwardScheme.ordinary())
+        gp = grad_covariance(w, e, k_matrix(e, BackwardScheme.ordinary()))
         gx = ns_gradient_of_x(gp, x)
         fd = fd_gradient_through_x(x_arr, w)
         assert np.abs(gx - fd).max() / np.abs(fd).max() <= 1e-5
@@ -236,7 +275,7 @@ class TestGradCovariance:
         e = EigenDecomposition(lam, u)
         w = rng.normal(size=(4, 4))
         grads = {
-            scheme.kind: grad_covariance(w, e, scheme)
+            scheme.kind: grad_covariance(w, e, k_matrix(e, scheme))
             for scheme in (
                 BackwardScheme.ordinary(),
                 BackwardScheme.taylor(100),
@@ -357,7 +396,7 @@ class TestBetaSmoothness:
         def fn(x_arr):
             x = FeatureMatrix(x_arr)
             e = clamp_eigenvalues(eigh(covariance(x)), Precision.double())
-            gp = grad_covariance(w, e, scheme)
+            gp = grad_covariance(w, e, k_matrix(e, scheme))
             return ns_gradient_of_x(gp, x) if chain_to_x else gp
 
         return fn

@@ -74,7 +74,7 @@ def test_producer_results_pass_public_constructors(d, n, seed):
 
     for scheme in K_SCHEMES:
         k = k_matrix(e, scheme)
-        _assert_frozen_and_rebuilds(k, KMatrix(k.data, k.scheme))
+        _assert_frozen_and_rebuilds(k, KMatrix(k.data))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
