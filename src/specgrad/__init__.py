@@ -64,7 +64,6 @@ from .schemes import (
     grad_eigvec_eigval,
     gradient_upper_bound,
     k_matrix,
-    pade_bound_ratio,
     pi_gradient,
     power_iteration,
 )

@@ -436,9 +436,13 @@ def cmd_train_toy(args) -> int:
         init_seed=seed,
     )
     switch_step = None if switch_frac >= 1.0 else int(switch_frac * steps)
+    # --iters sets the forward iterations, so every backward reads it
+    post_switch = _scheme_from_flags(backward, res, also_read=("iters",))
+    if post_switch.kind == "newton_schulz":
+        # one Newton-Schulz iteration count per run, forward and backward
+        post_switch = BackwardScheme.newton_schulz(iters)
     schedule = HybridSchedule(
-        # --iters also sets the forward iterations, so every backward reads it
-        post_switch_scheme=_scheme_from_flags(backward, res, also_read=("iters",)),
+        post_switch_scheme=post_switch,
         switch_step=switch_step,
         warmup_steps=int(warmup_frac * steps),
         lr_schedule=lr_schedule,

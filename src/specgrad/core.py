@@ -221,7 +221,7 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     xc = x.data - x.data.mean(axis=1, keepdims=True)
     p = (xc @ xc.T) / x.n_samples
     _require_finite(p, "covariance", x.data)
-    return _trusted(SymPsdMatrix, data=0.5 * (p + p.T))
+    return _trusted(SymPsdMatrix, data=0.5 * p + 0.5 * p.T)
 
 
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:
@@ -273,7 +273,7 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     u = e.eigenvectors
     q = (u * powered) @ u.T
     _require_finite(q, f"matrix power {alpha}", lam)
-    return _trusted(SymPsdMatrix, data=0.5 * (q + q.T))
+    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.T)
 
 
 def condition_number(e: EigenDecomposition) -> ConditionNumber:

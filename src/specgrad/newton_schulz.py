@@ -120,7 +120,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
 
     q = np.sqrt(trace_p) * y_seq[-1]
     trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), trace_p)
-    return _trusted(SymPsdMatrix, data=0.5 * (q + q.T)), trace
+    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.T), trace
 
 
 def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:

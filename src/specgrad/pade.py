@@ -32,8 +32,8 @@ class PowerSeries:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs))
-        if c.ndim != 1 or c.size < 2:
-            raise InvalidInputError("a power series needs at least two coefficients")
+        if c.ndim != 1 or c.size < 1:
+            raise InvalidInputError("a power series needs at least one coefficient")
         if not np.all(np.isfinite(c)):
             raise InvalidInputError("power series coefficients must be finite")
         c = np.array(c, copy=True)
@@ -80,9 +80,8 @@ class PadeApproximant:
 def horner(coeffs: np.ndarray, x):
     """Polynomial with coefficients c_0 ... c_n (lowest first) at scalar or array x.
 
-    The one polynomial evaluation of the package: Pade values, the Taylor and
-    Pade K-matrix entries and the Pade gradient bound all go through it, so
-    they round identically.
+    The one polynomial evaluation of the package, behind ``taylor_eval`` and
+    ``eval_rational``.
     """
     acc = coeffs.dtype.type(0.0)
     for c in coeffs[::-1]:
@@ -250,15 +249,21 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_rational(pa: PadeApproximant, x: float) -> float:
-    """Horner evaluation of numerator and denominator, then one division."""
-    dtype = pa.p.dtype
-    xv = dtype.type(x)
-    num = horner(pa.p, xv)
-    den = horner(pa.q_full, xv)
-    if abs(float(den)) < _POLE_FLOOR:
-        raise PoleError(f"denominator vanishes at x = {x!r}", x=float(x))
-    return float(num / den)
+def eval_rational(pa: PadeApproximant, x):
+    """P(x) / Q(x) at scalar or array x, in the coefficients' precision.
+
+    Horner evaluation of numerator and denominator, then one division. A
+    denominator below ``_POLE_FLOOR`` in magnitude raises ``PoleError`` naming
+    the first such x.
+    """
+    x = np.asarray(x, dtype=pa.p.dtype)
+    num = horner(pa.p, x)
+    den = horner(pa.q_full, x)
+    pole = np.abs(den) < _POLE_FLOOR
+    if pole.any():
+        bad = float(x[pole][0] if x.ndim else x)
+        raise PoleError(f"denominator vanishes at x = {bad!r}", x=bad)
+    return num / den
 
 
 def series_match_residual(pa: PadeApproximant, s: PowerSeries) -> float:
@@ -312,10 +317,9 @@ def reciprocal_gap_pade(k: int, prec: Precision = Precision.double()) -> PadeApp
     return _PADE_CACHE[key]
 
 
-def taylor_eval(k: int, x, dtype=np.float64) -> float:
-    """Degree-k truncation of the geometric series evaluated at x."""
-    coeffs = np.ones(k + 1, dtype=dtype)
-    return float(horner(coeffs, np.dtype(dtype).type(x)))
+def taylor_eval(k: int, x, dtype=np.float64):
+    """Degree-k truncation of the geometric series at scalar or array x."""
+    return horner(np.ones(k + 1, dtype=dtype), np.asarray(x, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -343,21 +347,14 @@ def approximation_error_table(
     ratios = tuple(float(r) for r in ratios)
     if any(not (0.0 <= r < 1.0) for r in ratios):
         raise InvalidInputError("ratios must lie in [0, 1)")
-    dtype = prec.dtype
-    scalar = np.dtype(dtype).type
+    x = np.array(ratios, dtype=prec.dtype)
+    exact = 1 / (1 - x)
 
     errors = np.zeros((len(ratios), len(degrees)))
-    approximants = {}
-    if kind == "pade":
-        for k in degrees:
-            approximants[k] = reciprocal_gap_pade(k, prec)
-    for i, r in enumerate(ratios):
-        x = scalar(r)
-        exact = scalar(1.0) / (scalar(1.0) - x)
-        for j, k in enumerate(degrees):
-            if kind == "taylor":
-                approx = scalar(taylor_eval(k, x, dtype=dtype))
-            else:
-                approx = scalar(eval_rational(approximants[k], x))
-            errors[i, j] = float(abs(exact - approx))
+    for j, k in enumerate(degrees):
+        if kind == "taylor":
+            approx = taylor_eval(k, x, dtype=prec.dtype)
+        else:
+            approx = eval_rational(reciprocal_gap_pade(k, prec), x)
+        errors[:, j] = np.abs(exact - approx)
     return ApproximationErrorTable(kind, degrees, ratios, errors)

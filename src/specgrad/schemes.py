@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailureError,
     PoleError,
 )
-from .pade import eval_rational, horner, reciprocal_gap_pade
+from .pade import eval_rational, reciprocal_gap_pade, taylor_eval
 
 FLOAT32_MAX = 3.4028235e38
 
@@ -177,12 +177,14 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     Every scheme computes the upper triangle only, where the eigenvalue
     ordering keeps lambda_i >= lambda_j (so the ratio lambda_j / lambda_i is at
     or below one), and the lower triangle is its negation; an exact tie under
-    ``ordinary`` gives +inf above and -inf below. At a tie Taylor gives
-    (K+1)/lambda_i. Pade sits on the pole of 1/(1-x) there: its denominator is
-    roundoff, so the entry's size and sign are those of the roundoff
-    (``pade(100)`` gives a negative upper-triangle entry), and a denominator
-    of exactly zero raises. For eigenvalues clamped to at least ``eps``,
-    ``gradient_upper_bound`` bounds |K_ij| and is attained at a tie at ``eps``.
+    ``ordinary`` gives +inf above and -inf below. The series schemes evaluate
+    their surrogate of 1/(1-x) at the ratios with ``pade.taylor_eval`` or
+    ``pade.eval_rational``. At a tie Taylor gives (K+1)/lambda_i. Pade sits on
+    the pole of 1/(1-x) there: its denominator is roundoff, so the entry's
+    size and sign are those of the roundoff (``pade(100)`` gives a negative
+    upper-triangle entry), and a vanishing denominator raises ``PoleError``.
+    ``gradient_upper_bound`` is the |K_01| this function emits at a tie at
+    ``eps``, the largest entry for eigenvalues clamped to at least ``eps``.
     """
     lam = e.eigenvalues
     d = e.d
@@ -209,18 +211,9 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
             raise DomainError("series schemes need strictly positive (clamped) eigenvalues")
         ratios = lam[cols] / lam[rows]
         if kind == "taylor":
-            vals = horner(np.ones(scheme.param + 1), ratios) / lam[rows]
+            vals = taylor_eval(scheme.param, ratios) / lam[rows]
         else:
-            pa = reciprocal_gap_pade(scheme.param)
-            num = horner(pa.p, ratios)
-            den = horner(pa.q_full, ratios)
-            if np.any(den == 0.0):
-                bad = ratios[den == 0.0][0]
-                raise NumericalFailureError(
-                    f"Pade denominator vanishes at eigenvalue ratio {bad!r}",
-                    ratio=float(bad),
-                )
-            vals = num / den / lam[rows]
+            vals = eval_rational(reciprocal_gap_pade(scheme.param), ratios) / lam[rows]
     # zero diagonal and negated mirror: antisymmetric by construction
     k = np.zeros((d, d))
     k[rows, cols] = vals
@@ -316,62 +309,38 @@ class GradBound:
         return bool(np.isfinite(self.max_value) and self.max_value < FLOAT32_MAX)
 
 
-def pade_bound_ratio(degree: int) -> float:
-    """|P(1) / Q(1)| for the Pade coefficients ``k_matrix`` uses.
-
-    This is the surrogate's value at ratio 1 (an exact eigenvalue tie), built
-    from the same double-precision coefficients and evaluated by the same
-    Horner recurrence ``k_matrix`` applies, so it is the magnitude a tie
-    actually produces. The true [M/N] approximant of 1/(1-x) has a
-    denominator root at x = 1 (1 + sum(q) = 0 in exact arithmetic), so the
-    magnitude is set entirely by roundoff: it depends on the solver and on
-    the evaluation order, and is not a portable constant. A denominator that
-    rounds to exactly zero gives ``inf``.
-    """
-    try:
-        return abs(eval_rational(reciprocal_gap_pade(degree), 1.0))
-    except PoleError:
-        return math.inf
+#: each kind's bound as a formula in the eigenvalues, and when it is reached
+_BOUND_FORMS = {
+    "ordinary": ("1/(lambda_i - lambda_j)", "lambda_i = lambda_j"),
+    "topn": ("1/lambda_N", "lambda_N <= eps"),
+    "trunc": ("T", "|1/(lambda_i - lambda_j)| >= T"),
+    "taylor": ("(K+1)/lambda_i", "lambda_i = lambda_j <= eps"),
+    "pade": ("(1/lambda_i) * sum(p_m) / (1 + sum(q_n))", "lambda_i = lambda_j <= eps"),
+    # the Newton-Schulz backward admits no closed-form bound on its product chain
+    "newton_schulz": ("no analytic form", "n/a"),
+}
 
 
 def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
     """Largest |K_ij| the scheme can emit, with its trigger condition.
 
-    The bounds assume eigenvalues clamped to at least ``prec.eps``. The Pade
-    value is ``pade_bound_ratio / eps``: ``k_matrix`` always builds and
-    evaluates its Pade coefficients in double precision, so in either
-    precision this is exactly the |K_ij| that ``k_matrix`` emits at a tie at
-    ``eps``, and it is attained.
+    For eigenvalues clamped to at least ``prec.eps`` the largest entry sits at
+    a tie at ``eps``, so the bound is the |K_01| that ``k_matrix`` emits for
+    the spectrum (eps, eps): the same arithmetic, so it is attained. Top-n
+    keeps one eigenvalue there and drops its partner. A Pade denominator that
+    vanishes at the tie gives ``inf``. ``k_matrix`` works in double precision,
+    so ``prec`` sets only ``eps``.
     """
-    eps = prec.eps
-    kind = scheme.kind
-    if kind == "taylor":
-        return GradBound(
-            scheme.label,
-            "(K+1)/lambda_i",
-            (scheme.param + 1) / eps,
-            "lambda_i = lambda_j <= eps",
-        )
-    if kind == "topn":
-        return GradBound(scheme.label, "1/lambda_N", 1.0 / eps, "lambda_N <= eps")
-    if kind == "trunc":
-        return GradBound(
-            scheme.label, "T", scheme.param, "|1/(lambda_i - lambda_j)| >= T"
-        )
-    if kind == "pade":
-        ratio = pade_bound_ratio(scheme.param)
-        return GradBound(
-            scheme.label,
-            "(1/lambda_i) * sum(p_m) / (1 + sum(q_n))",
-            ratio / eps,
-            "lambda_i = lambda_j <= eps",
-        )
-    if kind == "ordinary":
-        return GradBound(
-            scheme.label, "1/(lambda_i - lambda_j)", math.inf, "lambda_i = lambda_j"
-        )
-    # the Newton-Schulz backward admits no closed-form bound on its product chain
-    return GradBound(scheme.label, "no analytic form", None, "n/a")
+    form, trigger = _BOUND_FORMS[scheme.kind]
+    if scheme.kind == "newton_schulz":
+        return GradBound(scheme.label, form, None, trigger)
+    tie = EigenDecomposition(np.full(2, prec.eps), np.eye(2))
+    try:
+        k = k_matrix(tie, BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
+        value = float(abs(k.data[0, 1]))
+    except PoleError:
+        value = math.inf
+    return GradBound(scheme.label, form, value, trigger)
 
 
 def beta_smoothness(

@@ -214,6 +214,12 @@ class TestGradCheck:
     def test_pade_robust_near_degeneracy(self):
         assert run("gradcheck", "--scheme", "pade", "--d", "8", "--cond", "1e6") == EXIT_OK
 
+    def test_pade_pole_is_one_line_with_exit_3(self, capsys):
+        code = run("gradcheck", "--scheme", "pade", "--degree", "3", "--cond", "1e20")
+        assert code == EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert err == "specgrad: numerical failure: denominator vanishes at x = 1.0\n"
+
     def test_table_flags_rejected_where_unread(self):
         # --format and --precision only shape table output; elsewhere they
         # would be silently ignored, so argparse rejects them
@@ -281,6 +287,21 @@ class TestSchemeFlags:
         )
         assert code == EXIT_OK
         assert io.read_jsonl(out)[0]["iters"] == 7
+
+    def test_train_toy_default_iters_equals_explicit(self, tmp_path):
+        # --iters is one Newton-Schulz count, forward and newton backward
+        logs = []
+        for extra in ((), ("--iters", "5")):
+            out = tmp_path / f"log{len(extra)}.jsonl"
+            code = run(
+                "train-toy", "--backward", "newton", "--steps", "20", "--d", "4",
+                "--n", "16", "--samples", "20", "--seed", "1", *extra, "--out", str(out),
+            )
+            assert code == EXIT_OK
+            logs.append(out.read_bytes())
+        assert logs[0] == logs[1]
+        steps = [r for r in io.read_jsonl(out) if r["type"] == "step"]
+        assert steps[-1]["scheme"] == "eig_sqrt+newton_schulz(iterations=5)"
 
     def test_bounds_reads_degree_and_threshold(self, tmp_path):
         path = tmp_path / "bounds.csv"
@@ -488,3 +509,34 @@ class TestTrainToy:
         assert code in (EXIT_OK, EXIT_DIVERGED)
         records = io.read_jsonl(out)
         assert records[-1]["status"] in ("completed", "diverged")
+
+
+class TestPadeDegreeOne:
+    """pade(1) is the [0/0] approximant, the constant 1: every command runs it."""
+
+    def test_bounds(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        assert run("bounds", "--degree", "1", "--out", str(path)) == EXIT_OK
+        table = {r[0]: r for r in io.read_csv(path)[2]}
+        assert float(table["pade"][2]) == 1.0 / EPS_DOUBLE
+
+    def test_gradcheck_runs_the_biased_scheme(self, tmp_path):
+        # K_ij = 1/lambda_i is far from 1/(lambda_i - lambda_j): the audit
+        # runs to its verdict and reports the check as failed
+        path = tmp_path / "report.json"
+        code = run(
+            "gradcheck", "--scheme", "pade", "--degree", "1", "--d", "4", "--out", str(path)
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(path.read_text())["report"]["scheme"] == "eig_sqrt+pade(degree=1)"
+
+    def test_train_toy_trains_past_the_switch(self, tmp_path):
+        out = tmp_path / "log.jsonl"
+        code = run(
+            "train-toy", "--backward", "pade", "--degree", "1", "--steps", "20",
+            "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        steps = [r for r in io.read_jsonl(out) if r["type"] == "step"]
+        assert len(steps) == 20
+        assert steps[-1]["scheme"] == "eig_sqrt+pade(degree=1)"

@@ -48,6 +48,16 @@ class TestFromSeries:
         with pytest.raises(InvalidInputError):
             pade_from_series(geometric_series(3), 2, 2)
 
+    def test_one_coefficient_gives_the_0_0_approximant(self):
+        pa = pade_from_series(geometric_series(1), 0, 0)
+        assert pa.degrees == (0, 0)
+        assert eval_rational(pa, 0.75) == 1.0
+        # the continued fraction checks its own length: [1/0] needs two
+        with pytest.raises(InvalidInputError):
+            pade_from_continued_fraction(geometric_series(1), 0)
+        with pytest.raises(InvalidInputError):
+            PowerSeries(np.zeros(0))
+
     def test_series_match_invariant(self):
         for m, n in ((1, 1), (2, 1), (3, 2), (5, 4)):
             pa = pade_from_series(exp_series(m + n + 1), m, n)
@@ -110,6 +120,35 @@ class TestEvalRational:
         with pytest.raises(PoleError) as err:
             eval_rational(pa, 1.0)
         assert err.value.details["x"] == 1.0
+
+    def test_pole_in_an_array_names_the_first_offending_x(self):
+        pa = PadeApproximant(np.array([1.0]), np.array([-1.0]))
+        with pytest.raises(PoleError) as err:
+            eval_rational(pa, np.array([0.5, 1.0, 0.25, 1.0]))
+        assert err.value.details == {"x": 1.0}
+        assert str(err.value) == "denominator vanishes at x = 1.0"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestArrayEvaluation:
+    """One evaluator per surrogate: an array call is the scalar calls, elementwise."""
+
+    XS = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0)
+
+    def test_taylor_eval(self, dtype):
+        got = taylor_eval(100, np.array(self.XS, dtype=dtype), dtype=dtype)
+        assert got.dtype == dtype
+        expected = [taylor_eval(100, dtype(x), dtype=dtype) for x in self.XS]
+        np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
+
+    def test_eval_rational(self, dtype):
+        prec = Precision.double() if dtype is np.float64 else Precision.single()
+        pa = reciprocal_gap_pade(50, prec)
+        xs = self.XS[:-1]  # 1 is the pole
+        got = eval_rational(pa, np.array(xs, dtype=dtype))
+        assert got.dtype == dtype
+        expected = [eval_rational(pa, dtype(x)) for x in xs]
+        np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
 
 
 class TestDegreeBookkeeping:

@@ -14,7 +14,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DegenerateInputError, DomainError, InvalidInputError
+from specgrad.errors import DegenerateInputError, DomainError, InvalidInputError, PoleError
 from specgrad.newton_schulz import ns_gradient_of_x
 from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
@@ -25,7 +25,6 @@ from specgrad.schemes import (
     grad_eigvec_eigval,
     gradient_upper_bound,
     k_matrix,
-    pade_bound_ratio,
     pi_gradient,
     power_iteration,
 )
@@ -382,9 +381,48 @@ class TestBounds:
             assert bound.max_value < FLOAT32_MAX
             assert bound.single_safe
 
-    def test_pade_bound_ratio_finite_and_reproducible(self):
-        r1 = pade_bound_ratio(100)
-        r2 = pade_bound_ratio(100)
+    @pytest.mark.parametrize(
+        "prec", [Precision.double(), Precision.single()], ids=["double", "single"]
+    )
+    @pytest.mark.parametrize(
+        "scheme,closed_form",
+        [
+            (BackwardScheme.taylor(1), lambda eps: 2 / eps),
+            (BackwardScheme.taylor(100), lambda eps: 101 / eps),
+            (BackwardScheme.topn(), lambda eps: 1.0 / eps),
+            (BackwardScheme.topn(3), lambda eps: 1.0 / eps),
+            (BackwardScheme.trunc(1e10), lambda eps: 1e10),
+            (BackwardScheme.trunc(1e3), lambda eps: 1e3),
+            (BackwardScheme.ordinary(), lambda eps: math.inf),
+        ],
+        ids=["taylor-1", "taylor-100", "topn-auto", "topn-3", "trunc-1e10", "trunc-1e3", "ordinary"],
+    )
+    def test_bound_equals_closed_form(self, scheme, closed_form, prec):
+        # the per-kind formulas the bound once restated, kept as oracles for
+        # the entry k_matrix emits at a tie at eps
+        assert gradient_upper_bound(scheme, prec).max_value == closed_form(prec.eps)
+
+    def test_pade_pole_at_the_tie_is_an_infinite_bound(self):
+        # pade(3)'s denominator rounds to exactly zero at ratio 1
+        bound = gradient_upper_bound(BackwardScheme.pade(3), Precision.double())
+        assert bound.max_value == math.inf and bound.single_safe is False
+        with pytest.raises(PoleError) as err:
+            k_matrix(eig_of([EPS_DOUBLE, EPS_DOUBLE]), BackwardScheme.pade(3))
+        assert err.value.details == {"x": 1.0}
+        assert "np.float64" not in str(err.value)
+
+    def test_pade_degree_one_is_the_constant_surrogate(self):
+        # the [0/0] approximant of 1/(1-x) is 1, so K_ij = 1/lambda_i
+        assert reciprocal_gap_pade(1).degrees == (0, 0)
+        k = k_matrix(eig_of([4.0, 2.0, 1.0]), BackwardScheme.pade(1))
+        np.testing.assert_array_equal(k.data[0], [0.0, 0.25, 0.25])
+        assert k.data[1, 2] == 0.5
+        bound = gradient_upper_bound(BackwardScheme.pade(1), Precision.double())
+        assert bound.max_value == 1.0 / EPS_DOUBLE
+
+    def test_pade_bound_finite_and_reproducible(self):
+        r1 = gradient_upper_bound(BackwardScheme.pade(100), Precision.double()).max_value
+        r2 = gradient_upper_bound(BackwardScheme.pade(100), Precision.double()).max_value
         assert r1 == r2 and np.isfinite(r1) and r1 > 0
 
 

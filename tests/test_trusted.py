@@ -77,6 +77,15 @@ def test_producer_results_pass_public_constructors(d, n, seed):
         _assert_frozen_and_rebuilds(k, KMatrix(k.data))
 
 
+def test_matrix_power_near_the_float_maximum_stays_finite():
+    # no overflow filter here: halving before adding keeps the symmetrised
+    # power finite, so the result passes the public constructor
+    e = EigenDecomposition(np.array([1e308, 1.0]), np.eye(2))
+    q = matrix_power(e, 1.0)
+    _assert_frozen_and_rebuilds(q, SymPsdMatrix(q.data))
+    np.testing.assert_array_equal(q.data, np.diag([1e308, 1.0]))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestOverflowIsNumericalFailure:
