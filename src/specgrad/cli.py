@@ -7,11 +7,19 @@ Subcommands:
   condition      condition numbers of covariances from a feature file or synthetic
   train-toy      hybrid training protocol on the synthetic 3-class task
 
+Each flag's type, choices and default are declared once, in ``build_parser``.
+A flag not given takes its --config entry, held to the flag's own type and
+choices, else its declared default; --seed then falls back to the
+SPECGRAD_SEED environment variable, then 0, and all randomness flows from it.
+Three defaults follow other flags: gradcheck --n is 4·d, the --out of bounds
+and condition takes the --format suffix, and train-toy --lr-schedule drops
+tenfold at 80% of --steps.
+
 Exit codes: 0 success, 1 check failure, 2 training divergence, 3 numerical
 failure outside training (overflow of a product of valid input, an
 eigensolver that did not converge, a Pade pole), 64 bad flags or invalid
-input, 74 I/O error. All randomness flows from --seed (fallback: config
-file, then the SPECGRAD_SEED environment variable).
+input (including train-toy --batch 0 or --samples 0, condition --count 0 or
+an empty feature file, approx-table --degrees 0), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -68,21 +76,20 @@ _SCHEME_FLAGS = tuple(dict.fromkeys(s.flag for s in _SCHEMES.values() if s.flag)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 64 on bad flags and hands each command its flags' ``choices``.
+    """Exits 64 on bad flags and registers every flag with default None.
 
-    The choices reach the namespace as ``flag_choices`` so that ``_Resolver``
-    can hold config-file values to the same sets as flags.
+    A flag's declared default stays on its action as ``fallback``, so a flag
+    that was not given is still detectable and ``_resolve`` can fill it. The
+    namespace carries the parser that parsed it as ``parser``.
     """
 
     def __init__(self, *args, **kwargs):
-        self.flag_choices = {}
         super().__init__(*args, **kwargs)
-        self.set_defaults(flag_choices=self.flag_choices)
+        self.set_defaults(parser=self)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, default=None, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.choices is not None:
-            self.flag_choices[action.dest] = action.choices
+        action.fallback = default
         return action
 
     def error(self, message):
@@ -93,127 +100,123 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser, table_output=False):
     parser.add_argument("--config", help="key=value file; flags override its entries")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int)
     if table_output:
-        parser.add_argument("--format", choices=("csv", "json"), default=None)
-        parser.add_argument("--precision", choices=("single", "double"), default=None)
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        parser.add_argument("--precision", choices=("single", "double"), default="double")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="specgrad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    degree = SCHEME_PARAMS["pade"].default
+    threshold = SCHEME_PARAMS["trunc"].default
 
-    p = sub.add_parser("approx-table", parents=[], help="approximation error grids")
+    p = sub.add_parser("approx-table", help="approximation error grids")
     _add_common(p, table_output=True)
-    p.add_argument("--kind", choices=("taylor", "pade", "both"), default=None)
+    p.add_argument("--kind", choices=("taylor", "pade", "both"), default="both")
     p.add_argument(
-        "--degrees", type=_parse_int_list, default=None,
+        "--degrees", type=_parse_int_list, default=DEFAULT_DEGREES,
         help="comma list, default 50,100,200,300",
     )
-    p.add_argument("--ratios", type=_parse_float_list, default=None, help="comma list in [0,1)")
-    p.add_argument("--out", default=None, help="output directory (default .)")
+    p.add_argument(
+        "--ratios", type=_parse_float_list, default=DEFAULT_RATIOS, help="comma list in [0,1)"
+    )
+    p.add_argument("--out", default=".", help="output directory (default .)")
 
     p = sub.add_parser("bounds", help="gradient upper bounds per scheme")
     _add_common(p, table_output=True)
-    p.add_argument(
-        "--degree", type=int, default=None,
-        help=f"series degree (default {SCHEME_PARAMS['pade'].default})",
-    )
-    p.add_argument("--trunc-threshold", type=float, default=None)
-    p.add_argument("--out", default=None, help="output file (default bounds.csv)")
+    p.add_argument("--degree", type=int, default=degree, help=f"series degree (default {degree})")
+    p.add_argument("--trunc-threshold", type=float, default=threshold)
+    p.add_argument("--out", help="output file (default bounds.csv)")
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of one scheme")
     _add_common(p)
     p.add_argument(
         "--scheme",
         choices=tuple(_SCHEMES),
-        default=None,
+        default="ordinary",
         help="isqrt = Newton-Schulz forward and backward",
     )
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--cond", type=float, default=None, help="target condition number")
-    p.add_argument("--topn", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--trunc-threshold", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--loss", choices=("sum", "trace", "random-linear"), default=None)
-    p.add_argument("--out", default=None, help="JSON report path (default stdout)")
+    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--n", type=int)
+    p.add_argument("--cond", type=float, default=10.0, help="target condition number")
+    p.add_argument("--topn", type=int, default=SCHEME_PARAMS["topn"].default)
+    p.add_argument("--degree", type=int, default=degree)
+    p.add_argument("--trunc-threshold", type=float, default=threshold)
+    p.add_argument("--iters", type=int, default=SCHEME_PARAMS["newton_schulz"].default)
+    p.add_argument("--loss", choices=("sum", "trace", "random-linear"), default="sum")
+    p.add_argument("--out", help="JSON report path (default stdout)")
 
     p = sub.add_parser("condition", help="condition numbers of covariances")
     _add_common(p, table_output=True)
-    p.add_argument("--input", default=None, help="feature file (GCPF binary)")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--out", default=None, help="output file (default condition.csv)")
+    p.add_argument("--input", help="feature file (GCPF binary)")
+    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--out", help="output file (default condition.csv)")
 
     p = sub.add_parser("train-toy", help="hybrid protocol on the synthetic task")
     _add_common(p)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, help="spatial samples per example")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="dataset size")
-    p.add_argument("--task", choices=("balanced", "fine-grained"), default=None)
+    p.add_argument("--steps", type=int, default=240)
+    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--n", type=int, default=32, help="spatial samples per example")
+    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--samples", type=int, default=240, help="dataset size")
+    p.add_argument("--task", choices=("balanced", "fine-grained"), default="balanced")
     p.add_argument(
         "--backward",
         choices=tuple(n for n, s in _SCHEMES.items() if s.forward == EIG_SQRT),
-        default=None,
+        default="pade",
         help="scheme after the swap",
     )
-    p.add_argument("--topn", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--trunc-threshold", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None, help="Newton-Schulz iterations")
-    p.add_argument("--switch-frac", type=float, default=None, help="1.0 = never switch")
-    p.add_argument("--warmup-frac", type=float, default=None)
+    p.add_argument("--topn", type=int, default=SCHEME_PARAMS["topn"].default)
+    p.add_argument("--degree", type=int, default=degree)
+    p.add_argument("--trunc-threshold", type=float, default=threshold)
+    p.add_argument("--iters", type=int, default=5, help="Newton-Schulz iterations")
+    p.add_argument("--switch-frac", type=float, default=0.6, help="1.0 = never switch")
+    p.add_argument("--warmup-frac", type=float, default=0.05)
+    p.add_argument("--lr-schedule", type=_parse_lr_schedule, help='e.g. "0:0.08,192:0.008"')
+    p.add_argument("--init-cond", type=float, default=1e4)
     p.add_argument(
-        "--lr-schedule", type=_parse_lr_schedule, default=None,
-        help='e.g. "0:0.08,192:0.008"',
+        "--out", default="train_log.jsonl", help="JSON-lines log (default train_log.jsonl)"
     )
-    p.add_argument("--init-cond", type=float, default=None)
-    p.add_argument("--out", default=None, help="JSON-lines log (default train_log.jsonl)")
     return parser
 
 
-class _Resolver:
-    """Flag > config file > (for the seed) environment > hard default."""
+def _resolve(args) -> None:
+    """Fill each flag that was not given: its config entry, else its default.
 
-    def __init__(self, args):
-        self.args = args
-        self.file = io.read_config_file(args.config) if args.config else {}
-
-    def get(self, key, conv, default):
-        dest = key.replace("-", "_")
-        flag = getattr(self.args, dest, None)
-        if flag is not None:
-            return flag
-        if key in self.file:
+    A config value passes through the flag's own type and choices. The seed
+    then falls back to the environment variable, then 0. ``args.given`` holds
+    the flags given on the command line, as config keys (``trunc-threshold``).
+    """
+    file = io.read_config_file(args.config) if args.config else {}
+    flags = {
+        action.dest.replace("_", "-"): action
+        for action in args.parser._actions
+        if action.dest not in ("help", "config")
+    }
+    args.given = {key for key, action in flags.items() if getattr(args, action.dest) is not None}
+    for key, action in flags.items():
+        if key in args.given:
+            continue
+        value = action.fallback
+        if key in file:
+            raw = file[key]
             try:
-                value = conv(self.file[key])
+                value = action.type(raw) if action.type else raw
             except ValueError as err:
+                raise InvalidInputError(f"config value {key}={raw!r} is malformed") from err
+            if action.choices is not None and value not in action.choices:
                 raise InvalidInputError(
-                    f"config value {key}={self.file[key]!r} is malformed"
-                ) from err
-            choices = self.args.flag_choices.get(dest)
-            if choices is not None and value not in choices:
-                raise InvalidInputError(
-                    f"config value {key}={self.file[key]!r} is not one of "
-                    f"{', '.join(choices)}"
+                    f"config value {key}={raw!r} is not one of {', '.join(action.choices)}"
                 )
-            return value
-        return default
-
-    def seed(self) -> int:
-        seed = self.get("seed", int, None)
-        if seed is not None:
-            return seed
+        setattr(args, action.dest, value)
+    if args.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
-        if not env:
-            return 0
         try:
-            return int(env)
+            args.seed = int(env) if env else 0
         except ValueError as err:
             raise InvalidInputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from err
 
@@ -234,22 +237,22 @@ def _parse_lr_schedule(text) -> tuple:
     return tuple(pairs)
 
 
-def _scheme_from_flags(name, res, also_read=()) -> BackwardScheme:
-    """The scheme ``name`` selects, its parameter from flag, config or default.
+def _scheme_from_flags(name, args, also_read=()) -> BackwardScheme:
+    """The scheme ``name`` selects, with its parameter flag's resolved value.
 
-    Another scheme's parameter flag is rejected unless the command reads it
-    otherwise; config entries are not, since one file may serve several
-    commands. A command without the scheme's flag uses the default.
+    Another scheme's parameter flag, when given, is rejected unless the
+    command reads it otherwise; config entries are not, since one file may
+    serve several commands. A command without the scheme's flag (``bounds``
+    has no ``--topn``) uses the scheme's default.
     """
     entry = _SCHEMES[name]
     for flag in _SCHEME_FLAGS:
-        given = getattr(res.args, flag.replace("-", "_"), None) is not None
-        if given and flag not in (entry.flag, *also_read):
+        if flag in args.given and flag not in (entry.flag, *also_read):
             raise InvalidInputError(f"--{flag} is not read by scheme {name}")
     spec = SCHEME_PARAMS[entry.kind]
-    if spec is None or not hasattr(res.args, entry.flag.replace("-", "_")):
-        return BackwardScheme(entry.kind, spec.default if spec else None)
-    return BackwardScheme(entry.kind, res.get(entry.flag, spec.type, spec.default))
+    if spec is None:
+        return BackwardScheme(entry.kind)
+    return BackwardScheme(entry.kind, getattr(args, entry.flag.replace("-", "_"), spec.default))
 
 
 def _write_table(path, fmt, header, rows, config) -> None:
@@ -268,29 +271,23 @@ def _table_rows(table):
 
 
 def cmd_approx_table(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    kind = res.get("kind", str, "both")
-    degrees = res.get("degrees", _parse_int_list, DEFAULT_DEGREES)
-    ratios = res.get("ratios", _parse_float_list, DEFAULT_RATIOS)
-    prec = Precision(res.get("precision", str, "double"))
-    fmt = res.get("format", str, "csv")
-    outdir = Path(res.get("out", str, "."))
+    prec = Precision(args.precision)
+    kinds = ("taylor", "pade") if args.kind == "both" else (args.kind,)
+    tables = [approximation_error_table(k, args.degrees, args.ratios, prec) for k in kinds]
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    kinds = ("taylor", "pade") if kind == "both" else (kind,)
-    for k in kinds:
-        table = approximation_error_table(k, degrees, ratios, prec)
+    for table in tables:
         header, rows = _table_rows(table)
         config = {
             "command": "approx-table",
-            "kind": k,
-            "degrees": ",".join(map(str, degrees)),
-            "ratios": ",".join(io.format_number(r) for r in ratios),
+            "kind": table.kind,
+            "degrees": ",".join(map(str, args.degrees)),
+            "ratios": ",".join(io.format_number(r) for r in args.ratios),
             "precision": prec.mode,
-            "seed": seed,
+            "seed": args.seed,
         }
-        _write_table(outdir / f"approx_{k}.{fmt}", fmt, header, rows, config)
+        path = outdir / f"approx_{table.kind}.{args.format}"
+        _write_table(path, args.format, header, rows, config)
     return EXIT_OK
 
 
@@ -298,89 +295,70 @@ _BOUNDS_ORDER = ("pade", "taylor", "trunc", "topn", "newton", "ordinary")
 
 
 def cmd_bounds(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    prec = Precision(res.get("precision", str, "double"))
-    fmt = res.get("format", str, "csv")
-    out = Path(res.get("out", str, f"bounds.{fmt}"))
-
-    schemes = [_scheme_from_flags(name, res, _SCHEME_FLAGS) for name in _BOUNDS_ORDER]
-    params = {s.kind: s.param for s in schemes}
+    prec = Precision(args.precision)
+    out = Path(f"bounds.{args.format}" if args.out is None else args.out)
     header = ["scheme", "analytic_form", "max_value", "trigger", "single_safe"]
     rows = []
-    for scheme in schemes:
+    for name in _BOUNDS_ORDER:
+        scheme = _scheme_from_flags(name, args, _SCHEME_FLAGS)
         bound = gradient_upper_bound(scheme, prec)
         rows.append(
             [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
         )
     config = {
         "command": "bounds",
-        "degree": params["pade"],
-        "trunc_threshold": params["trunc"],
+        "degree": args.degree,
+        "trunc_threshold": args.trunc_threshold,
         "precision": prec.mode,
-        "seed": seed,
+        "seed": args.seed,
     }
-    _write_table(out, fmt, header, rows, config)
+    _write_table(out, args.format, header, rows, config)
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    scheme_name = res.get("scheme", str, "ordinary")
-    d = res.get("d", int, 8)
-    n = res.get("n", int, 4 * d)
-    cond = res.get("cond", float, 10.0)
-    loss_kind = res.get("loss", str, "sum")
-    rng = np.random.default_rng(seed)
+    n = 4 * args.d if args.n is None else args.n
+    entry = _SCHEMES[args.scheme]
+    cfg = GcpLayerConfig(_scheme_from_flags(args.scheme, args), entry.forward)
 
-    entry = _SCHEMES[scheme_name]
-    cfg = GcpLayerConfig(_scheme_from_flags(scheme_name, res), entry.forward)
-
-    x = feature_matrix_with_spectrum(spectrum_for_condition(d, cond), n, rng)
-    report = grad_check(cfg, x, loss_kind=loss_kind, seed=seed)
+    rng = np.random.default_rng(args.seed)
+    x = feature_matrix_with_spectrum(spectrum_for_condition(args.d, args.cond), n, rng)
+    report = grad_check(cfg, x, loss_kind=args.loss, seed=args.seed)
     tol = entry.tolerance
     passed = report.passes(tol)
 
     payload = {
         "config": {
             "command": "gradcheck",
-            "scheme": scheme_name,
-            "d": d,
+            "scheme": args.scheme,
+            "d": args.d,
             "n": n,
-            "cond": cond,
-            "loss": loss_kind,
-            "seed": seed,
+            "cond": args.cond,
+            "loss": args.loss,
+            "seed": args.seed,
         },
         "report": report.to_dict(),
         "tolerance": tol,
         "passed": passed,
     }
-    out = res.get("out", str, None)
-    if out:
-        io.write_json(out, payload)
-        print(f"wrote {out}")
+    if args.out:
+        io.write_json(args.out, payload)
+        print(f"wrote {args.out}")
     else:
         print(json.dumps(io._jsonable(payload), indent=2))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_condition(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    fmt = res.get("format", str, "csv")
-    out = Path(res.get("out", str, f"condition.{fmt}"))
-    prec = Precision(res.get("precision", str, "double"))
-    source = res.get("input", str, None)
-
-    if source:
-        blocks = io.read_feature_file(source)
+    prec = Precision(args.precision)
+    out = Path(f"condition.{args.format}" if args.out is None else args.out)
+    if args.input:
+        blocks = io.read_feature_file(args.input)
     else:
-        d = res.get("d", int, 8)
-        n = res.get("n", int, 32)
-        count = res.get("count", int, 16)
-        rng = np.random.default_rng(seed)
-        blocks = [gaussian_features(d, n, rng).data for _ in range(count)]
+        rng = np.random.default_rng(args.seed)
+        blocks = [gaussian_features(args.d, args.n, rng).data for _ in range(args.count)]
+    if not blocks:
+        raise InvalidInputError("no feature blocks to measure")
 
     values = []
     flags = []
@@ -392,80 +370,64 @@ def cmd_condition(args) -> int:
 
     config = {
         "command": "condition",
-        "source": source or "synthetic",
+        "source": args.input or "synthetic",
         "count": len(blocks),
         "precision": prec.mode,
-        "seed": seed,
+        "seed": args.seed,
         "summary_mean": float(np.mean(values)),
         "summary_max": float(np.max(values)),
         "ill_fraction": float(np.mean(flags)),
     }
     header = ["index", "condition_number", "ill_conditioned"]
     rows = [[i, v, f] for i, (v, f) in enumerate(zip(values, flags))]
-    _write_table(out, fmt, header, rows, config)
+    _write_table(out, args.format, header, rows, config)
     return EXIT_OK
 
 
 def cmd_train_toy(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    steps = res.get("steps", int, 240)
-    d = res.get("d", int, 8)
-    n = res.get("n", int, 32)
-    batch = res.get("batch", int, 8)
-    samples = res.get("samples", int, 240)
-    task_kind = res.get("task", str, "balanced").replace("-", "_")
-    backward = res.get("backward", str, "pade")
-    switch_frac = res.get("switch-frac", float, 0.6)
-    warmup_frac = res.get("warmup-frac", float, 0.05)
-    init_cond = res.get("init-cond", float, 1e4)
-    iters = res.get("iters", int, 5)
-    out = res.get("out", str, "train_log.jsonl")
-    lr_schedule = res.get(
-        "lr-schedule",
-        _parse_lr_schedule,
-        ((0, 0.08), (max(1, int(0.8 * steps)), 0.008)),
-    )
+    steps, seed = args.steps, args.seed
+    task_kind = args.task.replace("-", "_")
+    lr_schedule = args.lr_schedule
+    if lr_schedule is None:
+        lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
 
     spec = ToyModelSpec(
-        d=d,
-        raw_dim=d,
-        n_cols=n,
-        forward_iterations=iters,
-        init_condition=init_cond,
+        d=args.d,
+        raw_dim=args.d,
+        n_cols=args.n,
+        forward_iterations=args.iters,
+        init_condition=args.init_cond,
         init_seed=seed,
     )
-    switch_step = None if switch_frac >= 1.0 else int(switch_frac * steps)
-    # --iters sets the forward iterations, so every backward reads it
-    post_switch = _scheme_from_flags(backward, res, also_read=("iters",))
-    if post_switch.kind == "newton_schulz":
-        # one Newton-Schulz iteration count per run, forward and backward
-        post_switch = BackwardScheme.newton_schulz(iters)
+    switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
+    # --iters is the run's one Newton-Schulz count: the forward's, and the
+    # backward's after the switch to newton; every backward accepts it
+    post_switch = _scheme_from_flags(args.backward, args, also_read=("iters",))
     schedule = HybridSchedule(
         post_switch_scheme=post_switch,
         switch_step=switch_step,
-        warmup_steps=int(warmup_frac * steps),
+        warmup_steps=int(args.warmup_frac * steps),
         lr_schedule=lr_schedule,
     )
-    task = make_toy_task(spec, samples, seed=seed + 1, kind=task_kind)
-    stream = batch_stream(task, batch, steps, seed=seed + 2)
+    task = make_toy_task(spec, args.samples, seed=seed + 1, kind=task_kind)
+    stream = batch_stream(task, args.batch, steps, seed=seed + 2)
     log = run_hybrid_training(spec, schedule, stream)
 
     config = {
         "type": "config",
         "command": "train-toy",
         "steps": steps,
-        "d": d,
-        "n": n,
-        "batch": batch,
-        "samples": samples,
+        "d": args.d,
+        "n": args.n,
+        "batch": args.batch,
+        "samples": args.samples,
         "task": task_kind,
-        "backward": backward,
+        "backward": args.backward,
         "switch_step": switch_step,
         "warmup_steps": schedule.warmup_steps,
         "lr_schedule": [list(p) for p in lr_schedule],
-        "init_cond": init_cond,
-        "iters": iters,
+        "init_cond": args.init_cond,
+        "iters": args.iters,
         "seed": seed,
     }
     records = [config]
@@ -479,8 +441,8 @@ def cmd_train_toy(args) -> int:
             "final_loss": log.final_loss,
         }
     )
-    io.write_jsonl(out, records)
-    print(f"wrote {out} ({log.status})")
+    io.write_jsonl(args.out, records)
+    print(f"wrote {args.out} ({log.status})")
     return EXIT_OK if log.status == "completed" else EXIT_DIVERGED
 
 
@@ -500,6 +462,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolve(args)
         # numpy's floating-point warnings would precede the one-line report
         # of the typed error each such operation leads to
         with np.errstate(all="ignore"):

@@ -9,7 +9,7 @@ pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -202,16 +202,7 @@ class GradCheckReport:
         return self.n_nonfinite == 0 and self.max_rel_error <= tol
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "loss_kind": self.loss_kind,
-            "d": self.d,
-            "n_samples": self.n_samples,
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-            "n_nonfinite": self.n_nonfinite,
-            "worst_entry": list(self.worst_entry),
-        }
+        return asdict(self)
 
 
 def _bumped(data: np.ndarray, i: int, j: int, h: float) -> FeatureMatrix:

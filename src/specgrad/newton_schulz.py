@@ -109,7 +109,8 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         t = 0.5 * (eye3 - (z @ y if k else y))
         y = y @ t
         z = t @ z if k else t
-        if np.abs(y).max() > _DIVERGENCE_LIMIT or not np.all(np.isfinite(y)):
+        # NaN fails every comparison, so one reduction also catches it
+        if not np.abs(y).max() <= _DIVERGENCE_LIMIT:
             raise NumericalFailureError(
                 f"Newton-Schulz iterate diverged at step {k + 1}",
                 step=k + 1,

@@ -344,6 +344,8 @@ def approximation_error_table(
     if kind not in ("taylor", "pade"):
         raise InvalidInputError(f"kind must be 'taylor' or 'pade', got {kind!r}")
     degrees = tuple(int(d) for d in degrees)
+    if any(k < 1 for k in degrees):
+        raise InvalidInputError(f"degree must be at least 1, got {min(degrees)}")
     ratios = tuple(float(r) for r in ratios)
     if any(not (0.0 <= r < 1.0) for r in ratios):
         raise InvalidInputError("ratios must lie in [0, 1)")

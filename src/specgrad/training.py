@@ -15,7 +15,7 @@ pooled representation can carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -185,6 +185,8 @@ def class_scale_profiles(raw_dim: int, n_classes: int, kind: str) -> np.ndarray:
 def make_toy_task(
     spec: ToyModelSpec, samples: int, seed: int = 0, kind: str = "balanced"
 ) -> ToyTask:
+    if samples < 1:
+        raise InvalidInputError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     profiles = class_scale_profiles(spec.raw_dim, spec.n_classes, kind)
     labels = rng.integers(0, spec.n_classes, size=samples)
@@ -194,11 +196,15 @@ def make_toy_task(
 
 
 def batch_stream(task: ToyTask, batch_size: int, steps: int, seed: int = 0):
-    """Seeded generator of (inputs, labels) batches, one per training step."""
+    """Seeded generator of (inputs, labels) batches, one per training step.
+
+    A batch size below 1 is rejected on the call, not at the first batch.
+    """
+    if batch_size < 1:
+        raise InvalidInputError(f"batch size must be at least 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        idx = rng.integers(0, task.n_samples, size=batch_size)
-        yield task.inputs[idx], task.labels[idx]
+    draws = (rng.integers(0, task.n_samples, size=batch_size) for _ in range(steps))
+    return ((task.inputs[idx], task.labels[idx]) for idx in draws)
 
 
 @dataclass(frozen=True)
@@ -211,14 +217,7 @@ class StepRecord:
     lr: float
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "loss": self.loss,
-            "accuracy": self.accuracy,
-            "mean_condition_number": self.mean_condition_number,
-            "scheme": self.scheme,
-            "lr": self.lr,
-        }
+        return asdict(self)
 
 
 @dataclass

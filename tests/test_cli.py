@@ -17,6 +17,8 @@ from specgrad.cli import (
     EXIT_IO,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    _resolve,
+    build_parser,
     main,
 )
 
@@ -159,6 +161,136 @@ def test_config_value_outside_choices_exits_64(tmp_path, capsys, command, config
     assert run(command, "--config", str(path), "--out", str(out)) == EXIT_BAD_FLAGS
     assert config.partition("=")[0] + "=" in capsys.readouterr().err
     assert not out.exists()
+
+
+COMMANDS = ("approx-table", "bounds", "gradcheck", "condition", "train-toy")
+
+#: Every flag of every command, resolved with nothing given and no config.
+#: None is filled in by the command: gradcheck --n is 4*d, --out of bounds
+#: and condition follows --format, --lr-schedule follows --steps, topn is auto.
+DECLARED_DEFAULTS = {
+    "approx-table": {
+        "seed": 0, "format": "csv", "precision": "double", "kind": "both",
+        "degrees": (50, 100, 200, 300), "ratios": (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999),
+        "out": ".",
+    },
+    "bounds": {
+        "seed": 0, "format": "csv", "precision": "double", "degree": 100,
+        "trunc_threshold": 1e10, "out": None,
+    },
+    "gradcheck": {
+        "seed": 0, "scheme": "ordinary", "d": 8, "n": None, "cond": 10.0, "topn": None,
+        "degree": 100, "trunc_threshold": 1e10, "iters": 10, "loss": "sum", "out": None,
+    },
+    "condition": {
+        "seed": 0, "format": "csv", "precision": "double", "input": None, "d": 8,
+        "n": 32, "count": 16, "out": None,
+    },
+    "train-toy": {
+        "seed": 0, "steps": 240, "d": 8, "n": 32, "batch": 8, "samples": 240,
+        "task": "balanced", "backward": "pade", "topn": None, "degree": 100,
+        "trunc_threshold": 1e10, "iters": 5, "switch_frac": 0.6, "warmup_frac": 0.05,
+        "lr_schedule": None, "init_cond": 1e4, "out": "train_log.jsonl",
+    },
+}
+
+_LIST_VALUES = {"degrees": "5,7", "ratios": "0.5,0.9", "lr-schedule": "0:0.1,5:0.01"}
+
+
+def _flags(command):
+    parser = build_parser().parse_args([command]).parser
+    return [a for a in parser._actions if a.dest not in ("help", "config")]
+
+
+def _resolved(*argv):
+    args = build_parser().parse_args(list(argv))
+    _resolve(args)
+    return args
+
+
+def _flag_cases():
+    for command in COMMANDS:
+        for action in _flags(command):
+            key = action.option_strings[0][2:]
+            if action.choices is not None:
+                value = next(c for c in action.choices if c != action.fallback)
+            else:
+                value = _LIST_VALUES.get(key) or {int: "3", float: "0.25"}.get(action.type, "x")
+            yield pytest.param(command, key, value, id=f"{command}-{key}")
+
+
+class TestResolution:
+    """Each flag resolves given > config entry > declared default."""
+
+    @pytest.fixture(autouse=True)
+    def _no_seed_env(self, monkeypatch):
+        monkeypatch.delenv("SPECGRAD_SEED", raising=False)
+
+    @pytest.mark.parametrize("command,key,value", _flag_cases())
+    def test_flag_and_config_entry_resolve_alike(self, tmp_path, command, key, value):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key}={value}\n")
+        by_flag = _resolved(command, f"--{key}", value)
+        by_config = _resolved(command, "--config", str(conf))
+        dest = key.replace("-", "_")
+        assert getattr(by_flag, dest) == getattr(by_config, dest)
+        assert getattr(by_flag, dest) != DECLARED_DEFAULTS[command][dest]
+        assert by_flag.given == {key} and by_config.given == set()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flag_not_given_resolves_to_its_declared_default(self, command):
+        args = _resolved(command)
+        assert {a.dest: getattr(args, a.dest) for a in _flags(command)} == (
+            DECLARED_DEFAULTS[command]
+        )
+
+    def test_flag_beats_config_entry(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("iters=7\nsteps=30\n")
+        args = _resolved("train-toy", "--config", str(conf), "--iters", "6")
+        assert (args.iters, args.steps) == (6, 30)
+
+    def test_config_entry_of_an_unread_flag_is_still_converted(self, tmp_path):
+        # not rejected as unread, but a malformed value is never silently kept
+        conf = tmp_path / "run.conf"
+        conf.write_text("degree=x\n")
+        argv = ("gradcheck", "--scheme", "ordinary", "--config", str(conf))
+        with pytest.raises(specgrad.InvalidInputError, match="degree='x' is malformed"):
+            _resolved(*argv)
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",)] + [(c, "--help") for c in COMMANDS], ids=("specgrad",) + COMMANDS
+    )
+    def test_help_exits_0(self, capsys, argv):
+        # argparse declares -h with default=SUPPRESS, past _Parser.add_argument
+        assert run(*argv) == EXIT_OK
+        assert "usage: specgrad" in capsys.readouterr().out
+
+    def test_gradcheck_n_zero_is_rejected_not_defaulted(self, capsys):
+        # a falsy-or default would quietly run n = 4*d = 32
+        assert run("gradcheck", "--n", "0") == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err.startswith("specgrad: invalid input: need n_cols > d")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train-toy", "--batch", "0"),
+        ("train-toy", "--samples", "0"),
+        ("condition", "--count", "0"),
+        ("condition", "--input", "empty.gcpf"),
+        ("approx-table", "--degrees", "-3"),
+        ("approx-table", "--degrees", "0"),
+    ],
+    ids=["batch-0", "samples-0", "count-0", "empty-input", "degrees-negative", "degrees-0"],
+)
+def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.gcpf").write_bytes(b"GCPF" + np.array([4, 20, 0], "<u4").tobytes())
+    assert run(*argv) == EXIT_BAD_FLAGS
+    err = capsys.readouterr().err
+    assert err.startswith("specgrad: invalid input: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.gcpf"]
 
 
 def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DomainError, InvalidInputError
+from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
 from specgrad.newton_schulz import (
     NewtonSchulzTrace,
     ns_backward,
@@ -130,6 +130,11 @@ class TestForward:
         with pytest.raises(NumericalFailureError) as err:
             ns_forward(SymPsdMatrix(np.diag([2.0, -0.5])), 30)
         assert "step" in err.value.details
+
+    def test_divergence_guard_names_step_and_entry(self):
+        with pytest.raises(NumericalFailureError) as err:
+            ns_forward(SymPsdMatrix(np.diag([1.0, -0.5])), 10)
+        assert err.value.details == {"step": 4, "max_entry": 3014557.0}
 
 
 class TestBackward:

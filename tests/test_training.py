@@ -98,6 +98,14 @@ class TestTask:
         b = [yb.tolist() for _, yb in batch_stream(task, 4, 5, seed=9)]
         assert a == b
 
+    def test_empty_task_and_batch_rejected_on_the_call(self):
+        spec = small_spec()
+        with pytest.raises(InvalidInputError):
+            make_toy_task(spec, 0)
+        # raised by the call itself, not on the first batch drawn
+        with pytest.raises(InvalidInputError):
+            batch_stream(make_toy_task(spec, 30, seed=1), 0, 5)
+
 
 class TestTraining:
     def test_pure_ns_baseline_learns(self):
