@@ -15,7 +15,6 @@ from .core import (
     ConditionNumber,
     EigenDecomposition,
     FeatureMatrix,
-    Precision,
     SymPsdMatrix,
     clamp_eigenvalues,
     condition_number,

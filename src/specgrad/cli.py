@@ -18,14 +18,13 @@ tenfold at 80% of --steps.
 Exit codes: 0 success, 1 check failure, 2 training divergence, 3 numerical
 failure outside training (overflow of a product of valid input, an
 eigensolver that did not converge, a Pade pole), 64 bad flags or invalid
-input (including train-toy --batch 0 or --samples 0, condition --count 0 or
-an empty feature file, approx-table --degrees 0), 74 I/O error.
+input (including a size of zero, an empty list or feature file, and a
+non-finite train-toy value), 74 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
@@ -34,9 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import FeatureMatrix, Precision, clamp_eigenvalues, condition_number, covariance, eigh
+from .core import FeatureMatrix, clamp_eigenvalues, condition_number, covariance, eigh
 from .errors import InvalidInputError, NumericalFailureError
-from .layer import EIG_SQRT, NEWTON_SCHULZ, GcpLayerConfig, grad_check
+from .layer import EIG_SQRT, LOSS_KINDS, NEWTON_SCHULZ, GcpLayerConfig, grad_check
+from .newton_schulz import DEFAULT_ITERATIONS
 from .pade import approximation_error_table
 from .schemes import SCHEME_PARAMS, BackwardScheme, gradient_upper_bound
 from .synth import feature_matrix_with_spectrum, gaussian_features, spectrum_for_condition
@@ -59,6 +59,9 @@ SEED_ENV_VAR = "SPECGRAD_SEED"
 
 DEFAULT_DEGREES = (50, 100, 200, 300)
 DEFAULT_RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
+
+#: the float width each --precision name selects
+_DTYPES = {"single": np.float32, "double": np.float64}
 
 #: What one --scheme / --backward name selects: the backward kind, the flag
 #: of its parameter, gradcheck's tolerance, and the forward it pairs with.
@@ -103,7 +106,7 @@ def _add_common(parser, table_output=False):
     parser.add_argument("--seed", type=int)
     if table_output:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
-        parser.add_argument("--precision", choices=("single", "double"), default="double")
+        parser.add_argument("--precision", choices=tuple(_DTYPES), default="double")
 
 
 def build_parser() -> _Parser:
@@ -145,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=degree)
     p.add_argument("--trunc-threshold", type=float, default=threshold)
     p.add_argument("--iters", type=int, default=SCHEME_PARAMS["newton_schulz"].default)
-    p.add_argument("--loss", choices=("sum", "trace", "random-linear"), default="sum")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="sum")
     p.add_argument("--out", help="JSON report path (default stdout)")
 
     p = sub.add_parser("condition", help="condition numbers of covariances")
@@ -173,7 +176,9 @@ def build_parser() -> _Parser:
     p.add_argument("--topn", type=int, default=SCHEME_PARAMS["topn"].default)
     p.add_argument("--degree", type=int, default=degree)
     p.add_argument("--trunc-threshold", type=float, default=threshold)
-    p.add_argument("--iters", type=int, default=5, help="Newton-Schulz iterations")
+    p.add_argument(
+        "--iters", type=int, default=DEFAULT_ITERATIONS, help="Newton-Schulz iterations"
+    )
     p.add_argument("--switch-frac", type=float, default=0.6, help="1.0 = never switch")
     p.add_argument("--warmup-frac", type=float, default=0.05)
     p.add_argument("--lr-schedule", type=_parse_lr_schedule, help='e.g. "0:0.08,192:0.008"')
@@ -271,9 +276,9 @@ def _table_rows(table):
 
 
 def cmd_approx_table(args) -> int:
-    prec = Precision(args.precision)
+    dtype = _DTYPES[args.precision]
     kinds = ("taylor", "pade") if args.kind == "both" else (args.kind,)
-    tables = [approximation_error_table(k, args.degrees, args.ratios, prec) for k in kinds]
+    tables = [approximation_error_table(k, args.degrees, args.ratios, dtype) for k in kinds]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for table in tables:
@@ -283,7 +288,7 @@ def cmd_approx_table(args) -> int:
             "kind": table.kind,
             "degrees": ",".join(map(str, args.degrees)),
             "ratios": ",".join(io.format_number(r) for r in args.ratios),
-            "precision": prec.mode,
+            "precision": args.precision,
             "seed": args.seed,
         }
         path = outdir / f"approx_{table.kind}.{args.format}"
@@ -295,13 +300,12 @@ _BOUNDS_ORDER = ("pade", "taylor", "trunc", "topn", "newton", "ordinary")
 
 
 def cmd_bounds(args) -> int:
-    prec = Precision(args.precision)
     out = Path(f"bounds.{args.format}" if args.out is None else args.out)
     header = ["scheme", "analytic_form", "max_value", "trigger", "single_safe"]
     rows = []
     for name in _BOUNDS_ORDER:
         scheme = _scheme_from_flags(name, args, _SCHEME_FLAGS)
-        bound = gradient_upper_bound(scheme, prec)
+        bound = gradient_upper_bound(scheme, _DTYPES[args.precision])
         rows.append(
             [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
         )
@@ -309,7 +313,7 @@ def cmd_bounds(args) -> int:
         "command": "bounds",
         "degree": args.degree,
         "trunc_threshold": args.trunc_threshold,
-        "precision": prec.mode,
+        "precision": args.precision,
         "seed": args.seed,
     }
     _write_table(out, args.format, header, rows, config)
@@ -345,12 +349,11 @@ def cmd_gradcheck(args) -> int:
         io.write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(io._jsonable(payload), indent=2))
+        print(io.to_json(payload))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_condition(args) -> int:
-    prec = Precision(args.precision)
     out = Path(f"condition.{args.format}" if args.out is None else args.out)
     if args.input:
         blocks = io.read_feature_file(args.input)
@@ -363,7 +366,7 @@ def cmd_condition(args) -> int:
     values = []
     flags = []
     for block in blocks:
-        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(block))), prec)
+        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(block))), _DTYPES[args.precision])
         cn = condition_number(e)
         values.append(cn.value)
         flags.append(cn.ill_conditioned)
@@ -372,7 +375,7 @@ def cmd_condition(args) -> int:
         "command": "condition",
         "source": args.input or "synthetic",
         "count": len(blocks),
-        "precision": prec.mode,
+        "precision": args.precision,
         "seed": args.seed,
         "summary_mean": float(np.mean(values)),
         "summary_max": float(np.max(values)),
@@ -386,6 +389,11 @@ def cmd_condition(args) -> int:
 
 def cmd_train_toy(args) -> int:
     steps, seed = args.steps, args.seed
+    if steps < 1:
+        raise InvalidInputError(f"--steps must be at least 1, got {steps}")
+    for flag, value in (("switch-frac", args.switch_frac), ("warmup-frac", args.warmup_frac)):
+        if not np.isfinite(value):
+            raise InvalidInputError(f"--{flag} must be finite, got {value}")
     task_kind = args.task.replace("-", "_")
     lr_schedule = args.lr_schedule
     if lr_schedule is None:

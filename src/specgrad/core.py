@@ -3,7 +3,8 @@
 Covariance construction, the symmetric eigendecomposition (LAPACK through
 numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
 Everything here is a pure function over small immutable value types; all
-heavier schemes build on these primitives.
+heavier schemes build on these primitives. A float width is a numpy dtype,
+float32 or float64, whose epsilon ``float_info`` reads from ``np.finfo``.
 
 Validation contract: input is checked once, where it enters the program.
 The public constructors of the value types (``FeatureMatrix``,
@@ -31,38 +32,22 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericalFailureError
 
-EPS_DOUBLE = 2.220446049250313e-16
-EPS_SINGLE = 1.1920929e-07
+#: machine epsilon of float64 (2**-52) and of float32 (2**-23)
+EPS_DOUBLE, EPS_SINGLE = (float(np.finfo(t).eps) for t in (np.float64, np.float32))
 
 #: covariance matrices with condition number strictly above this are treated
 #: as unstable in double precision
 ILL_CONDITIONED_THRESHOLD = 1e14
 
-@dataclass(frozen=True)
-class Precision:
-    """Working float width: ``double`` (default) or ``single``."""
+_FLOAT_INFO = {np.dtype(t): np.finfo(t) for t in (np.float32, np.float64)}
 
-    mode: str = "double"
 
-    def __post_init__(self):
-        if self.mode not in ("double", "single"):
-            raise InvalidInputError(f"unknown precision mode {self.mode!r}")
-
-    @property
-    def eps(self) -> float:
-        return EPS_DOUBLE if self.mode == "double" else EPS_SINGLE
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64 if self.mode == "double" else np.float32)
-
-    @classmethod
-    def double(cls) -> "Precision":
-        return cls("double")
-
-    @classmethod
-    def single(cls) -> "Precision":
-        return cls("single")
+def float_info(dtype) -> np.finfo:
+    """``np.finfo`` of ``dtype``; any width but float32 and float64 is an ``InvalidInputError``."""
+    try:
+        return _FLOAT_INFO[np.dtype(dtype)]
+    except (TypeError, KeyError):
+        raise InvalidInputError(f"float width must be float32 or float64, got {dtype!r}") from None
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -248,17 +233,17 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
-def clamp_eigenvalues(e: EigenDecomposition, prec: Precision) -> EigenDecomposition:
-    """Replace every eigenvalue below machine epsilon with epsilon.
+def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposition:
+    """Replace every eigenvalue below the epsilon of ``dtype`` with that epsilon.
 
-    Idempotent, preserves ordering, and leaves the eigenvectors untouched.
+    Idempotent; the eigenvalues stay float64 and in order, the eigenvectors untouched.
     """
-    lam = np.maximum(e.eigenvalues, prec.eps)
+    lam = np.maximum(e.eigenvalues, float_info(dtype).eps)
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=e.eigenvectors)
 
 
-def count_clamped(e: EigenDecomposition, prec: Precision) -> int:
-    return int(np.sum(e.eigenvalues < prec.eps))
+def count_clamped(e: EigenDecomposition, dtype=np.float64) -> int:
+    return int(np.sum(e.eigenvalues < float_info(dtype).eps))
 
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:

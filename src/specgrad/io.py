@@ -92,8 +92,13 @@ def _jsonable(obj):
     return obj
 
 
+def to_json(obj) -> str:
+    """``obj`` as indented JSON, numpy scalars and arrays as plain values."""
+    return json.dumps(_jsonable(obj), indent=2)
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(_jsonable(obj), indent=2) + "\n")
+    Path(path).write_text(to_json(obj) + "\n")
 
 
 def write_jsonl(path, records) -> None:

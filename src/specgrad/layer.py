@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     EigenDecomposition,
     FeatureMatrix,
-    Precision,
     SymPsdMatrix,
     _trusted,
     clamp_eigenvalues,
@@ -37,10 +36,6 @@ from .schemes import BackwardScheme, grad_covariance, k_matrix
 
 EIG_SQRT = "eig_sqrt"
 NEWTON_SCHULZ = "newton_schulz"
-
-
-#: the layer computes in float64 and clamps eigenvalues at its epsilon
-DOUBLE = Precision.double()
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,8 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
         return q, GcpCache(x=x, p=p, config=cfg, ns_trace=trace)
 
     e_raw = eigh(p)
-    e = clamp_eigenvalues(e_raw, DOUBLE)
-    clamped = count_clamped(e_raw, DOUBLE)
+    e = clamp_eigenvalues(e_raw)
+    clamped = count_clamped(e_raw)
     q = matrix_power(e, 0.5)
     trace = None
     if cfg.backward.kind == "newton_schulz":
@@ -168,7 +163,7 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     return grad_x
 
 
-_LOSS_KINDS = ("sum", "trace", "random-linear")
+LOSS_KINDS = ("sum", "trace", "random-linear")
 
 
 def _loss_weight(kind: str, d: int, seed: int) -> np.ndarray:
@@ -178,7 +173,7 @@ def _loss_weight(kind: str, d: int, seed: int) -> np.ndarray:
         return np.eye(d)
     if kind == "random-linear":
         return np.random.default_rng(seed).normal(size=(d, d))
-    raise InvalidInputError(f"loss kind must be one of {_LOSS_KINDS}, got {kind!r}")
+    raise InvalidInputError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
 
 
 @dataclass(frozen=True)

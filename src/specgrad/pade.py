@@ -10,6 +10,8 @@ block is nonsingular the two agree, which the tests exploit.
 The singular case matters here: the geometric series 1, 1, 1, ... produces an
 all-ones Toeplitz block, and the minimum-norm least-squares solution keeps
 high-degree diagonal approximants constructible and numerically exact.
+Both routes and the evaluation run in the coefficients' dtype; the surrogate
+and the error tables take theirs as a numpy dtype, float32 or float64.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Precision
+from .core import float_info
 from .errors import InvalidInputError, NumericalFailureError, PoleError
 
 _POLE_FLOOR = 1e-300
@@ -302,17 +304,18 @@ def geometric_series(length: int, dtype=np.float64) -> PowerSeries:
 _PADE_CACHE: dict = {}
 
 
-def reciprocal_gap_pade(k: int, prec: Precision = Precision.double()) -> PadeApproximant:
+def reciprocal_gap_pade(k: int, dtype=np.float64) -> PadeApproximant:
     """Diagonal Pade approximant of 1/(1-x) matched to degree ``k``.
 
     This is the rational surrogate the gradient schemes evaluate at eigenvalue
-    ratios; cached per (degree, precision) since construction involves a
-    least-squares solve.
+    ratios, with coefficients of ``dtype``; cached per (degree, dtype) since
+    construction involves a least-squares solve.
     """
-    key = (k, prec.mode)
+    dtype = float_info(dtype).dtype
+    key = (k, dtype)
     if key not in _PADE_CACHE:
         m, n = diagonal_degrees(k)
-        series = geometric_series(k, dtype=prec.dtype)
+        series = geometric_series(k, dtype=dtype)
         _PADE_CACHE[key] = pade_from_series(series, m, n)
     return _PADE_CACHE[key]
 
@@ -334,29 +337,32 @@ class ApproximationErrorTable:
 
 
 def approximation_error_table(
-    kind: str, degrees, ratios, prec: Precision = Precision.double()
+    kind: str, degrees, ratios, dtype=np.float64
 ) -> ApproximationErrorTable:
-    """Grid of absolute errors |1/(1-x) - approx(x)| in the stated precision.
+    """Grid of absolute errors |1/(1-x) - approx(x)| computed in ``dtype``.
 
     ``kind`` selects the degree-K Taylor truncation or the degree-K-matched
-    diagonal Pade approximant.
+    diagonal Pade approximant. Both grids need at least one entry.
     """
     if kind not in ("taylor", "pade"):
         raise InvalidInputError(f"kind must be 'taylor' or 'pade', got {kind!r}")
+    dtype = float_info(dtype).dtype
     degrees = tuple(int(d) for d in degrees)
+    ratios = tuple(float(r) for r in ratios)
+    if not degrees or not ratios:
+        raise InvalidInputError("the degree and ratio grids each need at least one entry")
     if any(k < 1 for k in degrees):
         raise InvalidInputError(f"degree must be at least 1, got {min(degrees)}")
-    ratios = tuple(float(r) for r in ratios)
     if any(not (0.0 <= r < 1.0) for r in ratios):
         raise InvalidInputError("ratios must lie in [0, 1)")
-    x = np.array(ratios, dtype=prec.dtype)
+    x = np.array(ratios, dtype=dtype)
     exact = 1 / (1 - x)
 
     errors = np.zeros((len(ratios), len(degrees)))
     for j, k in enumerate(degrees):
         if kind == "taylor":
-            approx = taylor_eval(k, x, dtype=prec.dtype)
+            approx = taylor_eval(k, x, dtype=dtype)
         else:
-            approx = eval_rational(reciprocal_gap_pade(k, prec), x)
+            approx = eval_rational(reciprocal_gap_pade(k, dtype), x)
         errors[:, j] = np.abs(exact - approx)
     return ApproximationErrorTable(kind, degrees, ratios, errors)

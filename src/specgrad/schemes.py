@@ -7,7 +7,8 @@ implements the ordinary rule plus the remedies that tame it: dropping small
 eigenvalues (top-n), clipping (truncation), truncated geometric series
 (taylor), and a rational surrogate (pade), along with the standalone
 power-iteration gradient, per-scheme analytic upper bounds, and an
-empirical gradient smoothness estimator.
+empirical gradient smoothness estimator. K is float64; a bound takes the
+width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenDecomposition, Precision, SymPsdMatrix, _trusted
+from .core import EigenDecomposition, SymPsdMatrix, _trusted, float_info
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .pade import eval_rational, reciprocal_gap_pade, taylor_eval
 
-FLOAT32_MAX = 3.4028235e38
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 #: kept-eigenvalue fraction used when a top-n scheme does not pin n explicitly
 DEFAULT_TOPN_RATIO = 200.0 / 256.0
@@ -304,9 +305,7 @@ class GradBound:
 
     @property
     def single_safe(self) -> bool | None:
-        if self.max_value is None:
-            return None
-        return bool(np.isfinite(self.max_value) and self.max_value < FLOAT32_MAX)
+        return None if self.max_value is None else self.max_value < FLOAT32_MAX
 
 
 #: each kind's bound as a formula in the eigenvalues, and when it is reached
@@ -321,20 +320,21 @@ _BOUND_FORMS = {
 }
 
 
-def gradient_upper_bound(scheme: BackwardScheme, prec: Precision) -> GradBound:
+def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> GradBound:
     """Largest |K_ij| the scheme can emit, with its trigger condition.
 
-    For eigenvalues clamped to at least ``prec.eps`` the largest entry sits at
-    a tie at ``eps``, so the bound is the |K_01| that ``k_matrix`` emits for
-    the spectrum (eps, eps): the same arithmetic, so it is attained. Top-n
-    keeps one eigenvalue there and drops its partner. A Pade denominator that
-    vanishes at the tie gives ``inf``. ``k_matrix`` works in double precision,
-    so ``prec`` sets only ``eps``.
+    For eigenvalues clamped to at least ``eps = np.finfo(dtype).eps`` the
+    largest entry sits at a tie at ``eps``, so the bound is the |K_01| that
+    ``k_matrix`` emits for the spectrum (eps, eps): the same arithmetic, so it
+    is attained. Top-n keeps one eigenvalue there and drops its partner. A
+    Pade denominator that vanishes at the tie gives ``inf``. ``k_matrix``
+    works in float64, so ``dtype`` (float32 or float64) sets only ``eps``.
     """
+    eps = float_info(dtype).eps
     form, trigger = _BOUND_FORMS[scheme.kind]
     if scheme.kind == "newton_schulz":
         return GradBound(scheme.label, form, None, trigger)
-    tie = EigenDecomposition(np.full(2, prec.eps), np.eye(2))
+    tie = EigenDecomposition(np.full(2, eps), np.eye(2))
     try:
         k = k_matrix(tie, BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
         value = float(abs(k.data[0, 1]))

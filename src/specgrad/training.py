@@ -29,7 +29,6 @@ from .core import (
 )
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
-    DOUBLE,
     GcpLayerConfig,
     gcp_backward,
     gcp_forward,
@@ -65,8 +64,8 @@ class HybridSchedule:
         steps = [s for s, _ in sched]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("lr schedule steps must be strictly increasing")
-        if any(lr <= 0 for _, lr in sched):
-            raise InvalidInputError("learning rates must be positive")
+        if not all(0 < lr < np.inf for _, lr in sched):
+            raise InvalidInputError("learning rates must be positive and finite")
         if self.switch_step is not None:
             if self.switch_step < 0:
                 raise InvalidInputError("switch_step must be non-negative")
@@ -120,8 +119,8 @@ class ToyModelSpec:
             raise InvalidInputError("need raw_dim >= d >= 2 and n_cols >= 2")
         if self.n_classes < 2:
             raise InvalidInputError("need at least two classes")
-        if self.init_condition < 1:
-            raise InvalidInputError("init_condition must be >= 1")
+        if not 1 <= self.init_condition < np.inf:
+            raise InvalidInputError("init_condition must be finite and >= 1")
 
 
 @dataclass
@@ -229,8 +228,8 @@ class TrainingLog:
     final_model: "ToyModel | None" = None
 
     @property
-    def final_loss(self) -> float:
-        return self.records[-1].loss if self.records else float("nan")
+    def final_loss(self) -> float | None:
+        return self.records[-1].loss if self.records else None
 
     def mean_condition(self, lo: int, hi: int) -> float:
         chunk = [r.mean_condition_number for r in self.records[lo:hi]]
@@ -281,7 +280,7 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     conds = []
     for r, y in zip(rb, yb):
         cache, v, prob, sample_loss, hit = _classify(model, cfg, r, y)
-        e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p), DOUBLE)
+        e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p))
         conds.append(condition_number(e).value)
         loss += sample_loss
         hits += hit

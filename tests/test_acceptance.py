@@ -14,7 +14,6 @@ import pytest
 from specgrad.core import (
     EPS_DOUBLE,
     EigenDecomposition,
-    Precision,
     SymPsdMatrix,
     clamp_eigenvalues,
     eigh,
@@ -83,7 +82,7 @@ def taylor_remainder(x: float, degree: int) -> float:
 
 def test_criterion_1_taylor_error_table():
     with criterion(1, "Taylor error table reproduction", budget_seconds=1.0):
-        table = approximation_error_table("taylor", DEGREES, RATIOS, Precision.double())
+        table = approximation_error_table("taylor", DEGREES, RATIOS)
 
         # degree-100 anchor cells: the closed-form remainder both certifies
         # the computed value and reproduces the published figures
@@ -125,28 +124,25 @@ def test_criterion_2_pade_error_table():
     one wherever the relative eigenvalue gaps are bounded away from zero.
     """
     with criterion(2, "Pade error table all cells <= 1e-9", budget_seconds=5.0):
-        table = approximation_error_table("pade", DEGREES, RATIOS, Precision.double())
+        table = approximation_error_table("pade", DEGREES, RATIOS)
         assert float(table.errors.max()) <= 1e-9
 
 
 def test_criterion_3_gradient_upper_bounds():
     with criterion(3, "gradient upper bounds vs published values"):
-        prec = Precision.double()
-        taylor = gradient_upper_bound(BackwardScheme.taylor(100), prec).max_value
+        taylor = gradient_upper_bound(BackwardScheme.taylor(100)).max_value
         assert taylor == pytest.approx(4.55e17, rel=0.01)
-        topn = gradient_upper_bound(BackwardScheme.topn(), prec).max_value
+        topn = gradient_upper_bound(BackwardScheme.topn()).max_value
         assert topn == pytest.approx(4.50e15, rel=0.01)
-        trunc = gradient_upper_bound(BackwardScheme.trunc(1e10), prec).max_value
+        trunc = gradient_upper_bound(BackwardScheme.trunc(1e10)).max_value
         assert trunc == 1e10
 
-        pade = gradient_upper_bound(BackwardScheme.pade(100), prec).max_value
+        pade = gradient_upper_bound(BackwardScheme.pade(100)).max_value
         assert np.isfinite(pade) and pade < 3.40e38  # single-precision safety
         # qualitative ordering of the published table: pade largest, then
         # taylor, topn, trunc; ordinary unbounded
         assert pade > taylor > topn > trunc
-        assert math.isinf(
-            gradient_upper_bound(BackwardScheme.ordinary(), prec).max_value
-        )
+        assert math.isinf(gradient_upper_bound(BackwardScheme.ordinary()).max_value)
         # every bounded scheme stays single-precision safe in single mode too
         for scheme in (
             BackwardScheme.pade(100),
@@ -154,7 +150,7 @@ def test_criterion_3_gradient_upper_bounds():
             BackwardScheme.topn(),
             BackwardScheme.trunc(1e10),
         ):
-            assert gradient_upper_bound(scheme, Precision.single()).max_value < FLOAT32_MAX
+            assert gradient_upper_bound(scheme, np.float32).max_value < FLOAT32_MAX
 
 
 def test_criterion_3_pade_bound_order_of_magnitude():
@@ -175,10 +171,9 @@ def test_criterion_3_pade_bound_order_of_magnitude():
     the check pins what the arithmetic does determine, and that the bound is
     the entry k_matrix actually emits at a tie at eps.
     """
-    prec = Precision.double()
-    eps = prec.eps
+    eps = EPS_DOUBLE
     with criterion(3, "pade bound order of magnitude: roundoff at the tie pole"):
-        pa = reciprocal_gap_pade(100, prec)
+        pa = reciprocal_gap_pade(100)
         m, n = pa.degrees
         assert (m, n) == (50, 49)
 
@@ -195,7 +190,7 @@ def test_criterion_3_pade_bound_order_of_magnitude():
         q_abs = math.fsum(np.abs(pa.q_full))
         assert abs(math.fsum(pa.q_full)) <= gamma(n + 1) * q_abs
 
-        pade = gradient_upper_bound(BackwardScheme.pade(100), prec).max_value
+        pade = gradient_upper_bound(BackwardScheme.pade(100)).max_value
         floor = sum_p / (gamma(n + 1) * q_abs) / eps
         assert np.isfinite(pade) and pade >= floor, (pade, floor)
 
@@ -313,7 +308,7 @@ def test_criterion_8_newton_schulz_convergence():
             lam = 100.0 ** (-np.arange(6) / 5)  # condition number 100
             u = np.linalg.qr(rng.normal(size=(6, 6)))[0]
             p = SymPsdMatrix((u * lam) @ u.T)
-            exact = matrix_power(clamp_eigenvalues(eigh(p), Precision.double()), 0.5)
+            exact = matrix_power(clamp_eigenvalues(eigh(p)), 0.5)
             norm = np.linalg.norm(exact.data)
             errors = []
             for iters in range(1, 11):

@@ -277,12 +277,25 @@ class TestResolution:
     [
         ("train-toy", "--batch", "0"),
         ("train-toy", "--samples", "0"),
+        ("train-toy", "--steps", "0"),
         ("condition", "--count", "0"),
         ("condition", "--input", "empty.gcpf"),
         ("approx-table", "--degrees", "-3"),
         ("approx-table", "--degrees", "0"),
+        ("approx-table", "--degrees", ","),
+        ("approx-table", "--ratios", ","),
+        # non-finite values are rejected the same way
+        ("train-toy", "--switch-frac", "nan"),
+        ("train-toy", "--warmup-frac", "inf"),
+        ("train-toy", "--init-cond", "nan"),
+        ("train-toy", "--lr-schedule", "0:nan"),
+        ("train-toy", "--lr-schedule", "0:inf"),
     ],
-    ids=["batch-0", "samples-0", "count-0", "empty-input", "degrees-negative", "degrees-0"],
+    ids=[
+        "batch-0", "samples-0", "steps-0", "count-0", "empty-input", "degrees-negative",
+        "degrees-0", "degrees-empty", "ratios-empty", "switch-frac-nan", "warmup-frac-inf",
+        "init-cond-nan", "lr-nan", "lr-inf",
+    ],
 )
 def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -321,6 +334,15 @@ class TestBounds:
             if row[0] in ("pade", "taylor", "trunc", "topn"):
                 assert row[4] == "true"
                 assert float(row[2]) < 3.40e38
+
+    def test_single_precision_rows_use_float32_epsilon(self, tmp_path):
+        # eps is exactly 2**-23, so topn's 1/eps and taylor(100)'s 101/eps are integers
+        path = tmp_path / "bounds_single.csv"
+        assert run("bounds", "--precision", "single", "--out", str(path)) == EXIT_OK
+        _, _, rows = io.read_csv(path)
+        table = {r[0]: r[2] for r in rows}
+        assert float(table["topn"]) == 8388608 == 2**23
+        assert float(table["taylor"]) == 847249408 == 101 * 2**23
 
 
 class TestGradCheck:
@@ -539,13 +561,13 @@ class TestCondition:
         ) == EXIT_OK
         _, _, rows = io.read_csv(out)
 
-        from specgrad.core import Precision, clamp_eigenvalues, condition_number, covariance, eigh
+        from specgrad.core import clamp_eigenvalues, condition_number, covariance, eigh
         from specgrad.synth import gaussian_features
 
         rng = np.random.default_rng(9)
         for row in rows:
             x = gaussian_features(4, 24, rng)
-            e = clamp_eigenvalues(eigh(covariance(x)), Precision.double())
+            e = clamp_eigenvalues(eigh(covariance(x)))
             assert float(row[1]) == pytest.approx(condition_number(e).value, rel=1e-8)
 
 
@@ -628,6 +650,23 @@ class TestTrainToy:
         assert status["status"] == "diverged"
         assert status["failure_step"] == 151
         assert status["failure_reason"].startswith("covariance is non-finite")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("--steps", "40", "--d", "4", "--n", "16", "--seed", "7"), EXIT_OK),
+            (("--seed", "3", "--n", "4", "--backward", "pade"), EXIT_DIVERGED),
+        ],
+        ids=["completed", "diverged"],
+    )
+    def test_every_log_line_is_strict_json(self, tmp_path, argv, code):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "log.jsonl"
+        assert run("train-toy", *argv, "--out", str(out)) == code
+        for line in out.read_text().splitlines():
+            json.loads(line, parse_constant=reject)
 
     def test_topn_on_fine_grained_task(self, tmp_path):
         # discarding small eigenvalues erases the class signal; the run may

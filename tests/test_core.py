@@ -9,11 +9,11 @@ from specgrad.core import (
     EPS_SINGLE,
     EigenDecomposition,
     FeatureMatrix,
-    Precision,
     SymPsdMatrix,
     centering_matrix,
     clamp_eigenvalues,
     condition_number,
+    count_clamped,
     covariance,
     eigh,
     matrix_power,
@@ -66,10 +66,16 @@ class TestTypes:
             EigenDecomposition(np.array([2.0, 1.0]), u)
 
     def test_precision_eps_values(self):
-        assert Precision.double().eps == EPS_DOUBLE == 2.220446049250313e-16
-        assert Precision.single().eps == EPS_SINGLE == 1.1920929e-07
+        assert EPS_DOUBLE == 2.0**-52
+        assert EPS_SINGLE == 2.0**-23
+
+    @pytest.mark.parametrize("width", [np.float16, np.int64, np.complex128, "half", "bogus"])
+    def test_width_other_than_float32_or_float64_is_rejected(self, width):
+        e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
         with pytest.raises(InvalidInputError):
-            Precision("half")
+            clamp_eigenvalues(e, width)
+        with pytest.raises(InvalidInputError):
+            count_clamped(e, width)
 
 
 class TestCovariance:
@@ -183,29 +189,29 @@ class TestEigh:
 class TestClamp:
     def test_forced_by_rule(self):
         e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
-        out = clamp_eigenvalues(e, Precision.double())
+        out = clamp_eigenvalues(e)
         np.testing.assert_allclose(out.eigenvalues, [1.0, EPS_DOUBLE])
 
     def test_no_change_above_eps(self):
         e = EigenDecomposition(np.array([1.0, 0.5]), np.eye(2))
-        out = clamp_eigenvalues(e, Precision.double())
+        out = clamp_eigenvalues(e)
         np.testing.assert_allclose(out.eigenvalues, [1.0, 0.5])
 
     def test_tiny_values_collapse_to_eps(self):
         e = EigenDecomposition(np.array([1e-20, 1e-30]), np.eye(2))
-        out = clamp_eigenvalues(e, Precision.double())
+        out = clamp_eigenvalues(e)
         np.testing.assert_allclose(out.eigenvalues, [EPS_DOUBLE, EPS_DOUBLE])
 
     def test_single_precision_eps(self):
         e = EigenDecomposition(np.array([1.0, 1e-9]), np.eye(2))
-        out = clamp_eigenvalues(e, Precision.single())
+        out = clamp_eigenvalues(e, np.float32)
         np.testing.assert_allclose(out.eigenvalues, [1.0, EPS_SINGLE])
 
     def test_idempotent(self, rng):
         lam = np.sort(np.abs(rng.normal(size=6) * 1e-12))[::-1]
         e = EigenDecomposition(lam, np.eye(6))
-        once = clamp_eigenvalues(e, Precision.double())
-        twice = clamp_eigenvalues(once, Precision.double())
+        once = clamp_eigenvalues(e)
+        twice = clamp_eigenvalues(once)
         assert np.array_equal(once.eigenvalues, twice.eigenvalues)
 
 
@@ -238,7 +244,7 @@ class TestMatrixPower:
         lam = np.array([1.0, 1e-3, 1e-6, 1e-9])
         u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         p = SymPsdMatrix((u * lam) @ u.T)
-        e = clamp_eigenvalues(eigh(p), Precision.double())
+        e = clamp_eigenvalues(eigh(p))
         q = matrix_power(e, 0.5)
         rel = np.linalg.norm(q.data @ q.data - p.data) / np.linalg.norm(p.data)
         assert rel <= 1e-8

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from specgrad.core import Precision
 from specgrad.errors import InvalidInputError, NumericalFailureError, PoleError
 from specgrad.pade import (
     PadeApproximant,
@@ -142,8 +141,7 @@ class TestArrayEvaluation:
         np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
 
     def test_eval_rational(self, dtype):
-        prec = Precision.double() if dtype is np.float64 else Precision.single()
-        pa = reciprocal_gap_pade(50, prec)
+        pa = reciprocal_gap_pade(50, dtype)
         xs = self.XS[:-1]  # 1 is the pole
         got = eval_rational(pa, np.array(xs, dtype=dtype))
         assert got.dtype == dtype
@@ -165,14 +163,14 @@ class TestDegreeBookkeeping:
         pa = reciprocal_gap_pade(100)
         assert pa.degrees == (50, 49)
         assert pa is reciprocal_gap_pade(100)
+        # one cache entry per width, however the dtype is spelled
+        assert pa is reciprocal_gap_pade(100, "float64")
 
 
 class TestErrorTable:
     def test_taylor_remainder_law(self):
         # |1/(1-x) - sum_{i<=K} x^i| = x^(K+1)/(1-x), checked within 1%
-        table = approximation_error_table(
-            "taylor", (50, 100, 200, 300), (0.5, 0.7, 0.9, 0.99), Precision.double()
-        )
+        table = approximation_error_table("taylor", (50, 100, 200, 300), (0.5, 0.7, 0.9, 0.99))
         for i, x in enumerate(table.ratios):
             for j, k in enumerate(table.degrees):
                 expected = x ** (k + 1) / (1.0 - x)
@@ -180,9 +178,7 @@ class TestErrorTable:
                     assert table.errors[i, j] == pytest.approx(expected, rel=1e-2)
 
     def test_taylor_reference_cells(self):
-        table = approximation_error_table(
-            "taylor", (100,), (0.9, 0.99, 0.999), Precision.double()
-        )
+        table = approximation_error_table("taylor", (100,), (0.9, 0.99, 0.999))
         assert table.cell(0.99, 100) == pytest.approx(36.0, rel=0.1)
         assert table.cell(0.999, 100) == pytest.approx(904.0, rel=0.1)
         # the 0.9 cell prints as 2e-4 at one significant figure
@@ -193,7 +189,6 @@ class TestErrorTable:
             "pade",
             (50, 100, 200, 300),
             (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999),
-            Precision.double(),
         )
         assert table.errors.max() <= 1e-9
 
@@ -212,17 +207,24 @@ class TestErrorTable:
         with pytest.raises(InvalidInputError):
             approximation_error_table("taylor", (50,), (1.0,))
 
+    @pytest.mark.parametrize(
+        "degrees,ratios,dtype",
+        [((), (0.5,), np.float64), ((10,), (), np.float64), ((10,), (0.5,), np.int64)],
+        ids=["no-degrees", "no-ratios", "int64"],
+    )
+    def test_empty_grid_or_non_float_width_rejected(self, degrees, ratios, dtype):
+        with pytest.raises(InvalidInputError):
+            approximation_error_table("pade", degrees, ratios, dtype)
+
     def test_single_precision_floor(self):
         # float32 arithmetic cannot see errors below its epsilon scale
-        table = approximation_error_table("taylor", (100,), (0.5,), Precision.single())
+        table = approximation_error_table("taylor", (100,), (0.5,), np.float32)
         assert table.errors[0, 0] <= 1e-5
 
     def test_single_precision_pade_table_is_finite(self):
         # float32 coefficient solve and evaluation stay well-behaved even at
         # the near-pole column (values are float32-roundoff limited)
-        table = approximation_error_table(
-            "pade", (50, 100), (0.5, 0.9, 0.999), Precision.single()
-        )
+        table = approximation_error_table("pade", (50, 100), (0.5, 0.9, 0.999), np.float32)
         assert np.all(np.isfinite(table.errors))
         assert table.cell(0.5, 100) <= 1e-5
 

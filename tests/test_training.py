@@ -98,6 +98,17 @@ class TestTask:
         b = [yb.tolist() for _, yb in batch_stream(task, 4, 5, seed=9)]
         assert a == b
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_and_condition_rejected(self, value):
+        with pytest.raises(InvalidInputError):
+            HybridSchedule(
+                post_switch_scheme=BackwardScheme.ordinary(),
+                switch_step=None,
+                lr_schedule=((0, value),),
+            )
+        with pytest.raises(InvalidInputError):
+            ToyModelSpec(init_condition=value)
+
     def test_empty_task_and_batch_rejected_on_the_call(self):
         spec = small_spec()
         with pytest.raises(InvalidInputError):
@@ -175,6 +186,15 @@ class TestTraining:
         assert log.status == "diverged"
         assert log.failure_step is not None
         assert len(log.records) >= 1
+
+    def test_run_failing_at_step_zero_has_no_final_loss(self):
+        spec = small_spec()
+        task = make_toy_task(spec, 4, seed=6)
+        sched = HybridSchedule(post_switch_scheme=BackwardScheme.ordinary(), switch_step=None)
+        overflowing = [(np.full_like(task.inputs, 1e308), task.labels)]
+        log = run_hybrid_training(spec, sched, overflowing)
+        assert (log.status, log.failure_step, log.records) == ("diverged", 0, [])
+        assert log.final_loss is None
 
     @pytest.mark.parametrize("where", ["features w1 @ r", "loss gradient at Q"])
     def test_overflow_before_the_layer_is_a_numerical_failure(self, where):
