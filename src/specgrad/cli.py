@@ -10,7 +10,8 @@ Subcommands:
 Each flag's type, choices and default are declared once, in ``build_parser``.
 A flag not given takes its --config entry, held to the flag's own type and
 choices, else its declared default; --seed then falls back to the
-SPECGRAD_SEED environment variable, then 0, and all randomness flows from it.
+SPECGRAD_SEED environment variable, then 0, and all randomness flows from it;
+a negative seed is invalid input.
 Three defaults follow other flags: gradcheck --n is 4·d, the --out of bounds
 and condition takes the --format suffix, and train-toy --lr-schedule drops
 tenfold at 80% of --steps.
@@ -195,6 +196,7 @@ def _resolve(args) -> None:
     A config value passes through the flag's own type and choices. The seed
     then falls back to the environment variable, then 0. ``args.given`` holds
     the flags given on the command line, as config keys (``trunc-threshold``).
+    A negative seed, from any of the three sources, is rejected here.
     """
     file = io.read_config_file(args.config) if args.config else {}
     flags = {
@@ -224,6 +226,8 @@ def _resolve(args) -> None:
             args.seed = int(env) if env else 0
         except ValueError as err:
             raise InvalidInputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from err
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
 
 
 def _parse_float_list(text) -> tuple:

@@ -2,13 +2,16 @@
 
 Numbers are written in their shortest round-trip decimal form, switching to
 scientific notation below 1e-3 or at 1e6 and above, so emitted tables diff
-stably across platforms and parse back to the exact same floats. Every writer
-embeds the resolved run configuration in a preamble or config object.
+stably across platforms and parse back to the exact same floats. JSON output
+is strict: a non-finite number is written as the string "nan", "inf" or "-inf",
+as the CSV writer prints it. Every writer embeds the resolved run configuration
+in a preamble or config object.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -85,16 +88,22 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return format_number(obj)
     return obj
 
 
 def to_json(obj) -> str:
-    """``obj`` as indented JSON, numpy scalars and arrays as plain values."""
-    return json.dumps(_jsonable(obj), indent=2)
+    """``obj`` as indented JSON, numpy scalars and arrays as plain values.
+
+    JSON has no NaN or infinity, so a non-finite float is written as the
+    string the CSV writer prints for it: "nan", "inf" or "-inf".
+    """
+    return json.dumps(_jsonable(obj), indent=2, allow_nan=False)
 
 
 def write_json(path, obj) -> None:
@@ -104,11 +113,7 @@ def write_json(path, obj) -> None:
 def write_jsonl(path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(_jsonable(rec)) + "\n")
-
-
-def read_jsonl(path) -> list:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+            fh.write(json.dumps(_jsonable(rec), allow_nan=False) + "\n")
 
 
 def write_feature_file(path, matrices) -> None:

@@ -1,15 +1,16 @@
 """Pade approximant construction, evaluation, and error tables.
 
 Two independent construction routes are provided: solving the linearized
-coefficient equations (a Toeplitz system for the denominator, then a
-convolution for the numerator), and the continued-fraction route that builds
-the diagonal convergents through the quotient-difference scheme and the
-three-term recurrence of successive convergents. For series whose Toeplitz
-block is nonsingular the two agree, which the tests exploit.
+coefficient equations (one minimum-norm least-squares solve of a Toeplitz
+system for the denominator, then a convolution for the numerator), and the
+continued-fraction route that builds the diagonal convergents through the
+quotient-difference scheme and the three-term recurrence of successive
+convergents. For series whose Toeplitz block is nonsingular the two agree,
+which the tests exploit.
 
 The singular case matters here: the geometric series 1, 1, 1, ... produces an
-all-ones Toeplitz block, and the minimum-norm least-squares solution keeps
-high-degree diagonal approximants constructible and numerically exact.
+all-ones Toeplitz block, and the minimum-norm solution keeps high-degree
+diagonal approximants constructible and numerically exact.
 Both routes and the evaluation run in the coefficients' dtype; the surrogate
 and the error tables take theirs as a numpy dtype, float32 or float64.
 """
@@ -41,9 +42,6 @@ class PowerSeries:
         c = np.array(c, copy=True)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-
-    def __len__(self) -> int:
-        return self.coeffs.size
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,9 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
 
     The lower block (a Toeplitz system in a_{m-n+1} ... a_{m+n}) is solved for
     the denominator; the upper block then gives the numerator by convolution.
-    A singular or rank-deficient Toeplitz block falls back to the minimum-norm
-    least-squares solution, so degenerate series still yield a deterministic
-    approximant (the series-match residual certifies it).
+    The solve takes the minimum-norm least-squares solution: the unique one
+    when the block is nonsingular, and a deterministic approximant when it is
+    singular or rank-deficient (the series-match residual certifies it).
     """
     if m < 0 or n < 0:
         raise InvalidInputError(f"degrees must be non-negative, got M={m}, N={n}")
@@ -113,20 +111,13 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
     if n == 0:
         return PadeApproximant(a[: m + 1], np.zeros(0, dtype=dtype))
 
-    toeplitz = np.zeros((n, n), dtype=dtype)
-    for r in range(1, n + 1):
-        for j in range(1, n + 1):
-            idx = m + r - j
-            if idx >= 0:
-                toeplitz[r - 1, j - 1] = a[idx]
-    rhs = -a[m + 1 : m + n + 1]
+    # toeplitz[r, j] = a_{m+r-j}, zero where m + r - j < 0
+    padded = np.concatenate([np.zeros(n, dtype=dtype), a])
+    r = np.arange(n)
+    toeplitz = padded[n + m + r[:, None] - r[None, :]]
+    q = np.linalg.lstsq(toeplitz, -a[m + 1 : m + n + 1], rcond=None)[0]
 
-    if np.linalg.matrix_rank(toeplitz) < n:
-        q, *_ = np.linalg.lstsq(toeplitz, rhs, rcond=None)
-    else:
-        q = np.linalg.solve(toeplitz, rhs)
-
-    q_full = np.concatenate([np.ones(1, dtype=dtype), q.astype(dtype, copy=False)])
+    q_full = np.concatenate([np.ones(1, dtype=dtype), q])
     p = np.empty(m + 1, dtype=dtype)
     for i in range(m + 1):
         j_hi = min(i, n)
@@ -139,8 +130,10 @@ def _qd_cf_coefficients(s: PowerSeries, n: int) -> list:
 
     The expansion a_0 + a_1 x / (1 - c_2 x / (1 - c_3 x / ...)) has odd
     convergents equal to the diagonal sequence [1/0], [2/1], ... The factors
-    come from the quotient-difference scheme of the shifted series. A zero at
-    the surface of the table means the fraction terminates (the series is
+    come from the quotient-difference scheme of the shifted series, run one
+    column at a time: only the current q column and the previous e column are
+    kept, and c_{2j}, c_{2j+1} are their leading entries. A zero at the
+    surface of the table means the fraction terminates (the series is
     rational and already matched exactly); a zero inside the table is a
     genuine breakdown.
     """
@@ -157,55 +150,37 @@ def _qd_cf_coefficients(s: PowerSeries, n: int) -> list:
         )
     g = a[1 : 2 * n + 2] / a[1]  # g_0 ... g_2n
 
-    # q_col[j][k] = q_j^(k), e_col[j][k] = e_j^(k); columns shrink with j
-    q_col: dict[int, list] = {}
-    e_col: dict[int, list] = {0: [0.0] * (2 * n + 1)}
-    q1 = []
-    for k in range(2 * n):
-        if g[k] == 0.0:
-            break
-        q1.append(g[k + 1] / g[k])
-    q_col[1] = q1
-
+    # q holds the current column q_j^(k), e the previous one e_{j-1}^(k);
+    # the first column stops at the first zero g_k
+    zero = np.flatnonzero(g[:-1] == 0.0)
+    stop = zero[0] if zero.size else 2 * n
+    q = g[1 : stop + 1] / g[:stop]
+    e = np.zeros(2 * n + 1)
     coeffs: list = []
     for j in range(1, n + 1):
-        qj = q_col[j]
-        if not qj:
+        if not q.size or q[0] == 0.0:
             return coeffs  # terminated before c_{2j}
-        c_even = qj[0]
-        if c_even == 0.0:
-            return coeffs
-        coeffs.append(c_even)
-
-        ej = []
-        for k in range(len(qj) - 1):
-            ej.append(qj[k + 1] - qj[k] + e_col[j - 1][k + 1])
-        e_col[j] = ej
-        if not ej:
-            return coeffs
-        c_odd = ej[0]
-        if c_odd == 0.0:
+        coeffs.append(q[0])
+        e = q[1:] - q[:-1] + e[1 : q.size]
+        if not e.size or e[0] == 0.0:
             return coeffs  # fraction terminates: series is rational of lower degree
-        coeffs.append(c_odd)
-
+        coeffs.append(e[0])
         if j < n:
-            q_next = []
-            for k in range(len(ej) - 1):
-                if ej[k] == 0.0:
-                    raise NumericalFailureError(
-                        "quotient-difference breakdown: zero partial denominator",
-                        step=f"e_{j}^({k})",
-                    )
-                q_next.append(qj[k + 1] * ej[k + 1] / ej[k])
-            q_col[j + 1] = q_next
+            zero = np.flatnonzero(e[:-1] == 0.0)
+            if zero.size:
+                raise NumericalFailureError(
+                    "quotient-difference breakdown: zero partial denominator",
+                    step=f"e_{j}^({zero[0]})",
+                )
+            q = q[1 : e.size] * e[1:] / e[:-1]
     return coeffs
 
 
 def pade_from_continued_fraction(s: PowerSeries, n: int) -> PadeApproximant:
     """Diagonal [n+1/n] approximant via successive continued-fraction convergents.
 
-    Uses the recursion A_{k+1} = b_{k+1} A_k + a_{k+1} A_{k-1} (and the same
-    for B) over polynomial coefficient vectors. If the underlying fraction
+    Runs the recurrence A_{k+1} = A_k - c_{k+1} x A_{k-1} once, on a 2-row
+    array holding numerator A_k and denominator B_k. If the underlying fraction
     terminates early the result keeps the lower exact degree.
     """
     if n < 0:
@@ -213,42 +188,23 @@ def pade_from_continued_fraction(s: PowerSeries, n: int) -> PadeApproximant:
     a = s.coeffs.astype(np.float64)
     cfs = _qd_cf_coefficients(s, n)
 
-    # convergent 1: A = a_0 + a_1 x, B = 1
-    a_prev = np.array([1.0])  # A_0 = a_0 as polynomial; A_{-1} = 1
-    b_prev = np.array([0.0])
-    a_cur = np.array([a[0]])
-    b_cur = np.array([1.0])
-    a_cur, a_prev = _poly_add(a_cur, _poly_shift_scale(a_prev, a[1])), a_cur
-    b_cur, b_prev = _poly_add(b_cur, _poly_shift_scale(b_prev, a[1])), b_cur
-
-    for c in cfs:
-        a_cur, a_prev = _poly_add(a_cur, _poly_shift_scale(a_prev, -c)), a_cur
-        b_cur, b_prev = _poly_add(b_cur, _poly_shift_scale(b_prev, -c)), b_cur
-
-    b0 = b_cur[0]
-    if b0 == 0.0:
-        raise NumericalFailureError(
-            "continued-fraction convergent has zero constant denominator", step="normalize"
-        )
-    return PadeApproximant(_poly_trim(a_cur / b0), _poly_trim(b_cur / b0)[1:])
+    # rows A_k, B_k of the convergent A_k / B_k, lowest coefficient first;
+    # A_{-1} = 1, B_{-1} = 0, A_0 = a_0, B_0 = 1, and c_1 = -a_1
+    prev = np.zeros((2, n + 2))
+    prev[0, 0] = 1.0
+    cur = np.zeros((2, n + 2))
+    cur[:, 0] = a[0], 1.0
+    for c in [-a[1], *cfs]:
+        shifted = np.zeros_like(prev)
+        shifted[:, 1:] = prev[:, :-1]
+        cur, prev = cur - c * shifted, cur
+    # B_k(0) = 1 at every step, so the convergent is already normalized
+    return PadeApproximant(_poly_trim(cur[0]), _poly_trim(cur[1])[1:])
 
 
 def _poly_trim(coeffs: np.ndarray) -> np.ndarray:
     nz = np.nonzero(coeffs)[0]
     return coeffs[: nz[-1] + 1] if nz.size else coeffs[:1]
-
-
-def _poly_shift_scale(coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """scale * x * poly(coeffs)."""
-    return np.concatenate([[0.0], scale * coeffs])
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.size < b.size:
-        a, b = b, a
-    out = a.copy()
-    out[: b.size] += b
-    return out
 
 
 def eval_rational(pa: PadeApproximant, x):

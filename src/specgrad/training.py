@@ -38,6 +38,8 @@ from .layer import (
 from .schemes import BackwardScheme
 
 MOMENTUM = 0.9
+#: classes of the synthetic task, the paper's 3-class toy problem
+N_CLASSES = 3
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,6 @@ class ToyModelSpec:
     d: int = 8
     raw_dim: int = 8
     n_cols: int = 32
-    n_classes: int = 3
     forward_iterations: int = 5
     init_condition: float = 1e4
     init_seed: int = 0
@@ -117,8 +118,6 @@ class ToyModelSpec:
     def __post_init__(self):
         if self.d < 2 or self.raw_dim < self.d or self.n_cols < 2:
             raise InvalidInputError("need raw_dim >= d >= 2 and n_cols >= 2")
-        if self.n_classes < 2:
-            raise InvalidInputError("need at least two classes")
         if not 1 <= self.init_condition < np.inf:
             raise InvalidInputError("init_condition must be finite and >= 1")
 
@@ -141,8 +140,8 @@ class ToyModel:
             size=(spec.d, spec.raw_dim)
         ) / np.sqrt(spec.raw_dim)
         n_feat = spec.d * (spec.d + 1) // 2
-        w2 = np.zeros((spec.n_classes, n_feat))
-        b2 = np.zeros(spec.n_classes)
+        w2 = np.zeros((N_CLASSES, n_feat))
+        b2 = np.zeros(N_CLASSES)
         return cls(w1, w2, b2)
 
 
@@ -165,17 +164,17 @@ class ToyTask:
         return self.labels.size
 
 
-def class_scale_profiles(raw_dim: int, n_classes: int, kind: str) -> np.ndarray:
+def class_scale_profiles(raw_dim: int, kind: str) -> np.ndarray:
     if kind == "balanced":
-        profiles = np.full((n_classes, raw_dim), 0.7)
-        for c in range(n_classes):
-            profiles[c, c::n_classes] = 1.6
+        profiles = np.full((N_CLASSES, raw_dim), 0.7)
+        for c in range(N_CLASSES):
+            profiles[c, c::N_CLASSES] = 1.6
         return profiles
     if kind == "fine_grained":
-        profiles = np.ones((n_classes, raw_dim))
-        lead = max(1, raw_dim - n_classes + 1)
+        profiles = np.ones((N_CLASSES, raw_dim))
+        lead = max(1, raw_dim - N_CLASSES + 1)
         profiles[:, :lead] = 4.0
-        for c in range(1, n_classes):
+        for c in range(1, N_CLASSES):
             profiles[c, lead + c - 1] = 1.8
         return profiles
     raise InvalidInputError(f"unknown task kind {kind!r}")
@@ -187,8 +186,8 @@ def make_toy_task(
     if samples < 1:
         raise InvalidInputError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    profiles = class_scale_profiles(spec.raw_dim, spec.n_classes, kind)
-    labels = rng.integers(0, spec.n_classes, size=samples)
+    profiles = class_scale_profiles(spec.raw_dim, kind)
+    labels = rng.integers(0, N_CLASSES, size=samples)
     inputs = rng.normal(size=(samples, spec.raw_dim, spec.n_cols))
     inputs *= profiles[labels][:, :, None]
     return ToyTask(inputs, labels)

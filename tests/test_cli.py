@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -22,6 +21,8 @@ from specgrad.cli import (
     main,
 )
 
+from conftest import parse_json
+
 
 def run(*argv):
     return main(list(argv))
@@ -44,6 +45,10 @@ class TestNumberFormat:
     )
     def test_formatting(self, value, expected):
         assert io.format_number(value) == expected
+
+    def test_json_writes_nonfinite_numbers_as_strings(self):
+        obj = {"a": float("inf"), "b": [np.float32("-inf")], "c": np.array([np.nan, 1.5])}
+        assert parse_json(io.to_json(obj)) == {"a": "inf", "b": ["-inf"], "c": ["nan", 1.5]}
 
     def test_round_trip_random_floats(self):
         rng = np.random.default_rng(0)
@@ -116,7 +121,7 @@ class TestApproxTable:
     def test_json_format(self, tmp_path):
         out = tmp_path / "j"
         assert run("approx-table", "--kind", "pade", "--format", "json", "--out", str(out)) == EXIT_OK
-        doc = json.loads((out / "approx_pade.json").read_text())
+        doc = parse_json((out / "approx_pade.json").read_text())
         assert doc["config"]["kind"] == "pade"
         assert len(doc["rows"]) == 7
 
@@ -290,20 +295,34 @@ class TestResolution:
         ("train-toy", "--init-cond", "nan"),
         ("train-toy", "--lr-schedule", "0:nan"),
         ("train-toy", "--lr-schedule", "0:inf"),
+        # so is a negative seed, from a flag, a config entry or the
+        # environment (a leading NAME=value sets it, as in a shell)
+        ("gradcheck", "--seed", "-1"),
+        ("bounds", "--seed", "-1"),
+        ("train-toy", "--config", "seed.conf"),
+        ("approx-table", "--config", "seed.conf"),
+        ("SPECGRAD_SEED=-1", "condition"),
     ],
     ids=[
         "batch-0", "samples-0", "steps-0", "count-0", "empty-input", "degrees-negative",
         "degrees-0", "degrees-empty", "ratios-empty", "switch-frac-nan", "warmup-frac-inf",
-        "init-cond-nan", "lr-nan", "lr-inf",
+        "init-cond-nan", "lr-nan", "lr-inf", "seed-flag", "seed-flag-bounds",
+        "seed-config", "seed-config-approx-table", "seed-env",
     ],
 )
 def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPECGRAD_SEED", raising=False)
     (tmp_path / "empty.gcpf").write_bytes(b"GCPF" + np.array([4, 20, 0], "<u4").tobytes())
+    (tmp_path / "seed.conf").write_text("seed=-1\n")
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     assert run(*argv) == EXIT_BAD_FLAGS
     err = capsys.readouterr().err
     assert err.startswith("specgrad: invalid input: ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["empty.gcpf"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.gcpf", "seed.conf"]
 
 
 def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):
@@ -335,6 +354,19 @@ class TestBounds:
                 assert row[4] == "true"
                 assert float(row[2]) < 3.40e38
 
+    @pytest.mark.parametrize(
+        "argv,infinite",
+        [((), {"ordinary"}), (("--precision", "single"), {"ordinary"}),
+         (("--degree", "3"), {"ordinary", "pade"})],
+        ids=["double", "single", "degree-3"],
+    )
+    def test_json_is_strict(self, tmp_path, argv, infinite):
+        # an unbounded gradient is the string "inf", as in the CSV table
+        path = tmp_path / "bounds.json"
+        assert run("bounds", "--format", "json", *argv, "--out", str(path)) == EXIT_OK
+        rows = parse_json(path.read_text())["rows"]
+        assert {r[0] for r in rows if r[2] == "inf"} == infinite
+
     def test_single_precision_rows_use_float32_epsilon(self, tmp_path):
         # eps is exactly 2**-23, so topn's 1/eps and taylor(100)'s 101/eps are integers
         path = tmp_path / "bounds_single.csv"
@@ -353,7 +385,7 @@ class TestGradCheck:
             "--out", str(path),
         )
         assert code == EXIT_OK
-        doc = json.loads(path.read_text())
+        doc = parse_json(path.read_text())
         assert doc["passed"] is True
 
     def test_degenerate_condition_flags_nonfinite(self, tmp_path):
@@ -362,11 +394,20 @@ class TestGradCheck:
             "gradcheck", "--scheme", "ordinary", "--cond", "1e16", "--out", str(path)
         )
         assert code == EXIT_CHECK_FAILED
-        doc = json.loads(path.read_text())
+        doc = parse_json(path.read_text())
         assert doc["report"]["n_nonfinite"] > 0
 
-    def test_pade_robust_near_degeneracy(self):
+    def test_pade_robust_near_degeneracy(self, capsys):
         assert run("gradcheck", "--scheme", "pade", "--d", "8", "--cond", "1e6") == EXIT_OK
+        assert parse_json(capsys.readouterr().out)["passed"] is True
+
+    def test_nonfinite_errors_are_strict_json(self, tmp_path):
+        # an exact tie under the ordinary scheme leaves no finite error
+        path = tmp_path / "report.json"
+        code = run("gradcheck", "--scheme", "ordinary", "--cond", "1e20", "--out", str(path))
+        assert code == EXIT_CHECK_FAILED
+        report = parse_json(path.read_text())["report"]
+        assert report["max_rel_error"] == report["mean_rel_error"] == "nan"
 
     def test_pade_pole_is_one_line_with_exit_3(self, capsys):
         code = run("gradcheck", "--scheme", "pade", "--degree", "3", "--cond", "1e20")
@@ -406,7 +447,7 @@ class TestSchemeFlags:
             "gradcheck", "--scheme", *argv, "--d", "2", "--n", "4", "--out", str(path)
         )
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-        assert json.loads(path.read_text())["report"]["scheme"] == label
+        assert parse_json(path.read_text())["report"]["scheme"] == label
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -440,7 +481,7 @@ class TestSchemeFlags:
             "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
         )
         assert code == EXIT_OK
-        assert io.read_jsonl(out)[0]["iters"] == 7
+        assert parse_json(out.read_text(), lines=True)[0]["iters"] == 7
 
     def test_train_toy_default_iters_equals_explicit(self, tmp_path):
         # --iters is one Newton-Schulz count, forward and newton backward
@@ -454,7 +495,7 @@ class TestSchemeFlags:
             assert code == EXIT_OK
             logs.append(out.read_bytes())
         assert logs[0] == logs[1]
-        steps = [r for r in io.read_jsonl(out) if r["type"] == "step"]
+        steps = [r for r in parse_json(out.read_text(), lines=True) if r["type"] == "step"]
         assert steps[-1]["scheme"] == "eig_sqrt+newton_schulz(iterations=5)"
 
     def test_bounds_reads_degree_and_threshold(self, tmp_path):
@@ -479,7 +520,7 @@ class TestSchemeFlags:
             "--config", str(conf), "--out", str(path),
         )
         assert code == EXIT_OK
-        assert json.loads(path.read_text())["report"]["scheme"] == "eig_sqrt+ordinary"
+        assert parse_json(path.read_text())["report"]["scheme"] == "eig_sqrt+ordinary"
 
 
 class TestCondition:
@@ -579,7 +620,7 @@ class TestTrainToy:
             "--n", "16", "--samples", "60", "--seed", "7", "--out", str(out),
         )
         assert code == EXIT_OK
-        records = io.read_jsonl(out)
+        records = parse_json(out.read_text(), lines=True)
         assert records[0]["type"] == "config"
         assert records[-1]["status"] == "completed"
         steps = [r for r in records if r["type"] == "step"]
@@ -596,6 +637,7 @@ class TestTrainToy:
             )
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        assert parse_json(a.read_text(), lines=True)[-1]["status"] == "completed"
 
     def test_env_var_seed_fallback(self, tmp_path, monkeypatch):
         a = tmp_path / "a.jsonl"
@@ -612,7 +654,8 @@ class TestTrainToy:
             "--samples", "30", "--seed", "7", "--out", str(b),
         )
         assert code == EXIT_OK
-        assert io.read_jsonl(a)[1:] == io.read_jsonl(b)[1:]
+        records_a, records_b = (parse_json(p.read_text(), lines=True) for p in (a, b))
+        assert records_a[1:] == records_b[1:]
 
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -622,7 +665,7 @@ class TestTrainToy:
             "train-toy", "--config", str(conf), "--steps", "25", "--out", str(out)
         )
         assert code == EXIT_OK
-        records = io.read_jsonl(out)
+        records = parse_json(out.read_text(), lines=True)
         assert records[0]["steps"] == 25  # flag wins
         assert records[0]["d"] == 4  # file value used
 
@@ -634,7 +677,7 @@ class TestTrainToy:
             "--out", str(out),
         )
         assert code == EXIT_DIVERGED
-        records = io.read_jsonl(out)
+        records = parse_json(out.read_text(), lines=True)
         assert records[-1]["status"] == "diverged"
         assert records[-1]["failure_step"] is not None
 
@@ -646,7 +689,7 @@ class TestTrainToy:
             "train-toy", "--seed", "3", "--n", "4", "--backward", "pade", "--out", str(out)
         )
         assert code == EXIT_DIVERGED
-        status = io.read_jsonl(out)[-1]
+        status = parse_json(out.read_text(), lines=True)[-1]
         assert status["status"] == "diverged"
         assert status["failure_step"] == 151
         assert status["failure_reason"].startswith("covariance is non-finite")
@@ -660,13 +703,9 @@ class TestTrainToy:
         ids=["completed", "diverged"],
     )
     def test_every_log_line_is_strict_json(self, tmp_path, argv, code):
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         out = tmp_path / "log.jsonl"
         assert run("train-toy", *argv, "--out", str(out)) == code
-        for line in out.read_text().splitlines():
-            json.loads(line, parse_constant=reject)
+        assert parse_json(out.read_text(), lines=True)[-1]["type"] == "status"
 
     def test_topn_on_fine_grained_task(self, tmp_path):
         # discarding small eigenvalues erases the class signal; the run may
@@ -678,7 +717,7 @@ class TestTrainToy:
             "--switch-frac", "0.3", "--seed", "11", "--out", str(out),
         )
         assert code in (EXIT_OK, EXIT_DIVERGED)
-        records = io.read_jsonl(out)
+        records = parse_json(out.read_text(), lines=True)
         assert records[-1]["status"] in ("completed", "diverged")
 
 
@@ -699,7 +738,7 @@ class TestPadeDegreeOne:
             "gradcheck", "--scheme", "pade", "--degree", "1", "--d", "4", "--out", str(path)
         )
         assert code == EXIT_CHECK_FAILED
-        assert json.loads(path.read_text())["report"]["scheme"] == "eig_sqrt+pade(degree=1)"
+        assert parse_json(path.read_text())["report"]["scheme"] == "eig_sqrt+pade(degree=1)"
 
     def test_train_toy_trains_past_the_switch(self, tmp_path):
         out = tmp_path / "log.jsonl"
@@ -708,6 +747,6 @@ class TestPadeDegreeOne:
             "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
         )
         assert code == EXIT_OK
-        steps = [r for r in io.read_jsonl(out) if r["type"] == "step"]
+        steps = [r for r in parse_json(out.read_text(), lines=True) if r["type"] == "step"]
         assert len(steps) == 20
         assert steps[-1]["scheme"] == "eig_sqrt+pade(degree=1)"

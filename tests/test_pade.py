@@ -62,6 +62,13 @@ class TestFromSeries:
             pa = pade_from_series(exp_series(m + n + 1), m, n)
             assert series_match_residual(pa, exp_series(m + n + 1)) <= 1e-8
 
+    def test_integer_coefficients_solve_in_float64(self):
+        ints = pade_from_series(PowerSeries(np.arange(1, 7)), 2, 3)
+        floats = pade_from_series(PowerSeries(np.arange(1.0, 7.0)), 2, 3)
+        assert ints.p.dtype == ints.q.dtype == np.float64
+        np.testing.assert_array_equal(ints.p, floats.p)
+        np.testing.assert_array_equal(ints.q, floats.q)
+
     def test_singular_toeplitz_minimum_norm(self):
         # all-ones Toeplitz block; the min-norm solution still matches the series
         pa = pade_from_series(geometric_series(10), 5, 4)
@@ -107,6 +114,19 @@ class TestContinuedFraction:
         series = PowerSeries(np.array([1.0, 0.0, 1.0, 0.0]))
         with pytest.raises(NumericalFailureError):
             pade_from_continued_fraction(series, 1)
+
+    def test_rational_series_terminates_at_its_degree(self):
+        # 1/(1-x) is [0/1]: e_1 vanishes and the fraction stops there
+        pa = pade_from_continued_fraction(geometric_series(8), 3)
+        assert pa.degrees == (0, 1)
+        assert pa.p.tolist() == [1.0] and pa.q.tolist() == [-1.0]
+
+    def test_interior_breakdown_names_its_step(self):
+        # e_1^(1) = 0 with the column still needed for q_2
+        series = PowerSeries(np.array([0.0, 1.0, 1.0, -1.0, 1.0, 0.0]))
+        with pytest.raises(NumericalFailureError) as err:
+            pade_from_continued_fraction(series, 2)
+        assert err.value.details == {"step": "e_1^(1)"}
 
 
 class TestEvalRational:

@@ -86,7 +86,7 @@ class TestTask:
     def test_fine_grained_signal_sits_in_trailing_dims(self):
         from specgrad.training import class_scale_profiles
 
-        profiles = class_scale_profiles(8, 3, "fine_grained")
+        profiles = class_scale_profiles(8, "fine_grained")
         # leading block identical across classes; trailing dims distinguish
         assert np.ptp(profiles[:, :6], axis=0).max() == 0.0
         assert np.ptp(profiles[:, 6:], axis=0).max() > 0.0
