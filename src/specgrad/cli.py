@@ -15,6 +15,11 @@ a negative seed is invalid input.
 Three defaults follow other flags: gradcheck --n is 4·d, the --out of bounds
 and condition takes the --format suffix, and train-toy --lr-schedule drops
 tenfold at 80% of --steps.
+Every output records the command, each flag as resolved except --config and
+--out, then the values the command derives (``_record``). A flag given on
+the command line that the run will not read exits 64: another scheme's
+parameter, condition --d/--n/--count with --input, and train-toy's
+post-switch flags when --switch-frac is 1 or more.
 
 Exit codes: 0 success, 1 check failure, 2 training divergence, 3 numerical
 failure outside training (overflow of a product of valid input, an
@@ -246,22 +251,42 @@ def _parse_lr_schedule(text) -> tuple:
     return tuple(pairs)
 
 
+def _refuse_unread(args, flags, reason) -> None:
+    """Refuse the first of ``flags`` given on the command line: the run will not read it.
+
+    Config entries are exempt, since one file may serve several commands.
+    """
+    for flag in flags:
+        if flag in args.given:
+            raise InvalidInputError(f"--{flag} is not read {reason}")
+
+
 def _scheme_from_flags(name, args, also_read=()) -> BackwardScheme:
     """The scheme ``name`` selects, with its parameter flag's resolved value.
 
-    Another scheme's parameter flag, when given, is rejected unless the
-    command reads it otherwise; config entries are not, since one file may
-    serve several commands. A command without the scheme's flag (``bounds``
-    has no ``--topn``) uses the scheme's default.
+    Another scheme's parameter flag, when given, is refused unless the
+    command reads it otherwise. A command without the scheme's flag
+    (``bounds`` has no ``--topn``) uses the scheme's default.
     """
     entry = _SCHEMES[name]
-    for flag in _SCHEME_FLAGS:
-        if flag in args.given and flag not in (entry.flag, *also_read):
-            raise InvalidInputError(f"--{flag} is not read by scheme {name}")
+    unread = [f for f in _SCHEME_FLAGS if f not in (entry.flag, *also_read)]
+    _refuse_unread(args, unread, f"by scheme {name}")
     spec = SCHEME_PARAMS[entry.kind]
     if spec is None:
         return BackwardScheme(entry.kind)
     return BackwardScheme(entry.kind, getattr(args, entry.flag.replace("-", "_"), spec.default))
+
+
+def _record(args, **derived) -> dict:
+    """The command, each flag as resolved but --config and --out, then ``derived``.
+
+    A derived value of a flag replaces the flag's resolved value in place.
+    """
+    record = {"command": args.command}
+    for action in args.parser._actions:
+        if action.dest not in ("help", "config", "out"):
+            record[action.dest] = getattr(args, action.dest)
+    return {**record, **derived}
 
 
 def _write_table(path, fmt, header, rows, config) -> None:
@@ -287,16 +312,8 @@ def cmd_approx_table(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for table in tables:
         header, rows = _table_rows(table)
-        config = {
-            "command": "approx-table",
-            "kind": table.kind,
-            "degrees": ",".join(map(str, args.degrees)),
-            "ratios": ",".join(io.format_number(r) for r in args.ratios),
-            "precision": args.precision,
-            "seed": args.seed,
-        }
         path = outdir / f"approx_{table.kind}.{args.format}"
-        _write_table(path, args.format, header, rows, config)
+        _write_table(path, args.format, header, rows, _record(args, kind=table.kind))
     return EXIT_OK
 
 
@@ -313,14 +330,7 @@ def cmd_bounds(args) -> int:
         rows.append(
             [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
         )
-    config = {
-        "command": "bounds",
-        "degree": args.degree,
-        "trunc_threshold": args.trunc_threshold,
-        "precision": args.precision,
-        "seed": args.seed,
-    }
-    _write_table(out, args.format, header, rows, config)
+    _write_table(out, args.format, header, rows, _record(args))
     return EXIT_OK
 
 
@@ -336,15 +346,7 @@ def cmd_gradcheck(args) -> int:
     passed = report.passes(tol)
 
     payload = {
-        "config": {
-            "command": "gradcheck",
-            "scheme": args.scheme,
-            "d": args.d,
-            "n": n,
-            "cond": args.cond,
-            "loss": args.loss,
-            "seed": args.seed,
-        },
+        "config": _record(args, n=n),
         "report": report.to_dict(),
         "tolerance": tol,
         "passed": passed,
@@ -360,6 +362,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_condition(args) -> int:
     out = Path(f"condition.{args.format}" if args.out is None else args.out)
     if args.input:
+        _refuse_unread(args, ("d", "n", "count"), "with --input")
         blocks = io.read_feature_file(args.input)
     else:
         rng = np.random.default_rng(args.seed)
@@ -375,16 +378,10 @@ def cmd_condition(args) -> int:
         values.append(cn.value)
         flags.append(cn.ill_conditioned)
 
-    config = {
-        "command": "condition",
-        "source": args.input or "synthetic",
-        "count": len(blocks),
-        "precision": args.precision,
-        "seed": args.seed,
-        "summary_mean": float(np.mean(values)),
-        "summary_max": float(np.max(values)),
-        "ill_fraction": float(np.mean(flags)),
-    }
+    config = _record(
+        args, count=len(blocks), summary_mean=float(np.mean(values)),
+        summary_max=float(np.max(values)), ill_fraction=float(np.mean(flags)),
+    )
     header = ["index", "condition_number", "ill_conditioned"]
     rows = [[i, v, f] for i, (v, f) in enumerate(zip(values, flags))]
     _write_table(out, args.format, header, rows, config)
@@ -398,7 +395,10 @@ def cmd_train_toy(args) -> int:
     for flag, value in (("switch-frac", args.switch_frac), ("warmup-frac", args.warmup_frac)):
         if not np.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
-    task_kind = args.task.replace("-", "_")
+    switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
+    if switch_step is None:
+        after_switch = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
+        _refuse_unread(args, after_switch, "without a switch (--switch-frac >= 1)")
     lr_schedule = args.lr_schedule
     if lr_schedule is None:
         lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
@@ -411,7 +411,6 @@ def cmd_train_toy(args) -> int:
         init_condition=args.init_cond,
         init_seed=seed,
     )
-    switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
     # --iters is the run's one Newton-Schulz count: the forward's, and the
     # backward's after the switch to newton; every backward accepts it
     post_switch = _scheme_from_flags(args.backward, args, also_read=("iters",))
@@ -421,28 +420,14 @@ def cmd_train_toy(args) -> int:
         warmup_steps=int(args.warmup_frac * steps),
         lr_schedule=lr_schedule,
     )
-    task = make_toy_task(spec, args.samples, seed=seed + 1, kind=task_kind)
+    task = make_toy_task(spec, args.samples, seed=seed + 1, kind=args.task.replace("-", "_"))
     stream = batch_stream(task, args.batch, steps, seed=seed + 2)
     log = run_hybrid_training(spec, schedule, stream)
 
-    config = {
-        "type": "config",
-        "command": "train-toy",
-        "steps": steps,
-        "d": args.d,
-        "n": args.n,
-        "batch": args.batch,
-        "samples": args.samples,
-        "task": task_kind,
-        "backward": args.backward,
-        "switch_step": switch_step,
-        "warmup_steps": schedule.warmup_steps,
-        "lr_schedule": [list(p) for p in lr_schedule],
-        "init_cond": args.init_cond,
-        "iters": args.iters,
-        "seed": seed,
-    }
-    records = [config]
+    config = _record(
+        args, lr_schedule=lr_schedule, switch_step=switch_step, warmup_steps=schedule.warmup_steps
+    )
+    records = [{"type": "config", **config}]
     records += [{"type": "step", **r.to_dict()} for r in log.records]
     records.append(
         {

@@ -45,10 +45,13 @@ def format_number(x) -> str:
 
 
 def format_cell(x) -> str:
+    """A CSV cell: None empty, a string as is, a tuple or list comma-joined."""
     if x is None:
         return ""
     if isinstance(x, str):
         return x
+    if isinstance(x, (tuple, list)):
+        return ",".join(format_cell(v) for v in x)
     return format_number(x)
 
 

@@ -32,7 +32,7 @@ from .newton_schulz import (
     ns_forward,
     ns_gradient_of_x,
 )
-from .schemes import BackwardScheme, grad_covariance, k_matrix
+from .schemes import BackwardScheme, KMatrix, grad_covariance, k_matrix
 
 EIG_SQRT = "eig_sqrt"
 NEWTON_SCHULZ = "newton_schulz"
@@ -123,23 +123,22 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, list]:
+def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, KMatrix | None]:
     """Gradient w.r.t. the features, letting non-finite values flow through.
 
-    Returns the d x N gradient and the list of non-finite K-matrix entries
-    (empty for the Newton-Schulz backward, which has no K matrix).
+    Returns the d x N gradient and the K matrix it was built with (None for
+    the Newton-Schulz backward, which has no K matrix).
     """
-    bad_entries: list = []
+    k = None
     if cache.ns_trace is not None:
         grad_p = ns_backward(cache.ns_trace, grad_q)
     else:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             k = k_matrix(cache.eig, cache.config.backward)
             grad_p = grad_covariance(grad_q, cache.eig, k)
-        bad_entries = k.nonfinite_entries()
     with np.errstate(invalid="ignore", over="ignore"):
         grad_x = ns_gradient_of_x(grad_p, cache.x)
-    return grad_x, bad_entries
+    return grad_x, k
 
 
 def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
@@ -153,12 +152,12 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     d = cache.p.d
     if grad_q.shape != (d, d):
         raise InvalidInputError(f"grad shape {grad_q.shape} does not match d={d}")
-    grad_x, bad_entries = _backward_raw(cache, grad_q)
+    grad_x, k = _backward_raw(cache, grad_q)
     if not np.all(np.isfinite(grad_x)):
         raise NumericalFailureError(
             f"non-finite gradient under scheme {cache.config.backward.label}",
             scheme=cache.config.backward.label,
-            k_entries=bad_entries,
+            k_entries=[] if k is None else k.nonfinite_entries(),
         )
     return grad_x
 

@@ -302,12 +302,17 @@ class TestResolution:
         ("train-toy", "--config", "seed.conf"),
         ("approx-table", "--config", "seed.conf"),
         ("SPECGRAD_SEED=-1", "condition"),
+        # so is a given flag the run will not read; with --input the file is
+        # never opened (a missing one would exit 74)
+        ("condition", "--input", "missing.gcpf", "--count", "7"),
+        ("train-toy", "--switch-frac", "1.0", "--warmup-frac", "0.5"),
     ],
     ids=[
         "batch-0", "samples-0", "steps-0", "count-0", "empty-input", "degrees-negative",
         "degrees-0", "degrees-empty", "ratios-empty", "switch-frac-nan", "warmup-frac-inf",
         "init-cond-nan", "lr-nan", "lr-inf", "seed-flag", "seed-flag-bounds",
-        "seed-config", "seed-config-approx-table", "seed-env",
+        "seed-config", "seed-config-approx-table", "seed-env", "input-count",
+        "no-switch-warmup",
     ],
 )
 def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv):
@@ -521,6 +526,96 @@ class TestSchemeFlags:
         )
         assert code == EXIT_OK
         assert parse_json(path.read_text())["report"]["scheme"] == "eig_sqrt+ordinary"
+
+
+class TestUnreadFlags:
+    """A given flag the run will not read exits 64 before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("condition", "--input", "missing.gcpf", "--d", "16", "--n", "99", "--count", "7"),
+             "--d is not read with --input"),
+            (("condition", "--input", "missing.gcpf", "--n", "99"),
+             "--n is not read with --input"),
+            (("train-toy", "--switch-frac", "1.0", "--backward", "taylor", "--degree", "7",
+              "--warmup-frac", "0.5"),
+             "--backward is not read without a switch (--switch-frac >= 1)"),
+            (("train-toy", "--switch-frac", "2", "--topn", "2"),
+             "--topn is not read without a switch (--switch-frac >= 1)"),
+            (("train-toy", "--switch-frac", "1.0", "--trunc-threshold", "5"),
+             "--trunc-threshold is not read without a switch (--switch-frac >= 1)"),
+        ],
+        ids=["input-d", "input-n", "no-switch-backward", "no-switch-topn", "no-switch-trunc"],
+    )
+    def test_message_names_the_flag_and_why(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err == f"specgrad: invalid input: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_iters_sets_the_forward_without_a_switch(self, tmp_path):
+        out = tmp_path / "log.jsonl"
+        code = run(
+            "train-toy", "--switch-frac", "1.0", "--iters", "7", "--steps", "10",
+            "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        steps = [r for r in parse_json(out.read_text(), lines=True) if r["type"] == "step"]
+        assert steps[-1]["scheme"] == "newton_schulz(7)"
+
+    def test_config_entries_are_exempt(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("backward=taylor\ndegree=7\nwarmup-frac=0.5\nd=16\n")
+        out = tmp_path / "log.jsonl"
+        code = run(
+            "train-toy", "--config", str(conf), "--switch-frac", "1.0", "--steps", "5",
+            "--d", "4", "--n", "16", "--samples", "20", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        feat = tmp_path / "f.gcpf"
+        io.write_feature_file(feat, [np.random.default_rng(0).normal(size=(3, 9))])
+        argv = ("condition", "--input", str(feat), "--config", str(conf))
+        assert run(*argv, "--out", str(tmp_path / "c.csv")) == EXIT_OK
+
+
+def _record_of(command, tmp_path, *argv):
+    """The config record ``command`` writes when run at a small size."""
+    if command == "approx-table":
+        argv = ("--kind", "taylor", "--degrees", "5", "--ratios", "0.5", "--format", "json",
+                "--out", str(tmp_path), *argv)
+        assert run(command, *argv) == EXIT_OK
+        return parse_json((tmp_path / "approx_taylor.json").read_text())["config"]
+    small = {
+        "bounds": ("--format", "json"),
+        "gradcheck": ("--d", "2", "--n", "4"),
+        "condition": ("--d", "4", "--n", "8", "--count", "2", "--format", "json"),
+        "train-toy": ("--steps", "10", "--d", "4", "--n", "16", "--samples", "20"),
+    }[command]
+    out = tmp_path / "out.json"
+    assert run(command, *small, "--out", str(out), *argv) == EXIT_OK
+    if command == "train-toy":
+        return parse_json(out.read_text(), lines=True)[0]
+    return parse_json(out.read_text())["config"]
+
+
+class TestRecord:
+    """Each output's record is every resolved flag but --config and --out."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_holds_every_flag(self, tmp_path, command):
+        record = _record_of(command, tmp_path)
+        dests = [a.dest for a in _flags(command) if a.dest != "out"]
+        assert record["command"] == command
+        assert [k for k in record if k in dests] == dests
+        assert "config" not in record and "out" not in record
+
+    def test_condition_records_its_size(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        small = _record_of("condition", tmp_path / "a", "--d", "8")
+        large = _record_of("condition", tmp_path / "b", "--d", "16")
+        assert (small["d"], large["d"]) == (8, 16)
 
 
 class TestCondition:

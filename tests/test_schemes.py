@@ -28,6 +28,7 @@ from specgrad.schemes import (
     pi_gradient,
     power_iteration,
 )
+from specgrad.synth import spectrum_for_condition
 
 from conftest import random_spd
 
@@ -285,6 +286,74 @@ class TestGradCovariance:
         for a in grads:
             for b in grads:
                 assert np.abs(grads[a] - grads[b]).max() / scale <= 1e-8
+
+
+def daleckii_krein(lam, u, g):
+    """dl/dP for Q = P^(1/2) and G = dl/dQ, the solution X of QX + XQ = sym(G):
+
+    X = U ((U^T sym(G) U) / (sqrt(lambda_i) + sqrt(lambda_j))) U^T.
+    """
+    root = np.sqrt(lam)
+    inner = u.T @ ((g + g.T) / 2) @ u
+    return u @ (inner / (root[:, None] + root[None, :])) @ u.T
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestDaleckiiKrein:
+    """The adjoint of the square root in closed form, an oracle for each K scheme.
+
+    Spectra at condition 10 over 20 seeds: neighbouring ratios are
+    10^(-1/(d-1)), 0.72 at d = 8 and 0.86 at d = 16.
+    """
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def case(d, seed):
+        rng = np.random.default_rng(seed)
+        lam = spectrum_for_condition(d, 10)
+        u = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        g = rng.normal(size=(d, d))
+        return EigenDecomposition(lam, u), g, daleckii_krein(lam, u, g)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matches_kronecker_solve(self, d):
+        # (I kron Q + Q kron I) vec X = vec sym(G)
+        for seed in self.SEEDS:
+            e, g, x = self.case(d, seed)
+            q = e.eigenvectors @ np.diag(np.sqrt(e.eigenvalues)) @ e.eigenvectors.T
+            lyapunov = np.kron(np.eye(d), q) + np.kron(q, np.eye(d))
+            vec = np.linalg.solve(lyapunov, ((g + g.T) / 2).reshape(-1))
+            assert rel_diff(vec.reshape(d, d), x) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "scheme,dims,tol",
+        [
+            (BackwardScheme.ordinary(), (2, 4, 8, 16), 1e-13),
+            (BackwardScheme.trunc(), (2, 4, 8, 16), 1e-13),
+            (BackwardScheme.pade(100), (2, 4, 8, 16), 1e-13),
+            # the series' remainder ratio^101 is roundoff only up to ratio 0.72
+            (BackwardScheme.taylor(100), (2, 4, 8), 1e-12),
+        ],
+        ids=["ordinary", "trunc", "pade", "taylor"],
+    )
+    def test_unbiased_schemes_match(self, scheme, dims, tol):
+        for d in dims:
+            for seed in self.SEEDS:
+                e, g, x = self.case(d, seed)
+                grad_p = grad_covariance(g, e, k_matrix(e, scheme))
+                assert rel_diff((grad_p + grad_p.T) / 2, x) <= tol
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_topn_is_biased(self, d):
+        # dropping the smallest eigenvalue changes the gradient
+        for seed in self.SEEDS:
+            e, g, x = self.case(d, seed)
+            grad_p = grad_covariance(g, e, k_matrix(e, BackwardScheme.topn(d - 1)))
+            assert rel_diff((grad_p + grad_p.T) / 2, x) > 1e-4
 
 
 class TestPowerIteration:
