@@ -60,7 +60,6 @@ from .schemes import (
     PowerIterationTrace,
     beta_smoothness,
     grad_covariance,
-    grad_eigvec_eigval,
     gradient_upper_bound,
     k_matrix,
     pi_gradient,

@@ -378,8 +378,9 @@ def cmd_condition(args) -> int:
         values.append(cn.value)
         flags.append(cn.ill_conditioned)
 
+    d, n = blocks[0].shape
     config = _record(
-        args, count=len(blocks), summary_mean=float(np.mean(values)),
+        args, d=d, n=n, count=len(blocks), summary_mean=float(np.mean(values)),
         summary_max=float(np.max(values)), ill_fraction=float(np.mean(flags)),
     )
     header = ["index", "condition_number", "ill_conditioned"]
@@ -396,9 +397,10 @@ def cmd_train_toy(args) -> int:
         if not np.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
     switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
+    unread = ()
     if switch_step is None:
-        after_switch = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
-        _refuse_unread(args, after_switch, "without a switch (--switch-frac >= 1)")
+        unread = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
+        _refuse_unread(args, unread, "without a switch (--switch-frac >= 1)")
     lr_schedule = args.lr_schedule
     if lr_schedule is None:
         lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
@@ -424,8 +426,11 @@ def cmd_train_toy(args) -> int:
     stream = batch_stream(task, args.batch, steps, seed=seed + 2)
     log = run_hybrid_training(spec, schedule, stream)
 
+    # a run without a switch records null for what it never reads
     config = _record(
-        args, lr_schedule=lr_schedule, switch_step=switch_step, warmup_steps=schedule.warmup_steps
+        args, **dict.fromkeys(flag.replace("-", "_") for flag in unread),
+        lr_schedule=lr_schedule, switch_step=switch_step,
+        warmup_steps=None if switch_step is None else schedule.warmup_steps,
     )
     records = [{"type": "config", **config}]
     records += [{"type": "step", **r.to_dict()} for r in log.records]

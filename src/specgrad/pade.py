@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import float_info
+from .core import _as_readonly, float_info
 from .errors import InvalidInputError, NumericalFailureError, PoleError
 
 _POLE_FLOOR = 1e-300
@@ -39,9 +39,7 @@ class PowerSeries:
             raise InvalidInputError("a power series needs at least one coefficient")
         if not np.all(np.isfinite(c)):
             raise InvalidInputError("power series coefficients must be finite")
-        c = np.array(c, copy=True)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _as_readonly(c))
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,8 @@ class PadeApproximant:
         q = np.atleast_1d(np.asarray(self.q)) if np.asarray(self.q).size else np.zeros(0)
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise InvalidInputError("non-finite approximant coefficients")
-        p = np.array(p, copy=True)
-        q = np.array(q, copy=True)
-        p.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", _as_readonly(p))
+        object.__setattr__(self, "q", _as_readonly(q))
 
     @property
     def degrees(self) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenDecomposition, SymPsdMatrix, _trusted, float_info
+from .core import EigenDecomposition, SymPsdMatrix, _as_readonly, _trusted, float_info
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -139,37 +139,11 @@ class KMatrix:
         scale = max(np.abs(k[np.isfinite(k)]).max(initial=0.0), 1.0)
         if skew.size and skew.max() > 1e-12 * scale:
             raise InvalidInputError("K matrix is not antisymmetric")
-        k = np.array(k, copy=True)
-        k.flags.writeable = False
-        object.__setattr__(self, "data", k)
+        object.__setattr__(self, "data", _as_readonly(k))
 
     def nonfinite_entries(self) -> list[tuple[int, int]]:
         bad = np.argwhere(~np.isfinite(self.data))
         return [tuple(map(int, ij)) for ij in bad]
-
-
-def grad_eigvec_eigval(
-    grad_q: np.ndarray, e: EigenDecomposition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients w.r.t. the eigenvectors and eigenvalues of the square root.
-
-    dl/dU = (dl/dQ + dl/dQ^T) U F with F = diag(sqrt(lambda)), and
-    dl/dlambda_i = (1/2) lambda_i^(-1/2) (U^T dl/dQ U)_ii.
-    """
-    grad_q = np.asarray(grad_q, dtype=np.float64)
-    d = e.d
-    if grad_q.shape != (d, d):
-        raise InvalidInputError(f"grad shape {grad_q.shape} does not match d={d}")
-    if not np.all(np.isfinite(grad_q)):
-        raise InvalidInputError("non-finite gradient input")
-    lam = e.eigenvalues
-    if np.any(lam <= 0):
-        raise DomainError("non-positive eigenvalue; clamp before the backward pass")
-    u = e.eigenvectors
-    sqrt_lam = np.sqrt(lam)
-    grad_u = (grad_q + grad_q.T) @ (u * sqrt_lam)
-    grad_lam = 0.5 / sqrt_lam * np.einsum("ki,kl,li->i", u, grad_q, u)
-    return grad_u, grad_lam
 
 
 def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
@@ -223,14 +197,38 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
 
 
 def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np.ndarray:
-    """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``:
+    """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``.
 
-    dl/dP = U ((K^T o (U^T dl/dU)) + diag(dl/dlambda)) U^T.
+    The matrix-backpropagation rule (Ionescu et al., ICCV 2015) for
+    Q = U F U^T with F = diag(sqrt(lambda)) is
+
+        dl/dP = U ((K^T o (U^T dl/dU)) + diag(dl/dlambda)) U^T,
+
+    with dl/dU = (G + G^T) U F and dl/dlambda_i = (U^T G U)_ii / (2 sqrt(lambda_i))
+    for G = dl/dQ. Both project G into the eigenbasis, so it is projected once:
+    with S = U^T (G + G^T) U, U^T dl/dU = S F and dl/dlambda_i = S_ii / (4
+    sqrt(lambda_i)), giving
+
+        dl/dP = U ((K^T o (S F)) + diag(S_ii / (4 sqrt(lambda_i)))) U^T,
+
+    four d x d matrix products.
     """
-    grad_u, grad_lam = grad_eigvec_eigval(grad_q, e)
+    grad_q = np.asarray(grad_q, dtype=np.float64)
+    d = e.d
+    if grad_q.shape != (d, d):
+        raise InvalidInputError(f"grad shape {grad_q.shape} does not match d={d}")
+    if not np.all(np.isfinite(grad_q)):
+        raise InvalidInputError("non-finite gradient input")
+    if k.data.shape != (d, d):
+        raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={d}")
+    lam = e.eigenvalues
+    if np.any(lam <= 0):
+        raise DomainError("non-positive eigenvalue; clamp before the backward pass")
     u = e.eigenvectors
-    inner = k.data.T * (u.T @ grad_u)
-    inner = inner + np.diag(grad_lam)
+    sqrt_lam = np.sqrt(lam)
+    s = u.T @ (grad_q + grad_q.T) @ u
+    inner = k.data.T * (s * sqrt_lam)
+    inner[np.diag_indices(d)] += np.diag(s) / (4.0 * sqrt_lam)
     return u @ inner @ u.T
 
 

@@ -617,6 +617,23 @@ class TestRecord:
         large = _record_of("condition", tmp_path / "b", "--d", "16")
         assert (small["d"], large["d"]) == (8, 16)
 
+    def test_condition_input_records_the_file_shape(self, tmp_path):
+        feat = tmp_path / "f.gcpf"
+        io.write_feature_file(feat, [np.random.default_rng(0).normal(size=(4, 20))])
+        out = tmp_path / "c.json"
+        argv = ("condition", "--input", str(feat), "--format", "json", "--out", str(out))
+        assert run(*argv) == EXIT_OK
+        record = parse_json(out.read_text())["config"]
+        assert (record["d"], record["n"], record["count"]) == (4, 20, 1)
+
+    def test_train_toy_without_a_switch_records_null_for_what_it_never_reads(self, tmp_path):
+        record = _record_of("train-toy", tmp_path, "--switch-frac", "1.0")
+        unread = ("backward", "topn", "degree", "trunc_threshold", "warmup_frac", "warmup_steps")
+        assert {key: record[key] for key in unread} == dict.fromkeys(unread)
+        assert record["switch_step"] is None
+        assert record["iters"] == 5
+        assert record["lr_schedule"] == [[0, 0.08], [8, 0.008]]
+
 
 class TestCondition:
     def test_feature_file_input(self, tmp_path):

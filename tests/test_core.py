@@ -19,8 +19,37 @@ from specgrad.core import (
     matrix_power,
 )
 from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
+from specgrad.pade import PadeApproximant, PowerSeries
+from specgrad.schemes import KMatrix
 
 from conftest import random_spd
+
+
+@pytest.mark.parametrize(
+    "cls,inputs",
+    [
+        (FeatureMatrix, ([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]],)),
+        (SymPsdMatrix, ([[2.0, 1.0], [1.0, 2.0]],)),
+        (EigenDecomposition, ([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])),
+        (KMatrix, ([[0.0, 1.0], [-1.0, 0.0]],)),
+        (PowerSeries, ([1.0, 1.0, 1.0],)),
+        (PadeApproximant, ([1.0, 0.5], [0.5])),
+    ],
+    ids=["FeatureMatrix", "SymPsdMatrix", "EigenDecomposition", "KMatrix", "PowerSeries",
+         "PadeApproximant"],
+)
+def test_value_objects_hold_read_only_copies(cls, inputs):
+    inputs = [np.array(a) for a in inputs]
+    obj = cls(*inputs)
+    fields = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    assert len(fields) == len(inputs)
+    snapshot = {k: v.copy() for k, v in fields.items()}
+    for name, value in fields.items():
+        assert not value.flags.writeable, name
+    for a in inputs:
+        a += 1.0
+    for name, value in fields.items():
+        np.testing.assert_array_equal(value, snapshot[name], err_msg=name)
 
 
 class TestTypes:

@@ -22,7 +22,6 @@ from specgrad.schemes import (
     BackwardScheme,
     beta_smoothness,
     grad_covariance,
-    grad_eigvec_eigval,
     gradient_upper_bound,
     k_matrix,
     pi_gradient,
@@ -105,24 +104,6 @@ class TestSchemeConfig:
     )
     def test_labels(self, scheme, label):
         assert scheme.label == label
-
-
-class TestGradEigvecEigval:
-    def test_zero_gradient(self, rng):
-        e = eigh(random_spd(4, rng))
-        gu, gl = grad_eigvec_eigval(np.zeros((4, 4)), e)
-        assert np.abs(gu).max() == 0.0 and np.abs(gl).max() == 0.0
-
-    def test_trace_loss_diagonal_case(self):
-        # l = tr(Q) with P = diag(4, 1): dl/dlambda = 1/(2 sqrt(lambda))
-        e = eig_of([4.0, 1.0])
-        _, gl = grad_eigvec_eigval(np.eye(2), e)
-        np.testing.assert_allclose(gl, [0.25, 0.5])
-
-    def test_nonpositive_eigenvalue_rejected(self):
-        e = eig_of([1.0, 0.0])
-        with pytest.raises(DomainError):
-            grad_eigvec_eigval(np.eye(2), e)
 
 
 class TestKMatrix:
@@ -257,6 +238,32 @@ class TestGradCovariance:
         out = grad_covariance(np.zeros((3, 3)), e, k_matrix(e, BackwardScheme.ordinary()))
         assert np.abs(out).max() == 0.0
 
+    def test_trace_loss_diagonal_case(self):
+        # l = tr(Q) with P = diag(4, 1): dl/dP = diag(1/(2 sqrt(lambda)))
+        e = eig_of([4.0, 1.0])
+        out = grad_covariance(np.eye(2), e, k_matrix(e, BackwardScheme.ordinary()))
+        np.testing.assert_allclose(out, np.diag([0.25, 0.5]))
+
+    def test_nonpositive_eigenvalue_rejected(self):
+        e = eig_of([1.0, 0.0])
+        with pytest.raises(DomainError):
+            grad_covariance(np.eye(2), e, k_matrix(e, BackwardScheme.ordinary()))
+
+    @pytest.mark.parametrize(
+        "grad_q,k_lam",
+        [
+            (np.eye(3), [2.0, 1.0]),
+            (np.eye(2), [3.0, 2.0, 1.0]),
+            (np.diag([1.0, 1.0, np.nan]), [3.0, 2.0, 1.0]),
+        ],
+        ids=["k-size", "grad-shape", "grad-nonfinite"],
+    )
+    def test_malformed_input_rejected(self, grad_q, k_lam):
+        e = eig_of([3.0, 2.0, 1.0])
+        k = k_matrix(eig_of(k_lam), BackwardScheme.ordinary())
+        with pytest.raises(InvalidInputError):
+            grad_covariance(grad_q, e, k)
+
     def test_ordinary_matches_finite_differences(self, rng):
         x_arr = rng.normal(size=(3, 12))
         w = rng.normal(size=(3, 3))
@@ -306,7 +313,7 @@ class TestDaleckiiKrein:
     """The adjoint of the square root in closed form, an oracle for each K scheme.
 
     Spectra at condition 10 over 20 seeds: neighbouring ratios are
-    10^(-1/(d-1)), 0.72 at d = 8 and 0.86 at d = 16.
+    10^(-1/(d-1)), 0.72 at d = 8, 0.86 at d = 16 and 0.98 at d = 128.
     """
 
     SEEDS = range(20)
@@ -335,10 +342,14 @@ class TestDaleckiiKrein:
             (BackwardScheme.ordinary(), (2, 4, 8, 16), 1e-13),
             (BackwardScheme.trunc(), (2, 4, 8, 16), 1e-13),
             (BackwardScheme.pade(100), (2, 4, 8, 16), 1e-13),
+            # the pooling widths, against the closed form only
+            (BackwardScheme.ordinary(), (32, 64, 128), 1e-12),
+            (BackwardScheme.trunc(), (32, 64, 128), 1e-12),
+            (BackwardScheme.pade(100), (32, 64, 128), 1e-12),
             # the series' remainder ratio^101 is roundoff only up to ratio 0.72
             (BackwardScheme.taylor(100), (2, 4, 8), 1e-12),
         ],
-        ids=["ordinary", "trunc", "pade", "taylor"],
+        ids=["ordinary", "trunc", "pade", "ordinary-wide", "trunc-wide", "pade-wide", "taylor"],
     )
     def test_unbiased_schemes_match(self, scheme, dims, tol):
         for d in dims:
