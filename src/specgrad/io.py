@@ -149,13 +149,8 @@ def read_feature_file(path) -> list:
         raise InvalidInputError(
             f"{path}: expected {expected} bytes for {count} blocks of {d}x{n}, got {len(raw)}"
         )
-    out = []
-    offset = _FEATURE_HEADER.size
-    for _ in range(count):
-        block = np.frombuffer(raw, dtype="<f8", count=d * n, offset=offset)
-        out.append(block.reshape(d, n).copy())
-        offset += 8 * d * n
-    return out
+    blocks = np.frombuffer(raw, dtype="<f8", offset=_FEATURE_HEADER.size)
+    return [block.copy() for block in blocks.reshape(count, d, n)]
 
 
 def read_config_file(path) -> dict:

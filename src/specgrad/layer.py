@@ -87,18 +87,16 @@ class GcpCache:
 def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, GcpCache]:
     """Covariance, then the configured square root; returns Q and the cache."""
     p = covariance(x)
-    if cfg.forward == NEWTON_SCHULZ:
-        q, trace = ns_forward(p, cfg.backward.param)
-        return q, GcpCache(x=x, p=p, config=cfg, ns_trace=trace)
-
-    e_raw = eigh(p)
-    e = clamp_eigenvalues(e_raw)
-    clamped = count_clamped(e_raw)
-    q = matrix_power(e, 0.5)
-    trace = None
+    e = trace = None
+    clamped = 0
     if cfg.backward.kind == "newton_schulz":
-        # exact forward, iterative backward: the gradient replays a fresh trace
-        _, trace = ns_forward(p, cfg.backward.param)
+        q, trace = ns_forward(p, cfg.backward.param)
+    if cfg.forward == EIG_SQRT:
+        # an exact root replaces the NS one; an NS backward still reverses the trace
+        e_raw = eigh(p)
+        e = clamp_eigenvalues(e_raw)
+        clamped = count_clamped(e_raw)
+        q = matrix_power(e, 0.5)
     return q, GcpCache(
         x=x, p=p, config=cfg, eig=e, ns_trace=trace, clamped_count=clamped
     )
@@ -130,13 +128,12 @@ def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, KMat
     the Newton-Schulz backward, which has no K matrix).
     """
     k = None
-    if cache.ns_trace is not None:
-        grad_p = ns_backward(cache.ns_trace, grad_q)
-    else:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if cache.ns_trace is not None:
+            grad_p = ns_backward(cache.ns_trace, grad_q)
+        else:
             k = k_matrix(cache.eig, cache.config.backward)
             grad_p = grad_covariance(grad_q, cache.eig, k)
-    with np.errstate(invalid="ignore", over="ignore"):
         grad_x = ns_gradient_of_x(grad_p, cache.x)
     return grad_x, k
 
@@ -145,13 +142,11 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features.
 
     Raises:
+        InvalidInputError: ``grad_q`` is not d x d or holds a non-finite
+            entry; the backward function it is passed to checks it.
         NumericalFailureError: the gradient contains non-finite values; the
             error names the scheme and the offending K-matrix entries.
     """
-    grad_q = np.asarray(grad_q, dtype=np.float64)
-    d = cache.p.d
-    if grad_q.shape != (d, d):
-        raise InvalidInputError(f"grad shape {grad_q.shape} does not match d={d}")
     grad_x, k = _backward_raw(cache, grad_q)
     if not np.all(np.isfinite(grad_x)):
         raise NumericalFailureError(

@@ -137,6 +137,8 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"gradient shape {grad_q.shape} does not match trace dimension {d}"
         )
+    if not np.all(np.isfinite(grad_q)):
+        raise InvalidInputError("non-finite gradient input")
     tr_p = trace.trace_p
     sqrt_tr = np.sqrt(tr_p)
     eye3 = 3.0 * np.eye(d)

@@ -256,6 +256,8 @@ def power_iteration(p: SymPsdMatrix, k_iters: int, v0: np.ndarray) -> PowerItera
     v0 = np.asarray(v0, dtype=np.float64)
     if v0.shape != (p.d,):
         raise InvalidInputError(f"v0 shape {v0.shape} does not match d={p.d}")
+    if not np.all(np.isfinite(v0)):
+        raise InvalidInputError("non-finite start vector input")
     norm0 = np.linalg.norm(v0)
     if norm0 == 0.0:
         raise DegenerateInputError("power iteration needs a nonzero start vector")
@@ -282,6 +284,8 @@ def pi_gradient(trace: PowerIterationTrace, grad_u: np.ndarray) -> np.ndarray:
     d = trace.us.shape[1]
     if grad_u.shape != (d,):
         raise InvalidInputError(f"grad shape {grad_u.shape} does not match d={d}")
+    if not np.all(np.isfinite(grad_u)):
+        raise InvalidInputError("non-finite gradient input")
     total = np.zeros((d, d))
     g = grad_u
     for k in range(trace.k_iters - 1, -1, -1):

@@ -18,8 +18,8 @@ def spectrum_for_condition(d: int, cond: float) -> np.ndarray:
     """
     if d < 2:
         raise InvalidInputError("need d >= 2 for a spectrum")
-    if cond < 1.0:
-        raise InvalidInputError(f"condition target must be >= 1, got {cond}")
+    if not 1.0 <= cond < np.inf:
+        raise InvalidInputError(f"condition target must be finite and >= 1, got {cond}")
     lam = cond ** (-np.arange(d) / (d - 1))
     if 1.0 / cond < EPS_DOUBLE:
         lam[-2:] = 1.0 / cond

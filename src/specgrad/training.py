@@ -35,6 +35,7 @@ from .layer import (
     grad_from_upper_triangle,
     upper_triangle_vector,
 )
+from .newton_schulz import DEFAULT_ITERATIONS
 from .schemes import BackwardScheme
 
 MOMENTUM = 0.9
@@ -85,10 +86,7 @@ class HybridSchedule:
         return lr
 
     def effective_lr(self, step: int) -> float:
-        if (
-            self.switch_step is not None
-            and self.switch_step <= step < self.switch_step + self.warmup_steps
-        ):
+        if self.switched(step) and step < self.switch_step + self.warmup_steps:
             return self.base_lr(self.switch_step)
         return self.base_lr(step)
 
@@ -111,7 +109,7 @@ class ToyModelSpec:
     d: int = 8
     raw_dim: int = 8
     n_cols: int = 32
-    forward_iterations: int = 5
+    forward_iterations: int = DEFAULT_ITERATIONS
     init_condition: float = 1e4
     init_seed: int = 0
 
@@ -310,26 +308,19 @@ def run_hybrid_training(
     """
     model = ToyModel.initialize(model_spec)
     ns_cfg = GcpLayerConfig.newton_schulz(model_spec.forward_iterations)
-    velocity = {
-        "w1": np.zeros_like(model.w1),
-        "w2": np.zeros_like(model.w2),
-        "b2": np.zeros_like(model.b2),
-    }
+    eig_cfg = GcpLayerConfig.eig(schedule.post_switch_scheme)
+    params = (model.w1, model.w2, model.b2)
+    velocity = [np.zeros_like(param) for param in params]
     records: list = []
     for step, (rb, yb) in enumerate(data_stream):
-        if schedule.switched(step):
-            cfg = GcpLayerConfig.eig(schedule.post_switch_scheme)
-        else:
-            cfg = ns_cfg
+        cfg = eig_cfg if schedule.switched(step) else ns_cfg
         lr = schedule.effective_lr(step)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, acc, mean_cond, (dw1, dw2, db2) = _batch_pass(model, cfg, rb, yb)
+                loss, acc, mean_cond, grads = _batch_pass(model, cfg, rb, yb)
         except NumericalFailureError as err:
             return TrainingLog(records, "diverged", step, str(err), model)
-        grads_finite = all(
-            np.all(np.isfinite(g)) for g in (dw1, dw2, db2)
-        ) and np.isfinite(loss)
+        grads_finite = all(np.all(np.isfinite(g)) for g in grads) and np.isfinite(loss)
         records.append(
             StepRecord(step, loss, acc, mean_cond, cfg.label, lr)
         )
@@ -337,13 +328,11 @@ def run_hybrid_training(
             return TrainingLog(
                 records, "diverged", step, "non-finite loss or gradient", model
             )
-        for name, grad, param in (
-            ("w1", dw1, model.w1),
-            ("w2", dw2, model.w2),
-            ("b2", db2, model.b2),
-        ):
-            velocity[name] = MOMENTUM * velocity[name] - lr * grad
-            param += velocity[name]
+        for param, v, grad in zip(params, velocity, grads):
+            # in place, rounding exactly as MOMENTUM * v - lr * grad
+            v *= MOMENTUM
+            v -= lr * grad
+            param += v
     return TrainingLog(records, "completed", final_model=model)
 
 

@@ -414,6 +414,14 @@ class TestGradCheck:
         report = parse_json(path.read_text())["report"]
         assert report["max_rel_error"] == report["mean_rel_error"] == "nan"
 
+    @pytest.mark.parametrize("cond", ["nan", "inf"])
+    def test_nonfinite_condition_target_named(self, capsys, cond):
+        assert run("gradcheck", "--cond", cond) == EXIT_BAD_FLAGS
+        err = capsys.readouterr().err
+        assert err == (
+            f"specgrad: invalid input: condition target must be finite and >= 1, got {cond}\n"
+        )
+
     def test_pade_pole_is_one_line_with_exit_3(self, capsys):
         code = run("gradcheck", "--scheme", "pade", "--degree", "3", "--cond", "1e20")
         assert code == EXIT_NUMERICAL_FAILURE

@@ -86,6 +86,15 @@ class TestForward:
         assert cache.eig is not None and cache.ns_trace is not None
         assert cache.ns_trace.iterations == 10
 
+    def test_mixed_pairing_returns_the_exact_root(self, rng):
+        # exact forward, NS backward: Q is the eigendecomposition's root, and
+        # the NS trace is kept only for the backward
+        x = random_features(4, 16, rng)
+        q, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.newton_schulz(10)))
+        q_exact, _ = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
+        assert np.array_equal(q.data, q_exact.data)
+        assert cache.ns_trace.iterations == 10
+
 
 class TestUpperTriangle:
     def test_roundtrip(self, rng):
@@ -130,6 +139,17 @@ class TestBackward:
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(tied, np.ones((3, 3)))
         assert err.value.details["k_entries"]
+
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    @pytest.mark.parametrize("cfg", all_legal_configs(4), ids=lambda cfg: cfg.label)
+    def test_malformed_grad_q_rejected(self, cfg, bad):
+        # the backward each pairing calls checks grad_q; gcp_backward relies on it
+        _, cache = gcp_forward(random_features(4, 16, np.random.default_rng(0)), cfg)
+        grad_q = np.ones((3, 3)) if bad == "shape" else np.ones((4, 4))
+        if bad == "nan":
+            grad_q[1, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            gcp_backward(cache, grad_q)
 
 
 class TestGradCheck:

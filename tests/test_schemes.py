@@ -397,12 +397,21 @@ class TestPowerIteration:
         with pytest.raises(DegenerateInputError):
             power_iteration(p, 3, np.array([0.0, 1.0]))
 
+    def test_nonfinite_start_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-finite start vector input"):
+            power_iteration(SymPsdMatrix(np.eye(3)), 3, np.array([1.0, np.nan, 0.0]))
+
 
 class TestPiGradient:
     def test_zero_gradient(self, rng):
         p = random_spd(3, rng)
         trace = power_iteration(p, 10, rng.normal(size=3))
         assert np.abs(pi_gradient(trace, np.zeros(3))).max() == 0.0
+
+    def test_nonfinite_gradient_rejected(self, rng):
+        trace = power_iteration(random_spd(3, rng), 10, rng.normal(size=3))
+        with pytest.raises(InvalidInputError, match="non-finite gradient input"):
+            pi_gradient(trace, np.array([np.nan, 1.0, 1.0]))
 
     def test_parallel_component_annihilated(self, rng):
         p = random_spd(3, rng)
