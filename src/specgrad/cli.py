@@ -9,17 +9,17 @@ Subcommands:
 
 Each flag's type, choices and default are declared once, in ``build_parser``.
 A flag not given takes its --config entry, held to the flag's own type and
-choices, else its declared default; --seed then falls back to the
-SPECGRAD_SEED environment variable, then 0, and all randomness flows from it;
-a negative seed is invalid input.
+choices, else its declared default. Only the commands that draw random
+numbers (gradcheck, condition, train-toy) declare --seed; it then falls back
+to the SPECGRAD_SEED environment variable, then 0, and must be non-negative.
 Three defaults follow other flags: gradcheck --n is 4·d, the --out of bounds
 and condition takes the --format suffix, and train-toy --lr-schedule drops
 tenfold at 80% of --steps.
 Every output records the command, each flag as resolved except --config and
---out, then the values the command derives (``_record``). A flag given on
-the command line that the run will not read exits 64: another scheme's
-parameter, condition --d/--n/--count with --input, and train-toy's
-post-switch flags when --switch-frac is 1 or more.
+--out, then the values the command derives (``_record``). A flag the run
+will not read exits 64 when given and is recorded as null otherwise: another
+scheme's parameter, condition --seed/--d/--n/--count with --input, and
+train-toy's post-switch flags when --switch-frac is 1 or more.
 
 Exit codes: 0 success, 1 check failure, 2 training divergence, 3 numerical
 failure outside training (overflow of a product of valid input, an
@@ -107,9 +107,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_FLAGS)
 
 
-def _add_common(parser, table_output=False):
+def _add_common(parser, seed=False, table_output=False):
     parser.add_argument("--config", help="key=value file; flags override its entries")
-    parser.add_argument("--seed", type=int)
+    if seed:
+        parser.add_argument("--seed", type=int)
     if table_output:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
         parser.add_argument("--precision", choices=tuple(_DTYPES), default="double")
@@ -140,7 +141,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output file (default bounds.csv)")
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of one scheme")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument(
         "--scheme",
         choices=tuple(_SCHEMES),
@@ -158,7 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="JSON report path (default stdout)")
 
     p = sub.add_parser("condition", help="condition numbers of covariances")
-    _add_common(p, table_output=True)
+    _add_common(p, seed=True, table_output=True)
     p.add_argument("--input", help="feature file (GCPF binary)")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n", type=int, default=32)
@@ -166,7 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output file (default condition.csv)")
 
     p = sub.add_parser("train-toy", help="hybrid protocol on the synthetic task")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--steps", type=int, default=240)
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n", type=int, default=32, help="spatial samples per example")
@@ -198,10 +199,10 @@ def build_parser() -> _Parser:
 def _resolve(args) -> None:
     """Fill each flag that was not given: its config entry, else its default.
 
-    A config value passes through the flag's own type and choices. The seed
-    then falls back to the environment variable, then 0. ``args.given`` holds
-    the flags given on the command line, as config keys (``trunc-threshold``).
-    A negative seed, from any of the three sources, is rejected here.
+    A config value passes through the flag's own type and choices. A declared
+    --seed then falls back to the environment variable, then 0, and a negative
+    seed is rejected. ``args.given`` holds the flags given on the command line,
+    as config keys (``trunc-threshold``); ``args.unread`` starts empty.
     """
     file = io.read_config_file(args.config) if args.config else {}
     flags = {
@@ -210,6 +211,7 @@ def _resolve(args) -> None:
         if action.dest not in ("help", "config")
     }
     args.given = {key for key, action in flags.items() if getattr(args, action.dest) is not None}
+    args.unread = set()
     for key, action in flags.items():
         if key in args.given:
             continue
@@ -225,13 +227,13 @@ def _resolve(args) -> None:
                     f"config value {key}={raw!r} is not one of {', '.join(action.choices)}"
                 )
         setattr(args, action.dest, value)
-    if args.seed is None:
+    if "seed" in flags and args.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         try:
             args.seed = int(env) if env else 0
         except ValueError as err:
             raise InvalidInputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from err
-    if args.seed < 0:
+    if "seed" in flags and args.seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
 
 
@@ -255,10 +257,12 @@ def _refuse_unread(args, flags, reason) -> None:
     """Refuse the first of ``flags`` given on the command line: the run will not read it.
 
     Config entries are exempt, since one file may serve several commands.
+    Each flag is marked unread, and ``_record`` records it as null.
     """
     for flag in flags:
         if flag in args.given:
             raise InvalidInputError(f"--{flag} is not read {reason}")
+    args.unread.update(flag.replace("-", "_") for flag in flags)
 
 
 def _scheme_from_flags(name, args, also_read=()) -> BackwardScheme:
@@ -280,12 +284,12 @@ def _scheme_from_flags(name, args, also_read=()) -> BackwardScheme:
 def _record(args, **derived) -> dict:
     """The command, each flag as resolved but --config and --out, then ``derived``.
 
-    A derived value of a flag replaces the flag's resolved value in place.
+    An unread flag is null; a derived value replaces its flag's value in place.
     """
     record = {"command": args.command}
     for action in args.parser._actions:
         if action.dest not in ("help", "config", "out"):
-            record[action.dest] = getattr(args, action.dest)
+            record[action.dest] = None if action.dest in args.unread else getattr(args, action.dest)
     return {**record, **derived}
 
 
@@ -362,7 +366,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_condition(args) -> int:
     out = Path(f"condition.{args.format}" if args.out is None else args.out)
     if args.input:
-        _refuse_unread(args, ("d", "n", "count"), "with --input")
+        _refuse_unread(args, ("seed", "d", "n", "count"), "with --input")
         blocks = io.read_feature_file(args.input)
     else:
         rng = np.random.default_rng(args.seed)
@@ -397,7 +401,6 @@ def cmd_train_toy(args) -> int:
         if not np.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
     switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
-    unread = ()
     if switch_step is None:
         unread = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
         _refuse_unread(args, unread, "without a switch (--switch-frac >= 1)")
@@ -426,10 +429,8 @@ def cmd_train_toy(args) -> int:
     stream = batch_stream(task, args.batch, steps, seed=seed + 2)
     log = run_hybrid_training(spec, schedule, stream)
 
-    # a run without a switch records null for what it never reads
     config = _record(
-        args, **dict.fromkeys(flag.replace("-", "_") for flag in unread),
-        lr_schedule=lr_schedule, switch_step=switch_step,
+        args, lr_schedule=lr_schedule, switch_step=switch_step,
         warmup_steps=None if switch_step is None else schedule.warmup_steps,
     )
     records = [{"type": "config", **config}]

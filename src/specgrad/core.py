@@ -72,6 +72,27 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _positive(value, name: str, kind=int):
+    """``value`` as a positive ``kind``; a bool, a fraction or a non-number is invalid input."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if isinstance(value, (bool, np.bool_)) or out != value or not out > 0:
+        raise InvalidInputError(f"{name} must be a positive {kind.__name__}, got {value!r}")
+    return out
+
+
+def _gradient(grad, shape: tuple, name: str = "gradient") -> np.ndarray:
+    """``grad`` as float64; a shape other than ``shape`` or a non-finite entry is invalid input."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != shape:
+        raise InvalidInputError(f"{name} shape {grad.shape} does not match {shape}")
+    if not np.all(np.isfinite(grad)):
+        raise InvalidInputError(f"non-finite {name} input")
+    return grad
+
+
 def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> None:
     """Raise ``NumericalFailureError`` if an internal product went non-finite.
 
@@ -248,6 +269,8 @@ def count_clamped(e: EigenDecomposition, dtype=np.float64) -> int:
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     """U diag(lambda^alpha) U^T; alpha = 0.5 gives the principal square root."""
+    if not math.isfinite(alpha):
+        raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
     lam = e.eigenvalues
     if alpha != int(alpha) and np.any(lam < 0):
         raise DomainError(

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, SymPsdMatrix, _trusted, apply_centering
+from .core import FeatureMatrix, SymPsdMatrix, _gradient, _positive, _trusted, apply_centering
 from .errors import DomainError, InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
@@ -82,8 +82,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         NumericalFailureError: tr(P) overflowed, or an iterate exceeded the
             divergence guard.
     """
-    if iterations < 1:
-        raise InvalidInputError(f"need at least one iteration, got {iterations}")
+    iterations = _positive(iterations, "iterations")
     trace_p = p.trace()
     if trace_p <= 0.0:
         raise DomainError(f"trace pre-normalization needs tr(P) > 0, got {trace_p:.3e}")
@@ -131,14 +130,8 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     trace-normalization term -(1/tr(P)^2) tr(dA^T P) I + (1/tr(P)) dA and the
     post-compensation term (1/(2 sqrt(tr(P)))) tr(dQ^T Y_N) I.
     """
-    grad_q = np.asarray(grad_q, dtype=np.float64)
     d = trace.d
-    if grad_q.shape != (d, d):
-        raise InvalidInputError(
-            f"gradient shape {grad_q.shape} does not match trace dimension {d}"
-        )
-    if not np.all(np.isfinite(grad_q)):
-        raise InvalidInputError("non-finite gradient input")
+    grad_q = _gradient(grad_q, (d, d))
     tr_p = trace.trace_p
     sqrt_tr = np.sqrt(tr_p)
     eye3 = 3.0 * np.eye(d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_readonly, float_info
+from .core import _as_readonly, _positive, float_info
 from .errors import InvalidInputError, NumericalFailureError, PoleError
 
 _POLE_FLOOR = 1e-300
@@ -240,8 +240,7 @@ def diagonal_degrees(k: int) -> tuple[int, int]:
     approximant consumes exactly the information of the degree-(K-1) Taylor
     polynomial; K = 100 gives [50/49].
     """
-    if k < 1:
-        raise InvalidInputError(f"degree must be at least 1, got {k}")
+    k = _positive(k, "degree")
     n = (k - 1) // 2
     return k - 1 - n, n
 
@@ -262,11 +261,10 @@ def reciprocal_gap_pade(k: int, dtype=np.float64) -> PadeApproximant:
     construction involves a least-squares solve.
     """
     dtype = float_info(dtype).dtype
-    key = (k, dtype)
+    m, n = diagonal_degrees(k)
+    key = (m, n, dtype)
     if key not in _PADE_CACHE:
-        m, n = diagonal_degrees(k)
-        series = geometric_series(k, dtype=dtype)
-        _PADE_CACHE[key] = pade_from_series(series, m, n)
+        _PADE_CACHE[key] = pade_from_series(geometric_series(m + n + 1, dtype), m, n)
     return _PADE_CACHE[key]
 
 
@@ -297,12 +295,10 @@ def approximation_error_table(
     if kind not in ("taylor", "pade"):
         raise InvalidInputError(f"kind must be 'taylor' or 'pade', got {kind!r}")
     dtype = float_info(dtype).dtype
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(_positive(k, "degree") for k in degrees)
     ratios = tuple(float(r) for r in ratios)
     if not degrees or not ratios:
         raise InvalidInputError("the degree and ratio grids each need at least one entry")
-    if any(k < 1 for k in degrees):
-        raise InvalidInputError(f"degree must be at least 1, got {min(degrees)}")
     if any(not (0.0 <= r < 1.0) for r in ratios):
         raise InvalidInputError("ratios must lie in [0, 1)")
     x = np.array(ratios, dtype=dtype)

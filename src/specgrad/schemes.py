@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenDecomposition, SymPsdMatrix, _as_readonly, _trusted, float_info
+from .core import (
+    EigenDecomposition,
+    SymPsdMatrix,
+    _as_readonly,
+    _gradient,
+    _positive,
+    _trusted,
+    float_info,
+)
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -70,15 +78,7 @@ class BackwardScheme:
             return
         if spec is None:
             raise InvalidInputError(f"{self.kind} takes no parameter, got {self.param!r}")
-        try:
-            value = spec.type(self.param)
-        except (TypeError, ValueError, OverflowError):
-            value = None
-        if value != self.param or not value > 0:
-            raise InvalidInputError(
-                f"{self.kind} needs a positive {spec.type.__name__} {spec.name}, "
-                f"got {self.param!r}"
-            )
+        value = _positive(self.param, f"{self.kind} {spec.name}", spec.type)
         object.__setattr__(self, "param", value)
 
     @classmethod
@@ -213,12 +213,8 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np
 
     four d x d matrix products.
     """
-    grad_q = np.asarray(grad_q, dtype=np.float64)
     d = e.d
-    if grad_q.shape != (d, d):
-        raise InvalidInputError(f"grad shape {grad_q.shape} does not match d={d}")
-    if not np.all(np.isfinite(grad_q)):
-        raise InvalidInputError("non-finite gradient input")
+    grad_q = _gradient(grad_q, (d, d))
     if k.data.shape != (d, d):
         raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={d}")
     lam = e.eigenvalues
@@ -251,13 +247,8 @@ class PowerIterationTrace:
 
 def power_iteration(p: SymPsdMatrix, k_iters: int, v0: np.ndarray) -> PowerIterationTrace:
     """Run k_iters normalized power steps from v0, keeping the whole sequence."""
-    if k_iters < 1:
-        raise InvalidInputError(f"need k_iters >= 1, got {k_iters}")
-    v0 = np.asarray(v0, dtype=np.float64)
-    if v0.shape != (p.d,):
-        raise InvalidInputError(f"v0 shape {v0.shape} does not match d={p.d}")
-    if not np.all(np.isfinite(v0)):
-        raise InvalidInputError("non-finite start vector input")
+    k_iters = _positive(k_iters, "k_iters")
+    v0 = _gradient(v0, (p.d,), "start vector")
     norm0 = np.linalg.norm(v0)
     if norm0 == 0.0:
         raise DegenerateInputError("power iteration needs a nonzero start vector")
@@ -280,12 +271,8 @@ def pi_gradient(trace: PowerIterationTrace, grad_u: np.ndarray) -> np.ndarray:
     dl/dP = sum_k [(I - u^(k+1) u^(k+1)T) / ||P u^(k)||] dl/du^(k+1) u^(k)T
     with dl/du^(k) back-propagated through the same projector.
     """
-    grad_u = np.asarray(grad_u, dtype=np.float64)
     d = trace.us.shape[1]
-    if grad_u.shape != (d,):
-        raise InvalidInputError(f"grad shape {grad_u.shape} does not match d={d}")
-    if not np.all(np.isfinite(grad_u)):
-        raise InvalidInputError("non-finite gradient input")
+    grad_u = _gradient(grad_u, (d,))
     total = np.zeros((d, d))
     g = grad_u
     for k in range(trace.k_iters - 1, -1, -1):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     FeatureMatrix,
+    _positive,
     _require_finite,
     _trusted,
     clamp_eigenvalues,
@@ -181,8 +182,7 @@ def class_scale_profiles(raw_dim: int, kind: str) -> np.ndarray:
 def make_toy_task(
     spec: ToyModelSpec, samples: int, seed: int = 0, kind: str = "balanced"
 ) -> ToyTask:
-    if samples < 1:
-        raise InvalidInputError(f"need at least one sample, got {samples}")
+    samples = _positive(samples, "samples")
     rng = np.random.default_rng(seed)
     profiles = class_scale_profiles(spec.raw_dim, kind)
     labels = rng.integers(0, N_CLASSES, size=samples)
@@ -194,10 +194,9 @@ def make_toy_task(
 def batch_stream(task: ToyTask, batch_size: int, steps: int, seed: int = 0):
     """Seeded generator of (inputs, labels) batches, one per training step.
 
-    A batch size below 1 is rejected on the call, not at the first batch.
+    A batch size that is not a positive int is refused on the call, not at the first batch.
     """
-    if batch_size < 1:
-        raise InvalidInputError(f"batch size must be at least 1, got {batch_size}")
+    batch_size = _positive(batch_size, "batch size")
     rng = np.random.default_rng(seed)
     draws = (rng.integers(0, task.n_samples, size=batch_size) for _ in range(steps))
     return ((task.inputs[idx], task.labels[idx]) for idx in draws)

@@ -82,7 +82,7 @@ class TestApproxTable:
         assert run("approx-table", "--out", str(out)) == EXIT_OK
         meta, header, rows = io.read_csv(out / "approx_taylor.csv")
         assert header == ["ratio", "deg50", "deg100", "deg200", "deg300"]
-        assert meta["seed"] == "0"
+        assert "seed" not in meta
         table = {float(r[0]): [float(v) for v in r[1:]] for r in rows}
         # published cells at degree 100
         assert table[0.99][1] == pytest.approx(36.0, rel=0.05)
@@ -175,12 +175,12 @@ COMMANDS = ("approx-table", "bounds", "gradcheck", "condition", "train-toy")
 #: and condition follows --format, --lr-schedule follows --steps, topn is auto.
 DECLARED_DEFAULTS = {
     "approx-table": {
-        "seed": 0, "format": "csv", "precision": "double", "kind": "both",
+        "format": "csv", "precision": "double", "kind": "both",
         "degrees": (50, 100, 200, 300), "ratios": (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999),
         "out": ".",
     },
     "bounds": {
-        "seed": 0, "format": "csv", "precision": "double", "degree": 100,
+        "format": "csv", "precision": "double", "degree": 100,
         "trunc_threshold": 1e10, "out": None,
     },
     "gradcheck": {
@@ -298,9 +298,7 @@ class TestResolution:
         # so is a negative seed, from a flag, a config entry or the
         # environment (a leading NAME=value sets it, as in a shell)
         ("gradcheck", "--seed", "-1"),
-        ("bounds", "--seed", "-1"),
         ("train-toy", "--config", "seed.conf"),
-        ("approx-table", "--config", "seed.conf"),
         ("SPECGRAD_SEED=-1", "condition"),
         # so is a given flag the run will not read; with --input the file is
         # never opened (a missing one would exit 74)
@@ -310,9 +308,8 @@ class TestResolution:
     ids=[
         "batch-0", "samples-0", "steps-0", "count-0", "empty-input", "degrees-negative",
         "degrees-0", "degrees-empty", "ratios-empty", "switch-frac-nan", "warmup-frac-inf",
-        "init-cond-nan", "lr-nan", "lr-inf", "seed-flag", "seed-flag-bounds",
-        "seed-config", "seed-config-approx-table", "seed-env", "input-count",
-        "no-switch-warmup",
+        "init-cond-nan", "lr-nan", "lr-inf", "seed-flag", "seed-config", "seed-env",
+        "input-count", "no-switch-warmup",
     ],
 )
 def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv):
@@ -332,10 +329,61 @@ def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv)
 
 def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPECGRAD_SEED", "x")
-    out = tmp_path / "bounds.csv"
-    assert run("bounds", "--out", str(out)) == EXIT_BAD_FLAGS
+    out = tmp_path / "condition.csv"
+    assert run("condition", "--out", str(out)) == EXIT_BAD_FLAGS
     assert "SPECGRAD_SEED" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestSeed:
+    """--seed exists only on the commands that draw random numbers, and there it acts."""
+
+    SEEDED = ("gradcheck", "condition", "train-toy")
+
+    def test_declared_by_exactly_the_commands_that_draw(self):
+        assert tuple(c for c in COMMANDS if "seed" in {a.dest for a in _flags(c)}) == self.SEEDED
+
+    @pytest.mark.parametrize("command", ["approx-table", "bounds"])
+    def test_unknown_flag_where_nothing_is_drawn(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "--seed", "3") == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,written",
+        [("approx-table", ["approx_pade.csv", "approx_taylor.csv"]), ("bounds", ["bounds.csv"])],
+        ids=["approx-table", "bounds"],
+    )
+    def test_seed_sources_ignored_where_nothing_is_drawn(
+        self, tmp_path, monkeypatch, command, written
+    ):
+        # like any config key or variable that names none of the command's flags
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPECGRAD_SEED", "x")
+        Path("seed.conf").write_text("seed=-1\n")
+        assert run(command, "--config", "seed.conf") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["seed.conf"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gradcheck", "--d", "2", "--n", "4"),
+            ("condition", "--d", "4", "--n", "8", "--count", "2", "--format", "json"),
+            ("train-toy", "--steps", "10", "--d", "4", "--n", "16", "--samples", "20"),
+        ],
+        ids=SEEDED,
+    )
+    def test_declared_seed_takes_effect(self, tmp_path, argv):
+        # everything but the record: the report, the rows, the step lines
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.json"
+            assert run(*argv, "--seed", seed, "--out", str(out)) in (EXIT_OK, EXIT_CHECK_FAILED)
+            if argv[0] == "train-toy":
+                outputs.append(parse_json(out.read_text(), lines=True)[1:])
+            else:
+                outputs.append({k: v for k, v in parse_json(out.read_text()).items() if k != "config"})
+        assert outputs[0] != outputs[1]
 
 
 class TestBounds:
@@ -553,8 +601,11 @@ class TestUnreadFlags:
              "--topn is not read without a switch (--switch-frac >= 1)"),
             (("train-toy", "--switch-frac", "1.0", "--trunc-threshold", "5"),
              "--trunc-threshold is not read without a switch (--switch-frac >= 1)"),
+            (("condition", "--input", "missing.gcpf", "--seed", "3"),
+             "--seed is not read with --input"),
         ],
-        ids=["input-d", "input-n", "no-switch-backward", "no-switch-topn", "no-switch-trunc"],
+        ids=["input-d", "input-n", "no-switch-backward", "no-switch-topn", "no-switch-trunc",
+             "input-seed"],
     )
     def test_message_names_the_flag_and_why(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -641,6 +692,26 @@ class TestRecord:
         assert record["switch_step"] is None
         assert record["iters"] == 5
         assert record["lr_schedule"] == [[0, 0.08], [8, 0.008]]
+
+    @pytest.mark.parametrize(
+        "argv,nulls",
+        [
+            (("gradcheck", "--d", "2", "--n", "4", "--scheme", "pade"),
+             {"topn", "trunc_threshold", "iters"}),
+            (("train-toy", "--steps", "10", "--d", "4", "--n", "16", "--samples", "20",
+              "--backward", "trunc"), {"topn", "degree"}),
+            (("condition", "--input", "f.gcpf", "--format", "json"), {"seed"}),
+        ],
+        ids=["gradcheck-pade", "train-toy-trunc", "condition-input"],
+    )
+    def test_flags_the_run_does_not_read_are_null(self, tmp_path, monkeypatch, argv, nulls):
+        monkeypatch.chdir(tmp_path)
+        io.write_feature_file("f.gcpf", [np.random.default_rng(0).normal(size=(4, 20))])
+        assert run(*argv, "--out", "out.json") == EXIT_OK
+        log = argv[0] == "train-toy"
+        doc = parse_json(Path("out.json").read_text(), lines=log)
+        record = doc[0] if log else doc["config"]
+        assert {key for key, value in record.items() if value is None} == nulls
 
 
 class TestCondition:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,8 +20,23 @@ from specgrad.core import (
     matrix_power,
 )
 from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
-from specgrad.pade import PadeApproximant, PowerSeries
-from specgrad.schemes import KMatrix
+from specgrad.newton_schulz import ns_backward, ns_forward
+from specgrad.pade import (
+    PadeApproximant,
+    PowerSeries,
+    approximation_error_table,
+    diagonal_degrees,
+    reciprocal_gap_pade,
+)
+from specgrad.schemes import (
+    BackwardScheme,
+    KMatrix,
+    grad_covariance,
+    k_matrix,
+    pi_gradient,
+    power_iteration,
+)
+from specgrad.training import ToyModelSpec, batch_stream, make_toy_task
 
 from conftest import random_spd
 
@@ -268,6 +284,12 @@ class TestMatrixPower:
         with pytest.raises(DomainError):
             matrix_power(e, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_rejected(self, alpha):
+        e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
+        with pytest.raises(InvalidInputError, match=f"exponent must be finite, got {alpha}"):
+            matrix_power(e, alpha)
+
     def test_sqrt_squared_relative_frobenius(self, rng):
         # cond <= 1e12 regime: sqrt then square reproduces the matrix
         lam = np.array([1.0, 1e-3, 1e-6, 1e-9])
@@ -309,3 +331,71 @@ class TestConditionNumber:
             ref = np.linalg.eigvalsh(p.data)
             expected = ref[-1] / ref[0]
             assert abs(cn.value - expected) <= 1e-8 * expected
+
+
+
+_TOY = ToyModelSpec(d=2, raw_dim=2, n_cols=4)
+
+#: every public entry point that takes a count, called with the count ``v``
+COUNT_SITES = {
+    "BackwardScheme": lambda v: BackwardScheme.pade(v),
+    "ns_forward": lambda v: ns_forward(SymPsdMatrix(np.eye(2)), v),
+    "power_iteration": lambda v: power_iteration(SymPsdMatrix(np.eye(2)), v, np.ones(2)),
+    "diagonal_degrees": diagonal_degrees,
+    "reciprocal_gap_pade": reciprocal_gap_pade,
+    "approximation_error_table": lambda v: approximation_error_table("taylor", (v,), (0.5,)),
+    "make_toy_task": lambda v: make_toy_task(_TOY, v),
+    # refused by the call itself, not on the first batch drawn
+    "batch_stream": lambda v: batch_stream(make_toy_task(_TOY, 6), v, 3),
+}
+
+
+class TestCountRule:
+    """A count is a positive int; an integral float passes as one."""
+
+    @pytest.mark.parametrize("value", [2.5, True, 0], ids=["fraction", "bool", "zero"])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_refused(self, site, value):
+        reciprocal_gap_pade(1)  # a cached degree 1 must not admit True
+        with pytest.raises(InvalidInputError, match=f"must be a positive int, got {value}$"):
+            COUNT_SITES[site](value)
+
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_integral_float_passes(self, site):
+        out = COUNT_SITES[site](2.0)
+        if site == "batch_stream":
+            assert [yb.size for _, yb in out] == [2, 2, 2]
+
+
+def _gradient_site(site):
+    """The call that hands ``site`` a gradient, and the shape it expects."""
+    p = SymPsdMatrix(np.diag([3.0, 2.0, 1.0]))
+    e = eigh(p)
+    if site == "grad_covariance":
+        k = k_matrix(e, BackwardScheme.ordinary())
+        return (lambda g: grad_covariance(g, e, k)), (3, 3)
+    if site == "ns_backward":
+        trace = ns_forward(p, 3)[1]
+        return (lambda g: ns_backward(trace, g)), (3, 3)
+    if site == "pi_gradient":
+        trace = power_iteration(p, 3, np.ones(3))
+        return (lambda g: pi_gradient(trace, g)), (3,)
+    return (lambda g: power_iteration(p, 3, g)), (3,)
+
+
+class TestGradientRule:
+    """A gradient has exactly the expected shape and finite entries; one message each."""
+
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    @pytest.mark.parametrize(
+        "site", ["grad_covariance", "ns_backward", "pi_gradient", "power_iteration"]
+    )
+    def test_refused(self, site, bad):
+        call, shape = _gradient_site(site)
+        name = "start vector" if site == "power_iteration" else "gradient"
+        if bad == "shape":
+            grad, message = np.ones(2), f"{name} shape (2,) does not match {shape}"
+        else:
+            grad, message = np.full(shape, np.nan), f"non-finite {name} input"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(grad)
