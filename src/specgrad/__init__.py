@@ -2,10 +2,9 @@
 
 The package pairs two forward square-root methods (exact eigendecomposition
 and coupled Newton-Schulz iteration) with six backward rules (ordinary
-analytic, top-n, truncation, Taylor, Pade, Newton-Schulz), plus the
-standalone power-iteration gradient, the Pade approximant machinery behind
-the rational scheme, a hybrid training protocol, and a CLI harness that
-reproduces the desk-scale tables.
+analytic, top-n, truncation, Taylor, Pade, Newton-Schulz), plus the Pade
+approximant machinery behind the rational scheme, a hybrid training protocol,
+and a CLI harness that reproduces the desk-scale tables.
 """
 
 from .core import (
@@ -23,7 +22,6 @@ from .core import (
     matrix_power,
 )
 from .errors import (
-    DegenerateInputError,
     DomainError,
     InvalidInputError,
     NumericalFailureError,
@@ -48,22 +46,16 @@ from .pade import (
     diagonal_degrees,
     eval_rational,
     geometric_series,
-    pade_from_continued_fraction,
     pade_from_series,
     reciprocal_gap_pade,
-    series_match_residual,
 )
 from .schemes import (
     BackwardScheme,
     GradBound,
     KMatrix,
-    PowerIterationTrace,
-    beta_smoothness,
     grad_covariance,
     gradient_upper_bound,
     k_matrix,
-    pi_gradient,
-    power_iteration,
 )
 from .training import (
     HybridSchedule,

@@ -72,15 +72,22 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _positive(value, name: str, kind=int):
+def _positive(value, name: str, kind=int, floor_zero: bool = False):
     """``value`` as a positive ``kind``; a bool, a fraction or a non-number is invalid input."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if isinstance(value, (bool, np.bool_)) or out != value or not out > 0:
-        raise InvalidInputError(f"{name} must be a positive {kind.__name__}, got {value!r}")
+    holds = out is not None and out == value and (out >= 0 if floor_zero else out > 0)
+    if isinstance(value, (bool, np.bool_)) or not holds:
+        sign = "non-negative" if floor_zero else "positive"
+        raise InvalidInputError(f"{name} must be a {sign} {kind.__name__}, got {value!r}")
     return out
+
+
+def _non_negative(value, name: str) -> int:
+    """``value`` as an int >= 0, under the count rule of ``_positive``."""
+    return _positive(value, name, floor_zero=True)
 
 
 def _gradient(grad, shape: tuple, name: str = "gradient") -> np.ndarray:
@@ -203,12 +210,6 @@ class EigenDecomposition:
 class ConditionNumber(NamedTuple):
     value: float
     ill_conditioned: bool
-
-
-def centering_matrix(n: int, dtype=np.float64) -> np.ndarray:
-    """The n x n matrix (1/n)(I - (1/n) 11^T) that centers and averages columns."""
-    eye = np.eye(n, dtype=dtype)
-    return (eye - np.full((n, n), 1.0 / n, dtype=dtype)) / n
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:

@@ -15,10 +15,6 @@ class DomainError(ValueError):
     """Input is outside the mathematical domain of the operation."""
 
 
-class DegenerateInputError(ValueError):
-    """Input collapses the operation (zero vector, annihilated iterate)."""
-
-
 class NumericalFailureError(ArithmeticError):
     """A numerical method failed: divergence, non-convergence, or breakdown.
 

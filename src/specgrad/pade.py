@@ -1,18 +1,17 @@
 """Pade approximant construction, evaluation, and error tables.
 
-Two independent construction routes are provided: solving the linearized
-coefficient equations (one minimum-norm least-squares solve of a Toeplitz
-system for the denominator, then a convolution for the numerator), and the
-continued-fraction route that builds the diagonal convergents through the
-quotient-difference scheme and the three-term recurrence of successive
-convergents. For series whose Toeplitz block is nonsingular the two agree,
-which the tests exploit.
+An approximant is built by solving the linearized coefficient equations: one
+minimum-norm least-squares solve of a Toeplitz system for the denominator,
+then a convolution for the numerator. The tests check it against a second
+construction, the continued fraction of ``tests/oracles.py``, which agrees
+wherever the Toeplitz block is nonsingular.
 
 The singular case matters here: the geometric series 1, 1, 1, ... produces an
 all-ones Toeplitz block, and the minimum-norm solution keeps high-degree
 diagonal approximants constructible and numerically exact.
-Both routes and the evaluation run in the coefficients' dtype; the surrogate
-and the error tables take theirs as a numpy dtype, float32 or float64.
+The construction and the evaluation run in the coefficients' dtype; the
+surrogate and the error tables take theirs as a numpy dtype, float32 or
+float64.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_readonly, _positive, float_info
-from .errors import InvalidInputError, NumericalFailureError, PoleError
+from .core import _as_readonly, _non_negative, _positive, float_info
+from .errors import InvalidInputError, PoleError
 
 _POLE_FLOOR = 1e-300
 
@@ -90,10 +89,9 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
     the denominator; the upper block then gives the numerator by convolution.
     The solve takes the minimum-norm least-squares solution: the unique one
     when the block is nonsingular, and a deterministic approximant when it is
-    singular or rank-deficient (the series-match residual certifies it).
+    singular or rank-deficient. Both degrees are counts that may be zero.
     """
-    if m < 0 or n < 0:
-        raise InvalidInputError(f"degrees must be non-negative, got M={m}, N={n}")
+    m, n = _non_negative(m, "degree M"), _non_negative(n, "degree N")
     a = s.coeffs
     if a.size < m + n + 1:
         raise InvalidInputError(
@@ -119,88 +117,6 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
     return PadeApproximant(p, q_full[1:])
 
 
-def _qd_cf_coefficients(s: PowerSeries, n: int) -> list:
-    """Partial numerator factors c_2 ... c_{2n+1} of the regular C-fraction.
-
-    The expansion a_0 + a_1 x / (1 - c_2 x / (1 - c_3 x / ...)) has odd
-    convergents equal to the diagonal sequence [1/0], [2/1], ... The factors
-    come from the quotient-difference scheme of the shifted series, run one
-    column at a time: only the current q column and the previous e column are
-    kept, and c_{2j}, c_{2j+1} are their leading entries. A zero at the
-    surface of the table means the fraction terminates (the series is
-    rational and already matched exactly); a zero inside the table is a
-    genuine breakdown.
-    """
-    a = s.coeffs.astype(np.float64)
-    if a.size < 2 * n + 2:
-        raise InvalidInputError(
-            f"series has {a.size} coefficients, diagonal [{n + 1}/{n}] needs {2 * n + 2}"
-        )
-    if n == 0:
-        return []
-    if a[1] == 0.0:
-        raise NumericalFailureError(
-            "continued-fraction expansion breaks down: a_1 = 0", step="q_1"
-        )
-    g = a[1 : 2 * n + 2] / a[1]  # g_0 ... g_2n
-
-    # q holds the current column q_j^(k), e the previous one e_{j-1}^(k);
-    # the first column stops at the first zero g_k
-    zero = np.flatnonzero(g[:-1] == 0.0)
-    stop = zero[0] if zero.size else 2 * n
-    q = g[1 : stop + 1] / g[:stop]
-    e = np.zeros(2 * n + 1)
-    coeffs: list = []
-    for j in range(1, n + 1):
-        if not q.size or q[0] == 0.0:
-            return coeffs  # terminated before c_{2j}
-        coeffs.append(q[0])
-        e = q[1:] - q[:-1] + e[1 : q.size]
-        if not e.size or e[0] == 0.0:
-            return coeffs  # fraction terminates: series is rational of lower degree
-        coeffs.append(e[0])
-        if j < n:
-            zero = np.flatnonzero(e[:-1] == 0.0)
-            if zero.size:
-                raise NumericalFailureError(
-                    "quotient-difference breakdown: zero partial denominator",
-                    step=f"e_{j}^({zero[0]})",
-                )
-            q = q[1 : e.size] * e[1:] / e[:-1]
-    return coeffs
-
-
-def pade_from_continued_fraction(s: PowerSeries, n: int) -> PadeApproximant:
-    """Diagonal [n+1/n] approximant via successive continued-fraction convergents.
-
-    Runs the recurrence A_{k+1} = A_k - c_{k+1} x A_{k-1} once, on a 2-row
-    array holding numerator A_k and denominator B_k. If the underlying fraction
-    terminates early the result keeps the lower exact degree.
-    """
-    if n < 0:
-        raise InvalidInputError(f"n must be non-negative, got {n}")
-    a = s.coeffs.astype(np.float64)
-    cfs = _qd_cf_coefficients(s, n)
-
-    # rows A_k, B_k of the convergent A_k / B_k, lowest coefficient first;
-    # A_{-1} = 1, B_{-1} = 0, A_0 = a_0, B_0 = 1, and c_1 = -a_1
-    prev = np.zeros((2, n + 2))
-    prev[0, 0] = 1.0
-    cur = np.zeros((2, n + 2))
-    cur[:, 0] = a[0], 1.0
-    for c in [-a[1], *cfs]:
-        shifted = np.zeros_like(prev)
-        shifted[:, 1:] = prev[:, :-1]
-        cur, prev = cur - c * shifted, cur
-    # B_k(0) = 1 at every step, so the convergent is already normalized
-    return PadeApproximant(_poly_trim(cur[0]), _poly_trim(cur[1])[1:])
-
-
-def _poly_trim(coeffs: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(coeffs)[0]
-    return coeffs[: nz[-1] + 1] if nz.size else coeffs[:1]
-
-
 def eval_rational(pa: PadeApproximant, x):
     """P(x) / Q(x) at scalar or array x, in the coefficients' precision.
 
@@ -216,21 +132,6 @@ def eval_rational(pa: PadeApproximant, x):
         bad = float(x[pole][0] if x.ndim else x)
         raise PoleError(f"denominator vanishes at x = {bad!r}", x=bad)
     return num / den
-
-
-def series_match_residual(pa: PadeApproximant, s: PowerSeries) -> float:
-    """Largest mismatch between the Maclaurin expansion of P/Q and the series.
-
-    Equivalent to checking Q * A = P modulo x^(M+N+1) by convolution, scaled
-    by the largest source coefficient so the result reads as a relative error.
-    """
-    m, n = pa.degrees
-    a = s.coeffs.astype(np.float64)[: m + n + 1]
-    prod = np.convolve(pa.q_full.astype(np.float64), a)[: m + n + 1]
-    p_pad = np.zeros(m + n + 1)
-    p_pad[: m + 1] = pa.p
-    scale = max(np.abs(a).max(), 1.0)
-    return float(np.abs(prod - p_pad).max() / scale)
 
 
 def diagonal_degrees(k: int) -> tuple[int, int]:
@@ -269,7 +170,8 @@ def reciprocal_gap_pade(k: int, dtype=np.float64) -> PadeApproximant:
 
 
 def taylor_eval(k: int, x, dtype=np.float64):
-    """Degree-k truncation of the geometric series at scalar or array x."""
+    """Degree-k truncation of the geometric series at scalar or array x; degree 0 is 1."""
+    k = _non_negative(k, "degree")
     return horner(np.ones(k + 1, dtype=dtype), np.asarray(x, dtype=dtype))
 
 

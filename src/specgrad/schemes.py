@@ -5,10 +5,9 @@ off-diagonal sensitivity through the antisymmetric matrix K with entries
 1/(lambda_i - lambda_j), which explodes when eigenvalues collide. This module
 implements the ordinary rule plus the remedies that tame it: dropping small
 eigenvalues (top-n), clipping (truncation), truncated geometric series
-(taylor), and a rational surrogate (pade), along with the standalone
-power-iteration gradient, per-scheme analytic upper bounds, and an
-empirical gradient smoothness estimator. K is float64; a bound takes the
-width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
+(taylor), and a rational surrogate (pade), along with per-scheme analytic
+upper bounds. K is float64; a bound takes the width of its clamp epsilon as
+a numpy dtype, read through ``np.finfo``.
 """
 
 from __future__ import annotations
@@ -21,20 +20,13 @@ import numpy as np
 
 from .core import (
     EigenDecomposition,
-    SymPsdMatrix,
     _as_readonly,
     _gradient,
     _positive,
     _trusted,
     float_info,
 )
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    InvalidInputError,
-    NumericalFailureError,
-    PoleError,
-)
+from .errors import DomainError, InvalidInputError, PoleError
 from .pade import eval_rational, reciprocal_gap_pade, taylor_eval
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -229,61 +221,6 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np
 
 
 @dataclass(frozen=True)
-class PowerIterationTrace:
-    """Iterate sequence of u <- P u / ||P u||, with the norms the gradient needs."""
-
-    us: np.ndarray = field()  # (k_iters + 1, d)
-    norms: np.ndarray = field()  # (k_iters,)
-    p: SymPsdMatrix = field()
-
-    @property
-    def k_iters(self) -> int:
-        return self.norms.size
-
-    @property
-    def estimate(self) -> np.ndarray:
-        return self.us[-1]
-
-
-def power_iteration(p: SymPsdMatrix, k_iters: int, v0: np.ndarray) -> PowerIterationTrace:
-    """Run k_iters normalized power steps from v0, keeping the whole sequence."""
-    k_iters = _positive(k_iters, "k_iters")
-    v0 = _gradient(v0, (p.d,), "start vector")
-    norm0 = np.linalg.norm(v0)
-    if norm0 == 0.0:
-        raise DegenerateInputError("power iteration needs a nonzero start vector")
-    us = np.empty((k_iters + 1, p.d))
-    norms = np.empty(k_iters)
-    us[0] = v0 / norm0
-    for k in range(k_iters):
-        w = p.data @ us[k]
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise DegenerateInputError(f"power iterate annihilated at step {k + 1}")
-        norms[k] = nw
-        us[k + 1] = w / nw
-    return PowerIterationTrace(us, norms, p)
-
-
-def pi_gradient(trace: PowerIterationTrace, grad_u: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient of the power-iteration output w.r.t. the matrix.
-
-    dl/dP = sum_k [(I - u^(k+1) u^(k+1)T) / ||P u^(k)||] dl/du^(k+1) u^(k)T
-    with dl/du^(k) back-propagated through the same projector.
-    """
-    d = trace.us.shape[1]
-    grad_u = _gradient(grad_u, (d,))
-    total = np.zeros((d, d))
-    g = grad_u
-    for k in range(trace.k_iters - 1, -1, -1):
-        u_next = trace.us[k + 1]
-        projected = (g - u_next * np.dot(u_next, g)) / trace.norms[k]
-        total += np.outer(projected, trace.us[k])
-        g = trace.p.data @ projected
-    return total
-
-
-@dataclass(frozen=True)
 class GradBound:
     """Analytic upper bound of |K_ij| for a scheme, or a no-bound marker."""
 
@@ -331,42 +268,3 @@ def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> GradBound:
         value = math.inf
     return GradBound(scheme.label, form, value, trigger)
 
-
-def beta_smoothness(
-    grad_fn,
-    x0: np.ndarray,
-    samples: int = 64,
-    perturb_scale: float = 1e-3,
-    rng: np.random.Generator | int | None = 0,
-    scheme_label: str = "unknown",
-) -> float:
-    """Empirical gradient-Lipschitz estimate around x0.
-
-    Samples Gaussian perturbation directions scaled to perturb_scale times
-    ||x0||_F and reports max ||g(x0) - g(x0 + delta)||_F / ||delta||_F over
-    the samples. Larger means a less smooth gradient field.
-    """
-    if samples < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {samples}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    x0 = np.asarray(x0, dtype=np.float64)
-    base = np.asarray(grad_fn(x0))
-    if not np.all(np.isfinite(base)):
-        raise NumericalFailureError(
-            f"non-finite gradient at the base point under scheme {scheme_label}",
-            scheme=scheme_label,
-        )
-    scale = perturb_scale * np.linalg.norm(x0)
-    worst = 0.0
-    for _ in range(samples):
-        delta = rng.normal(size=x0.shape)
-        delta *= scale / np.linalg.norm(delta)
-        other = np.asarray(grad_fn(x0 + delta))
-        if not np.all(np.isfinite(other)):
-            raise NumericalFailureError(
-                f"non-finite gradient at a perturbed point under scheme {scheme_label}",
-                scheme=scheme_label,
-            )
-        worst = max(worst, float(np.linalg.norm(other - base) / np.linalg.norm(delta)))
-    return worst

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS_DOUBLE, FeatureMatrix
+from .core import EPS_DOUBLE, FeatureMatrix, _positive
 from .errors import InvalidInputError
 
 
@@ -16,6 +16,7 @@ def spectrum_for_condition(d: int, cond: float) -> np.ndarray:
     floor; after clamping, such a spectrum contains an exact tie, which is the
     degeneracy a beyond-precision target is asking for.
     """
+    d = _positive(d, "d")
     if d < 2:
         raise InvalidInputError("need d >= 2 for a spectrum")
     if not 1.0 <= cond < np.inf:
@@ -24,29 +25,6 @@ def spectrum_for_condition(d: int, cond: float) -> np.ndarray:
     if 1.0 / cond < EPS_DOUBLE:
         lam[-2:] = 1.0 / cond
     return lam
-
-
-def spectrum_with_min_gap(d: int, rng: np.random.Generator, gap_frac: float = 0.1) -> np.ndarray:
-    """Spectrum whose consecutive eigenvalue gaps all exceed gap_frac * lambda_1.
-
-    Near-equal jittered gaps spanning [0.2, 1] times a random overall scale.
-    d - 1 positive gaps of at least gap_frac * lambda_1 must fit under
-    lambda_1, so the requirement is only satisfiable for small d.
-    """
-    if d < 1:
-        raise InvalidInputError("need d >= 1")
-    scale = rng.uniform(0.5, 2.0)
-    if d == 1:
-        return np.array([scale])
-    gaps = rng.uniform(0.95, 1.05, size=d - 1)
-    gaps *= 0.8 / gaps.sum()
-    if gaps.min() < gap_frac:
-        raise InvalidInputError(
-            f"cannot fit {d - 1} gaps of at least {gap_frac} * lambda_1 "
-            "into the available spread"
-        )
-    lam = np.concatenate([[1.0], 1.0 - np.cumsum(gaps)])
-    return scale * lam
 
 
 def feature_matrix_with_spectrum(
@@ -63,6 +41,7 @@ def feature_matrix_with_spectrum(
     d = lam.size
     if n_cols <= d:
         raise InvalidInputError(f"need n_cols > d for a full-rank whitening, got {n_cols}")
+    n_cols = _positive(n_cols, "n_cols")
     if np.any(lam <= 0):
         raise InvalidInputError("target eigenvalues must be positive")
     g = rng.normal(size=(d, n_cols))
@@ -75,4 +54,5 @@ def feature_matrix_with_spectrum(
 
 
 def gaussian_features(d: int, n_cols: int, rng: np.random.Generator) -> FeatureMatrix:
-    return FeatureMatrix(rng.normal(size=(d, n_cols)))
+    size = (_positive(d, "d"), _positive(n_cols, "n_cols"))
+    return FeatureMatrix(rng.normal(size=size))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     FeatureMatrix,
+    _non_negative,
     _positive,
     _require_finite,
     _trusted,
@@ -60,8 +61,11 @@ class HybridSchedule:
     lr_schedule: tuple = ((0, 0.05),)
 
     def __post_init__(self):
-        if self.warmup_steps < 0:
-            raise InvalidInputError("warmup_steps must be non-negative")
+        warmup = _non_negative(self.warmup_steps, "warmup_steps")
+        object.__setattr__(self, "warmup_steps", warmup)
+        if self.switch_step is not None:
+            switch = _non_negative(self.switch_step, "switch_step")
+            object.__setattr__(self, "switch_step", switch)
         sched = tuple((int(s), float(lr)) for s, lr in self.lr_schedule)
         if not sched or sched[0][0] != 0:
             raise InvalidInputError("lr schedule must start at step 0")
@@ -71,8 +75,6 @@ class HybridSchedule:
         if not all(0 < lr < np.inf for _, lr in sched):
             raise InvalidInputError("learning rates must be positive and finite")
         if self.switch_step is not None:
-            if self.switch_step < 0:
-                raise InvalidInputError("switch_step must be non-negative")
             if len(sched) >= 2 and self.switch_step >= sched[-1][0]:
                 raise InvalidInputError(
                     "the swap must happen before the final learning-rate decay"
@@ -115,6 +117,8 @@ class ToyModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "raw_dim", "n_cols", "forward_iterations"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         if self.d < 2 or self.raw_dim < self.d or self.n_cols < 2:
             raise InvalidInputError("need raw_dim >= d >= 2 and n_cols >= 2")
         if not 1 <= self.init_condition < np.inf:
@@ -194,9 +198,11 @@ def make_toy_task(
 def batch_stream(task: ToyTask, batch_size: int, steps: int, seed: int = 0):
     """Seeded generator of (inputs, labels) batches, one per training step.
 
-    A batch size that is not a positive int is refused on the call, not at the first batch.
+    A batch size or step count that is not a positive int is refused on the
+    call, not at the first batch, so a stream is never empty.
     """
     batch_size = _positive(batch_size, "batch size")
+    steps = _positive(steps, "steps")
     rng = np.random.default_rng(seed)
     draws = (rng.integers(0, task.n_samples, size=batch_size) for _ in range(steps))
     return ((task.inputs[idx], task.labels[idx]) for idx in draws)

@@ -1,0 +1,236 @@
+"""Reference implementations that only the tests call.
+
+Each one checks a part of the package from a second direction: the
+power-iteration gradient reproduces the leading block of the ``taylor``
+scheme, the continued fraction builds the diagonal Pade approximants that
+``pade_from_series`` solves for, the series-match residual certifies an
+approximant against its series, the literal centering matrix is what
+``core.apply_centering`` applies without forming, the min-gap spectrum gives
+the finite-difference suite well-separated eigenvalues, and the beta-smoothness
+estimate compares the gradient fields of two schemes. Tests import this
+module the way they import ``conftest``. ``tests/test_oracles.py`` checks that
+every public name here has a test that imports it, and that none is also a
+name in ``specgrad``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from specgrad.core import SymPsdMatrix
+from specgrad.errors import InvalidInputError, NumericalFailureError
+from specgrad.pade import PadeApproximant, PowerSeries
+
+
+@dataclass(frozen=True)
+class PowerIterationTrace:
+    """Iterate sequence of u <- P u / ||P u||, with the norms the gradient needs."""
+
+    us: np.ndarray = field()  # (k_iters + 1, d)
+    norms: np.ndarray = field()  # (k_iters,)
+    p: SymPsdMatrix = field()
+
+    @property
+    def k_iters(self) -> int:
+        return self.norms.size
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return self.us[-1]
+
+
+def power_iteration(p: SymPsdMatrix, k_iters: int, v0: np.ndarray) -> PowerIterationTrace:
+    """Run k_iters normalized power steps from a nonzero v0, keeping the whole sequence."""
+    us = np.empty((k_iters + 1, p.d))
+    norms = np.empty(k_iters)
+    us[0] = v0 / np.linalg.norm(v0)
+    for k in range(k_iters):
+        w = p.data @ us[k]
+        norms[k] = np.linalg.norm(w)
+        us[k + 1] = w / norms[k]
+    return PowerIterationTrace(us, norms, p)
+
+
+def pi_gradient(trace: PowerIterationTrace, grad_u: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of the power-iteration output w.r.t. the matrix.
+
+    dl/dP = sum_k [(I - u^(k+1) u^(k+1)T) / ||P u^(k)||] dl/du^(k+1) u^(k)T
+    with dl/du^(k) back-propagated through the same projector.
+    """
+    d = trace.us.shape[1]
+    total = np.zeros((d, d))
+    g = grad_u
+    for k in range(trace.k_iters - 1, -1, -1):
+        u_next = trace.us[k + 1]
+        projected = (g - u_next * np.dot(u_next, g)) / trace.norms[k]
+        total += np.outer(projected, trace.us[k])
+        g = trace.p.data @ projected
+    return total
+
+
+def beta_smoothness(
+    grad_fn,
+    x0: np.ndarray,
+    samples: int = 64,
+    perturb_scale: float = 1e-3,
+    rng: np.random.Generator | int | None = 0,
+    scheme_label: str = "unknown",
+) -> float:
+    """Empirical gradient-Lipschitz estimate around x0.
+
+    Samples Gaussian perturbation directions scaled to perturb_scale times
+    ||x0||_F and reports max ||g(x0) - g(x0 + delta)||_F / ||delta||_F over
+    the samples. Larger means a less smooth gradient field.
+    """
+    if samples < 2:
+        raise InvalidInputError(f"need at least 2 samples, got {samples}")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    x0 = np.asarray(x0, dtype=np.float64)
+    base = np.asarray(grad_fn(x0))
+    if not np.all(np.isfinite(base)):
+        raise NumericalFailureError(
+            f"non-finite gradient at the base point under scheme {scheme_label}",
+            scheme=scheme_label,
+        )
+    scale = perturb_scale * np.linalg.norm(x0)
+    worst = 0.0
+    for _ in range(samples):
+        delta = rng.normal(size=x0.shape)
+        delta *= scale / np.linalg.norm(delta)
+        other = np.asarray(grad_fn(x0 + delta))
+        if not np.all(np.isfinite(other)):
+            raise NumericalFailureError(
+                f"non-finite gradient at a perturbed point under scheme {scheme_label}",
+                scheme=scheme_label,
+            )
+        worst = max(worst, float(np.linalg.norm(other - base) / np.linalg.norm(delta)))
+    return worst
+
+
+def _qd_cf_coefficients(s: PowerSeries, n: int) -> list:
+    """Partial numerator factors c_2 ... c_{2n+1} of the regular C-fraction.
+
+    The expansion a_0 + a_1 x / (1 - c_2 x / (1 - c_3 x / ...)) has odd
+    convergents equal to the diagonal sequence [1/0], [2/1], ... The factors
+    come from the quotient-difference scheme of the shifted series, run one
+    column at a time: only the current q column and the previous e column are
+    kept, and c_{2j}, c_{2j+1} are their leading entries. A zero at the
+    surface of the table means the fraction terminates (the series is
+    rational and already matched exactly); a zero inside the table is a
+    genuine breakdown.
+    """
+    a = s.coeffs.astype(np.float64)
+    if a.size < 2 * n + 2:
+        raise InvalidInputError(
+            f"series has {a.size} coefficients, diagonal [{n + 1}/{n}] needs {2 * n + 2}"
+        )
+    if n == 0:
+        return []
+    if a[1] == 0.0:
+        raise NumericalFailureError(
+            "continued-fraction expansion breaks down: a_1 = 0", step="q_1"
+        )
+    g = a[1 : 2 * n + 2] / a[1]  # g_0 ... g_2n
+
+    # q holds the current column q_j^(k), e the previous one e_{j-1}^(k);
+    # the first column stops at the first zero g_k
+    zero = np.flatnonzero(g[:-1] == 0.0)
+    stop = zero[0] if zero.size else 2 * n
+    q = g[1 : stop + 1] / g[:stop]
+    e = np.zeros(2 * n + 1)
+    coeffs: list = []
+    for j in range(1, n + 1):
+        if not q.size or q[0] == 0.0:
+            return coeffs  # terminated before c_{2j}
+        coeffs.append(q[0])
+        e = q[1:] - q[:-1] + e[1 : q.size]
+        if not e.size or e[0] == 0.0:
+            return coeffs  # fraction terminates: series is rational of lower degree
+        coeffs.append(e[0])
+        if j < n:
+            zero = np.flatnonzero(e[:-1] == 0.0)
+            if zero.size:
+                raise NumericalFailureError(
+                    "quotient-difference breakdown: zero partial denominator",
+                    step=f"e_{j}^({zero[0]})",
+                )
+            q = q[1 : e.size] * e[1:] / e[:-1]
+    return coeffs
+
+
+def pade_from_continued_fraction(s: PowerSeries, n: int) -> PadeApproximant:
+    """Diagonal [n+1/n] approximant via successive continued-fraction convergents.
+
+    Runs the recurrence A_{k+1} = A_k - c_{k+1} x A_{k-1} once, on a 2-row
+    array holding numerator A_k and denominator B_k. If the underlying fraction
+    terminates early the result keeps the lower exact degree.
+    """
+    if n < 0:
+        raise InvalidInputError(f"n must be non-negative, got {n}")
+    a = s.coeffs.astype(np.float64)
+    cfs = _qd_cf_coefficients(s, n)
+
+    # rows A_k, B_k of the convergent A_k / B_k, lowest coefficient first;
+    # A_{-1} = 1, B_{-1} = 0, A_0 = a_0, B_0 = 1, and c_1 = -a_1
+    prev = np.zeros((2, n + 2))
+    prev[0, 0] = 1.0
+    cur = np.zeros((2, n + 2))
+    cur[:, 0] = a[0], 1.0
+    for c in [-a[1], *cfs]:
+        shifted = np.zeros_like(prev)
+        shifted[:, 1:] = prev[:, :-1]
+        cur, prev = cur - c * shifted, cur
+    # B_k(0) = 1 at every step, so the convergent is already normalized
+    return PadeApproximant(_poly_trim(cur[0]), _poly_trim(cur[1])[1:])
+
+
+def _poly_trim(coeffs: np.ndarray) -> np.ndarray:
+    nz = np.nonzero(coeffs)[0]
+    return coeffs[: nz[-1] + 1] if nz.size else coeffs[:1]
+
+
+def series_match_residual(pa: PadeApproximant, s: PowerSeries) -> float:
+    """Largest mismatch between the Maclaurin expansion of P/Q and the series.
+
+    Equivalent to checking Q * A = P modulo x^(M+N+1) by convolution, scaled
+    by the largest source coefficient so the result reads as a relative error.
+    """
+    m, n = pa.degrees
+    a = s.coeffs.astype(np.float64)[: m + n + 1]
+    prod = np.convolve(pa.q_full.astype(np.float64), a)[: m + n + 1]
+    p_pad = np.zeros(m + n + 1)
+    p_pad[: m + 1] = pa.p
+    scale = max(np.abs(a).max(), 1.0)
+    return float(np.abs(prod - p_pad).max() / scale)
+
+
+def centering_matrix(n: int, dtype=np.float64) -> np.ndarray:
+    """The n x n matrix (1/n)(I - (1/n) 11^T) that centers and averages columns."""
+    eye = np.eye(n, dtype=dtype)
+    return (eye - np.full((n, n), 1.0 / n, dtype=dtype)) / n
+
+
+def spectrum_with_min_gap(d: int, rng: np.random.Generator, gap_frac: float = 0.1) -> np.ndarray:
+    """Spectrum whose consecutive eigenvalue gaps all exceed gap_frac * lambda_1.
+
+    Near-equal jittered gaps spanning [0.2, 1] times a random overall scale.
+    d - 1 positive gaps of at least gap_frac * lambda_1 must fit under
+    lambda_1, so the requirement is only satisfiable for small d.
+    """
+    if d < 1:
+        raise InvalidInputError("need d >= 1")
+    scale = rng.uniform(0.5, 2.0)
+    if d == 1:
+        return np.array([scale])
+    gaps = rng.uniform(0.95, 1.05, size=d - 1)
+    gaps *= 0.8 / gaps.sum()
+    if gaps.min() < gap_frac:
+        raise InvalidInputError(
+            f"cannot fit {d - 1} gaps of at least {gap_frac} * lambda_1 "
+            "into the available spread"
+        )
+    lam = np.concatenate([[1.0], 1.0 - np.cumsum(gaps)])
+    return scale * lam

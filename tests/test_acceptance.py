@@ -24,7 +24,6 @@ from specgrad.newton_schulz import ns_forward
 from specgrad.pade import (
     approximation_error_table,
     eval_rational,
-    pade_from_continued_fraction,
     pade_from_series,
     PowerSeries,
     reciprocal_gap_pade,
@@ -35,10 +34,8 @@ from specgrad.schemes import (
     grad_covariance,
     gradient_upper_bound,
     k_matrix,
-    pi_gradient,
-    power_iteration,
 )
-from specgrad.synth import feature_matrix_with_spectrum, spectrum_with_min_gap
+from specgrad.synth import feature_matrix_with_spectrum
 from specgrad.training import (
     HybridSchedule,
     ToyModelSpec,
@@ -46,6 +43,13 @@ from specgrad.training import (
     evaluate_model,
     make_toy_task,
     run_hybrid_training,
+)
+
+from oracles import (
+    pade_from_continued_fraction,
+    pi_gradient,
+    power_iteration,
+    spectrum_with_min_gap,
 )
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)

@@ -11,7 +11,6 @@ from specgrad.core import (
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
-    centering_matrix,
     clamp_eigenvalues,
     condition_number,
     count_clamped,
@@ -26,19 +25,22 @@ from specgrad.pade import (
     PowerSeries,
     approximation_error_table,
     diagonal_degrees,
+    geometric_series,
+    pade_from_series,
     reciprocal_gap_pade,
+    taylor_eval,
 )
 from specgrad.schemes import (
     BackwardScheme,
     KMatrix,
     grad_covariance,
     k_matrix,
-    pi_gradient,
-    power_iteration,
 )
-from specgrad.training import ToyModelSpec, batch_stream, make_toy_task
+from specgrad.synth import gaussian_features, spectrum_for_condition
+from specgrad.training import HybridSchedule, ToyModelSpec, batch_stream, make_toy_task
 
 from conftest import random_spd
+from oracles import centering_matrix
 
 
 @pytest.mark.parametrize(
@@ -340,13 +342,21 @@ _TOY = ToyModelSpec(d=2, raw_dim=2, n_cols=4)
 COUNT_SITES = {
     "BackwardScheme": lambda v: BackwardScheme.pade(v),
     "ns_forward": lambda v: ns_forward(SymPsdMatrix(np.eye(2)), v),
-    "power_iteration": lambda v: power_iteration(SymPsdMatrix(np.eye(2)), v, np.ones(2)),
     "diagonal_degrees": diagonal_degrees,
     "reciprocal_gap_pade": reciprocal_gap_pade,
     "approximation_error_table": lambda v: approximation_error_table("taylor", (v,), (0.5,)),
     "make_toy_task": lambda v: make_toy_task(_TOY, v),
     # refused by the call itself, not on the first batch drawn
     "batch_stream": lambda v: batch_stream(make_toy_task(_TOY, 6), v, 3),
+    # a stream of zero steps would train nothing and report "completed"
+    "batch_stream.steps": lambda v: batch_stream(make_toy_task(_TOY, 6), 2, v),
+    "ToyModelSpec.d": lambda v: ToyModelSpec(d=v, raw_dim=3),
+    "ToyModelSpec.raw_dim": lambda v: ToyModelSpec(d=2, raw_dim=v),
+    "ToyModelSpec.n_cols": lambda v: ToyModelSpec(d=2, raw_dim=2, n_cols=v),
+    "ToyModelSpec.forward_iterations": lambda v: ToyModelSpec(forward_iterations=v),
+    "spectrum_for_condition": lambda v: spectrum_for_condition(v, 10.0),
+    "gaussian_features.d": lambda v: gaussian_features(v, 4, np.random.default_rng(0)),
+    "gaussian_features.n_cols": lambda v: gaussian_features(2, v, np.random.default_rng(0)),
 }
 
 
@@ -365,6 +375,37 @@ class TestCountRule:
         out = COUNT_SITES[site](2.0)
         if site == "batch_stream":
             assert [yb.size for _, yb in out] == [2, 2, 2]
+        if site == "batch_stream.steps":
+            assert len(list(out)) == 2
+        if isinstance(out, ToyModelSpec):  # stored as the int the model is built from
+            assert type(getattr(out, site.split(".")[1])) is int
+
+
+#: every public entry point that takes a count that may be zero, called with ``v``
+ZERO_COUNT_SITES = {
+    "pade_from_series.m": lambda v: pade_from_series(geometric_series(8), v, 1),
+    "pade_from_series.n": lambda v: pade_from_series(geometric_series(8), 1, v),
+    "taylor_eval": lambda v: taylor_eval(v, 0.5),
+    "warmup_steps": lambda v: HybridSchedule(BackwardScheme.pade(), None, warmup_steps=v),
+    "switch_step": lambda v: HybridSchedule(BackwardScheme.pade(), v),
+}
+
+
+class TestZeroCountRule:
+    """A count that may be zero is a non-negative int; an integral float passes as one."""
+
+    @pytest.mark.parametrize("value", [2.5, True, -1], ids=["fraction", "bool", "negative"])
+    @pytest.mark.parametrize("site", ZERO_COUNT_SITES)
+    def test_refused(self, site, value):
+        with pytest.raises(InvalidInputError, match=f"must be a non-negative int, got {value}$"):
+            ZERO_COUNT_SITES[site](value)
+
+    @pytest.mark.parametrize("site", ZERO_COUNT_SITES)
+    def test_zero_and_integral_float_pass(self, site):
+        for value in (0, 2.0):
+            out = ZERO_COUNT_SITES[site](value)
+            if isinstance(out, HybridSchedule):
+                assert type(getattr(out, site)) is int
 
 
 def _gradient_site(site):
@@ -374,28 +415,20 @@ def _gradient_site(site):
     if site == "grad_covariance":
         k = k_matrix(e, BackwardScheme.ordinary())
         return (lambda g: grad_covariance(g, e, k)), (3, 3)
-    if site == "ns_backward":
-        trace = ns_forward(p, 3)[1]
-        return (lambda g: ns_backward(trace, g)), (3, 3)
-    if site == "pi_gradient":
-        trace = power_iteration(p, 3, np.ones(3))
-        return (lambda g: pi_gradient(trace, g)), (3,)
-    return (lambda g: power_iteration(p, 3, g)), (3,)
+    trace = ns_forward(p, 3)[1]
+    return (lambda g: ns_backward(trace, g)), (3, 3)
 
 
 class TestGradientRule:
     """A gradient has exactly the expected shape and finite entries; one message each."""
 
     @pytest.mark.parametrize("bad", ["shape", "nan"])
-    @pytest.mark.parametrize(
-        "site", ["grad_covariance", "ns_backward", "pi_gradient", "power_iteration"]
-    )
+    @pytest.mark.parametrize("site", ["grad_covariance", "ns_backward"])
     def test_refused(self, site, bad):
         call, shape = _gradient_site(site)
-        name = "start vector" if site == "power_iteration" else "gradient"
         if bad == "shape":
-            grad, message = np.ones(2), f"{name} shape (2,) does not match {shape}"
+            grad, message = np.ones(2), f"gradient shape (2,) does not match {shape}"
         else:
-            grad, message = np.full(shape, np.nan), f"non-finite {name} input"
+            grad, message = np.full(shape, np.nan), "non-finite gradient input"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call(grad)

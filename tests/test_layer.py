@@ -12,9 +12,10 @@ from specgrad.layer import (
     upper_triangle_vector,
 )
 from specgrad.schemes import BackwardScheme
-from specgrad.synth import feature_matrix_with_spectrum, spectrum_with_min_gap
+from specgrad.synth import feature_matrix_with_spectrum
 
 from conftest import random_features
+from oracles import spectrum_with_min_gap
 
 
 def all_legal_configs(d: int = 4):

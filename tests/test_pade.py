@@ -11,12 +11,12 @@ from specgrad.pade import (
     diagonal_degrees,
     eval_rational,
     geometric_series,
-    pade_from_continued_fraction,
     pade_from_series,
     reciprocal_gap_pade,
-    series_match_residual,
     taylor_eval,
 )
+
+from oracles import pade_from_continued_fraction, series_match_residual
 
 
 def exp_series(length: int) -> PowerSeries:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from specgrad.errors import InvalidInputError
-from specgrad.synth import spectrum_for_condition
+from specgrad.synth import feature_matrix_with_spectrum, spectrum_for_condition
+
+from oracles import spectrum_with_min_gap
 
 
 class TestSpectrumForCondition:
@@ -10,3 +12,29 @@ class TestSpectrumForCondition:
     def test_target_outside_finite_range_rejected(self, cond):
         with pytest.raises(InvalidInputError, match="finite and >= 1"):
             spectrum_for_condition(4, cond)
+
+
+class TestFeatureMatrixWithSpectrum:
+    # a count up to d fails the full-rank comparison first, a fraction the count rule
+    @pytest.mark.parametrize(
+        "n_cols,message",
+        [(9.5, "n_cols must be a positive int, got 9.5"), (4, "need n_cols > d"),
+         (0, "need n_cols > d"), (True, "need n_cols > d")],
+        ids=["fraction", "d", "zero", "bool"],
+    )
+    def test_column_count_refused(self, n_cols, message, rng):
+        with pytest.raises(InvalidInputError, match=message):
+            feature_matrix_with_spectrum(np.ones(4), n_cols, rng)
+
+    def test_integral_float_column_count_passes(self, rng):
+        x = feature_matrix_with_spectrum(np.array([3.0, 2.0, 1.0, 0.5]), 9.0, rng)
+        assert x.n_samples == 9
+        lam = np.linalg.eigvalsh(np.cov(x.data, bias=True))[::-1]
+        np.testing.assert_allclose(lam, [3.0, 2.0, 1.0, 0.5], rtol=1e-10)
+
+
+class TestSpectrumWithMinGap:
+    def test_infeasible_gap_refused(self, rng):
+        # five gaps of at least 0.2 * lambda_1 cannot fit under 0.8 * lambda_1
+        with pytest.raises(InvalidInputError, match="cannot fit 5 gaps of at least 0.2"):
+            spectrum_with_min_gap(6, rng, gap_frac=0.2)
