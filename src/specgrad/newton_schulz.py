@@ -8,28 +8,34 @@ coupled updates
     Z_k = T_k Z_{k-1}
 
 from Y_0 = A = P / tr(P), Z_0 = I, and post-compensate Q = sqrt(tr(P)) Y_N.
-The first step needs no product with Z_0 = I: T_1 = 1.5 I - 0.5 A and
-Z_1 = T_1. A forward of N iterations costs 3N - 2 d-by-d matmuls.
+Two steps need fewer products:
+
+- the first has Z_0 = I: T_1 = 1.5 I - 0.5 A and Z_1 = T_1, so it costs
+  the one matmul of Y_1;
+- the last skips Z_N, which neither Q nor the backward reads, so it costs 2.
+
+A forward of N >= 2 iterations costs 3N - 3 d-by-d matmuls (12 at N = 5);
+at N = 1 it costs 1. The trace (``NewtonSchulzTrace``) keeps Y_0..Y_N,
+Z_0..Z_{N-1}, the factors T_1..T_N and tr(P).
 
 Backward: reverse-mode product rule through every iteration, then compose
 the trace pre-normalization and post-compensation terms. Each step goes
-through the shared factor T = 1.5 I - 0.5 Z Y, recomputed with one matmul
-from Y = Y_{k-1}, Z = Z_{k-1}, and its adjoint dT:
+through the shared factor T = T_k, read from the trace, with Y = Y_{k-1},
+Z = Z_{k-1} and the adjoint dT:
 
     dT       = Y^T dY_k + dZ_k Z^T
     dY_{k-1} = dY_k T^T - 0.5 Z^T dT
     dZ_{k-1} = T^T dZ_k - 0.5 dT Y^T
 
 This is the exact chain rule, only regrouped: it assumes neither symmetry
-of Y and Z nor that they commute. A general step costs 7 matmuls; two steps
+of Y and Z nor that they commute. A general step costs 6 matmuls; two steps
 cost less:
 
-- the first reverse step (k = N) has dZ_N = 0, so its terms drop: 5 matmuls;
-- the last (k = 1) has Z_0 = I and Y_0 = A, so T = 1.5 I - 0.5 A and
-  dT = A^T dY_1 + dZ_1, and dZ_0 is not formed since Z_0 is constant:
-  2 matmuls.
+- the first reverse step (k = N) has dZ_N = 0, so its terms drop: 4 matmuls;
+- the last (k = 1) has Z_0 = I and Y_0 = A, so dT = A^T dY_1 + dZ_1, and
+  dZ_0 is not formed since Z_0 is constant: 2 matmuls.
 
-A backward of N >= 2 iterations costs 7N - 7 matmuls (28 at N = 5); at
+A backward of N >= 2 iterations costs 6N - 6 matmuls (24 at N = 5); at
 N = 1 the single step is both special steps and costs 2. Validated against
 central finite differences and, in the tests, against the per-step
 recursion expanded into triple products (12 matmuls a step).
@@ -37,7 +43,7 @@ recursion expanded into triple products (12 matmuls a step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +57,30 @@ _DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class NewtonSchulzTrace:
-    """Everything the backward pass needs: both iterate sequences and tr(P)."""
+    """Everything the backward pass needs from an N-step forward.
 
-    y_seq: tuple = field()
-    z_seq: tuple = field()
-    trace_p: float = 0.0
+    ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_0 = I, ..., Z_{N-1};
+    ``t_seq`` holds the factors T_1, ..., T_N; ``trace_p`` is tr(P).
+
+    Raises:
+        InvalidInputError: the sequence lengths do not line up with one N >= 1,
+            or ``trace_p`` is not positive and finite.
+    """
+
+    y_seq: tuple
+    z_seq: tuple
+    t_seq: tuple
+    trace_p: float
+
+    def __post_init__(self):
+        n = self.iterations
+        if n < 1 or len(self.z_seq) != n or len(self.t_seq) != n:
+            raise InvalidInputError(
+                "a trace of N >= 1 steps holds N + 1 Y iterates and N each of Z and T, "
+                f"got {len(self.y_seq)}, {len(self.z_seq)} and {len(self.t_seq)}"
+            )
+        if not 0.0 < self.trace_p < np.inf:
+            raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
 
     @property
     def iterations(self) -> int:
@@ -99,15 +124,15 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         raise DomainError("trace-normalized input is too far from identity to be PSD")
     eye3 = 3.0 * np.eye(d, dtype=a.dtype)
 
-    y = a.copy()
+    y = a
     z = np.eye(d, dtype=a.dtype)
     y_seq = [y]
     z_seq = [z]
+    t_seq = []
     for k in range(iterations):
         # Z_0 = I: the products I @ Y_0 and T_1 @ I are exact, so skip them
         t = 0.5 * (eye3 - (z @ y if k else y))
         y = y @ t
-        z = t @ z if k else t
         # NaN fails every comparison, so one reduction also catches it
         if not np.abs(y).max() <= _DIVERGENCE_LIMIT:
             raise NumericalFailureError(
@@ -116,11 +141,21 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
                 max_entry=float(np.abs(y).max()),
             )
         y_seq.append(y)
-        z_seq.append(z)
+        t_seq.append(t)
+        if k + 1 < iterations:  # nothing reads Z_N
+            z = t @ z if k else t
+            z_seq.append(z)
 
     q = np.sqrt(trace_p) * y_seq[-1]
-    trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), trace_p)
-    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.T), trace
+    q *= 0.5  # in place, so that q + q.T = 0.5 Q + 0.5 Q^T needs one temporary fewer
+    trace = _trusted(
+        NewtonSchulzTrace,
+        y_seq=tuple(y_seq),
+        z_seq=tuple(z_seq),
+        t_seq=tuple(t_seq),
+        trace_p=trace_p,
+    )
+    return _trusted(SymPsdMatrix, data=q + q.T), trace
 
 
 def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
@@ -134,14 +169,13 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     grad_q = _gradient(grad_q, (d, d))
     tr_p = trace.trace_p
     sqrt_tr = np.sqrt(tr_p)
-    eye3 = 3.0 * np.eye(d)
 
     dy = sqrt_tr * grad_q
     dz = None  # dZ_N = 0: the loss reads only Y_N
     for k in range(trace.iterations, 1, -1):
         y = trace.y_seq[k - 1]
         z = trace.z_seq[k - 1]
-        t = 0.5 * (eye3 - z @ y)
+        t = trace.t_seq[k - 1]
         dt = y.T @ dy
         if dz is None:
             dz = -0.5 * (dt @ y.T)
@@ -151,11 +185,10 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
         dy = dy @ t.T - 0.5 * (z.T @ dt)
     # k = 1: Z_0 = I and Y_0 = A; Z_0 is constant, so dZ_0 is not formed
     a = trace.normalized_input
-    t = 0.5 * (eye3 - a)
     dt = a.T @ dy
     if dz is not None:
         dt += dz
-    da = dy @ t.T - 0.5 * dt
+    da = dy @ trace.t_seq[0].T - 0.5 * dt
 
     # d tr(P) contributions from A = P / tr(P) and Q = sqrt(tr(P)) Y_N
     p = a * tr_p

@@ -66,6 +66,24 @@ def fd_relative_error(p_arr, w, iterations, h=1e-6):
     return np.abs(g_sym - fd).max() / np.abs(fd).max()
 
 
+class MatmulCounting(np.ndarray):
+    """An array that counts the matmuls it takes part in, then computes as numpy does."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounting.matmuls += 1
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(_plain, kwargs["out"]))
+        out = getattr(ufunc, method)(*map(_plain, inputs), **kwargs)
+        return out.view(MatmulCounting) if isinstance(out, np.ndarray) else out
+
+
+def _plain(a):
+    return a.view(np.ndarray) if isinstance(a, MatmulCounting) else a
+
+
 class TestForward:
     def test_identity_is_fixed_point(self):
         q, trace = ns_forward(SymPsdMatrix(np.eye(3)), 20)
@@ -100,16 +118,19 @@ class TestForward:
 
     def test_first_step_shortcut_is_bit_identical(self, rng):
         # the forward skips the products with Z_0 = I; they are exact, so the
-        # plain coupled recursion gives the same bits
+        # plain coupled recursion gives the same bits. It keeps each T_k and
+        # stops before Z_N, which nothing reads
         p = random_spd(6, rng)
         q, trace = ns_forward(p, 4)
         y = trace.normalized_input
         z = np.eye(6)
         for k in range(1, 5):
+            assert np.array_equal(trace.z_seq[k - 1], z)
             t = 0.5 * (3.0 * np.eye(6) - z @ y)
+            assert np.array_equal(trace.t_seq[k - 1], t)
             y, z = y @ t, t @ z
             assert np.array_equal(trace.y_seq[k], y)
-            assert np.array_equal(trace.z_seq[k], z)
+        assert len(trace.y_seq) == 5 and len(trace.z_seq) == len(trace.t_seq) == 4
         expected = np.sqrt(trace.trace_p) * y
         assert np.array_equal(q.data, 0.5 * (expected + expected.T))
 
@@ -174,18 +195,34 @@ class TestBackward:
     def test_matches_expanded_recursion_without_symmetry(self, iterations):
         # iterates from a symmetric P are symmetric and commute, which hides a
         # misplaced transpose; the reverse rule assumes neither, so feed it a
-        # trace of general matrices (Z_0 = I, as the last reverse step needs)
+        # trace of general matrices (Z_0 = I, as the last reverse step needs),
+        # each T_k built from its Y and Z by the forward's rule
         d = 6
         local = np.random.default_rng(iterations)
         y_seq = [np.eye(d) / d + 0.1 * local.normal(size=(d, d))
                  for _ in range(iterations + 1)]
         z_seq = [np.eye(d)] + [np.eye(d) + 0.1 * local.normal(size=(d, d))
-                               for _ in range(iterations)]
-        trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), 2.5)
+                               for _ in range(iterations - 1)]
+        t_seq = [0.5 * (3.0 * np.eye(d) - z @ y) for y, z in zip(y_seq, z_seq)]
+        trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), tuple(t_seq), 2.5)
         grad_q = local.normal(size=(d, d))
         ref = expanded_ns_backward(trace, grad_q)
         g = ns_backward(trace, grad_q)
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("iterations,forward,backward",
+                             [(1, 1, 2), (2, 3, 6), (5, 12, 24), (10, 27, 54)])
+    def test_matmul_counts(self, rng, iterations, forward, backward):
+        # 3N - 3 forward and 6N - 6 backward for N >= 2, as the module states;
+        # every trace array descends from P, so each matmul has a counting operand
+        p = random_spd(5, rng)
+        object.__setattr__(p, "data", p.data.view(MatmulCounting))
+        MatmulCounting.matmuls = 0
+        _, trace = ns_forward(p, iterations)
+        assert MatmulCounting.matmuls == forward
+        MatmulCounting.matmuls = 0
+        ns_backward(trace, rng.normal(size=(5, 5)))
+        assert MatmulCounting.matmuls == backward
 
     def test_trace_loss_gradient_is_half_inverse_sqrt(self):
         # d tr(P^(1/2)) / dP = (1/2) P^(-1/2); at P = I that is I/2
@@ -199,6 +236,29 @@ class TestBackward:
         p = spd_with_condition(5, 1e4, local)
         w = local.normal(size=(5, 5))
         assert fd_relative_error(p.data, w, 5) <= 1e-4
+
+
+class TestTrace:
+    I = np.eye(3)
+
+    @pytest.mark.parametrize("y_len,z_len,t_len", [(3, 1, 2), (3, 2, 1), (1, 0, 0), (2, 2, 2)])
+    def test_sequence_lengths_must_line_up(self, y_len, z_len, t_len):
+        # a backward over such a trace would index past a sequence
+        a = self.I / 3
+        with pytest.raises(InvalidInputError, match="N \\+ 1 Y iterates"):
+            NewtonSchulzTrace((a,) * y_len, (self.I,) * z_len, (self.I,) * t_len, 1.0)
+
+    @pytest.mark.parametrize("trace_p", [0.0, -1.0, np.inf, np.nan])
+    def test_trace_p_must_be_positive_and_finite(self, trace_p):
+        # tr(P) = 0 would divide by zero in the backward and return nan
+        a = self.I / 3
+        with pytest.raises(InvalidInputError, match="trace_p"):
+            NewtonSchulzTrace((a, a), (self.I,), (self.I,), trace_p)
+
+    def test_trace_p_has_no_default(self):
+        a = self.I / 3
+        with pytest.raises(TypeError):
+            NewtonSchulzTrace((a, a), (self.I,), (self.I,))
 
 
 class TestGradientOfX:

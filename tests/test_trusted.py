@@ -21,7 +21,7 @@ from specgrad.core import (
     matrix_power,
 )
 from specgrad.errors import NumericalFailureError
-from specgrad.newton_schulz import ns_forward
+from specgrad.newton_schulz import NewtonSchulzTrace, ns_forward
 from specgrad.schemes import BackwardScheme, KMatrix, k_matrix
 
 K_SCHEMES = (
@@ -67,8 +67,11 @@ def test_producer_results_pass_public_constructors(d, n, seed):
     q = matrix_power(e, 0.5)
     _assert_frozen_and_rebuilds(q, SymPsdMatrix(q.data))
 
-    q_ns, _ = ns_forward(p, 5)
+    q_ns, trace = ns_forward(p, 5)
     _assert_frozen_and_rebuilds(q_ns, SymPsdMatrix(q_ns.data))
+    _assert_frozen_and_rebuilds(
+        trace, NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, trace.trace_p)
+    )
 
     for scheme in K_SCHEMES:
         k = k_matrix(e, scheme)
