@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import FeatureMatrix, clamp_eigenvalues, condition_number, covariance, eigh
+from .core import FeatureMatrix, _positive, clamp_eigenvalues, condition_number, covariance, eigh
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import EIG_SQRT, LOSS_KINDS, NEWTON_SCHULZ, GcpLayerConfig, grad_check
 from .newton_schulz import DEFAULT_ITERATIONS
@@ -394,9 +394,7 @@ def cmd_condition(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    steps, seed = args.steps, args.seed
-    if steps < 1:
-        raise InvalidInputError(f"--steps must be at least 1, got {steps}")
+    steps, seed = _positive(args.steps, "--steps"), args.seed
     for flag, value in (("switch-frac", args.switch_frac), ("warmup-frac", args.warmup_frac)):
         if not np.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")

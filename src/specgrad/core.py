@@ -20,10 +20,15 @@ constructor. Where arithmetic on finite input can overflow (the covariance,
 a matrix power, and in training the features and the loss gradient at Q),
 a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.
+
+Constants that depend only on the width, the triangle indices of ``_triu``,
+are built once per width and cached: read-only, one entry per width the
+process uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -54,6 +59,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
+
+
+@functools.cache
+def _triu(d: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(d, k)``, built once per ``(d, k)``."""
+    rows, cols = np.triu_indices(d, k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _trusted(cls, **fields):
@@ -216,7 +229,7 @@ def apply_centering(m: np.ndarray) -> np.ndarray:
     """Right-multiply ``m`` by the centering matrix without forming it."""
     m = np.asarray(m)
     n = m.shape[1]
-    return (m - m.mean(axis=1, keepdims=True)) / n
+    return (m - m.sum(axis=1, keepdims=True) / n) / n
 
 
 def covariance(x: FeatureMatrix) -> SymPsdMatrix:
@@ -225,7 +238,8 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     Computed as X_c X_c^T / N with X_c the column-centered features, which is
     algebraically identical to sandwiching the centering matrix.
     """
-    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    # sum, then divide: the two steps of ``mean`` without its Python wrapper
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / x.n_samples
     p = (xc @ xc.T) / x.n_samples
     _require_finite(p, "covariance", x.data)
     return _trusted(SymPsdMatrix, data=0.5 * p + 0.5 * p.T)
@@ -250,8 +264,9 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
     lam = np.array(lam[::-1], dtype=np.float64)
     u = np.array(u[:, ::-1], dtype=np.float64)
     # sign convention: largest-magnitude component of each column positive
+    # (multiplying by +1.0 is exact, signed zeros included)
     anchor = np.argmax(np.abs(u), axis=0)
-    u[:, u[anchor, np.arange(u.shape[1])] < 0] *= -1.0
+    u *= np.where(u[anchor, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
@@ -265,7 +280,7 @@ def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposi
 
 
 def count_clamped(e: EigenDecomposition, dtype=np.float64) -> int:
-    return int(np.sum(e.eigenvalues < float_info(dtype).eps))
+    return int(np.count_nonzero(e.eigenvalues < float_info(dtype).eps))
 
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:

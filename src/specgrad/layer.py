@@ -17,6 +17,7 @@ from .core import (
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
+    _triu,
     _trusted,
     clamp_eigenvalues,
     count_clamped,
@@ -105,8 +106,7 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
 def upper_triangle_vector(q) -> np.ndarray:
     """Flatten the upper triangle (diagonal included) into the classifier input."""
     data = q.data if isinstance(q, SymPsdMatrix) else np.asarray(q)
-    iu = np.triu_indices(data.shape[0])
-    return data[iu].copy()
+    return data[_triu(data.shape[0])]  # fancy indexing copies
 
 
 def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
             f"gradient vector of size {grad_vec.size} does not fit d={d}"
         )
     out = np.zeros((d, d))
-    out[np.triu_indices(d)] = grad_vec
+    out[_triu(d)] = grad_vec
     return out
 
 

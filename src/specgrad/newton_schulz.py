@@ -64,7 +64,7 @@ class NewtonSchulzTrace:
 
     Raises:
         InvalidInputError: the sequence lengths do not line up with one N >= 1,
-            or ``trace_p`` is not positive and finite.
+            ``trace_p`` is not positive and finite, or Z_0 is not the identity.
     """
 
     y_seq: tuple
@@ -81,6 +81,9 @@ class NewtonSchulzTrace:
             )
         if not 0.0 < self.trace_p < np.inf:
             raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
+        # the last reverse step assumes Z_0 = I; one O(d^2) comparison
+        if not np.array_equal(self.z_seq[0], np.eye(self.d)):
+            raise InvalidInputError("Z_0 of a Newton-Schulz trace must be the identity")
 
     @property
     def iterations(self) -> int:

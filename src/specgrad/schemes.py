@@ -23,6 +23,7 @@ from .core import (
     _as_readonly,
     _gradient,
     _positive,
+    _triu,
     _trusted,
     float_info,
 )
@@ -159,7 +160,7 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     if kind == "newton_schulz":
         raise InvalidInputError(f"scheme {scheme.label} does not define a K matrix")
 
-    rows, cols = np.triu_indices(d, k=1)
+    rows, cols = _triu(d, 1)
     if kind in ("ordinary", "trunc", "topn"):
         lam_eff = lam
         if kind == "topn":

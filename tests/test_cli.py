@@ -324,6 +324,9 @@ def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv)
     assert run(*argv) == EXIT_BAD_FLAGS
     err = capsys.readouterr().err
     assert err.startswith("specgrad: invalid input: ") and err.count("\n") == 1
+    if argv == ("train-toy", "--steps", "0"):
+        # the shared count rule, naming the flag
+        assert err == "specgrad: invalid input: --steps must be a positive int, got 0\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.gcpf", "seed.conf"]
 
 

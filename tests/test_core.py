@@ -11,6 +11,7 @@ from specgrad.core import (
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
+    _triu,
     clamp_eigenvalues,
     condition_number,
     count_clamped,
@@ -224,6 +225,39 @@ class TestEigh:
         anchors = np.argmax(np.abs(e.eigenvectors), axis=0)
         assert np.all(e.eigenvectors[anchors, np.arange(d)] > 0)
 
+    @staticmethod
+    def _mask_sign_fix(p):
+        # the column gather-and-scatter form the one-multiply sign fix replaced
+        lam, u = np.linalg.eigh(p.data)
+        lam = np.array(lam[::-1], dtype=np.float64)
+        u = np.array(u[:, ::-1], dtype=np.float64)
+        anchor = np.argmax(np.abs(u), axis=0)
+        u[:, u[anchor, np.arange(u.shape[1])] < 0] *= -1.0
+        return lam, u
+
+    def test_sign_fix_matches_mask_form_bit_for_bit(self, rng):
+        rot = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        cases = [random_spd(d, rng) for d in (1, 2, 3, 8, 64) for _ in range(3)]
+        cases += [
+            # repeated eigenvalues, axis-aligned and rotated
+            SymPsdMatrix(np.diag([2.0, 2.0, 1.0])),
+            SymPsdMatrix(np.eye(4)),
+            SymPsdMatrix((rot * [3.0, 3.0, 3.0, 1.0, 1.0, 0.0]) @ rot.T),
+            # eigenvectors with exact zero entries, in flipped columns too
+            SymPsdMatrix(np.array([[2.0, 0.0, 1.0], [0.0, 5.0, 0.0], [1.0, 0.0, 2.0]])),
+            SymPsdMatrix(np.diag([1.0, 3.0, 2.0])),
+            SymPsdMatrix(np.zeros((3, 3))),
+        ]
+        signed_zeros = 0
+        for p in cases:
+            e = eigh(p)
+            lam, u = self._mask_sign_fix(p)
+            assert np.array_equal(e.eigenvalues, lam)
+            assert np.array_equal(e.eigenvectors, u)
+            assert np.array_equal(np.signbit(e.eigenvectors), np.signbit(u))
+            signed_zeros += int(np.sum(np.signbit(u) & (u == 0.0)))
+        assert signed_zeros > 0  # the cases reach a -0.0 entry
+
     def test_solver_failure_is_typed(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -231,6 +265,18 @@ class TestEigh:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalFailureError):
             eigh(SymPsdMatrix(np.eye(2)))
+
+
+class TestTriangleIndices:
+    @pytest.mark.parametrize("d,k", [(1, 0), (4, 0), (4, 1), (8, 1)])
+    def test_matches_numpy_and_is_cached_read_only(self, d, k):
+        rows, cols = _triu(d, k)
+        ref = np.triu_indices(d, k)
+        assert np.array_equal(rows, ref[0]) and np.array_equal(cols, ref[1])
+        assert _triu(d, k) is _triu(d, k)
+        for a in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestClamp:

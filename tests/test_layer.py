@@ -108,6 +108,46 @@ class TestUpperTriangle:
         assert np.array_equal(g[np.triu_indices(4)], v)
         assert np.abs(np.tril(g, -1)).max() == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 8, 128])
+    def test_roundtrip_at_width(self, rng, d):
+        q = rng.normal(size=(d, d))
+        v = upper_triangle_vector(q)
+        g = grad_from_upper_triangle(v, d)
+        assert np.array_equal(g, np.triu(q))
+        assert np.array_equal(upper_triangle_vector(g), v)
+
+    def test_result_is_owned_and_writable(self, rng):
+        # the cached indices must not leak: each call returns a fresh array
+        q = rng.normal(size=(5, 5))
+        v = upper_triangle_vector(q)
+        assert v.flags.owndata and v.flags.writeable
+        kept = v.copy()
+        v[:] = -1.0
+        assert np.array_equal(upper_triangle_vector(q), kept)
+
+    def test_same_width_builds_no_indices(self, rng, monkeypatch):
+        # the triangle indices depend only on the width: built once, not per call
+        x = random_features(5, 15, rng)
+        grad_q = rng.normal(size=(5, 5))
+
+        def run():
+            for cfg in all_legal_configs(5):
+                q, cache = gcp_forward(x, cfg)
+                gcp_backward(cache, grad_q)
+                grad_from_upper_triangle(upper_triangle_vector(q), 5)
+
+        run()
+        calls = []
+        triu_indices = np.triu_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return triu_indices(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counted)
+        run()
+        assert calls == []
+
 
 class TestBackward:
     def test_zero_gradient(self, rng):

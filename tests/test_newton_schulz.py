@@ -255,6 +255,14 @@ class TestTrace:
         with pytest.raises(InvalidInputError, match="trace_p"):
             NewtonSchulzTrace((a, a), (self.I,), (self.I,), trace_p)
 
+    @pytest.mark.parametrize("z0", [2.0 * np.eye(3), np.eye(4), np.eye(3)[::-1]])
+    def test_z0_must_be_the_identity(self, z0):
+        # the last reverse step assumes Z_0 = I: any other Z_0 would give the
+        # gradient of a different recursion without a word
+        a = self.I / 3
+        with pytest.raises(InvalidInputError, match="Z_0"):
+            NewtonSchulzTrace((a, a), (z0,), (self.I,), 1.0)
+
     def test_trace_p_has_no_default(self):
         a = self.I / 3
         with pytest.raises(TypeError):
