@@ -21,12 +21,7 @@ from .core import (
     eigh,
     matrix_power,
 )
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    NumericalFailureError,
-    PoleError,
-)
+from .errors import InvalidInputError, NumericalFailureError, PoleError
 from .layer import (
     GcpCache,
     GcpLayerConfig,

@@ -83,6 +83,9 @@ _SCHEMES = {
 }
 _SCHEME_FLAGS = tuple(dict.fromkeys(s.flag for s in _SCHEMES.values() if s.flag))
 
+#: flags that hold a count, a positive int once set (--topn and gradcheck --n may be None)
+_COUNT_FLAGS = ("d", "n", "count", "batch", "samples", "steps", "iters", "degree", "topn")
+
 
 class _Parser(argparse.ArgumentParser):
     """Exits 64 on bad flags and registers every flag with default None.
@@ -202,7 +205,7 @@ def _resolve(args) -> None:
     A config value passes through the flag's own type and choices. A declared
     --seed then falls back to the environment variable, then 0, and a negative
     seed is rejected. ``args.given`` holds the flags given on the command line,
-    as config keys (``trunc-threshold``); ``args.unread`` starts empty.
+    as config keys (``trunc-threshold``).
     """
     file = io.read_config_file(args.config) if args.config else {}
     flags = {
@@ -211,7 +214,6 @@ def _resolve(args) -> None:
         if action.dest not in ("help", "config")
     }
     args.given = {key for key, action in flags.items() if getattr(args, action.dest) is not None}
-    args.unread = set()
     for key, action in flags.items():
         if key in args.given:
             continue
@@ -253,28 +255,43 @@ def _parse_lr_schedule(text) -> tuple:
     return tuple(pairs)
 
 
-def _refuse_unread(args, flags, reason) -> None:
-    """Refuse the first of ``flags`` given on the command line: the run will not read it.
+def _check_flags(args) -> None:
+    """Refuse a given flag the run will not read, then a count that is not a positive int.
 
-    Config entries are exempt, since one file may serve several commands.
-    Each flag is marked unread, and ``_record`` records it as null.
+    Unread flags: another scheme's parameter, condition --seed/--d/--n/--count
+    with --input, and train-toy's post-switch flags when --switch-frac is 1
+    or more. Config entries are exempt, since one file may serve several
+    commands; ``_record`` records every unread flag as null. The count rule
+    holds config entries too, read or not.
     """
-    for flag in flags:
-        if flag in args.given:
-            raise InvalidInputError(f"--{flag} is not read {reason}")
-    args.unread.update(flag.replace("-", "_") for flag in flags)
+    groups = {}
+    if args.command == "condition" and args.input:
+        groups["with --input"] = ("seed", "d", "n", "count")
+    if args.command == "train-toy" and args.switch_frac >= 1.0:
+        no_switch = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
+        groups["without a switch (--switch-frac >= 1)"] = no_switch
+    name = vars(args).get("scheme") or vars(args).get("backward")
+    if name:  # train-toy's --iters also counts the forward's Newton-Schulz steps
+        read = (_SCHEMES[name].flag, "iters" if args.command == "train-toy" else None)
+        groups[f"by scheme {name}"] = [f for f in _SCHEME_FLAGS if f not in read]
+    args.unread = set()
+    for reason, flags in groups.items():
+        given = [f for f in flags if f in args.given]
+        if given:
+            raise InvalidInputError(f"--{given[0]} is not read {reason}")
+        args.unread.update(f.replace("-", "_") for f in flags)
+    for flag in _COUNT_FLAGS:
+        if vars(args).get(flag) is not None:
+            setattr(args, flag, _positive(getattr(args, flag), f"--{flag}"))
 
 
-def _scheme_from_flags(name, args, also_read=()) -> BackwardScheme:
+def _scheme_from_flags(name, args) -> BackwardScheme:
     """The scheme ``name`` selects, with its parameter flag's resolved value.
 
-    Another scheme's parameter flag, when given, is refused unless the
-    command reads it otherwise. A command without the scheme's flag
-    (``bounds`` has no ``--topn``) uses the scheme's default.
+    A command without the scheme's flag (``bounds`` has no ``--topn``) uses
+    the scheme's default.
     """
     entry = _SCHEMES[name]
-    unread = [f for f in _SCHEME_FLAGS if f not in (entry.flag, *also_read)]
-    _refuse_unread(args, unread, f"by scheme {name}")
     spec = SCHEME_PARAMS[entry.kind]
     if spec is None:
         return BackwardScheme(entry.kind)
@@ -329,7 +346,7 @@ def cmd_bounds(args) -> int:
     header = ["scheme", "analytic_form", "max_value", "trigger", "single_safe"]
     rows = []
     for name in _BOUNDS_ORDER:
-        scheme = _scheme_from_flags(name, args, _SCHEME_FLAGS)
+        scheme = _scheme_from_flags(name, args)
         bound = gradient_upper_bound(scheme, _DTYPES[args.precision])
         rows.append(
             [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
@@ -366,7 +383,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_condition(args) -> int:
     out = Path(f"condition.{args.format}" if args.out is None else args.out)
     if args.input:
-        _refuse_unread(args, ("seed", "d", "n", "count"), "with --input")
         blocks = io.read_feature_file(args.input)
     else:
         rng = np.random.default_rng(args.seed)
@@ -394,14 +410,11 @@ def cmd_condition(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    steps, seed = _positive(args.steps, "--steps"), args.seed
+    steps, seed = args.steps, args.seed
     for flag, value in (("switch-frac", args.switch_frac), ("warmup-frac", args.warmup_frac)):
         if not np.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
     switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
-    if switch_step is None:
-        unread = ("backward", "topn", "degree", "trunc-threshold", "warmup-frac")
-        _refuse_unread(args, unread, "without a switch (--switch-frac >= 1)")
     lr_schedule = args.lr_schedule
     if lr_schedule is None:
         lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
@@ -414,9 +427,7 @@ def cmd_train_toy(args) -> int:
         init_condition=args.init_cond,
         init_seed=seed,
     )
-    # --iters is the run's one Newton-Schulz count: the forward's, and the
-    # backward's after the switch to newton; every backward accepts it
-    post_switch = _scheme_from_flags(args.backward, args, also_read=("iters",))
+    post_switch = _scheme_from_flags(args.backward, args)
     schedule = HybridSchedule(
         post_switch_scheme=post_switch,
         switch_step=switch_step,
@@ -464,6 +475,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _resolve(args)
+        _check_flags(args)
         # numpy's floating-point warnings would precede the one-line report
         # of the typed error each such operation leads to
         with np.errstate(all="ignore"):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 
 #: machine epsilon of float64 (2**-52) and of float32 (2**-23)
 EPS_DOUBLE, EPS_SINGLE = (float(np.finfo(t).eps) for t in (np.float64, np.float32))
@@ -188,7 +188,7 @@ class SymPsdMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs (U, lambda) with lambda non-increasing and U orthogonal."""
+    """Eigenpairs (U, lambda): lambda non-increasing, U orthogonal, each column's sign free."""
 
     eigenvalues: np.ndarray = field()
     eigenvectors: np.ndarray = field()
@@ -214,10 +214,6 @@ class EigenDecomposition:
     @property
     def d(self) -> int:
         return self.eigenvalues.size
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
 
 
 class ConditionNumber(NamedTuple):
@@ -248,9 +244,9 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy).
 
-    Eigenvalues come back sorted non-increasing; each eigenvector column has
-    its largest-magnitude component made positive so the +/-U ambiguity
-    never leaks into results.
+    Eigenvalues come back sorted non-increasing. The sign of each eigenvector
+    column is LAPACK's: Q = U f(Lambda) U^T and its gradient are the same
+    for either sign, so no result reads it.
 
     Raises:
         NumericalFailureError: LAPACK did not converge.
@@ -263,10 +259,6 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
     # reversed copies are in non-increasing order and owned by the result
     lam = np.array(lam[::-1], dtype=np.float64)
     u = np.array(u[:, ::-1], dtype=np.float64)
-    # sign convention: largest-magnitude component of each column positive
-    # (multiplying by +1.0 is exact, signed zeros included)
-    anchor = np.argmax(np.abs(u), axis=0)
-    u *= np.where(u[anchor, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
@@ -289,7 +281,7 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
         raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
     lam = e.eigenvalues
     if alpha != int(alpha) and np.any(lam < 0):
-        raise DomainError(
+        raise InvalidInputError(
             f"fractional power {alpha} of a matrix with negative eigenvalues "
             f"(min {lam.min():.3e})"
         )
@@ -304,12 +296,12 @@ def condition_number(e: EigenDecomposition) -> ConditionNumber:
     """Ratio of extreme eigenvalues, flagged when strictly above 1e14.
 
     A zero smallest eigenvalue yields an infinite sentinel with the flag set;
-    negative eigenvalues are a domain error (clamp first).
+    negative eigenvalues are invalid input (clamp first).
     """
     lam_max = float(e.eigenvalues[0])
     lam_min = float(e.eigenvalues[-1])
     if lam_min < 0:
-        raise DomainError(f"negative smallest eigenvalue {lam_min:.3e}; clamp first")
+        raise InvalidInputError(f"negative smallest eigenvalue {lam_min:.3e}; clamp first")
     if lam_min == 0.0:
         return ConditionNumber(math.inf, True)
     value = lam_max / lam_min

@@ -1,18 +1,14 @@
 """Typed errors raised by the numerical routines.
 
-The distinction matters for callers: invalid input and domain errors are
-programming/usage mistakes, while numerical failures are legitimate runtime
-outcomes (divergence, poles, non-convergence) that diagnostic tooling wants
-to catch and report rather than crash on.
+Invalid input, a broken precondition or a value outside an operation's
+domain, is a usage mistake; a numerical failure (divergence, a pole,
+non-convergence) is a legitimate runtime outcome that diagnostic tooling
+catches and reports rather than crashes on.
 """
 
 
 class InvalidInputError(ValueError):
-    """Input violates a structural precondition (shape, finiteness, range)."""
-
-
-class DomainError(ValueError):
-    """Input is outside the mathematical domain of the operation."""
+    """Input violates a precondition: shape, finiteness, range or mathematical domain."""
 
 
 class NumericalFailureError(ArithmeticError):

@@ -66,26 +66,6 @@ def write_csv(path, header, rows, preamble: dict | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[dict, list, list]:
-    """Parse a harness CSV back into (preamble, header, rows of strings)."""
-    preamble: dict = {}
-    header: list = []
-    rows: list = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            preamble[key.strip()] = value
-            continue
-        cells = line.split(",")
-        if not header:
-            header = cells
-        else:
-            rows.append(cells)
-    return preamble, header, rows
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}

@@ -16,7 +16,7 @@ Two steps need fewer products:
 
 A forward of N >= 2 iterations costs 3N - 3 d-by-d matmuls (12 at N = 5);
 at N = 1 it costs 1. The trace (``NewtonSchulzTrace``) keeps Y_0..Y_N,
-Z_0..Z_{N-1}, the factors T_1..T_N and tr(P).
+Z_1..Z_{N-1}, the factors T_1..T_N and tr(P).
 
 Backward: reverse-mode product rule through every iteration, then compose
 the trace pre-normalization and post-compensation terms. Each step goes
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureMatrix, SymPsdMatrix, _gradient, _positive, _trusted, apply_centering
-from .errors import DomainError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
 
@@ -59,12 +59,13 @@ _DIVERGENCE_LIMIT = 1e6
 class NewtonSchulzTrace:
     """Everything the backward pass needs from an N-step forward.
 
-    ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_0 = I, ..., Z_{N-1};
-    ``t_seq`` holds the factors T_1, ..., T_N; ``trace_p`` is tr(P).
+    ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_1, ..., Z_{N-1}
+    (Z_0 = I is implied); ``t_seq`` holds the factors T_1, ..., T_N;
+    ``trace_p`` is tr(P).
 
     Raises:
         InvalidInputError: the sequence lengths do not line up with one N >= 1,
-            ``trace_p`` is not positive and finite, or Z_0 is not the identity.
+            or ``trace_p`` is not positive and finite.
     """
 
     y_seq: tuple
@@ -74,16 +75,13 @@ class NewtonSchulzTrace:
 
     def __post_init__(self):
         n = self.iterations
-        if n < 1 or len(self.z_seq) != n or len(self.t_seq) != n:
+        if n < 1 or len(self.z_seq) != n - 1 or len(self.t_seq) != n:
             raise InvalidInputError(
-                "a trace of N >= 1 steps holds N + 1 Y iterates and N each of Z and T, "
+                "a trace of N >= 1 steps holds N + 1 Y iterates, N - 1 Z and N T, "
                 f"got {len(self.y_seq)}, {len(self.z_seq)} and {len(self.t_seq)}"
             )
         if not 0.0 < self.trace_p < np.inf:
             raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
-        # the last reverse step assumes Z_0 = I; one O(d^2) comparison
-        if not np.array_equal(self.z_seq[0], np.eye(self.d)):
-            raise InvalidInputError("Z_0 of a Newton-Schulz trace must be the identity")
 
     @property
     def iterations(self) -> int:
@@ -106,14 +104,14 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     """Approximate principal square root of ``p`` with the full iterate trace.
 
     Raises:
-        DomainError: tr(P) <= 0, so the pre-normalization is undefined.
+        InvalidInputError: tr(P) <= 0, so the pre-normalization is undefined.
         NumericalFailureError: tr(P) overflowed, or an iterate exceeded the
             divergence guard.
     """
     iterations = _positive(iterations, "iterations")
     trace_p = p.trace()
     if trace_p <= 0.0:
-        raise DomainError(f"trace pre-normalization needs tr(P) > 0, got {trace_p:.3e}")
+        raise InvalidInputError(f"trace pre-normalization needs tr(P) > 0, got {trace_p:.3e}")
     if trace_p == np.inf:
         # a finite P whose diagonal sums past the float range; the root would be nan
         raise NumericalFailureError(
@@ -124,17 +122,16 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
     # violation means an indefinite matrix slipped past construction
     if np.linalg.norm(a - np.eye(d)) >= np.sqrt(d) + 1.0:
-        raise DomainError("trace-normalized input is too far from identity to be PSD")
+        raise InvalidInputError("trace-normalized input is too far from identity to be PSD")
     eye3 = 3.0 * np.eye(d, dtype=a.dtype)
 
     y = a
-    z = np.eye(d, dtype=a.dtype)
     y_seq = [y]
-    z_seq = [z]
+    z_seq = []
     t_seq = []
     for k in range(iterations):
         # Z_0 = I: the products I @ Y_0 and T_1 @ I are exact, so skip them
-        t = 0.5 * (eye3 - (z @ y if k else y))
+        t = 0.5 * (eye3 - (z_seq[-1] @ y if k else y))
         y = y @ t
         # NaN fails every comparison, so one reduction also catches it
         if not np.abs(y).max() <= _DIVERGENCE_LIMIT:
@@ -146,8 +143,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         y_seq.append(y)
         t_seq.append(t)
         if k + 1 < iterations:  # nothing reads Z_N
-            z = t @ z if k else t
-            z_seq.append(z)
+            z_seq.append(t @ z_seq[-1] if k else t)
 
     q = np.sqrt(trace_p) * y_seq[-1]
     q *= 0.5  # in place, so that q + q.T = 0.5 Q + 0.5 Q^T needs one temporary fewer
@@ -177,7 +173,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     dz = None  # dZ_N = 0: the loss reads only Y_N
     for k in range(trace.iterations, 1, -1):
         y = trace.y_seq[k - 1]
-        z = trace.z_seq[k - 1]
+        z = trace.z_seq[k - 2]
         t = trace.t_seq[k - 1]
         dt = y.T @ dy
         if dz is None:

@@ -182,9 +182,6 @@ class ApproximationErrorTable:
     ratios: tuple
     errors: np.ndarray  # shape (len(ratios), len(degrees))
 
-    def cell(self, ratio: float, degree: int) -> float:
-        return float(self.errors[self.ratios.index(ratio), self.degrees.index(degree)])
-
 
 def approximation_error_table(
     kind: str, degrees, ratios, dtype=np.float64

@@ -27,7 +27,7 @@ from .core import (
     _trusted,
     float_info,
 )
-from .errors import DomainError, InvalidInputError, PoleError
+from .errors import InvalidInputError, PoleError
 from .pade import eval_rational, reciprocal_gap_pade, taylor_eval
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -176,7 +176,7 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     else:
         # series surrogates: ratios lambda_j / lambda_i <= 1
         if np.any(lam <= 0):
-            raise DomainError("series schemes need strictly positive (clamped) eigenvalues")
+            raise InvalidInputError("series schemes need strictly positive (clamped) eigenvalues")
         ratios = lam[cols] / lam[rows]
         if kind == "taylor":
             vals = taylor_eval(scheme.param, ratios) / lam[rows]
@@ -212,7 +212,7 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np
         raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={d}")
     lam = e.eigenvalues
     if np.any(lam <= 0):
-        raise DomainError("non-positive eigenvalue; clamp before the backward pass")
+        raise InvalidInputError("non-positive eigenvalue; clamp before the backward pass")
     u = e.eigenvectors
     sqrt_lam = np.sqrt(lam)
     s = u.T @ (grad_q + grad_q.T) @ u

@@ -233,14 +233,6 @@ class TrainingLog:
     def final_loss(self) -> float | None:
         return self.records[-1].loss if self.records else None
 
-    def mean_condition(self, lo: int, hi: int) -> float:
-        chunk = [r.mean_condition_number for r in self.records[lo:hi]]
-        return float(np.mean(chunk)) if chunk else float("nan")
-
-    def error_rate(self, tail: int) -> float:
-        chunk = [r.accuracy for r in self.records[-tail:]]
-        return 1.0 - float(np.mean(chunk)) if chunk else float("nan")
-
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()

@@ -1,13 +1,16 @@
-"""Reference implementations that only the tests call.
+"""Reference implementations and readers that only the tests call.
 
-Each one checks a part of the package from a second direction: the
+Each reference checks a part of the package from a second direction: the
 power-iteration gradient reproduces the leading block of the ``taylor``
 scheme, the continued fraction builds the diagonal Pade approximants that
 ``pade_from_series`` solves for, the series-match residual certifies an
 approximant against its series, the literal centering matrix is what
 ``core.apply_centering`` applies without forming, the min-gap spectrum gives
 the finite-difference suite well-separated eigenvalues, and the beta-smoothness
-estimate compares the gradient fields of two schemes. Tests import this
+estimate compares the gradient fields of two schemes. The readers parse what
+the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
+eigendecomposition, ``table_cell`` one entry of an approximation-error table,
+and ``mean_condition`` and ``error_rate`` a training log. Tests import this
 module the way they import ``conftest``. ``tests/test_oracles.py`` checks that
 every public name here has a test that imports it, and that none is also a
 name in ``specgrad``.
@@ -16,12 +19,14 @@ name in ``specgrad``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from specgrad.core import SymPsdMatrix
+from specgrad.core import EigenDecomposition, SymPsdMatrix
 from specgrad.errors import InvalidInputError, NumericalFailureError
-from specgrad.pade import PadeApproximant, PowerSeries
+from specgrad.pade import ApproximationErrorTable, PadeApproximant, PowerSeries
+from specgrad.training import TrainingLog
 
 
 @dataclass(frozen=True)
@@ -234,3 +239,46 @@ def spectrum_with_min_gap(d: int, rng: np.random.Generator, gap_frac: float = 0.
         )
     lam = np.concatenate([[1.0], 1.0 - np.cumsum(gaps)])
     return scale * lam
+
+
+def read_csv(path) -> tuple[dict, list, list]:
+    """Parse a harness CSV back into (preamble, header, rows of strings)."""
+    preamble: dict = {}
+    header: list = []
+    rows: list = []
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            preamble[key.strip()] = value
+            continue
+        cells = line.split(",")
+        if not header:
+            header = cells
+        else:
+            rows.append(cells)
+    return preamble, header, rows
+
+
+def reconstruct(e: EigenDecomposition) -> np.ndarray:
+    """U diag(lambda) U^T."""
+    u = e.eigenvectors
+    return (u * e.eigenvalues) @ u.T
+
+
+def table_cell(table: ApproximationErrorTable, ratio: float, degree: int) -> float:
+    """The error of ``table`` at one ratio and degree of its grid."""
+    return float(table.errors[table.ratios.index(ratio), table.degrees.index(degree)])
+
+
+def mean_condition(log: TrainingLog, lo: int, hi: int) -> float:
+    """Mean of the per-step mean condition numbers of steps lo..hi-1; nan if none."""
+    chunk = [r.mean_condition_number for r in log.records[lo:hi]]
+    return float(np.mean(chunk)) if chunk else float("nan")
+
+
+def error_rate(log: TrainingLog, tail: int) -> float:
+    """One minus the mean accuracy of the last ``tail`` steps; nan if none."""
+    chunk = [r.accuracy for r in log.records[-tail:]]
+    return 1.0 - float(np.mean(chunk)) if chunk else float("nan")

@@ -46,10 +46,13 @@ from specgrad.training import (
 )
 
 from oracles import (
+    mean_condition,
     pade_from_continued_fraction,
     pi_gradient,
     power_iteration,
+    reconstruct,
     spectrum_with_min_gap,
+    table_cell,
 )
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
@@ -91,21 +94,21 @@ def test_criterion_1_taylor_error_table():
         # degree-100 anchor cells: the closed-form remainder both certifies
         # the computed value and reproduces the published figures
         for ratio, reference in ((0.9, 2e-4), (0.99, 36.0), (0.999, 904.0)):
-            computed = table.cell(ratio, 100)
+            computed = table_cell(table, ratio, 100)
             remainder = taylor_remainder(ratio, 100)
             assert computed == pytest.approx(remainder, rel=0.10)
             # the reference grid prints one to three significant figures;
             # its entry must be the remainder at that precision
             assert reference == pytest.approx(remainder, rel=0.25)
-        assert table.cell(0.99, 100) == pytest.approx(36.0, rel=0.10)
-        assert table.cell(0.999, 100) == pytest.approx(904.0, rel=0.10)
+        assert table_cell(table, 0.99, 100) == pytest.approx(36.0, rel=0.10)
+        assert table_cell(table, 0.999, 100) == pytest.approx(904.0, rel=0.10)
 
         # full grid to order of magnitude wherever the truncation remainder
         # is decisively above the double-precision noise floor; below it the
         # computed error must sit at noise level
         for degree in DEGREES:
             for j, ratio in enumerate(RATIOS):
-                computed = table.cell(ratio, degree)
+                computed = table_cell(table, ratio, degree)
                 remainder = taylor_remainder(ratio, degree)
                 f_val = 1.0 / (1.0 - ratio)
                 if remainder >= 1e-10 * f_val:
@@ -283,7 +286,7 @@ def test_criterion_6_power_iteration_behavior():
             lam = np.array([1.0, 0.5, 0.3])  # lambda1/lambda2 = 2
             u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             e = EigenDecomposition(lam, u)
-            p = SymPsdMatrix(e.reconstruct())
+            p = SymPsdMatrix(reconstruct(e))
             degree = 80
             g1 = rng.normal(size=3)
             got = pi_gradient(power_iteration(p, degree + 1, u[:, 0]), g1)
@@ -360,8 +363,8 @@ def test_criterion_9_hybrid_toy_training():
         n = len(ns_log.records)
         tail = n // 10
         for log in (ns_log, hybrid_log):
-            first = log.mean_condition(0, tail)
-            last = log.mean_condition(n - tail, n)
+            first = mean_condition(log, 0, tail)
+            last = mean_condition(log, n - tail, n)
             assert last < first, (first, last)
 
 

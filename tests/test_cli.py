@@ -22,6 +22,7 @@ from specgrad.cli import (
 )
 
 from conftest import parse_json
+from oracles import read_csv
 
 
 def run(*argv):
@@ -80,25 +81,25 @@ class TestApproxTable:
     def test_default_run_and_round_trip(self, tmp_path):
         out = tmp_path / "tables"
         assert run("approx-table", "--out", str(out)) == EXIT_OK
-        meta, header, rows = io.read_csv(out / "approx_taylor.csv")
+        meta, header, rows = read_csv(out / "approx_taylor.csv")
         assert header == ["ratio", "deg50", "deg100", "deg200", "deg300"]
         assert "seed" not in meta
         table = {float(r[0]): [float(v) for v in r[1:]] for r in rows}
         # published cells at degree 100
         assert table[0.99][1] == pytest.approx(36.0, rel=0.05)
         assert table[0.999][1] == pytest.approx(904.0, rel=0.05)
-        meta, _, rows = io.read_csv(out / "approx_pade.csv")
+        meta, _, rows = read_csv(out / "approx_pade.csv")
         assert max(float(v) for r in rows for v in r[1:]) <= 1e-9
         # round trip: rewriting parsed rows reproduces the file
         reparsed = [[float(v) for v in r] for r in rows]
         io.write_csv(out / "again.csv", _hdr(out), reparsed)
-        _, _, rows2 = io.read_csv(out / "again.csv")
+        _, _, rows2 = read_csv(out / "again.csv")
         assert [[float(v) for v in r] for r in rows2] == reparsed
 
     def test_zero_ratio_column(self, tmp_path):
         out = tmp_path / "z"
         assert run("approx-table", "--kind", "taylor", "--ratios", "0", "--out", str(out)) == EXIT_OK
-        _, _, rows = io.read_csv(out / "approx_taylor.csv")
+        _, _, rows = read_csv(out / "approx_taylor.csv")
         assert all(float(v) == 0.0 for v in rows[0][1:])
 
     def test_bad_ratio_is_flag_error(self, tmp_path):
@@ -127,7 +128,7 @@ class TestApproxTable:
 
 
 def _hdr(out):
-    _, header, _ = io.read_csv(out / "approx_pade.csv")
+    _, header, _ = read_csv(out / "approx_pade.csv")
     return header
 
 
@@ -274,7 +275,7 @@ class TestResolution:
     def test_gradcheck_n_zero_is_rejected_not_defaulted(self, capsys):
         # a falsy-or default would quietly run n = 4*d = 32
         assert run("gradcheck", "--n", "0") == EXIT_BAD_FLAGS
-        assert capsys.readouterr().err.startswith("specgrad: invalid input: need n_cols > d")
+        assert capsys.readouterr().err.startswith("specgrad: invalid input: --n must be")
 
 
 @pytest.mark.parametrize(
@@ -328,6 +329,41 @@ def test_empty_size_exits_64_without_output(tmp_path, capsys, monkeypatch, argv)
         # the shared count rule, naming the flag
         assert err == "specgrad: invalid input: --steps must be a positive int, got 0\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.gcpf", "seed.conf"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("condition", "--d"),
+        ("condition", "--n"),
+        ("condition", "--count"),
+        ("gradcheck", "--d"),
+        ("gradcheck", "--scheme", "topn", "--topn"),
+        ("gradcheck", "--scheme", "pade", "--degree"),
+        ("gradcheck", "--scheme", "isqrt", "--iters"),
+        ("bounds", "--degree"),
+        ("train-toy", "--d"),
+        ("train-toy", "--n"),
+        ("train-toy", "--batch"),
+        ("train-toy", "--samples"),
+        ("train-toy", "--iters"),
+        ("train-toy", "--degree"),
+        ("train-toy", "--backward", "topn", "--topn"),
+        # a config entry is held to the same rule, under the flag's name
+        ("train-toy", "--config", "batch.conf", "--batch"),
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv),
+)
+def test_count_flag_error_names_the_flag(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.conf").write_text("batch=0\n")
+    *argv, flag = argv
+    if "--config" not in argv:
+        argv += [flag, "0"]
+    assert run(*argv) == EXIT_BAD_FLAGS
+    err = capsys.readouterr().err
+    assert err == f"specgrad: invalid input: {flag} must be a positive int, got 0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["batch.conf"]
 
 
 def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):
@@ -393,7 +429,7 @@ class TestBounds:
     def test_reference_rows_double(self, tmp_path):
         path = tmp_path / "bounds.csv"
         assert run("bounds", "--out", str(path)) == EXIT_OK
-        _, header, rows = io.read_csv(path)
+        _, header, rows = read_csv(path)
         table = {r[0]: r for r in rows}
         assert float(table["taylor"][2]) == pytest.approx(4.55e17, rel=0.01)
         assert float(table["trunc"][2]) == 1e10
@@ -404,7 +440,7 @@ class TestBounds:
     def test_single_precision_safety_flags(self, tmp_path):
         path = tmp_path / "bounds_single.csv"
         assert run("bounds", "--precision", "single", "--out", str(path)) == EXIT_OK
-        _, _, rows = io.read_csv(path)
+        _, _, rows = read_csv(path)
         for row in rows:
             if row[0] in ("pade", "taylor", "trunc", "topn"):
                 assert row[4] == "true"
@@ -427,7 +463,7 @@ class TestBounds:
         # eps is exactly 2**-23, so topn's 1/eps and taylor(100)'s 101/eps are integers
         path = tmp_path / "bounds_single.csv"
         assert run("bounds", "--precision", "single", "--out", str(path)) == EXIT_OK
-        _, _, rows = io.read_csv(path)
+        _, _, rows = read_csv(path)
         table = {r[0]: r[2] for r in rows}
         assert float(table["topn"]) == 8388608 == 2**23
         assert float(table["taylor"]) == 847249408 == 101 * 2**23
@@ -568,7 +604,7 @@ class TestSchemeFlags:
             "bounds", "--degree", "20", "--trunc-threshold", "1e3", "--out", str(path)
         )
         assert code == EXIT_OK
-        meta, _, rows = io.read_csv(path)
+        meta, _, rows = read_csv(path)
         table = {r[0]: r for r in rows}
         assert meta["degree"] == "20" and meta["trunc_threshold"] == "1000"
         assert float(table["trunc"][2]) == 1e3
@@ -731,7 +767,7 @@ class TestCondition:
         io.write_feature_file(feat, blocks)
         out = tmp_path / "cond.csv"
         assert run("condition", "--input", str(feat), "--out", str(out)) == EXIT_OK
-        meta, _, rows = io.read_csv(out)
+        meta, _, rows = read_csv(out)
         assert rows[0][2] == "false"
         assert rows[1][2] == "true"  # lambda_min at eps: ill-conditioned
         assert float(meta["ill_fraction"]) == 0.5
@@ -748,7 +784,7 @@ class TestCondition:
         io.write_feature_file(feat, blocks)
         out = tmp_path / "cond.csv"
         assert run("condition", "--input", str(feat), "--out", str(out)) == EXIT_OK
-        meta, _, rows = io.read_csv(out)
+        meta, _, rows = read_csv(out)
         assert float(meta["summary_mean"]) == pytest.approx(1.0, abs=1e-6)
         assert float(meta["ill_fraction"]) == 0.0
 
@@ -794,7 +830,7 @@ class TestCondition:
             "condition", "--d", "4", "--n", "24", "--count", "5",
             "--seed", "9", "--out", str(out),
         ) == EXIT_OK
-        _, _, rows = io.read_csv(out)
+        _, _, rows = read_csv(out)
 
         from specgrad.core import clamp_eigenvalues, condition_number, covariance, eigh
         from specgrad.synth import gaussian_features
@@ -921,7 +957,7 @@ class TestPadeDegreeOne:
     def test_bounds(self, tmp_path):
         path = tmp_path / "bounds.csv"
         assert run("bounds", "--degree", "1", "--out", str(path)) == EXIT_OK
-        table = {r[0]: r for r in io.read_csv(path)[2]}
+        table = {r[0]: r for r in read_csv(path)[2]}
         assert float(table["pade"][2]) == 1.0 / EPS_DOUBLE
 
     def test_gradcheck_runs_the_biased_scheme(self, tmp_path):

@@ -19,7 +19,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
+from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.newton_schulz import ns_backward, ns_forward
 from specgrad.pade import (
     PadeApproximant,
@@ -41,7 +41,16 @@ from specgrad.synth import gaussian_features, spectrum_for_condition
 from specgrad.training import HybridSchedule, ToyModelSpec, batch_stream, make_toy_task
 
 from conftest import random_spd
-from oracles import centering_matrix
+from oracles import centering_matrix, reconstruct
+
+#: the five schemes that build a K matrix
+K_SCHEMES = (
+    BackwardScheme.ordinary(),
+    BackwardScheme.topn(),
+    BackwardScheme.trunc(),
+    BackwardScheme.taylor(100),
+    BackwardScheme.pade(100),
+)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +186,7 @@ class TestEigh:
         for d in (2, 3, 5, 8, 16):
             p = random_spd(d, rng)
             e = eigh(p)
-            residual = np.abs(e.reconstruct() - p.data).max()
+            residual = np.abs(reconstruct(e) - p.data).max()
             assert residual <= 1e-9 * (1.0 + e.eigenvalues[0])
 
     def test_matches_reference_eigenvalues(self, rng):
@@ -193,12 +202,6 @@ class TestEigh:
         e2 = eigh(p)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
-
-    def test_sign_convention(self, rng):
-        for _ in range(5):
-            e = eigh(random_spd(5, rng))
-            anchors = np.argmax(np.abs(e.eigenvectors), axis=0)
-            assert all(e.eigenvectors[anchors[j], j] > 0 for j in range(5))
 
     def test_repeated_eigenvalues_give_orthogonal_basis(self):
         p = SymPsdMatrix(np.diag([2.0, 2.0, 1.0]))
@@ -218,45 +221,39 @@ class TestEigh:
     def test_moderately_large_matrix(self, rng, d):
         p = random_spd(d, rng)
         e = eigh(p)
-        assert np.abs(e.reconstruct() - p.data).max() <= 1e-9 * (1.0 + e.eigenvalues[0])
+        assert np.abs(reconstruct(e) - p.data).max() <= 1e-9 * (1.0 + e.eigenvalues[0])
         assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d)).max() <= 1e-10
         ref = np.linalg.eigvalsh(p.data)[::-1]
         np.testing.assert_allclose(e.eigenvalues, ref, rtol=1e-9, atol=1e-10)
-        anchors = np.argmax(np.abs(e.eigenvectors), axis=0)
-        assert np.all(e.eigenvectors[anchors, np.arange(d)] > 0)
 
-    @staticmethod
-    def _mask_sign_fix(p):
-        # the column gather-and-scatter form the one-multiply sign fix replaced
-        lam, u = np.linalg.eigh(p.data)
-        lam = np.array(lam[::-1], dtype=np.float64)
-        u = np.array(u[:, ::-1], dtype=np.float64)
-        anchor = np.argmax(np.abs(u), axis=0)
-        u[:, u[anchor, np.arange(u.shape[1])] < 0] *= -1.0
-        return lam, u
-
-    def test_sign_fix_matches_mask_form_bit_for_bit(self, rng):
-        rot = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-        cases = [random_spd(d, rng) for d in (1, 2, 3, 8, 64) for _ in range(3)]
-        cases += [
-            # repeated eigenvalues, axis-aligned and rotated
-            SymPsdMatrix(np.diag([2.0, 2.0, 1.0])),
-            SymPsdMatrix(np.eye(4)),
-            SymPsdMatrix((rot * [3.0, 3.0, 3.0, 1.0, 1.0, 0.0]) @ rot.T),
-            # eigenvectors with exact zero entries, in flipped columns too
-            SymPsdMatrix(np.array([[2.0, 0.0, 1.0], [0.0, 5.0, 0.0], [1.0, 0.0, 2.0]])),
-            SymPsdMatrix(np.diag([1.0, 3.0, 2.0])),
-            SymPsdMatrix(np.zeros((3, 3))),
-        ]
-        signed_zeros = 0
-        for p in cases:
-            e = eigh(p)
-            lam, u = self._mask_sign_fix(p)
-            assert np.array_equal(e.eigenvalues, lam)
-            assert np.array_equal(e.eigenvectors, u)
-            assert np.array_equal(np.signbit(e.eigenvectors), np.signbit(u))
-            signed_zeros += int(np.sum(np.signbit(u) & (u == 0.0)))
-        assert signed_zeros > 0  # the cases reach a -0.0 entry
+    @pytest.mark.parametrize("spectrum", ["random", "tied", "clamped"])
+    def test_results_do_not_read_eigenvector_signs(self, rng, spectrum):
+        # each term of U f(Lambda) U^T and of the backward's projections
+        # carries a column's sign twice, and negation is exact: flipping any
+        # subset of columns changes no bit of Q or of dL/dP. At an exact tie
+        # (a diagonal P, or a clamped tail) the ordinary and topn K are
+        # infinite, and the gradient is non-finite in the same entries either way
+        for i in range(4):
+            if spectrum == "random":
+                p = random_spd(6, rng)
+            elif spectrum == "tied":
+                rot = np.linalg.qr(rng.normal(size=(6, 6)))[0] if i else np.eye(6)
+                p = SymPsdMatrix((rot * [3.0, 3.0, 3.0, 1.0, 1.0, 0.5]) @ rot.T)
+            else:  # 3 samples: a rank-2 covariance with a clamped tail
+                p = covariance(FeatureMatrix(rng.normal(size=(6, 3))))
+            e = clamp_eigenvalues(eigh(p))
+            flip = rng.random(6) < 0.5
+            flip[rng.integers(6)] = True
+            flipped = EigenDecomposition(
+                e.eigenvalues, e.eigenvectors * np.where(flip, -1.0, 1.0)
+            )
+            assert np.array_equal(matrix_power(flipped, 0.5).data, matrix_power(e, 0.5).data)
+            g = rng.normal(size=(6, 6))
+            for scheme in K_SCHEMES:
+                with np.errstate(invalid="ignore"):
+                    ref = grad_covariance(g, e, k_matrix(e, scheme))
+                    out = grad_covariance(g, flipped, k_matrix(flipped, scheme))
+                assert np.array_equal(out, ref, equal_nan=True), scheme.label
 
     def test_solver_failure_is_typed(self, monkeypatch):
         def fail(a):
@@ -329,7 +326,7 @@ class TestMatrixPower:
 
     def test_negative_eigenvalue_fractional_power(self):
         e = EigenDecomposition(np.array([1.0, -0.5]), np.eye(2))
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError, match="fractional power 0.5 of a matrix"):
             matrix_power(e, 0.5)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -369,7 +366,7 @@ class TestConditionNumber:
 
     def test_negative_eigenvalue_rejected(self):
         e = EigenDecomposition(np.array([1.0, -1e-12]), np.eye(2))
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError, match="clamp first"):
             condition_number(e)
 
     def test_matches_reference_solver(self, rng):

@@ -9,7 +9,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError
+from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.newton_schulz import (
     NewtonSchulzTrace,
     ns_backward,
@@ -28,13 +28,14 @@ def spd_with_condition(d, cond, rng):
 
 def expanded_ns_backward(trace, grad_q):
     """Reference backward: each step's reverse rule expanded into six triple
-    products (12 matmuls a step), with no special first or last step."""
+    products (12 matmuls a step), with no special first or last step; the
+    last step (k = 1) forms Z_0 = I itself."""
     tr_p = trace.trace_p
     dy = np.sqrt(tr_p) * grad_q
     dz = np.zeros_like(dy)
     for k in range(trace.iterations, 0, -1):
         yt = trace.y_seq[k - 1].T
-        zt = trace.z_seq[k - 1].T
+        zt = trace.z_seq[k - 2].T if k > 1 else np.eye(trace.d)
         dy, dz = (
             1.5 * dy - 0.5 * (dy @ yt @ zt + zt @ yt @ dy + zt @ dz @ zt),
             1.5 * dz - 0.5 * (dz @ zt @ yt + yt @ zt @ dz + yt @ dy @ yt),
@@ -119,24 +120,30 @@ class TestForward:
     def test_first_step_shortcut_is_bit_identical(self, rng):
         # the forward skips the products with Z_0 = I; they are exact, so the
         # plain coupled recursion gives the same bits. It keeps each T_k and
-        # stops before Z_N, which nothing reads
+        # stores neither Z_0 = I nor Z_N, which nothing reads
         p = random_spd(6, rng)
         q, trace = ns_forward(p, 4)
         y = trace.normalized_input
         z = np.eye(6)
         for k in range(1, 5):
-            assert np.array_equal(trace.z_seq[k - 1], z)
             t = 0.5 * (3.0 * np.eye(6) - z @ y)
             assert np.array_equal(trace.t_seq[k - 1], t)
             y, z = y @ t, t @ z
             assert np.array_equal(trace.y_seq[k], y)
-        assert len(trace.y_seq) == 5 and len(trace.z_seq) == len(trace.t_seq) == 4
+            if k < 4:
+                assert np.array_equal(trace.z_seq[k - 1], z)
+        assert (len(trace.y_seq), len(trace.z_seq), len(trace.t_seq)) == (5, 3, 4)
         expected = np.sqrt(trace.trace_p) * y
         assert np.array_equal(q.data, 0.5 * (expected + expected.T))
 
     def test_nonpositive_trace_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError, match="needs tr\\(P\\) > 0"):
             ns_forward(SymPsdMatrix(np.zeros((3, 3))), 5)
+
+    def test_indefinite_input_far_from_identity_rejected(self):
+        # tr(P) > 0, but A = P / tr(P) = diag(10, -9) is no unit-trace PSD matrix
+        with pytest.raises(InvalidInputError, match="too far from identity to be PSD"):
+            ns_forward(SymPsdMatrix(np.diag([1.0, -0.9])), 5)
 
     def test_needs_at_least_one_iteration(self):
         with pytest.raises(InvalidInputError):
@@ -195,15 +202,14 @@ class TestBackward:
     def test_matches_expanded_recursion_without_symmetry(self, iterations):
         # iterates from a symmetric P are symmetric and commute, which hides a
         # misplaced transpose; the reverse rule assumes neither, so feed it a
-        # trace of general matrices (Z_0 = I, as the last reverse step needs),
+        # trace of general matrices (after Z_0 = I, which the trace implies),
         # each T_k built from its Y and Z by the forward's rule
         d = 6
         local = np.random.default_rng(iterations)
         y_seq = [np.eye(d) / d + 0.1 * local.normal(size=(d, d))
                  for _ in range(iterations + 1)]
-        z_seq = [np.eye(d)] + [np.eye(d) + 0.1 * local.normal(size=(d, d))
-                               for _ in range(iterations - 1)]
-        t_seq = [0.5 * (3.0 * np.eye(d) - z @ y) for y, z in zip(y_seq, z_seq)]
+        z_seq = [np.eye(d) + 0.1 * local.normal(size=(d, d)) for _ in range(iterations - 1)]
+        t_seq = [0.5 * (3.0 * np.eye(d) - z @ y) for y, z in zip(y_seq, [np.eye(d)] + z_seq)]
         trace = NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), tuple(t_seq), 2.5)
         grad_q = local.normal(size=(d, d))
         ref = expanded_ns_backward(trace, grad_q)
@@ -241,32 +247,38 @@ class TestBackward:
 class TestTrace:
     I = np.eye(3)
 
-    @pytest.mark.parametrize("y_len,z_len,t_len", [(3, 1, 2), (3, 2, 1), (1, 0, 0), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "y_len,z_len,t_len", [(3, 0, 2), (3, 1, 1), (3, 2, 1), (1, 0, 0), (2, 2, 2), (2, 1, 1)]
+    )
     def test_sequence_lengths_must_line_up(self, y_len, z_len, t_len):
-        # a backward over such a trace would index past a sequence
+        # a backward over such a trace would index past a sequence, or read
+        # a stored Z_0 as Z_1
         a = self.I / 3
-        with pytest.raises(InvalidInputError, match="N \\+ 1 Y iterates"):
+        with pytest.raises(InvalidInputError, match="N \\+ 1 Y iterates, N - 1 Z and N T"):
             NewtonSchulzTrace((a,) * y_len, (self.I,) * z_len, (self.I,) * t_len, 1.0)
+
+    def test_one_step_trace_holds_no_z(self, rng):
+        # N = 1 reads only Z_0 = I, which the trace implies
+        p = random_spd(3, rng)
+        _, trace = ns_forward(p, 1)
+        assert trace.z_seq == () and len(trace.y_seq) == 2 and len(trace.t_seq) == 1
+        rebuilt = NewtonSchulzTrace(trace.y_seq, (), trace.t_seq, trace.trace_p)
+        grad_q = rng.normal(size=(3, 3))
+        assert np.array_equal(ns_backward(rebuilt, grad_q), ns_backward(trace, grad_q))
+        ref = expanded_ns_backward(trace, grad_q)
+        assert np.abs(ns_backward(trace, grad_q) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("trace_p", [0.0, -1.0, np.inf, np.nan])
     def test_trace_p_must_be_positive_and_finite(self, trace_p):
         # tr(P) = 0 would divide by zero in the backward and return nan
         a = self.I / 3
         with pytest.raises(InvalidInputError, match="trace_p"):
-            NewtonSchulzTrace((a, a), (self.I,), (self.I,), trace_p)
-
-    @pytest.mark.parametrize("z0", [2.0 * np.eye(3), np.eye(4), np.eye(3)[::-1]])
-    def test_z0_must_be_the_identity(self, z0):
-        # the last reverse step assumes Z_0 = I: any other Z_0 would give the
-        # gradient of a different recursion without a word
-        a = self.I / 3
-        with pytest.raises(InvalidInputError, match="Z_0"):
-            NewtonSchulzTrace((a, a), (z0,), (self.I,), 1.0)
+            NewtonSchulzTrace((a, a), (), (self.I,), trace_p)
 
     def test_trace_p_has_no_default(self):
         a = self.I / 3
         with pytest.raises(TypeError):
-            NewtonSchulzTrace((a, a), (self.I,), (self.I,))
+            NewtonSchulzTrace((a, a), (), (self.I,))
 
 
 class TestGradientOfX:

@@ -14,7 +14,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad.errors import DomainError, InvalidInputError, NumericalFailureError, PoleError
+from specgrad.errors import InvalidInputError, NumericalFailureError, PoleError
 from specgrad.newton_schulz import ns_gradient_of_x
 from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
@@ -27,7 +27,13 @@ from specgrad.schemes import (
 from specgrad.synth import spectrum_for_condition
 
 from conftest import random_spd
-from oracles import PowerIterationTrace, beta_smoothness, pi_gradient, power_iteration
+from oracles import (
+    PowerIterationTrace,
+    beta_smoothness,
+    pi_gradient,
+    power_iteration,
+    reconstruct,
+)
 
 
 def gamma(k: int) -> float:
@@ -115,6 +121,11 @@ class TestKMatrix:
         assert math.isinf(k.data[0, 1])
         assert k.data[1, 0] == -math.inf
         assert k.nonfinite_entries() == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("scheme", [BackwardScheme.taylor(), BackwardScheme.pade()])
+    def test_series_scheme_needs_clamped_eigenvalues(self, scheme):
+        with pytest.raises(InvalidInputError, match="need strictly positive .clamped."):
+            k_matrix(eig_of([1.0, 0.0]), scheme)
 
     def test_topn_zeroes_dropped_pairs(self):
         k = k_matrix(eig_of([4.0, 2.0, 1.0, 0.5]), BackwardScheme.topn(2))
@@ -244,7 +255,7 @@ class TestGradCovariance:
 
     def test_nonpositive_eigenvalue_rejected(self):
         e = eig_of([1.0, 0.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError, match="clamp before the backward pass"):
             grad_covariance(np.eye(2), e, k_matrix(e, BackwardScheme.ordinary()))
 
     @pytest.mark.parametrize(
@@ -417,7 +428,7 @@ class TestPiGradient:
         lam = np.array([1.0, 0.45, 0.2])
         u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         e = EigenDecomposition(lam, u)
-        p = SymPsdMatrix(e.reconstruct())
+        p = SymPsdMatrix(reconstruct(e))
         degree = 60
         grad_u1 = rng.normal(size=3)
 

@@ -15,6 +15,8 @@ from specgrad.training import (
     run_hybrid_training,
 )
 
+from oracles import error_rate, mean_condition
+
 
 def small_spec(seed=0):
     return ToyModelSpec(d=4, raw_dim=4, n_cols=16, init_seed=seed)
@@ -127,7 +129,7 @@ class TestTraining:
         )
         assert log.status == "completed"
         assert log.records[-1].loss < log.records[0].loss
-        assert log.error_rate(12) <= 0.10
+        assert error_rate(log, 12) <= 0.10
 
     def test_hybrid_switches_scheme_in_log(self):
         spec = small_spec()
@@ -171,7 +173,7 @@ class TestTraining:
         n = len(ns_log.records)
         tail = n // 10
         for log in (ns_log, hy_log):
-            assert log.mean_condition(n - tail, n) < log.mean_condition(0, tail)
+            assert mean_condition(log, n - tail, n) < mean_condition(log, 0, tail)
 
     def test_divergence_produces_log_not_crash(self):
         # an absurd learning rate reliably blows the run up
