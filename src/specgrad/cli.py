@@ -256,13 +256,15 @@ def _parse_lr_schedule(text) -> tuple:
 
 
 def _check_flags(args) -> None:
-    """Refuse a given flag the run will not read, then a count that is not a positive int.
+    """Refuse a given flag the run will not read, a count that is not a positive
+    int, then a read flag outside the range its relations to other flags allow.
 
     Unread flags: another scheme's parameter, condition --seed/--d/--n/--count
     with --input, and train-toy's post-switch flags when --switch-frac is 1
     or more. Config entries are exempt, since one file may serve several
     commands; ``_record`` records every unread flag as null. The count rule
-    holds config entries too, read or not.
+    holds config entries too, read or not. A relation is refused under the
+    flag's own name, ahead of the library check that would report it.
     """
     groups = {}
     if args.command == "condition" and args.input:
@@ -283,6 +285,21 @@ def _check_flags(args) -> None:
     for flag in _COUNT_FLAGS:
         if vars(args).get(flag) is not None:
             setattr(args, flag, _positive(getattr(args, flag), f"--{flag}"))
+    relations = []  # (flag, holds, requirement), in the order they are refused
+    if args.command in ("gradcheck", "train-toy"):
+        relations.append(("d", args.d >= 2, "at least 2"))
+    if args.command == "gradcheck" and args.n is not None:
+        relations.append(("n", args.n > args.d, f"greater than --d ({args.d})"))
+    if args.command in ("condition", "train-toy"):
+        relations.append(("n", args.n >= 2, "at least 2"))
+    if args.command == "train-toy":
+        for flag in ("switch-frac", "warmup-frac"):
+            value = getattr(args, flag.replace("-", "_"))
+            relations += [(flag, np.isfinite(value), "finite"), (flag, value >= 0, "non-negative")]
+    for flag, holds, requirement in relations:
+        dest = flag.replace("-", "_")
+        if not holds and dest not in args.unread:
+            raise InvalidInputError(f"--{flag} must be {requirement}, got {getattr(args, dest)}")
 
 
 def _scheme_from_flags(name, args) -> BackwardScheme:
@@ -411,10 +428,9 @@ def cmd_condition(args) -> int:
 
 def cmd_train_toy(args) -> int:
     steps, seed = args.steps, args.seed
-    for flag, value in (("switch-frac", args.switch_frac), ("warmup-frac", args.warmup_frac)):
-        if not np.isfinite(value):
-            raise InvalidInputError(f"--{flag} must be finite, got {value}")
     switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
+    # without a switch --warmup-frac is unread, so it must not reach the schedule
+    warmup_steps = None if switch_step is None else int(args.warmup_frac * steps)
     lr_schedule = args.lr_schedule
     if lr_schedule is None:
         lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
@@ -431,7 +447,7 @@ def cmd_train_toy(args) -> int:
     schedule = HybridSchedule(
         post_switch_scheme=post_switch,
         switch_step=switch_step,
-        warmup_steps=int(args.warmup_frac * steps),
+        warmup_steps=warmup_steps or 0,
         lr_schedule=lr_schedule,
     )
     task = make_toy_task(spec, args.samples, seed=seed + 1, kind=args.task.replace("-", "_"))
@@ -439,8 +455,7 @@ def cmd_train_toy(args) -> int:
     log = run_hybrid_training(spec, schedule, stream)
 
     config = _record(
-        args, lr_schedule=lr_schedule, switch_step=switch_step,
-        warmup_steps=None if switch_step is None else schedule.warmup_steps,
+        args, lr_schedule=lr_schedule, switch_step=switch_step, warmup_steps=warmup_steps
     )
     records = [{"type": "config", **config}]
     records += [{"type": "step", **r.to_dict()} for r in log.records]

@@ -17,8 +17,8 @@ loop derive from checked input build their results through ``_trusted``,
 which skips those checks: the results hold the invariants by construction,
 and ``tests/test_trusted.py`` pins that each one passes its public
 constructor. Where arithmetic on finite input can overflow (the covariance,
-a matrix power, and in training the features and the loss gradient at Q),
-a non-finite product raises ``NumericalFailureError``, not
+a matrix power, and in training the features, the loss gradient at Q and the
+batch gradients), a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.
 
 Constants that depend only on the width, the triangle indices of ``_triu``,

@@ -54,7 +54,7 @@ class PadeApproximant:
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.p))
-        q = np.atleast_1d(np.asarray(self.q)) if np.asarray(self.q).size else np.zeros(0)
+        q = np.atleast_1d(np.asarray(self.q))
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise InvalidInputError("non-finite approximant coefficients")
         object.__setattr__(self, "p", _as_readonly(p))
@@ -66,15 +66,13 @@ class PadeApproximant:
 
     @property
     def q_full(self) -> np.ndarray:
-        one = np.ones(1, dtype=self.q.dtype if self.q.size else self.p.dtype)
-        return np.concatenate([one, self.q])
+        return np.concatenate([np.ones(1, dtype=self.q.dtype), self.q])
 
 
 def horner(coeffs: np.ndarray, x):
     """Polynomial with coefficients c_0 ... c_n (lowest first) at scalar or array x.
 
-    The one polynomial evaluation of the package, behind ``taylor_eval`` and
-    ``eval_rational``.
+    The one polynomial evaluation of the package, behind ``eval_rational``.
     """
     acc = coeffs.dtype.type(0.0)
     for c in coeffs[::-1]:
@@ -154,25 +152,23 @@ def geometric_series(length: int, dtype=np.float64) -> PowerSeries:
 _PADE_CACHE: dict = {}
 
 
-def reciprocal_gap_pade(k: int, dtype=np.float64) -> PadeApproximant:
-    """Diagonal Pade approximant of 1/(1-x) matched to degree ``k``.
+def reciprocal_gap_pade(kind: str, k: int, dtype=np.float64) -> PadeApproximant:
+    """Series surrogate of 1/(1-x) of ``kind`` matched to degree ``k``.
 
-    This is the rational surrogate the gradient schemes evaluate at eigenvalue
-    ratios, with coefficients of ``dtype``; cached per (degree, dtype) since
-    construction involves a least-squares solve.
+    ``taylor`` is the degree-k Taylor polynomial, the [k/0] approximant;
+    ``pade`` is the diagonal approximant of ``diagonal_degrees(k)``. This is
+    the surrogate the series schemes evaluate at eigenvalue ratios and the
+    error tables measure, with coefficients of ``dtype``; cached per (M, N,
+    dtype) since construction involves a least-squares solve.
     """
+    if kind not in ("taylor", "pade"):
+        raise InvalidInputError(f"kind must be 'taylor' or 'pade', got {kind!r}")
     dtype = float_info(dtype).dtype
-    m, n = diagonal_degrees(k)
+    m, n = (_positive(k, "degree"), 0) if kind == "taylor" else diagonal_degrees(k)
     key = (m, n, dtype)
     if key not in _PADE_CACHE:
         _PADE_CACHE[key] = pade_from_series(geometric_series(m + n + 1, dtype), m, n)
     return _PADE_CACHE[key]
-
-
-def taylor_eval(k: int, x, dtype=np.float64):
-    """Degree-k truncation of the geometric series at scalar or array x; degree 0 is 1."""
-    k = _non_negative(k, "degree")
-    return horner(np.ones(k + 1, dtype=dtype), np.asarray(x, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -188,11 +184,10 @@ def approximation_error_table(
 ) -> ApproximationErrorTable:
     """Grid of absolute errors |1/(1-x) - approx(x)| computed in ``dtype``.
 
-    ``kind`` selects the degree-K Taylor truncation or the degree-K-matched
-    diagonal Pade approximant. Both grids need at least one entry.
+    Each degree-K column evaluates the ``reciprocal_gap_pade(kind, K, dtype)``
+    surrogate: the [K/0] Taylor polynomial or the degree-K-matched diagonal
+    Pade approximant. Both grids need at least one entry.
     """
-    if kind not in ("taylor", "pade"):
-        raise InvalidInputError(f"kind must be 'taylor' or 'pade', got {kind!r}")
     dtype = float_info(dtype).dtype
     degrees = tuple(_positive(k, "degree") for k in degrees)
     ratios = tuple(float(r) for r in ratios)
@@ -205,9 +200,5 @@ def approximation_error_table(
 
     errors = np.zeros((len(ratios), len(degrees)))
     for j, k in enumerate(degrees):
-        if kind == "taylor":
-            approx = taylor_eval(k, x, dtype=dtype)
-        else:
-            approx = eval_rational(reciprocal_gap_pade(k, dtype), x)
-        errors[:, j] = np.abs(exact - approx)
+        errors[:, j] = np.abs(exact - eval_rational(reciprocal_gap_pade(kind, k, dtype), x))
     return ApproximationErrorTable(kind, degrees, ratios, errors)

@@ -28,7 +28,7 @@ from .core import (
     float_info,
 )
 from .errors import InvalidInputError, PoleError
-from .pade import eval_rational, reciprocal_gap_pade, taylor_eval
+from .pade import eval_rational, reciprocal_gap_pade
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -146,8 +146,9 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     ordering keeps lambda_i >= lambda_j (so the ratio lambda_j / lambda_i is at
     or below one), and the lower triangle is its negation; an exact tie under
     ``ordinary`` gives +inf above and -inf below. The series schemes evaluate
-    their surrogate of 1/(1-x) at the ratios with ``pade.taylor_eval`` or
-    ``pade.eval_rational``. At a tie Taylor gives (K+1)/lambda_i. Pade sits on
+    their surrogate of 1/(1-x), ``pade.reciprocal_gap_pade(kind, K)``, at the
+    ratios with ``pade.eval_rational``: Taylor's is the [K/0] approximant, with
+    denominator 1. At a tie Taylor gives (K+1)/lambda_i. Pade sits on
     the pole of 1/(1-x) there: its denominator is roundoff, so the entry's
     size and sign are those of the roundoff (``pade(100)`` gives a negative
     upper-triangle entry), and a vanishing denominator raises ``PoleError``.
@@ -178,10 +179,7 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
         if np.any(lam <= 0):
             raise InvalidInputError("series schemes need strictly positive (clamped) eigenvalues")
         ratios = lam[cols] / lam[rows]
-        if kind == "taylor":
-            vals = taylor_eval(scheme.param, ratios) / lam[rows]
-        else:
-            vals = eval_rational(reciprocal_gap_pade(scheme.param), ratios) / lam[rows]
+        vals = eval_rational(reciprocal_gap_pade(kind, scheme.param), ratios) / lam[rows]
     # zero diagonal and negated mirror: antisymmetric by construction
     k = np.zeros((d, d))
     k[rows, cols] = vals

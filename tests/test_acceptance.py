@@ -180,7 +180,7 @@ def test_criterion_3_pade_bound_order_of_magnitude():
     """
     eps = EPS_DOUBLE
     with criterion(3, "pade bound order of magnitude: roundoff at the tie pole"):
-        pa = reciprocal_gap_pade(100)
+        pa = reciprocal_gap_pade("pade", 100)
         m, n = pa.degrees
         assert (m, n) == (50, 49)
 

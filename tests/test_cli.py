@@ -9,6 +9,7 @@ import pytest
 import specgrad
 from specgrad import io
 from specgrad.core import EPS_DOUBLE
+from specgrad.errors import InvalidInputError
 from specgrad.cli import (
     EXIT_BAD_FLAGS,
     EXIT_CHECK_FAILED,
@@ -76,6 +77,36 @@ class TestFeatureFile:
         with pytest.raises(Exception):
             io.read_feature_file(path)
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("write-none", "feature file needs at least one matrix"),
+            ("write-shapes", "all feature matrices must share one shape"),
+            ("read-short-header", "truncated feature file"),
+            ("read-short-body", "expected 208 bytes for 2 blocks of 3x4, got 112"),
+        ],
+        ids=["write-none", "write-shapes", "read-short-header", "read-short-body"],
+    )
+    def test_malformed_file_refused(self, tmp_path, case, message):
+        path = tmp_path / "feat.gcpf"
+        with pytest.raises(InvalidInputError, match=message):
+            if case == "write-none":
+                io.write_feature_file(path, [])
+            elif case == "write-shapes":
+                io.write_feature_file(path, [np.ones((3, 4)), np.ones((4, 3))])
+            else:
+                io.write_feature_file(path, [np.ones((3, 4))] * 2)
+                cut = 8 if case == "read-short-header" else 112
+                path.write_bytes(path.read_bytes()[:cut])
+                io.read_feature_file(path)
+        assert case.startswith("read") or not path.exists()
+
+    def test_config_line_without_equals_refused(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("# comment\nseed 3\n")
+        with pytest.raises(InvalidInputError, match="config line without '=': 'seed 3'"):
+            io.read_config_file(path)
+
 
 class TestApproxTable:
     def test_default_run_and_round_trip(self, tmp_path):
@@ -125,6 +156,13 @@ class TestApproxTable:
         doc = parse_json((out / "approx_pade.json").read_text())
         assert doc["config"]["kind"] == "pade"
         assert len(doc["rows"]) == 7
+
+    def test_single_precision_pade_degree_2_is_float32(self, tmp_path):
+        # [1/0] has no denominator; its column is float32 arithmetic too
+        args = ("--kind", "pade", "--degrees", "2", "--ratios", "0.9", "--precision", "single")
+        assert run("approx-table", *args, "--out", str(tmp_path)) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "approx_pade.csv")
+        assert float(rows[0][1]) == 8.099998474121094
 
 
 def _hdr(out):
@@ -364,6 +402,55 @@ def test_count_flag_error_names_the_flag(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err == f"specgrad: invalid input: {flag} must be a positive int, got 0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["batch.conf"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gradcheck", "--n", "4"), "--n must be greater than --d (8), got 4"),
+        (("gradcheck", "--d", "5", "--n", "5"), "--n must be greater than --d (5), got 5"),
+        (("gradcheck", "--d", "1"), "--d must be at least 2, got 1"),
+        (("train-toy", "--d", "1"), "--d must be at least 2, got 1"),
+        (("train-toy", "--n", "1"), "--n must be at least 2, got 1"),
+        (("condition", "--d", "3", "--n", "1"), "--n must be at least 2, got 1"),
+        (("train-toy", "--switch-frac", "-0.5", "--steps", "2"),
+         "--switch-frac must be non-negative, got -0.5"),
+        (("train-toy", "--warmup-frac", "-1", "--steps", "2"),
+         "--warmup-frac must be non-negative, got -1.0"),
+        # a config entry is held to the same relation, under the flag's name
+        (("train-toy", "--config", "n.conf"), "--n must be at least 2, got 1"),
+    ],
+    ids=[
+        "gradcheck-n-below-d", "gradcheck-n-equal-d", "gradcheck-d-1", "train-toy-d-1",
+        "train-toy-n-1", "condition-n-1", "switch-frac-negative", "warmup-frac-negative",
+        "config-n-1",
+    ],
+)
+def test_flag_relation_error_names_the_flag(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.conf").write_text("n=1\n")
+    assert run(*argv) == EXIT_BAD_FLAGS
+    captured = capsys.readouterr()
+    assert captured.err == f"specgrad: invalid input: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["n.conf"]
+
+
+def test_relations_hold_only_flags_the_run_reads(tmp_path, capsys):
+    # with --input, condition reads neither --d nor --n: a config n=1 is unread
+    blocks = tmp_path / "blocks.gcpf"
+    io.write_feature_file(blocks, [np.random.default_rng(0).normal(size=(3, 6))])
+    conf = tmp_path / "n.conf"
+    conf.write_text("d=4\nn=1\n")
+    out = tmp_path / "c.csv"
+    argv = ("condition", "--input", str(blocks), "--config", str(conf), "--out", str(out))
+    assert run(*argv) == EXIT_OK
+    meta, _, _ = read_csv(out)
+    assert (meta["d"], meta["n"]) == ("3", "6")
+    # without a switch, train-toy reads no --warmup-frac
+    conf.write_text("warmup-frac=-1\n")
+    argv = ("train-toy", "--config", str(conf), "--switch-frac", "1.0", "--steps", "2")
+    assert run(*argv, "--out", str(tmp_path / "log.jsonl")) == EXIT_OK
 
 
 def test_malformed_seed_env_var_exits_64(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,6 @@ from specgrad.pade import (
     geometric_series,
     pade_from_series,
     reciprocal_gap_pade,
-    taylor_eval,
 )
 from specgrad.schemes import (
     BackwardScheme,
@@ -121,6 +120,27 @@ class TestTypes:
         u = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             EigenDecomposition(np.array([2.0, 1.0]), u)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: FeatureMatrix(np.ones(4)), "feature matrix must be 2-d, got shape (4,)"),
+            (lambda: SymPsdMatrix(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+            (lambda: SymPsdMatrix(np.diag([1.0, np.inf])), "matrix contains non-finite entries"),
+            (
+                lambda: EigenDecomposition(np.ones(3), np.eye(2)),
+                "inconsistent shapes: eigenvalues (3,), eigenvectors (2, 2)",
+            ),
+            (
+                lambda: EigenDecomposition(np.array([np.nan, 1.0]), np.eye(2)),
+                "non-finite eigendecomposition",
+            ),
+        ],
+        ids=["features-1d", "sym-not-square", "sym-non-finite", "eig-shapes", "eig-non-finite"],
+    )
+    def test_malformed_value_refused(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_precision_eps_values(self):
         assert EPS_DOUBLE == 2.0**-52
@@ -386,7 +406,8 @@ COUNT_SITES = {
     "BackwardScheme": lambda v: BackwardScheme.pade(v),
     "ns_forward": lambda v: ns_forward(SymPsdMatrix(np.eye(2)), v),
     "diagonal_degrees": diagonal_degrees,
-    "reciprocal_gap_pade": reciprocal_gap_pade,
+    "reciprocal_gap_pade": lambda v: reciprocal_gap_pade("pade", v),
+    "reciprocal_gap_pade.taylor": lambda v: reciprocal_gap_pade("taylor", v),
     "approximation_error_table": lambda v: approximation_error_table("taylor", (v,), (0.5,)),
     "make_toy_task": lambda v: make_toy_task(_TOY, v),
     # refused by the call itself, not on the first batch drawn
@@ -409,7 +430,9 @@ class TestCountRule:
     @pytest.mark.parametrize("value", [2.5, True, 0], ids=["fraction", "bool", "zero"])
     @pytest.mark.parametrize("site", COUNT_SITES)
     def test_refused(self, site, value):
-        reciprocal_gap_pade(1)  # a cached degree 1 must not admit True
+        # a cached degree 1 must not admit True
+        reciprocal_gap_pade("pade", 1)
+        reciprocal_gap_pade("taylor", 1)
         with pytest.raises(InvalidInputError, match=f"must be a positive int, got {value}$"):
             COUNT_SITES[site](value)
 
@@ -428,7 +451,6 @@ class TestCountRule:
 ZERO_COUNT_SITES = {
     "pade_from_series.m": lambda v: pade_from_series(geometric_series(8), v, 1),
     "pade_from_series.n": lambda v: pade_from_series(geometric_series(8), 1, v),
-    "taylor_eval": lambda v: taylor_eval(v, 0.5),
     "warmup_steps": lambda v: HybridSchedule(BackwardScheme.pade(), None, warmup_steps=v),
     "switch_step": lambda v: HybridSchedule(BackwardScheme.pade(), v),
 }

@@ -42,6 +42,10 @@ class TestConfig:
                 backward=BackwardScheme.ordinary(), forward="newton_schulz"
             )
 
+    def test_unknown_forward_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown forward method 'svd'"):
+            GcpLayerConfig(backward=BackwardScheme.ordinary(), forward="svd")
+
 
 class TestForward:
     def test_constant_features_give_clamped_near_zero(self):
@@ -107,6 +111,10 @@ class TestUpperTriangle:
         g = grad_from_upper_triangle(v, 4)
         assert np.array_equal(g[np.triu_indices(4)], v)
         assert np.abs(np.tril(g, -1)).max() == 0.0
+
+    def test_gradient_vector_of_wrong_size_refused(self):
+        with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
+            grad_from_upper_triangle(np.ones(6), 4)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 128])
     def test_roundtrip_at_width(self, rng, d):
@@ -223,6 +231,12 @@ class TestGradCheck:
                 GcpLayerConfig.eig(BackwardScheme.ordinary()), x, loss_kind=kind
             )
             assert report.passes(1e-4), kind
+
+    def test_unknown_loss_kind_refused(self, rng):
+        x = random_features(3, 8, rng)
+        message = r"loss kind must be one of \('sum', 'trace', 'random-linear'\), got 'mean'"
+        with pytest.raises(InvalidInputError, match=message):
+            grad_check(GcpLayerConfig.eig(BackwardScheme.ordinary()), x, loss_kind="mean")
 
     def test_size_cap(self):
         x = FeatureMatrix(np.random.default_rng(0).normal(size=(101, 101)))

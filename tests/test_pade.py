@@ -11,9 +11,9 @@ from specgrad.pade import (
     diagonal_degrees,
     eval_rational,
     geometric_series,
+    horner,
     pade_from_series,
     reciprocal_gap_pade,
-    taylor_eval,
 )
 
 from oracles import pade_from_continued_fraction, series_match_residual, table_cell
@@ -43,6 +43,12 @@ class TestFromSeries:
         np.testing.assert_allclose(pa.p, [2.0, 3.0, 5.0])
         assert pa.q.size == 0
 
+    def test_zero_denominator_degree_keeps_the_coefficient_dtype(self):
+        # an [m/0] approximant of float32 coefficients evaluates in float32
+        pa = pade_from_series(geometric_series(5, np.float32), 4, 0)
+        assert pa.q.dtype == pa.q_full.dtype == np.float32
+        assert eval_rational(pa, np.float32([0.5])).dtype == np.float32
+
     def test_insufficient_series_length(self):
         with pytest.raises(InvalidInputError):
             pade_from_series(geometric_series(3), 2, 2)
@@ -56,6 +62,12 @@ class TestFromSeries:
             pade_from_continued_fraction(geometric_series(1), 0)
         with pytest.raises(InvalidInputError):
             PowerSeries(np.zeros(0))
+
+    def test_non_finite_coefficients_refused(self):
+        with pytest.raises(InvalidInputError, match="power series coefficients must be finite"):
+            PowerSeries(np.array([1.0, np.nan]))
+        with pytest.raises(InvalidInputError, match="non-finite approximant coefficients"):
+            PadeApproximant(np.array([1.0]), np.array([np.inf]))
 
     def test_series_match_invariant(self):
         for m, n in ((1, 1), (2, 1), (3, 2), (5, 4)):
@@ -150,18 +162,22 @@ class TestEvalRational:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestArrayEvaluation:
-    """One evaluator per surrogate: an array call is the scalar calls, elementwise."""
+    """One evaluator for both surrogates: an array call is the scalar calls, elementwise."""
 
     XS = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0)
 
     def test_taylor_eval(self, dtype):
-        got = taylor_eval(100, np.array(self.XS, dtype=dtype), dtype=dtype)
+        pa = reciprocal_gap_pade("taylor", 100, dtype)
+        got = eval_rational(pa, np.array(self.XS, dtype=dtype))
         assert got.dtype == dtype
-        expected = [taylor_eval(100, dtype(x), dtype=dtype) for x in self.XS]
+        expected = [eval_rational(pa, dtype(x)) for x in self.XS]
         np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
+        # the [100/0] denominator is exactly 1: the bits of the bare polynomial
+        xs = np.array(self.XS, dtype=dtype)
+        np.testing.assert_array_equal(got, horner(np.ones(101, dtype=dtype), xs))
 
     def test_eval_rational(self, dtype):
-        pa = reciprocal_gap_pade(50, dtype)
+        pa = reciprocal_gap_pade("pade", 50, dtype)
         xs = self.XS[:-1]  # 1 is the pole
         got = eval_rational(pa, np.array(xs, dtype=dtype))
         assert got.dtype == dtype
@@ -180,11 +196,27 @@ class TestDegreeBookkeeping:
             assert m in (n, n + 1)
 
     def test_cached_approximant_consistent(self):
-        pa = reciprocal_gap_pade(100)
+        pa = reciprocal_gap_pade("pade", 100)
         assert pa.degrees == (50, 49)
-        assert pa is reciprocal_gap_pade(100)
+        assert pa is reciprocal_gap_pade("pade", 100)
         # one cache entry per width, however the dtype is spelled
-        assert pa is reciprocal_gap_pade(100, "float64")
+        assert pa is reciprocal_gap_pade("pade", 100, "float64")
+
+    def test_taylor_is_the_k_0_approximant(self):
+        pa = reciprocal_gap_pade("taylor", 7, np.float32)
+        assert pa.degrees == (7, 0)
+        assert pa.p.dtype == pa.q.dtype == np.float32
+        np.testing.assert_array_equal(pa.p, np.ones(8, dtype=np.float32))
+        # [1/0] = 1 + x is both taylor(1) and pade(2): one cache entry
+        assert reciprocal_gap_pade("taylor", 1) is reciprocal_gap_pade("pade", 2)
+
+    @pytest.mark.parametrize("kind", ["both", "Taylor", None])
+    def test_unknown_kind_refused(self, kind):
+        message = f"kind must be 'taylor' or 'pade', got {kind!r}"
+        with pytest.raises(InvalidInputError, match=message):
+            reciprocal_gap_pade(kind, 3)
+        with pytest.raises(InvalidInputError, match=message):
+            approximation_error_table(kind, (3,), (0.5,))
 
 
 class TestErrorTable:
@@ -249,4 +281,11 @@ class TestErrorTable:
         assert table_cell(table, 0.5, 100) <= 1e-5
 
     def test_taylor_eval_tie_value(self):
-        assert taylor_eval(100, 1.0) == 101.0
+        assert eval_rational(reciprocal_gap_pade("taylor", 100), 1.0) == 101.0
+
+    def test_single_precision_pade_without_denominator_is_float32(self):
+        # degrees 1 and 2 are [0/0] and [1/0]; 1/(1-0.9) - (1 + 0.9) in float32
+        table = approximation_error_table("pade", (1, 2), (0.9,), np.float32)
+        x = np.float32(0.9)
+        exact = np.float32(1) / (np.float32(1) - x)
+        assert table.errors[0, 1] == float(exact - (np.float32(1) + x)) == 8.099998474121094

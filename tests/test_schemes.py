@@ -20,6 +20,7 @@ from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
     FLOAT32_MAX,
     BackwardScheme,
+    KMatrix,
     grad_covariance,
     gradient_upper_bound,
     k_matrix,
@@ -111,6 +112,19 @@ class TestSchemeConfig:
 
 
 class TestKMatrix:
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (np.zeros((2, 3)), r"K matrix must be square, got \(2, 3\)"),
+            (np.eye(2), "K matrix diagonal must be exactly zero"),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "K matrix is not antisymmetric"),
+        ],
+        ids=["not-square", "diagonal", "symmetric"],
+    )
+    def test_malformed_k_matrix_refused(self, data, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            KMatrix(data)
+
     def test_ordinary_direct_formula(self):
         k = k_matrix(eig_of([3.0, 1.0]), BackwardScheme.ordinary())
         assert k.data[0, 1] == pytest.approx(0.5)
@@ -167,7 +181,10 @@ class TestKMatrix:
         """
         m, n = diagonal_degrees(degree)
         np.testing.assert_allclose(
-            reciprocal_gap_pade(degree).p[:n], 1.0 - np.arange(n) / n, rtol=0, atol=gamma(m + n + 1)
+            reciprocal_gap_pade("pade", degree).p[:n],
+            1.0 - np.arange(n) / n,
+            rtol=0,
+            atol=gamma(m + n + 1),
         )
         d = 8
         rows, cols = np.triu_indices(d, k=1)
@@ -501,7 +518,7 @@ class TestBounds:
 
     def test_pade_degree_one_is_the_constant_surrogate(self):
         # the [0/0] approximant of 1/(1-x) is 1, so K_ij = 1/lambda_i
-        assert reciprocal_gap_pade(1).degrees == (0, 0)
+        assert reciprocal_gap_pade("pade", 1).degrees == (0, 0)
         k = k_matrix(eig_of([4.0, 2.0, 1.0]), BackwardScheme.pade(1))
         np.testing.assert_array_equal(k.data[0], [0.0, 0.25, 0.25])
         assert k.data[1, 2] == 0.5

@@ -13,6 +13,10 @@ class TestSpectrumForCondition:
         with pytest.raises(InvalidInputError, match="finite and >= 1"):
             spectrum_for_condition(4, cond)
 
+    def test_single_eigenvalue_refused(self):
+        with pytest.raises(InvalidInputError, match="need d >= 2 for a spectrum"):
+            spectrum_for_condition(1, 10.0)
+
 
 class TestFeatureMatrixWithSpectrum:
     # a count up to d fails the full-rank comparison first, a fraction the count rule
@@ -25,6 +29,11 @@ class TestFeatureMatrixWithSpectrum:
     def test_column_count_refused(self, n_cols, message, rng):
         with pytest.raises(InvalidInputError, match=message):
             feature_matrix_with_spectrum(np.ones(4), n_cols, rng)
+
+    @pytest.mark.parametrize("lam", [[1.0, 0.0], [1.0, -0.5]], ids=["zero", "negative"])
+    def test_non_positive_target_refused(self, lam, rng):
+        with pytest.raises(InvalidInputError, match="target eigenvalues must be positive"):
+            feature_matrix_with_spectrum(np.array(lam), 4, rng)
 
     def test_integral_float_column_count_passes(self, rng):
         x = feature_matrix_with_spectrum(np.array([3.0, 2.0, 1.0, 0.5]), 9.0, rng)

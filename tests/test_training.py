@@ -76,6 +76,12 @@ class TestSchedule:
                 switch_step=None,
                 lr_schedule=((5, 0.1),),
             )
+        with pytest.raises(InvalidInputError, match="steps must be strictly increasing"):
+            HybridSchedule(
+                post_switch_scheme=BackwardScheme.ordinary(),
+                switch_step=None,
+                lr_schedule=((0, 0.1), (10, 0.01), (10, 0.001)),
+            )
 
 
 class TestTask:
@@ -110,6 +116,18 @@ class TestTask:
             )
         with pytest.raises(InvalidInputError):
             ToyModelSpec(init_condition=value)
+
+    @pytest.mark.parametrize(
+        "sizes", [(1, 1, 4), (3, 2, 4), (2, 2, 1)], ids=["d-1", "raw-below-d", "n-cols-1"]
+    )
+    def test_model_size_relations_refused(self, sizes):
+        d, raw_dim, n_cols = sizes
+        with pytest.raises(InvalidInputError, match="need raw_dim >= d >= 2 and n_cols >= 2"):
+            ToyModelSpec(d=d, raw_dim=raw_dim, n_cols=n_cols)
+
+    def test_unknown_task_kind_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown task kind 'imbalanced'"):
+            make_toy_task(small_spec(), 4, kind="imbalanced")
 
     def test_empty_task_and_batch_rejected_on_the_call(self):
         spec = small_spec()
@@ -197,6 +215,26 @@ class TestTraining:
         log = run_hybrid_training(spec, sched, overflowing)
         assert (log.status, log.failure_step, log.records) == ("diverged", 0, [])
         assert log.final_loss is None
+
+    def test_overflowing_gradient_sum_is_a_numerical_failure(self, monkeypatch):
+        # a backward whose finite output overflows the batch sum at step 3:
+        # the run ends on the typed error, with no record of the failing step
+        import specgrad.training as training
+
+        calls = []
+        backward = training.gcp_backward
+
+        def huge_from_the_25th_call(cache, gq):
+            calls.append(None)
+            gx = backward(cache, gq)
+            return np.full_like(gx, 1e308) if len(calls) >= 25 else gx
+
+        monkeypatch.setattr(training, "gcp_backward", huge_from_the_25th_call)
+        spec = small_spec()
+        task = make_toy_task(spec, 40, seed=6)
+        log = run_hybrid_training(spec, schedule(None, 6), batch_stream(task, 8, 6, seed=7))
+        assert (log.status, log.failure_step, len(log.records)) == ("diverged", 3, 3)
+        assert log.failure_reason.startswith("batch gradient at w1 is non-finite in 16 of 16")
 
     @pytest.mark.parametrize("where", ["features w1 @ r", "loss gradient at Q"])
     def test_overflow_before_the_layer_is_a_numerical_failure(self, where):
