@@ -293,9 +293,16 @@ def _check_flags(args) -> None:
     if args.command in ("condition", "train-toy"):
         relations.append(("n", args.n >= 2, "at least 2"))
     if args.command == "train-toy":
-        for flag in ("switch-frac", "warmup-frac"):
+        if args.lr_schedule is None:  # the default, read below: tenfold decay at 80% of --steps
+            args.lr_schedule = ((0, 0.08), (max(1, int(0.8 * args.steps)), 0.008))
+        for flag, low in (("switch-frac", 0), ("warmup-frac", 0), ("init-cond", 1)):
             value = getattr(args, flag.replace("-", "_"))
-            relations += [(flag, np.isfinite(value), "finite"), (flag, value >= 0, "non-negative")]
+            bound = f"at least {low}" if low else "non-negative"
+            relations += [(flag, np.isfinite(value), "finite"), (flag, value >= low, bound)]
+        if len(args.lr_schedule) >= 2 and 0 <= args.switch_frac < 1:
+            swap, decay = int(args.switch_frac * args.steps), args.lr_schedule[-1][0]
+            relations.append(("switch-frac", swap < decay, f"early enough that the swap (step "
+                              f"{swap}) precedes the final learning-rate decay (step {decay})"))
     for flag, holds, requirement in relations:
         dest = flag.replace("-", "_")
         if not holds and dest not in args.unread:
@@ -431,9 +438,6 @@ def cmd_train_toy(args) -> int:
     switch_step = None if args.switch_frac >= 1.0 else int(args.switch_frac * steps)
     # without a switch --warmup-frac is unread, so it must not reach the schedule
     warmup_steps = None if switch_step is None else int(args.warmup_frac * steps)
-    lr_schedule = args.lr_schedule
-    if lr_schedule is None:
-        lr_schedule = ((0, 0.08), (max(1, int(0.8 * steps)), 0.008))
 
     spec = ToyModelSpec(
         d=args.d,
@@ -448,15 +452,13 @@ def cmd_train_toy(args) -> int:
         post_switch_scheme=post_switch,
         switch_step=switch_step,
         warmup_steps=warmup_steps or 0,
-        lr_schedule=lr_schedule,
+        lr_schedule=args.lr_schedule,
     )
     task = make_toy_task(spec, args.samples, seed=seed + 1, kind=args.task.replace("-", "_"))
     stream = batch_stream(task, args.batch, steps, seed=seed + 2)
     log = run_hybrid_training(spec, schedule, stream)
 
-    config = _record(
-        args, lr_schedule=lr_schedule, switch_step=switch_step, warmup_steps=warmup_steps
-    )
+    config = _record(args, switch_step=switch_step, warmup_steps=warmup_steps)
     records = [{"type": "config", **config}]
     records += [{"type": "step", **r.to_dict()} for r in log.records]
     records.append(

@@ -9,9 +9,9 @@ wherever the Toeplitz block is nonsingular.
 The singular case matters here: the geometric series 1, 1, 1, ... produces an
 all-ones Toeplitz block, and the minimum-norm solution keeps high-degree
 diagonal approximants constructible and numerically exact.
-The construction and the evaluation run in the coefficients' dtype; the
-surrogate and the error tables take theirs as a numpy dtype, float32 or
-float64.
+The construction runs in the coefficients' dtype and the evaluation in the
+complex type of that width; the surrogate and the error tables take theirs as
+a numpy dtype, float32 or float64.
 """
 
 from __future__ import annotations
@@ -72,11 +72,13 @@ class PadeApproximant:
 def horner(coeffs: np.ndarray, x):
     """Polynomial with coefficients c_0 ... c_n (lowest first) at scalar or array x.
 
-    The one polynomial evaluation of the package, behind ``eval_rational``.
+    The one polynomial evaluation of the package, behind ``eval_rational``;
+    it updates one array of x's shape in place (a 0-d array for scalar x).
     """
-    acc = coeffs.dtype.type(0.0)
+    acc = np.zeros_like(x, dtype=np.result_type(coeffs, x))
     for c in coeffs[::-1]:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 
@@ -118,18 +120,24 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
 def eval_rational(pa: PadeApproximant, x):
     """P(x) / Q(x) at scalar or array x, in the coefficients' precision.
 
-    Horner evaluation of numerator and denominator, then one division. A
-    denominator below ``_POLE_FLOOR`` in magnitude raises ``PoleError`` naming
-    the first such x.
+    One Horner pass on x + 0j over the packed coefficients p_m + i q_m gives
+    P(x) as its real part and Q(x) as its imaginary part. The cross terms of
+    each product are exact zeros, so finite halves are bit-identical to two
+    real passes; an overflowing half makes the other nan (inf * 0), e.g.
+    ``taylor(100)`` at x = 1e4, far outside the ratios in [0, 1] the package
+    evaluates. A denominator below ``_POLE_FLOOR`` in magnitude raises
+    ``PoleError`` naming the first such x.
     """
     x = np.asarray(x, dtype=pa.p.dtype)
-    num = horner(pa.p, x)
-    den = horner(pa.q_full, x)
-    pole = np.abs(den) < _POLE_FLOOR
+    packed = np.zeros(max(pa.p.size, pa.q.size + 1), dtype=np.result_type(x, 0j))
+    packed.real[: pa.p.size] = pa.p
+    packed.imag[: pa.q.size + 1] = pa.q_full
+    pq = horner(packed, x + 0j)
+    pole = np.abs(pq.imag) < _POLE_FLOOR
     if pole.any():
         bad = float(x[pole][0] if x.ndim else x)
         raise PoleError(f"denominator vanishes at x = {bad!r}", x=bad)
-    return num / den
+    return pq.real / pq.imag
 
 
 def diagonal_degrees(k: int) -> tuple[int, int]:

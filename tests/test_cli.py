@@ -417,13 +417,27 @@ def test_count_flag_error_names_the_flag(tmp_path, capsys, monkeypatch, argv):
          "--switch-frac must be non-negative, got -0.5"),
         (("train-toy", "--warmup-frac", "-1", "--steps", "2"),
          "--warmup-frac must be non-negative, got -1.0"),
+        (("train-toy", "--init-cond", "0.5"), "--init-cond must be at least 1, got 0.5"),
+        (("train-toy", "--init-cond", "inf"), "--init-cond must be finite, got inf"),
+        # the swap must come before the final decay of the default schedule...
+        (("train-toy", "--switch-frac", "0.9", "--steps", "10"),
+         "--switch-frac must be early enough that the swap (step 9) precedes the final "
+         "learning-rate decay (step 8), got 0.9"),
+        (("train-toy", "--switch-frac", "0.85"),
+         "--switch-frac must be early enough that the swap (step 204) precedes the final "
+         "learning-rate decay (step 192), got 0.85"),
+        # ...or of a given one
+        (("train-toy", "--switch-frac", "0.5", "--steps", "10", "--lr-schedule", "0:0.1,3:0.01"),
+         "--switch-frac must be early enough that the swap (step 5) precedes the final "
+         "learning-rate decay (step 3), got 0.5"),
         # a config entry is held to the same relation, under the flag's name
         (("train-toy", "--config", "n.conf"), "--n must be at least 2, got 1"),
     ],
     ids=[
         "gradcheck-n-below-d", "gradcheck-n-equal-d", "gradcheck-d-1", "train-toy-d-1",
         "train-toy-n-1", "condition-n-1", "switch-frac-negative", "warmup-frac-negative",
-        "config-n-1",
+        "init-cond-below-1", "init-cond-inf", "swap-after-decay-10-steps",
+        "swap-after-decay-default-steps", "swap-after-given-decay", "config-n-1",
     ],
 )
 def test_flag_relation_error_names_the_flag(tmp_path, capsys, monkeypatch, argv, message):

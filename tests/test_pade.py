@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specgrad.core import EigenDecomposition
 from specgrad.errors import InvalidInputError, NumericalFailureError, PoleError
 from specgrad.pade import (
     PadeApproximant,
@@ -15,6 +16,7 @@ from specgrad.pade import (
     pade_from_series,
     reciprocal_gap_pade,
 )
+from specgrad.schemes import BackwardScheme, k_matrix
 
 from oracles import pade_from_continued_fraction, series_match_residual, table_cell
 
@@ -183,6 +185,83 @@ class TestArrayEvaluation:
         assert got.dtype == dtype
         expected = [eval_rational(pa, dtype(x)) for x in xs]
         np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def two_real_passes(pa, x):
+    """The oracle of the packed pass: numerator and denominator evaluated apart."""
+    return horner(pa.p, x) / horner(pa.q_full, x)
+
+
+@pytest.mark.parametrize("kind", ["taylor", "pade"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestPackedEvaluation:
+    """One complex Horner pass gives the bits of two real passes."""
+
+    DEGREES = (1, 2, 3, 4, 7, 50, 100, 300)
+
+    def test_matches_two_real_passes(self, kind, dtype):
+        eps = np.finfo(dtype).eps
+        xs = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - eps], dtype=dtype)
+        for k in self.DEGREES:
+            pa = reciprocal_gap_pade(kind, k, dtype)
+            assert_same_bits(eval_rational(pa, xs), two_real_passes(pa, xs))
+            assert_same_bits(eval_rational(pa, xs[3]), two_real_passes(pa, xs[3]))
+
+    def test_pole_at_one_matches_two_real_passes(self, kind, dtype):
+        # the pole rule of eval_rational, applied to the oracle's denominator;
+        # in float32 the 1e-300 floor rounds to 0, so an exact zero divides
+        one = np.ones(1, dtype=dtype)
+        for k in self.DEGREES:
+            pa = reciprocal_gap_pade(kind, k, dtype)
+            if np.abs(horner(pa.q_full, one))[0] < 1e-300:
+                with pytest.raises(PoleError) as err:
+                    eval_rational(pa, one)
+                assert err.value.details == {"x": 1.0}
+            else:
+                with np.errstate(divide="ignore"):
+                    assert_same_bits(eval_rational(pa, one), two_real_passes(pa, one))
+
+    @pytest.mark.parametrize("d", [2, 8, 128])
+    def test_k_matrix_at_a_tie_at_eps(self, kind, dtype, d):
+        # the lower half of the spectrum ties at the clamp floor of the width
+        eps = float(np.finfo(dtype).eps)
+        lam = np.concatenate([np.linspace(1.0, 0.1, d - d // 2), np.full(d // 2, eps)])
+        e = EigenDecomposition(lam, np.eye(d))
+        rows, cols = np.triu_indices(d, 1)
+        ratios = lam[cols] / lam[rows]
+        for k in self.DEGREES:
+            pa = reciprocal_gap_pade(kind, k)
+            if np.any(np.abs(horner(pa.q_full, ratios)) < 1e-300):
+                with pytest.raises(PoleError, match="x = 1.0"):
+                    k_matrix(e, BackwardScheme(kind, k))
+                continue
+            k_data = k_matrix(e, BackwardScheme(kind, k)).data
+            assert_same_bits(k_data[rows, cols], two_real_passes(pa, ratios) / lam[rows])
+
+    def test_no_warning_below_the_pole(self, kind, dtype):
+        # the packed pass adds no inf * 0 anywhere the package evaluates
+        eps = np.finfo(dtype).eps
+        xs = np.append(np.linspace(0, 1, 201, dtype=dtype)[:-1], dtype(1 - eps))
+        with np.errstate(all="warn"):  # pytest turns any RuntimeWarning into an error
+            for k in self.DEGREES:
+                assert np.all(np.isfinite(eval_rational(reciprocal_gap_pade(kind, k, dtype), xs)))
+
+
+def test_an_overflowing_half_poisons_the_other():
+    # outside [0, 1]: x^100 overflows P, and inf * 0 in the packed product
+    # turns the exact denominator 1 into nan, where two real passes give inf
+    pa = reciprocal_gap_pade("taylor", 100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert two_real_passes(pa, np.float64(1e4)) == np.inf
+        assert np.isnan(eval_rational(pa, 1e4))
+        assert eval_rational(pa, np.array([0.5, 1e4]))[0] == two_real_passes(pa, 0.5)
 
 
 class TestDegreeBookkeeping:
