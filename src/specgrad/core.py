@@ -24,6 +24,13 @@ batch gradients), a non-finite product raises ``NumericalFailureError``, not
 Constants that depend only on the width, the triangle indices of ``_triu``,
 are built once per width and cached: read-only, one entry per width the
 process uses.
+
+Stacks: ``covariance`` and ``apply_centering`` take a leading batch axis
+(``FeatureMatrix`` data of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``),
+and ``d``/``n_samples`` read the last two axes, so the Newton-Schulz path
+runs a whole mini-batch in one call. Each matrix of a stack gets the same
+bits as it would alone. The public constructors stay single-matrix; stacks
+are built only inside the package, through ``_trusted``.
 """
 
 from __future__ import annotations
@@ -153,11 +160,11 @@ class FeatureMatrix:
 
     @property
     def d(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def n_samples(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -180,10 +187,11 @@ class SymPsdMatrix:
 
     @property
     def d(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
-    def trace(self) -> float:
-        return float(np.trace(self.data))
+    def trace(self):
+        """tr(P) as a float, or for a stack the array of each matrix's trace."""
+        return np.trace(self.data, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -222,23 +230,23 @@ class ConditionNumber(NamedTuple):
 
 
 def apply_centering(m: np.ndarray) -> np.ndarray:
-    """Right-multiply ``m`` by the centering matrix without forming it."""
+    """Right-multiply ``m``, or each matrix of a stack, by the centering matrix without forming it."""
     m = np.asarray(m)
-    n = m.shape[1]
-    return (m - m.sum(axis=1, keepdims=True) / n) / n
+    n = m.shape[-1]
+    return (m - m.sum(axis=-1, keepdims=True) / n) / n
 
 
 def covariance(x: FeatureMatrix) -> SymPsdMatrix:
-    """Sample covariance of the columns of ``x``.
+    """Sample covariance of the columns of ``x``, or of each block of a stack.
 
     Computed as X_c X_c^T / N with X_c the column-centered features, which is
     algebraically identical to sandwiching the centering matrix.
     """
     # sum, then divide: the two steps of ``mean`` without its Python wrapper
-    xc = x.data - x.data.sum(axis=1, keepdims=True) / x.n_samples
-    p = (xc @ xc.T) / x.n_samples
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / x.n_samples
+    p = (xc @ xc.mT) / x.n_samples
     _require_finite(p, "covariance", x.data)
-    return _trusted(SymPsdMatrix, data=0.5 * p + 0.5 * p.T)
+    return _trusted(SymPsdMatrix, data=0.5 * p + 0.5 * p.mT)
 
 
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:

@@ -86,7 +86,12 @@ class GcpCache:
 
 
 def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, GcpCache]:
-    """Covariance, then the configured square root; returns Q and the cache."""
+    """Covariance, then the configured square root; returns Q and the cache.
+
+    Under the Newton-Schulz config ``x`` may also be a (B, d, N) stack built
+    inside the package; Q, the covariance and the trace are then stacks, and
+    ``gcp_backward`` takes a (B, d, d) stack of gradients.
+    """
     p = covariance(x)
     e = trace = None
     clamped = 0

@@ -39,6 +39,14 @@ A backward of N >= 2 iterations costs 6N - 6 matmuls (24 at N = 5); at
 N = 1 the single step is both special steps and costs 2. Validated against
 central finite differences and, in the tests, against the per-step
 recursion expanded into triple products (12 matmuls a step).
+
+Stacks: ``ns_forward``, ``ns_backward`` and ``ns_gradient_of_x`` also take
+a leading batch axis, a (B, d, d) covariance stack from ``core.covariance``
+of (B, d, N) features. Every product is then one stacked matmul, so a
+mini-batch costs the matmul counts above once instead of B times, and each
+matrix's result is bit-identical to its own single-matrix call. A check
+(tr(P) > 0, the PSD and divergence guards, a finite gradient) fails the
+whole stack if any matrix fails it.
 """
 
 from __future__ import annotations
@@ -55,13 +63,22 @@ DEFAULT_ITERATIONS = 5
 _DIVERGENCE_LIMIT = 1e6
 
 
+def _per_matrix(values):
+    """One value per matrix, shaped to broadcast over each d x d matrix of a stack.
+
+    A single matrix's value is a scalar and stays one, which numpy
+    broadcasts without the cost of a (1, 1) array.
+    """
+    return values[..., None, None] if isinstance(values, np.ndarray) else values
+
+
 @dataclass(frozen=True)
 class NewtonSchulzTrace:
     """Everything the backward pass needs from an N-step forward.
 
     ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_1, ..., Z_{N-1}
     (Z_0 = I is implied); ``t_seq`` holds the factors T_1, ..., T_N;
-    ``trace_p`` is tr(P).
+    ``trace_p`` is tr(P), or for a stack the array of each matrix's trace.
 
     Raises:
         InvalidInputError: the sequence lengths do not line up with one N >= 1,
@@ -89,7 +106,7 @@ class NewtonSchulzTrace:
 
     @property
     def d(self) -> int:
-        return self.y_seq[0].shape[0]
+        return self.y_seq[0].shape[-1]
 
     @property
     def normalized_input(self) -> np.ndarray:
@@ -101,7 +118,7 @@ class NewtonSchulzTrace:
 
 
 def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSchulzTrace]:
-    """Approximate principal square root of ``p`` with the full iterate trace.
+    """Approximate principal square root of ``p``, or of each matrix of a stack, with its trace.
 
     Raises:
         InvalidInputError: tr(P) <= 0, so the pre-normalization is undefined.
@@ -110,18 +127,24 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     """
     iterations = _positive(iterations, "iterations")
     trace_p = p.trace()
-    if trace_p <= 0.0:
-        raise InvalidInputError(f"trace pre-normalization needs tr(P) > 0, got {trace_p:.3e}")
-    if trace_p == np.inf:
+    # min and max over ``.flat`` read a single trace or a stack's alike, and
+    # cost a fraction of a numpy reduction at d = 8
+    lowest = min(trace_p.flat)
+    if lowest <= 0.0:
+        raise InvalidInputError(f"trace pre-normalization needs tr(P) > 0, got {lowest:.3e}")
+    if max(trace_p.flat) == np.inf:
         # a finite P whose diagonal sums past the float range; the root would be nan
         raise NumericalFailureError(
             "tr(P) overflowed", where="trace", max_entry=float(np.abs(p.data).max())
         )
     d = p.d
-    a = p.data / trace_p
+    tr = _per_matrix(trace_p)
+    a = p.data / tr
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
-    # violation means an indefinite matrix slipped past construction
-    if np.linalg.norm(a - np.eye(d)) >= np.sqrt(d) + 1.0:
+    # violation means an indefinite matrix slipped past construction. The
+    # einsum forms each matrix's squared distance without a d x d temporary
+    off = a - np.eye(d)
+    if max(np.einsum("...ij,...ij->...", off, off).flat) >= (np.sqrt(d) + 1.0) ** 2:
         raise InvalidInputError("trace-normalized input is too far from identity to be PSD")
     eye3 = 3.0 * np.eye(d, dtype=a.dtype)
 
@@ -145,8 +168,8 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         if k + 1 < iterations:  # nothing reads Z_N
             z_seq.append(t @ z_seq[-1] if k else t)
 
-    q = np.sqrt(trace_p) * y_seq[-1]
-    q *= 0.5  # in place, so that q + q.T = 0.5 Q + 0.5 Q^T needs one temporary fewer
+    q = np.sqrt(tr) * y_seq[-1]
+    q *= 0.5  # in place, so that q + q.mT = 0.5 Q + 0.5 Q^T needs one temporary fewer
     trace = _trusted(
         NewtonSchulzTrace,
         y_seq=tuple(y_seq),
@@ -154,7 +177,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         t_seq=tuple(t_seq),
         trace_p=trace_p,
     )
-    return _trusted(SymPsdMatrix, data=q + q.T), trace
+    return _trusted(SymPsdMatrix, data=q + q.mT), trace
 
 
 def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
@@ -162,11 +185,11 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
 
     Reverse-propagates through every iteration of the trace, then adds the
     trace-normalization term -(1/tr(P)^2) tr(dA^T P) I + (1/tr(P)) dA and the
-    post-compensation term (1/(2 sqrt(tr(P)))) tr(dQ^T Y_N) I.
+    post-compensation term (1/(2 sqrt(tr(P)))) tr(dQ^T Y_N) I. A stacked
+    trace takes a stack of gradients of its shape.
     """
-    d = trace.d
-    grad_q = _gradient(grad_q, (d, d))
-    tr_p = trace.trace_p
+    grad_q = _gradient(grad_q, trace.normalized_input.shape)
+    tr_p = _per_matrix(trace.trace_p)
     sqrt_tr = np.sqrt(tr_p)
 
     dy = sqrt_tr * grad_q
@@ -175,34 +198,35 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
         y = trace.y_seq[k - 1]
         z = trace.z_seq[k - 2]
         t = trace.t_seq[k - 1]
-        dt = y.T @ dy
+        dt = y.mT @ dy
         if dz is None:
-            dz = -0.5 * (dt @ y.T)
+            dz = -0.5 * (dt @ y.mT)
         else:
-            dt += dz @ z.T
-            dz = t.T @ dz - 0.5 * (dt @ y.T)
-        dy = dy @ t.T - 0.5 * (z.T @ dt)
+            dt += dz @ z.mT
+            dz = t.mT @ dz - 0.5 * (dt @ y.mT)
+        dy = dy @ t.mT - 0.5 * (z.mT @ dt)
     # k = 1: Z_0 = I and Y_0 = A; Z_0 is constant, so dZ_0 is not formed
     a = trace.normalized_input
-    dt = a.T @ dy
+    dt = a.mT @ dy
     if dz is not None:
         dt += dz
-    da = dy @ trace.t_seq[0].T - 0.5 * dt
+    da = dy @ trace.t_seq[0].mT - 0.5 * dt
 
-    # d tr(P) contributions from A = P / tr(P) and Q = sqrt(tr(P)) Y_N
+    # d tr(P) contributions from A = P / tr(P) and Q = sqrt(tr(P)) Y_N; each
+    # sum runs over one matrix's d x d entries
     p = a * tr_p
-    trace_term = -np.sum(da * p) / (tr_p * tr_p) + np.sum(grad_q * trace.final_y) / (
-        2.0 * sqrt_tr
-    )
-    return da / tr_p + trace_term * np.eye(d)
+    da_dot_p = _per_matrix((da * p).sum(axis=(-2, -1)))
+    dq_dot_y = _per_matrix((grad_q * trace.final_y).sum(axis=(-2, -1)))
+    trace_term = -da_dot_p / (tr_p * tr_p) + dq_dot_y / (2.0 * sqrt_tr)
+    return da / tr_p + trace_term * np.eye(trace.d)
 
 
 def ns_gradient_of_x(grad_p: np.ndarray, x: FeatureMatrix) -> np.ndarray:
-    """Chain the covariance gradient back to the features: (G + G^T) X Ibar."""
+    """Chain the covariance gradient back to the features: (G + G^T) X Ibar, matrix by matrix."""
     grad_p = np.asarray(grad_p, dtype=np.float64)
     d = x.d
-    if grad_p.shape != (d, d):
+    if grad_p.shape != x.data.shape[:-1] + (d,):
         raise InvalidInputError(
             f"covariance gradient shape {grad_p.shape} does not match d={d}"
         )
-    return apply_centering((grad_p + grad_p.T) @ x.data)
+    return apply_centering((grad_p + grad_p.mT) @ x.data)

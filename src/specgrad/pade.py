@@ -23,7 +23,10 @@ import numpy as np
 from .core import _as_readonly, _non_negative, _positive, float_info
 from .errors import InvalidInputError, PoleError
 
+#: |Q(x)| below this is a pole. float32 cannot hold 1e-300 (it rounds to 0),
+#: so there the floor is float32's smallest normal
 _POLE_FLOOR = 1e-300
+_POLE_FLOOR_FLOAT32 = float(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,25 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
 def eval_rational(pa: PadeApproximant, x):
     """P(x) / Q(x) at scalar or array x, in the coefficients' precision.
 
-    One Horner pass on x + 0j over the packed coefficients p_m + i q_m gives
-    P(x) as its real part and Q(x) as its imaginary part. The cross terms of
-    each product are exact zeros, so finite halves are bit-identical to two
-    real passes; an overflowing half makes the other nan (inf * 0), e.g.
-    ``taylor(100)`` at x = 1e4, far outside the ratios in [0, 1] the package
-    evaluates. A denominator below ``_POLE_FLOOR`` in magnitude raises
+    A [K/0] approximant (the Taylor polynomial) has Q = 1 and no pole, so one
+    real Horner pass gives its value. Otherwise one Horner pass on x + 0j
+    over the packed coefficients p_m + i q_m gives P(x) as its real part and
+    Q(x) as its imaginary part. The cross terms of each product are exact
+    zeros, so finite halves are bit-identical to two real passes; a half
+    that overflows before the last step makes the other nan (inf * 0), far
+    outside the ratios in [0, 1] the package evaluates. A denominator below
+    ``_POLE_FLOOR`` in magnitude (float32: its smallest normal) raises
     ``PoleError`` naming the first such x.
     """
     x = np.asarray(x, dtype=pa.p.dtype)
+    if not pa.q.size:
+        return horner(pa.p, x)[()]  # a scalar for scalar x, like the quotient below
     packed = np.zeros(max(pa.p.size, pa.q.size + 1), dtype=np.result_type(x, 0j))
     packed.real[: pa.p.size] = pa.p
     packed.imag[: pa.q.size + 1] = pa.q_full
     pq = horner(packed, x + 0j)
-    pole = np.abs(pq.imag) < _POLE_FLOOR
+    floor = _POLE_FLOOR_FLOAT32 if pq.real.dtype == np.float32 else _POLE_FLOOR
+    pole = np.abs(pq.imag) < floor
     if pole.any():
         bad = float(x[pole][0] if x.ndim else x)
         raise PoleError(f"denominator vanishes at x = {bad!r}", x=bad)

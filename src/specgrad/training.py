@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     FeatureMatrix,
+    SymPsdMatrix,
     _non_negative,
     _positive,
     _require_finite,
@@ -240,24 +241,66 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _classify(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray, y: int):
-    """Pooled forward of one example through the classifier.
+def _head(model: ToyModel, q, y: int):
+    """Classifier head on one pooled matrix ``q``.
 
-    Returns the layer cache, the pooled vector, the class probabilities, the
-    cross-entropy loss, and whether the prediction hit the label.
+    Returns the pooled vector, the class probabilities, the cross-entropy
+    loss, and whether the prediction hit the label.
     """
-    features = model.w1 @ r
-    _require_finite(features, "features w1 @ r", model.w1)
-    q, cache = gcp_forward(_trusted(FeatureMatrix, data=features), cfg)
     v = upper_triangle_vector(q)
     logits = model.w2 @ v + model.b2
     prob = _softmax(logits)
     loss = -float(np.log(max(prob[y], 1e-300)))
-    return cache, v, prob, loss, int(np.argmax(logits) == y)
+    return v, prob, loss, int(np.argmax(logits) == y)
+
+
+def _pool(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray):
+    """Features ``w1 @ r`` through the layer: Q and the cache, of one example or a stack."""
+    features = model.w1 @ r
+    _require_finite(features, "features w1 @ r", model.w1)
+    return gcp_forward(_trusted(FeatureMatrix, data=features), cfg)
+
+
+class _BatchSums:
+    """What a batch sums over its samples: loss, hits, condition numbers, parameter gradients."""
+
+    def __init__(self, model: ToyModel):
+        self.model = model
+        self.dw1 = np.zeros_like(model.w1)
+        self.dw2 = np.zeros_like(model.w2)
+        self.db2 = np.zeros_like(model.b2)
+        self.loss = 0.0
+        self.hits = 0
+        self.conds = []
+
+    def add(self, q, e, y: int) -> np.ndarray:
+        """Add the head terms of one sample, given its pooled ``q`` and the
+        clamped eigenpairs ``e`` of its covariance; returns its checked loss
+        gradient at Q."""
+        v, prob, loss, hit = _head(self.model, q, y)
+        self.conds.append(condition_number(e).value)
+        self.loss += loss
+        self.hits += hit
+        dlogits = prob.copy()
+        dlogits[y] -= 1.0
+        self.dw2 += np.outer(dlogits, v)
+        self.db2 += dlogits
+        gq = grad_from_upper_triangle(self.model.w2.T @ dlogits, self.model.w1.shape[0])
+        _require_finite(gq, "loss gradient at Q", self.model.w2)
+        return gq
+
+    def result(self, batch: int):
+        """Batch means and gradients; a non-finite gradient sum is a ``NumericalFailureError``."""
+        model = self.model
+        scale = 1.0 / batch
+        grads = (self.dw1 * scale, self.dw2 * scale, self.db2 * scale)
+        for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
+            _require_finite(grad, f"batch gradient at {name}", param)
+        return self.loss * scale, self.hits * scale, float(np.mean(self.conds)), grads
 
 
 def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """Loss, accuracy, mean covariance condition, and parameter gradients.
+    """Loss, accuracy, mean covariance condition, and parameter gradients, sample by sample.
 
     A non-finite product (the features, the covariance, the loss gradient at
     Q, or a parameter gradient summed over the batch) raises
@@ -265,33 +308,46 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     divergence. The loss needs no check: each sample's is at most
     -log(1e-300), and a non-finite softmax already fails the check at Q.
     """
-    batch = rb.shape[0]
-    d = model.w1.shape[0]
-    dw1 = np.zeros_like(model.w1)
-    dw2 = np.zeros_like(model.w2)
-    db2 = np.zeros_like(model.b2)
-    loss = 0.0
-    hits = 0
-    conds = []
+    sums = _BatchSums(model)
     for r, y in zip(rb, yb):
-        cache, v, prob, sample_loss, hit = _classify(model, cfg, r, y)
+        q, cache = _pool(model, cfg, r)
         e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p))
-        conds.append(condition_number(e).value)
-        loss += sample_loss
-        hits += hit
-        dlogits = prob.copy()
-        dlogits[y] -= 1.0
-        dw2 += np.outer(dlogits, v)
-        db2 += dlogits
-        gq = grad_from_upper_triangle(model.w2.T @ dlogits, d)
-        _require_finite(gq, "loss gradient at Q", model.w2)
-        gx = gcp_backward(cache, gq)
-        dw1 += gx @ r.T
-    scale = 1.0 / batch
-    grads = (dw1 * scale, dw2 * scale, db2 * scale)
-    for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
-        _require_finite(grad, f"batch gradient at {name}", param)
-    return loss * scale, hits * scale, float(np.mean(conds)), grads
+        gq = sums.add(q, e, y)
+        sums.dw1 += gcp_backward(cache, gq) @ r.T
+    return sums.result(rb.shape[0])
+
+
+def _stacked_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """``_batch_pass`` of the Newton-Schulz phase with one layer call each way per batch.
+
+    The features of the whole batch are one ``w1 @ rb`` stack, which one
+    ``gcp_forward`` and one ``gcp_backward`` carry through the stacked
+    Newton-Schulz path. The classifier head, its gradient sums, the
+    condition number's ``eigh`` and ``dw1`` stay per sample and in the same
+    order, so every value is bit-identical to ``_batch_pass``. A failed
+    check raises as there, but names the stack rather than the sample.
+    """
+    q, cache = _pool(model, cfg, rb)
+    sums = _BatchSums(model)
+    gqs = [
+        sums.add(q_b, clamp_eigenvalues(eigh(_trusted(SymPsdMatrix, data=p_b))), y)
+        for q_b, p_b, y in zip(q.data, cache.p.data, yb)
+    ]
+    for gx, r in zip(gcp_backward(cache, np.stack(gqs)), rb):
+        sums.dw1 += gx @ r.T
+    return sums.result(rb.shape[0])
+
+
+def _ns_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """The stacked pass; on any failure the batch reruns sample by sample.
+
+    The rerun raises what ``_batch_pass`` raises, so a diverging run logs
+    the same step and the same reason, naming the failing sample's product.
+    """
+    try:
+        return _stacked_batch_pass(model, cfg, rb, yb)
+    except (NumericalFailureError, InvalidInputError):
+        return _batch_pass(model, cfg, rb, yb)
 
 
 def run_hybrid_training(
@@ -310,11 +366,13 @@ def run_hybrid_training(
     velocity = [np.zeros_like(param) for param in params]
     records: list = []
     for step, (rb, yb) in enumerate(data_stream):
-        cfg = eig_cfg if schedule.switched(step) else ns_cfg
+        cfg, batch_pass = (
+            (eig_cfg, _batch_pass) if schedule.switched(step) else (ns_cfg, _ns_batch_pass)
+        )
         lr = schedule.effective_lr(step)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, acc, mean_cond, grads = _batch_pass(model, cfg, rb, yb)
+                loss, acc, mean_cond, grads = batch_pass(model, cfg, rb, yb)
         except NumericalFailureError as err:
             return TrainingLog(records, "diverged", step, str(err), model)
         records.append(StepRecord(step, loss, acc, mean_cond, cfg.label, lr))
@@ -331,7 +389,8 @@ def evaluate_model(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple
     loss = 0.0
     hits = 0
     for r, y in zip(task.inputs, task.labels):
-        _, _, _, sample_loss, hit = _classify(model, cfg, r, y)
+        q, _ = _pool(model, cfg, r)
+        *_, sample_loss, hit = _head(model, q, y)
         loss += sample_loss
         hits += hit
     n = task.n_samples

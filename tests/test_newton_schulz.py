@@ -4,6 +4,7 @@ import pytest
 from specgrad.core import (
     FeatureMatrix,
     SymPsdMatrix,
+    _trusted,
     clamp_eigenvalues,
     covariance,
     eigh,
@@ -229,6 +230,14 @@ class TestBackward:
         MatmulCounting.matmuls = 0
         ns_backward(trace, rng.normal(size=(5, 5)))
         assert MatmulCounting.matmuls == backward
+        # a stack of three makes the same number of (stacked) matmul calls, not 3x
+        stack = np.stack([random_spd(5, rng).data for _ in range(3)]).view(MatmulCounting)
+        MatmulCounting.matmuls = 0
+        _, trace = ns_forward(_trusted(SymPsdMatrix, data=stack), iterations)
+        assert MatmulCounting.matmuls == forward
+        MatmulCounting.matmuls = 0
+        ns_backward(trace, rng.normal(size=(3, 5, 5)))
+        assert MatmulCounting.matmuls == backward
 
     def test_trace_loss_gradient_is_half_inverse_sqrt(self):
         # d tr(P^(1/2)) / dP = (1/2) P^(-1/2); at P = I that is I/2
@@ -315,3 +324,55 @@ class TestGradientOfX:
                 pert[i, j] = h
                 fd[i, j] = (loss(x_arr + pert) - loss(x_arr - pert)) / (2 * h)
         assert np.abs(gx - fd).max() / np.abs(fd).max() <= 1e-4
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestStack:
+    """A leading batch axis gives each matrix the bits of its own call."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_same_bits_as_single_matrices(self, d, batch):
+        local = np.random.default_rng(10 * d + batch)
+        data = local.normal(size=(batch, d, 3 * d))
+        grad_q = local.normal(size=(batch, d, d))
+        x = _trusted(FeatureMatrix, data=data.copy())
+        p = covariance(x)
+        q, trace = ns_forward(p, 5)
+        grad_p = ns_backward(trace, grad_q)
+        grad_x = ns_gradient_of_x(grad_p, x)
+        assert (x.d, x.n_samples, p.d, trace.d) == (d, 3 * d, d, d)
+        assert grad_x.shape == data.shape
+        for b in range(batch):
+            x_b = FeatureMatrix(data[b])
+            p_b = covariance(x_b)
+            q_b, trace_b = ns_forward(p_b, 5)
+            grad_p_b = ns_backward(trace_b, grad_q[b])
+            assert same_bits(p.data[b], p_b.data)
+            assert same_bits(q.data[b], q_b.data)
+            assert trace.trace_p[b] == trace_b.trace_p
+            for seq, seq_b in zip(
+                (trace.y_seq, trace.z_seq, trace.t_seq),
+                (trace_b.y_seq, trace_b.z_seq, trace_b.t_seq),
+            ):
+                assert len(seq) == len(seq_b)
+                assert all(same_bits(s[b], s_b) for s, s_b in zip(seq, seq_b))
+            assert same_bits(grad_p[b], grad_p_b)
+            assert same_bits(grad_x[b], ns_gradient_of_x(grad_p_b, x_b))
+
+    def test_one_failing_matrix_fails_the_stack(self, rng):
+        # each check reads every matrix: one member with tr(P) <= 0 or a
+        # non-finite gradient raises for the whole stack, as its own call would
+        good = random_spd(3, rng).data
+        with pytest.raises(InvalidInputError, match="tr\\(P\\) > 0, got -1.000e\\+00"):
+            ns_forward(_trusted(SymPsdMatrix, data=np.stack([good, -np.eye(3) / 3])), 5)
+        grad = rng.normal(size=(2, 3, 3))
+        grad[1, 0, 0] = np.nan
+        _, trace = ns_forward(_trusted(SymPsdMatrix, data=np.stack([good, good])), 5)
+        with pytest.raises(InvalidInputError, match="non-finite gradient input"):
+            ns_backward(trace, grad)
+        with pytest.raises(InvalidInputError, match="gradient shape \\(3, 3\\)"):
+            ns_backward(trace, grad[0])

@@ -216,11 +216,13 @@ class TestPackedEvaluation:
 
     def test_pole_at_one_matches_two_real_passes(self, kind, dtype):
         # the pole rule of eval_rational, applied to the oracle's denominator;
-        # in float32 the 1e-300 floor rounds to 0, so an exact zero divides
+        # float32 cannot hold the 1e-300 floor, so its floor is its smallest
+        # normal, and an exact zero there is a pole too
         one = np.ones(1, dtype=dtype)
+        floor = max(1e-300, np.finfo(dtype).tiny)
         for k in self.DEGREES:
             pa = reciprocal_gap_pade(kind, k, dtype)
-            if np.abs(horner(pa.q_full, one))[0] < 1e-300:
+            if np.abs(horner(pa.q_full, one))[0] < floor:
                 with pytest.raises(PoleError) as err:
                     eval_rational(pa, one)
                 assert err.value.details == {"x": 1.0}
@@ -255,13 +257,26 @@ class TestPackedEvaluation:
 
 
 def test_an_overflowing_half_poisons_the_other():
-    # outside [0, 1]: x^100 overflows P, and inf * 0 in the packed product
-    # turns the exact denominator 1 into nan, where two real passes give inf
+    # outside [0, 1]: x^100 overflows Taylor's P; its Q = 1 is not packed
+    # (one real pass), so the value is inf, as two real passes give
     pa = reciprocal_gap_pade("taylor", 100)
     with np.errstate(over="ignore", invalid="ignore"):
         assert two_real_passes(pa, np.float64(1e4)) == np.inf
-        assert np.isnan(eval_rational(pa, 1e4))
+        assert eval_rational(pa, 1e4) == np.inf
         assert eval_rational(pa, np.array([0.5, 1e4]))[0] == two_real_passes(pa, 0.5)
+        # with a denominator the halves share the pass: P = x^3 overflows
+        # before the last step, and inf * 0 turns the exact Q = 1 into nan
+        cubic = PadeApproximant(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0]))
+        assert two_real_passes(cubic, np.float64(1e200)) == np.inf
+        assert np.isnan(eval_rational(cubic, 1e200))
+
+
+def test_float32_pole_is_typed():
+    # [1/1] of 1/(1-x) has Q(1) = 0 exactly; float32 cannot hold the 1e-300
+    # floor, so it compares against its smallest normal, and raises before
+    # dividing (pytest turns a divide-by-zero RuntimeWarning into an error)
+    with pytest.raises(PoleError, match="x = 1.0"):
+        eval_rational(reciprocal_gap_pade("pade", 3, np.float32), np.float32([1.0]))
 
 
 class TestDegreeBookkeeping:

@@ -18,6 +18,36 @@ from specgrad.training import (
 from oracles import error_rate, mean_condition
 
 
+def stacked_and_per_sample(monkeypatch, spec, sched, batches):
+    """The run through the stacked Newton-Schulz pass and the run through the
+    per-sample ``_batch_pass`` alone, with the layer calls and the errors the
+    stacked pass made."""
+    import specgrad.training as training
+
+    forwards, raised = [], []
+    forward, stacked = training.gcp_forward, training._stacked_batch_pass
+
+    def counting_forward(*args):
+        forwards.append(None)
+        return forward(*args)
+
+    def recording_stacked(*args):
+        try:
+            return stacked(*args)
+        except Exception as err:
+            raised.append(err)
+            raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "gcp_forward", counting_forward)
+        patch.setattr(training, "_stacked_batch_pass", recording_stacked)
+        log = run_hybrid_training(spec, sched, batches)
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_stacked_batch_pass", training._batch_pass)
+        per_sample = run_hybrid_training(spec, sched, batches)
+    return log, per_sample, len(forwards), raised
+
+
 def small_spec(seed=0):
     return ToyModelSpec(d=4, raw_dim=4, n_cols=16, init_seed=seed)
 
@@ -218,18 +248,20 @@ class TestTraining:
 
     def test_overflowing_gradient_sum_is_a_numerical_failure(self, monkeypatch):
         # a backward whose finite output overflows the batch sum at step 3:
-        # the run ends on the typed error, with no record of the failing step
+        # the run ends on the typed error, with no record of the failing step.
+        # The Newton-Schulz phase makes one stacked backward call per batch,
+        # so the 4th call is step 3; its per-sample rerun stays huge too
         import specgrad.training as training
 
         calls = []
         backward = training.gcp_backward
 
-        def huge_from_the_25th_call(cache, gq):
+        def huge_from_the_4th_call(cache, gq):
             calls.append(None)
             gx = backward(cache, gq)
-            return np.full_like(gx, 1e308) if len(calls) >= 25 else gx
+            return np.full_like(gx, 1e308) if len(calls) >= 4 else gx
 
-        monkeypatch.setattr(training, "gcp_backward", huge_from_the_25th_call)
+        monkeypatch.setattr(training, "gcp_backward", huge_from_the_4th_call)
         spec = small_spec()
         task = make_toy_task(spec, 40, seed=6)
         log = run_hybrid_training(spec, schedule(None, 6), batch_stream(task, 8, 6, seed=7))
@@ -252,3 +284,53 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailureError) as err:
             _batch_pass(model, cfg, task.inputs[:2], task.labels[:2])
         assert err.value.details["where"] == where
+
+
+class TestStackedPass:
+    """The Newton-Schulz phase runs one stacked layer call each way per batch,
+    with the values and the failures of the per-sample pass."""
+
+    def test_same_records_and_weights_as_per_sample(self, monkeypatch):
+        spec = small_spec()
+        task = make_toy_task(spec, 80, seed=2)
+        batches = list(batch_stream(task, 8, 40, seed=3))
+        log, ref, forwards, raised = stacked_and_per_sample(
+            monkeypatch, spec, schedule(None, 40), batches
+        )
+        assert (forwards, raised, log.status) == (40, [], "completed")
+        assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+        for name in ("w1", "w2", "b2"):
+            assert np.array_equal(getattr(log.final_model, name), getattr(ref.final_model, name))
+
+    def test_divergence_reruns_the_batch_per_sample(self, monkeypatch):
+        spec = small_spec()
+        task = make_toy_task(spec, 40, seed=6)
+        sched = HybridSchedule(
+            post_switch_scheme=BackwardScheme.pade(100),
+            switch_step=None,
+            lr_schedule=((0, 1e9),),
+        )
+        batches = list(batch_stream(task, 4, 40, seed=7))
+        log, ref, _, raised = stacked_and_per_sample(monkeypatch, spec, sched, batches)
+        assert len(raised) == 1
+        assert log.status == ref.status == "diverged"
+        assert (log.failure_step, log.failure_reason) == (ref.failure_step, ref.failure_reason)
+        assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+
+    def test_one_overflowing_sample_names_itself(self, monkeypatch):
+        # sample 5 of step 2 overflows the covariance: the stacked pass fails
+        # for the whole stack, and the rerun names that sample's own entries
+        spec = small_spec()
+        task = make_toy_task(spec, 40, seed=6)
+        batches = list(batch_stream(task, 8, 4, seed=7))
+        rb, yb = batches[2]
+        rb = rb.copy()
+        rb[5] *= 1e200
+        batches[2] = (rb, yb)
+        log, ref, _, raised = stacked_and_per_sample(
+            monkeypatch, spec, schedule(None, 4), batches
+        )
+        assert [type(err) for err in raised] == [NumericalFailureError]
+        assert (log.failure_step, log.failure_reason) == (ref.failure_step, ref.failure_reason)
+        assert log.failure_step == 2
+        assert log.failure_reason.startswith("covariance is non-finite in 16 of 16 entries")
