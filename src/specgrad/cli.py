@@ -47,6 +47,7 @@ from .pade import approximation_error_table
 from .schemes import SCHEME_PARAMS, BackwardScheme, gradient_upper_bound
 from .synth import feature_matrix_with_spectrum, gaussian_features, spectrum_for_condition
 from .training import (
+    N_CLASSES,
     HybridSchedule,
     ToyModelSpec,
     batch_stream,
@@ -287,26 +288,38 @@ def _check_flags(args) -> None:
             setattr(args, flag, _positive(getattr(args, flag), f"--{flag}"))
     relations = []  # (flag, holds, requirement), in the order they are refused
     if args.command in ("gradcheck", "train-toy"):
-        relations.append(("d", args.d >= 2, "at least 2"))
+        relations.append(("d", args.d >= 2, "be at least 2"))
     if args.command == "gradcheck" and args.n is not None:
-        relations.append(("n", args.n > args.d, f"greater than --d ({args.d})"))
+        relations.append(("n", args.n > args.d, f"be greater than --d ({args.d})"))
     if args.command in ("condition", "train-toy"):
-        relations.append(("n", args.n >= 2, "at least 2"))
+        relations.append(("n", args.n >= 2, "be at least 2"))
     if args.command == "train-toy":
         if args.lr_schedule is None:  # the default, read below: tenfold decay at 80% of --steps
             args.lr_schedule = ((0, 0.08), (max(1, int(0.8 * args.steps)), 0.008))
+        if args.task == "fine-grained":  # one trailing input dimension per class
+            need = f"be at least {N_CLASSES} with --task fine-grained"
+            relations.append(("d", args.d >= N_CLASSES, need))
         for flag, low in (("switch-frac", 0), ("warmup-frac", 0), ("init-cond", 1)):
             value = getattr(args, flag.replace("-", "_"))
-            bound = f"at least {low}" if low else "non-negative"
-            relations += [(flag, np.isfinite(value), "finite"), (flag, value >= low, bound)]
+            bound = f"be at least {low}" if low else "be non-negative"
+            relations += [(flag, np.isfinite(value), "be finite"), (flag, value >= low, bound)]
+        steps, rates = zip(*args.lr_schedule)
+        relations += [
+            ("lr-schedule", steps[0] == 0, "start at step 0"),
+            ("lr-schedule", np.all(np.diff(steps) > 0), "have strictly increasing steps"),
+            ("lr-schedule", all(0 < lr < np.inf for lr in rates), "have positive, finite rates"),
+        ]
         if len(args.lr_schedule) >= 2 and 0 <= args.switch_frac < 1:
             swap, decay = int(args.switch_frac * args.steps), args.lr_schedule[-1][0]
-            relations.append(("switch-frac", swap < decay, f"early enough that the swap (step "
+            relations.append(("switch-frac", swap < decay, f"be early enough that the swap (step "
                               f"{swap}) precedes the final learning-rate decay (step {decay})"))
     for flag, holds, requirement in relations:
         dest = flag.replace("-", "_")
         if not holds and dest not in args.unread:
-            raise InvalidInputError(f"--{flag} must be {requirement}, got {getattr(args, dest)}")
+            got = getattr(args, dest)
+            if dest == "lr_schedule":  # as written on the command line
+                got = ",".join(f"{step}:{lr!r}" for step, lr in got)
+            raise InvalidInputError(f"--{flag} must {requirement}, got {got}")
 
 
 def _scheme_from_flags(name, args) -> BackwardScheme:

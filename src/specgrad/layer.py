@@ -90,8 +90,11 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
 
     Under the Newton-Schulz config ``x`` may also be a (B, d, N) stack built
     inside the package; Q, the covariance and the trace are then stacks, and
-    ``gcp_backward`` takes a (B, d, d) stack of gradients.
+    ``gcp_backward`` takes a (B, d, d) stack of gradients. The exact forward
+    refuses a stack.
     """
+    if cfg.forward == EIG_SQRT and x.data.ndim != 2:
+        raise InvalidInputError(f"the exact forward takes one d x N matrix, got {x.data.shape}")
     p = covariance(x)
     e = trace = None
     clamped = 0

@@ -190,19 +190,10 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
 def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np.ndarray:
     """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``.
 
-    The matrix-backpropagation rule (Ionescu et al., ICCV 2015) for
-    Q = U F U^T with F = diag(sqrt(lambda)) is
-
-        dl/dP = U ((K^T o (U^T dl/dU)) + diag(dl/dlambda)) U^T,
-
-    with dl/dU = (G + G^T) U F and dl/dlambda_i = (U^T G U)_ii / (2 sqrt(lambda_i))
-    for G = dl/dQ. Both project G into the eigenbasis, so it is projected once:
-    with S = U^T (G + G^T) U, U^T dl/dU = S F and dl/dlambda_i = S_ii / (4
-    sqrt(lambda_i)), giving
-
-        dl/dP = U ((K^T o (S F)) + diag(S_ii / (4 sqrt(lambda_i)))) U^T,
-
-    four d x d matrix products.
+    The Daleckii-Krein form of the square root's adjoint (Higham, *Functions
+    of Matrices*, ch. 6) is dl/dP = U (L o S) U^T with S = U^T (G + G^T) U for
+    G = dl/dQ, L_ij = K_ij (sqrt(lambda_i) - sqrt(lambda_j)) / 2 off the
+    diagonal and L_ii = 1/(4 sqrt(lambda_i)): symmetric, four d x d products.
     """
     d = e.d
     grad_q = _gradient(grad_q, (d, d))
@@ -214,9 +205,9 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np
     u = e.eigenvectors
     sqrt_lam = np.sqrt(lam)
     s = u.T @ (grad_q + grad_q.T) @ u
-    inner = k.data.T * (s * sqrt_lam)
-    inner[np.diag_indices(d)] += np.diag(s) / (4.0 * sqrt_lam)
-    return u @ inner @ u.T
+    loewner = 0.5 * k.data * (sqrt_lam[:, None] - sqrt_lam)
+    loewner[np.diag_indices(d)] = 0.25 / sqrt_lam
+    return u @ (loewner * s) @ u.T
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,10 @@ def class_scale_profiles(raw_dim: int, kind: str) -> np.ndarray:
             profiles[c, c::N_CLASSES] = 1.6
         return profiles
     if kind == "fine_grained":
+        if raw_dim < N_CLASSES:
+            raise InvalidInputError(f"fine_grained needs raw_dim >= {N_CLASSES}, got {raw_dim}")
         profiles = np.ones((N_CLASSES, raw_dim))
-        lead = max(1, raw_dim - N_CLASSES + 1)
+        lead = raw_dim - N_CLASSES + 1
         profiles[:, :lead] = 4.0
         for c in range(1, N_CLASSES):
             profiles[c, lead + c - 1] = 1.8

@@ -430,6 +430,17 @@ def test_count_flag_error_names_the_flag(tmp_path, capsys, monkeypatch, argv):
         (("train-toy", "--switch-frac", "0.5", "--steps", "10", "--lr-schedule", "0:0.1,3:0.01"),
          "--switch-frac must be early enough that the swap (step 5) precedes the final "
          "learning-rate decay (step 3), got 0.5"),
+        # a malformed schedule is refused under its own name, ahead of the swap
+        (("train-toy", "--lr-schedule", "0:0.1,0:0.2"),
+         "--lr-schedule must have strictly increasing steps, got 0:0.1,0:0.2"),
+        (("train-toy", "--lr-schedule", "0:0.1,100:0.01,50:0.001"),
+         "--lr-schedule must have strictly increasing steps, got 0:0.1,100:0.01,50:0.001"),
+        (("train-toy", "--lr-schedule", "5:0.1"), "--lr-schedule must start at step 0, got 5:0.1"),
+        (("train-toy", "--lr-schedule", "0:0.1,100:0"),
+         "--lr-schedule must have positive, finite rates, got 0:0.1,100:0.0"),
+        # the fine-grained task hides one class signal in each trailing dimension
+        (("train-toy", "--task", "fine-grained", "--d", "2"),
+         "--d must be at least 3 with --task fine-grained, got 2"),
         # a config entry is held to the same relation, under the flag's name
         (("train-toy", "--config", "n.conf"), "--n must be at least 2, got 1"),
     ],
@@ -437,7 +448,9 @@ def test_count_flag_error_names_the_flag(tmp_path, capsys, monkeypatch, argv):
         "gradcheck-n-below-d", "gradcheck-n-equal-d", "gradcheck-d-1", "train-toy-d-1",
         "train-toy-n-1", "condition-n-1", "switch-frac-negative", "warmup-frac-negative",
         "init-cond-below-1", "init-cond-inf", "swap-after-decay-10-steps",
-        "swap-after-decay-default-steps", "swap-after-given-decay", "config-n-1",
+        "swap-after-decay-default-steps", "swap-after-given-decay", "lr-schedule-repeated-step",
+        "lr-schedule-decreasing-step", "lr-schedule-late-start", "lr-schedule-zero-rate",
+        "fine-grained-d-2", "config-n-1",
     ],
 )
 def test_flag_relation_error_names_the_flag(tmp_path, capsys, monkeypatch, argv, message):
@@ -1012,24 +1025,24 @@ class TestTrainToy:
         assert records[-1]["status"] == "diverged"
         assert records[-1]["failure_step"] is not None
 
-    def test_rank_deficient_pade_blowup_is_logged_as_divergence(self, tmp_path):
-        # N = 4 < d = 8 ties the clamped tail; after the swap to the exact
-        # forward the weights grow until the covariance overflows at step 151
+    def test_rank_deficient_ordinary_blowup_is_logged_as_divergence(self, tmp_path):
+        # N = 4 < d = 8 ties the clamped tail; at the swap to the exact forward
+        # (step 144) ordinary's K is inf at the tie, and the gradient is nan
         out = tmp_path / "log.jsonl"
         code = run(
-            "train-toy", "--seed", "3", "--n", "4", "--backward", "pade", "--out", str(out)
+            "train-toy", "--seed", "3", "--n", "4", "--backward", "ordinary", "--out", str(out)
         )
         assert code == EXIT_DIVERGED
         status = parse_json(out.read_text(), lines=True)[-1]
         assert status["status"] == "diverged"
-        assert status["failure_step"] == 151
-        assert status["failure_reason"].startswith("covariance is non-finite")
+        assert status["failure_step"] == 144
+        assert status["failure_reason"] == "non-finite gradient under scheme ordinary"
 
     @pytest.mark.parametrize(
         "argv,code",
         [
             (("--steps", "40", "--d", "4", "--n", "16", "--seed", "7"), EXIT_OK),
-            (("--seed", "3", "--n", "4", "--backward", "pade"), EXIT_DIVERGED),
+            (("--seed", "3", "--n", "4", "--backward", "ordinary"), EXIT_DIVERGED),
         ],
         ids=["completed", "diverged"],
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgrad.core import EPS_DOUBLE, FeatureMatrix
+from specgrad.core import EPS_DOUBLE, FeatureMatrix, _trusted
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
@@ -99,6 +99,16 @@ class TestForward:
         q_exact, _ = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
         assert np.array_equal(q.data, q_exact.data)
         assert cache.ns_trace.iterations == 10
+
+    @pytest.mark.parametrize("b", [3, 4], ids=["b-3", "b-equals-d"])
+    @pytest.mark.parametrize("backward", ["pade", "newton_schulz"])
+    def test_exact_forward_refuses_a_stack(self, rng, b, backward):
+        # a stack reaches only the Newton-Schulz config; at B = d the exact
+        # path would broadcast silently and return a wrong Q
+        x = _trusted(FeatureMatrix, data=rng.normal(size=(b, 4, 16)))
+        cfg = GcpLayerConfig.eig(getattr(BackwardScheme, backward)())
+        with pytest.raises(InvalidInputError, match=rf"exact forward .* got \({b}, 4, 16\)"):
+            gcp_forward(x, cfg)
 
 
 class TestUpperTriangle:

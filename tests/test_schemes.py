@@ -384,6 +384,25 @@ class TestDaleckiiKrein:
                 grad_p = grad_covariance(g, e, k_matrix(e, scheme))
                 assert rel_diff((grad_p + grad_p.T) / 2, x) <= tol
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            BackwardScheme.ordinary(),
+            BackwardScheme.topn(),
+            BackwardScheme.trunc(),
+            BackwardScheme.taylor(100),
+            BackwardScheme.pade(100),
+        ],
+        ids=lambda scheme: scheme.kind,
+    )
+    def test_adjoint_is_symmetric(self, scheme):
+        # U (L o S) U^T with L and S symmetric: only the products' roundoff skews it
+        for d in (2, 3, 8, 64, 128):
+            for seed in range(3):
+                e, g, _ = self.case(d, seed)
+                grad_p = grad_covariance(g, e, k_matrix(e, scheme))
+                assert np.abs(grad_p - grad_p.T).max() <= 1e-14 * np.abs(grad_p).max()
+
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_topn_is_biased(self, d):
         # dropping the smallest eigenvalue changes the gradient
@@ -533,14 +552,14 @@ class TestBounds:
 
 class TestBetaSmoothness:
     @staticmethod
-    def _grad_fn(scheme, chain_to_x=True):
+    def _grad_fn(scheme):
         w = np.ones((3, 3))
 
         def fn(x_arr):
             x = FeatureMatrix(x_arr)
             e = clamp_eigenvalues(eigh(covariance(x)))
             gp = grad_covariance(w, e, k_matrix(e, scheme))
-            return ns_gradient_of_x(gp, x) if chain_to_x else gp
+            return ns_gradient_of_x(gp, x)
 
         return fn
 
@@ -562,24 +581,26 @@ class TestBetaSmoothness:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ordinary_rougher_than_trunc_near_degeneracy(self, seed):
-        # eigengap at the eigensolver resolution limit: the 1/(gap) entry
-        # jitters with roundoff under perturbation while truncation pins it.
-        # Measured on dl/dP, where K acts: the 1/gap term lives only in the
-        # antisymmetric part of dl/dP, and the chain to X, (G + G^T) X Ibar,
-        # cancels that part exactly, so on dl/dX both schemes are O(1) and
-        # the comparison is a coin flip between roundoff and clipping bias.
+        # Named for the paper's claim that the 1/gap rule is the rougher one
+        # near ties. With the eigengap at the eigensolver's resolution limit,
+        # ordinary's 1/gap entries reach dl/dP only through L_ij = K_ij
+        # (sqrt(lam_i) - sqrt(lam_j)) / 2, so dl/dP is symmetric and is the
+        # Daleckii-Krein adjoint. The one L entry at the near tie carries the
+        # roundoff of sqrt(lam_i) - sqrt(lam_j), 2 eps lam / gap relative.
+        # Which scheme is rougher on dl/dX is not settled by this spectrum,
+        # so no direction is asserted.
         from specgrad.synth import feature_matrix_with_spectrum
 
         gen = np.random.default_rng(seed)
         lam = np.array([1.0, 0.5 + 4e-16, 0.5])
         x0 = feature_matrix_with_spectrum(lam, 16, gen).data
-        rough = beta_smoothness(
-            self._grad_fn(BackwardScheme.ordinary(), chain_to_x=False), x0, samples=48, rng=3
-        )
-        smooth = beta_smoothness(
-            self._grad_fn(BackwardScheme.trunc(1e10), chain_to_x=False), x0, samples=48, rng=3
-        )
-        assert rough > smooth
+        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(x0))))
+        w = np.ones((3, 3))
+        grad_p = grad_covariance(w, e, k_matrix(e, BackwardScheme.ordinary()))
+        assert np.abs(grad_p - grad_p.T).max() <= 1e-14 * np.abs(grad_p).max()
+        got = e.eigenvalues
+        tol = 2.0 * EPS_DOUBLE * got[1] / (got[1] - got[2])
+        assert rel_diff(grad_p, daleckii_krein(got, e.eigenvectors, w)) <= tol
 
     def test_taylor_matches_ordinary_on_separated_spectrum(self, rng):
         from specgrad.synth import feature_matrix_with_spectrum

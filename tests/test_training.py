@@ -155,6 +155,13 @@ class TestTask:
         with pytest.raises(InvalidInputError, match="need raw_dim >= d >= 2 and n_cols >= 2"):
             ToyModelSpec(d=d, raw_dim=raw_dim, n_cols=n_cols)
 
+    def test_fine_grained_needs_a_trailing_dimension_per_class(self):
+        from specgrad.training import class_scale_profiles
+
+        assert class_scale_profiles(3, "fine_grained").shape == (3, 3)
+        with pytest.raises(InvalidInputError, match="fine_grained needs raw_dim >= 3, got 2"):
+            class_scale_profiles(2, "fine_grained")
+
     def test_unknown_task_kind_refused(self):
         with pytest.raises(InvalidInputError, match="unknown task kind 'imbalanced'"):
             make_toy_task(small_spec(), 4, kind="imbalanced")
@@ -236,6 +243,25 @@ class TestTraining:
         assert log.status == "diverged"
         assert log.failure_step is not None
         assert len(log.records) >= 1
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_tied_clamped_tail_fails_only_on_an_infinite_k(self, seed):
+        # train-toy's defaults with N = 4 < d = 8: five clamped eigenvalues tie
+        # at eps after the swap at step 144. Ordinary's K is inf there, and
+        # inf * 0 is nan; pade's roundoff K entries meet sqrt(lam_i) -
+        # sqrt(lam_j) = 0 and vanish, so the run trains on
+        spec = ToyModelSpec(n_cols=4, init_seed=seed)
+        task = make_toy_task(spec, 240, seed=seed + 1)
+        ordinary, pade = (
+            run_hybrid_training(
+                spec, schedule(144, 240, scheme), batch_stream(task, 8, 160, seed=seed + 2)
+            )
+            for scheme in (BackwardScheme.ordinary(), BackwardScheme.pade(100))
+        )
+        assert (ordinary.status, ordinary.failure_step) == ("diverged", 144)
+        assert ordinary.failure_reason == "non-finite gradient under scheme ordinary"
+        assert (pade.status, len(pade.records)) == ("completed", 160)
+        assert np.isfinite(pade.final_loss)
 
     def test_run_failing_at_step_zero_has_no_final_loss(self):
         spec = small_spec()
