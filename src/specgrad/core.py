@@ -27,10 +27,13 @@ process uses.
 
 Stacks: ``covariance`` and ``apply_centering`` take a leading batch axis
 (``FeatureMatrix`` data of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``),
-and ``d``/``n_samples`` read the last two axes, so the Newton-Schulz path
-runs a whole mini-batch in one call. Each matrix of a stack gets the same
-bits as it would alone. The public constructors stay single-matrix; stacks
-are built only inside the package, through ``_trusted``.
+and so do ``clamp_eigenvalues``, ``count_clamped`` and ``matrix_power``
+(an ``EigenDecomposition`` of (B, d) eigenvalues and (B, d, d)
+eigenvectors). ``d`` and ``n_samples`` read the trailing axes, so both
+layer paths run a whole mini-batch in one call. ``eigh`` stays one matrix
+per call; the layer stacks its results. Each matrix of a stack gets the
+same bits as it would alone. The public constructors stay single-matrix;
+stacks are built only inside the package, through ``_trusted``.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class EigenDecomposition:
 
     @property
     def d(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
 
 
 class ConditionNumber(NamedTuple):
@@ -279,12 +282,17 @@ def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposi
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=e.eigenvectors)
 
 
-def count_clamped(e: EigenDecomposition, dtype=np.float64) -> int:
-    return int(np.count_nonzero(e.eigenvalues < float_info(dtype).eps))
+def count_clamped(e: EigenDecomposition, dtype=np.float64):
+    """Eigenvalues below the epsilon of ``dtype``: an int, or for a stack one count per matrix."""
+    below = e.eigenvalues < float_info(dtype).eps
+    return int(np.count_nonzero(below)) if below.ndim == 1 else below.sum(axis=-1)
 
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
-    """U diag(lambda^alpha) U^T; alpha = 0.5 gives the principal square root."""
+    """U diag(lambda^alpha) U^T, of one matrix or of each matrix of a stack.
+
+    alpha = 0.5 gives the principal square root.
+    """
     if not math.isfinite(alpha):
         raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
     lam = e.eigenvalues
@@ -295,9 +303,9 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
         )
     powered = np.power(lam, alpha)
     u = e.eigenvectors
-    q = (u * powered) @ u.T
+    q = (u * powered[..., None, :]) @ u.mT
     _require_finite(q, f"matrix power {alpha}", lam)
-    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.T)
+    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.mT)
 
 
 def condition_number(e: EigenDecomposition) -> ConditionNumber:

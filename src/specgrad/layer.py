@@ -5,6 +5,14 @@ or Newton-Schulz iteration) with one backward gradient rule. The forward pass
 caches whatever its backward needs; the backward pass chains the covariance
 gradient to the input features. A finite-difference checker arbitrates every
 pairing.
+
+Stacks: ``gcp_forward`` also takes a (B, d, N) ``FeatureMatrix`` built
+inside the package, under either forward. Q, the covariance, the NS trace
+and the clamped eigenpairs are then stacks, and ``gcp_backward`` takes a
+(B, d, d) stack of gradients. The exact forward calls ``eigh`` once per
+matrix and stacks the results; everything after it runs once per batch.
+Each matrix gets the bits of its own single-matrix call, and a failed check
+fails the whole stack.
 """
 
 from __future__ import annotations
@@ -82,19 +90,29 @@ class GcpCache:
     config: GcpLayerConfig
     eig: EigenDecomposition | None = None
     ns_trace: NewtonSchulzTrace | None = None
-    clamped_count: int = 0
+    clamped_count: int | np.ndarray = 0
+
+
+def _eigh_each(p: SymPsdMatrix) -> EigenDecomposition:
+    """``eigh`` of ``p``, or of each matrix of a stack with the results stacked."""
+    if p.data.ndim == 2:
+        return eigh(p)
+    parts = [eigh(_trusted(SymPsdMatrix, data=p_b)) for p_b in p.data]
+    return _trusted(
+        EigenDecomposition,
+        eigenvalues=np.stack([e.eigenvalues for e in parts]),
+        eigenvectors=np.stack([e.eigenvectors for e in parts]),
+    )
 
 
 def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, GcpCache]:
     """Covariance, then the configured square root; returns Q and the cache.
 
-    Under the Newton-Schulz config ``x`` may also be a (B, d, N) stack built
-    inside the package; Q, the covariance and the trace are then stacks, and
-    ``gcp_backward`` takes a (B, d, d) stack of gradients. The exact forward
-    refuses a stack.
+    ``x`` may also be a (B, d, N) stack built inside the package; Q and
+    every array of the cache are then stacks (``clamped_count`` holds one
+    count per matrix), and ``gcp_backward`` takes a (B, d, d) stack of
+    gradients.
     """
-    if cfg.forward == EIG_SQRT and x.data.ndim != 2:
-        raise InvalidInputError(f"the exact forward takes one d x N matrix, got {x.data.shape}")
     p = covariance(x)
     e = trace = None
     clamped = 0
@@ -102,7 +120,7 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
         q, trace = ns_forward(p, cfg.backward.param)
     if cfg.forward == EIG_SQRT:
         # an exact root replaces the NS one; an NS backward still reverses the trace
-        e_raw = eigh(p)
+        e_raw = _eigh_each(p)
         e = clamp_eigenvalues(e_raw)
         clamped = count_clamped(e_raw)
         q = matrix_power(e, 0.5)
@@ -150,8 +168,8 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features.
 
     Raises:
-        InvalidInputError: ``grad_q`` is not d x d or holds a non-finite
-            entry; the backward function it is passed to checks it.
+        InvalidInputError: ``grad_q`` does not have the shape of Q or holds a
+            non-finite entry; the backward function it is passed to checks it.
         NumericalFailureError: the gradient contains non-finite values; the
             error names the scheme and the offending K-matrix entries.
     """

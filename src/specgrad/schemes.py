@@ -8,6 +8,10 @@ eigenvalues (top-n), clipping (truncation), truncated geometric series
 (taylor), and a rational surrogate (pade), along with per-scheme analytic
 upper bounds. K is float64; a bound takes the width of its clamp epsilon as
 a numpy dtype, read through ``np.finfo``.
+
+Stacks: ``k_matrix`` and ``grad_covariance`` also take the layer's stacked
+eigenpairs, (B, d) and (B, d, d), so one pass covers a batch; each matrix
+gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -166,24 +170,26 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
         lam_eff = lam
         if kind == "topn":
             lam_eff = lam.copy()
-            lam_eff[scheme.resolve_top_n(d) :] = 0.0
-        gaps = lam_eff[rows] - lam_eff[cols]  # >= 0 by the ordering
+            lam_eff[..., scheme.resolve_top_n(d) :] = 0.0
+        gaps = lam_eff[..., rows] - lam_eff[..., cols]  # >= 0 by the ordering
         with np.errstate(divide="ignore"):
             vals = 1.0 / gaps
         if kind == "topn":
-            vals = np.where((lam_eff[rows] == 0.0) & (lam_eff[cols] == 0.0), 0.0, vals)
+            dropped = (lam_eff[..., rows] == 0.0) & (lam_eff[..., cols] == 0.0)
+            vals = np.where(dropped, 0.0, vals)
         elif kind == "trunc":
             vals = np.minimum(vals, scheme.param)
     else:
         # series surrogates: ratios lambda_j / lambda_i <= 1
         if np.any(lam <= 0):
             raise InvalidInputError("series schemes need strictly positive (clamped) eigenvalues")
-        ratios = lam[cols] / lam[rows]
-        vals = eval_rational(reciprocal_gap_pade(kind, scheme.param), ratios) / lam[rows]
+        lam_i = lam[..., rows]
+        ratios = lam[..., cols] / lam_i
+        vals = eval_rational(reciprocal_gap_pade(kind, scheme.param), ratios) / lam_i
     # zero diagonal and negated mirror: antisymmetric by construction
-    k = np.zeros((d, d))
-    k[rows, cols] = vals
-    k[cols, rows] = -vals
+    k = np.zeros(lam.shape + (d,))
+    k[..., rows, cols] = vals
+    k[..., cols, rows] = -vals
     return _trusted(KMatrix, data=k)
 
 
@@ -195,19 +201,19 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np
     G = dl/dQ, L_ij = K_ij (sqrt(lambda_i) - sqrt(lambda_j)) / 2 off the
     diagonal and L_ii = 1/(4 sqrt(lambda_i)): symmetric, four d x d products.
     """
-    d = e.d
-    grad_q = _gradient(grad_q, (d, d))
-    if k.data.shape != (d, d):
-        raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={d}")
+    u = e.eigenvectors
+    grad_q = _gradient(grad_q, u.shape)
+    if k.data.shape != u.shape:
+        raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={e.d}")
     lam = e.eigenvalues
     if np.any(lam <= 0):
         raise InvalidInputError("non-positive eigenvalue; clamp before the backward pass")
-    u = e.eigenvectors
     sqrt_lam = np.sqrt(lam)
-    s = u.T @ (grad_q + grad_q.T) @ u
-    loewner = 0.5 * k.data * (sqrt_lam[:, None] - sqrt_lam)
-    loewner[np.diag_indices(d)] = 0.25 / sqrt_lam
-    return u @ (loewner * s) @ u.T
+    s = u.mT @ (grad_q + grad_q.mT) @ u
+    loewner = 0.5 * k.data * (sqrt_lam[..., :, None] - sqrt_lam[..., None, :])
+    diag = np.arange(e.d)
+    loewner[..., diag, diag] = 0.25 / sqrt_lam
+    return u @ (loewner * s) @ u.mT
 
 
 @dataclass(frozen=True)

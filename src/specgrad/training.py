@@ -11,6 +11,13 @@ feature block (so gradients flow through the pooling layer into weights),
 followed by covariance square-root pooling and a linear softmax classifier.
 Classes differ in their second-order statistics, which is the only signal the
 pooled representation can carry.
+
+Stacks: both phases run each batch as one stack, one ``gcp_forward`` and one
+``gcp_backward`` call, and ``evaluate_model`` pools the whole task in one
+``gcp_forward``. The classifier head and its sums stay per sample and in
+order, so every value is bit-identical to a per-sample pass; on any failure
+the batch, or the task, reruns sample by sample and raises what that pass
+raises.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (
+    EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
     _non_negative,
@@ -319,28 +327,40 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     return sums.result(rb.shape[0])
 
 
+def _sample_eigs(cache) -> list:
+    """Each sample's clamped eigenpairs from a stacked cache, for its logged condition number.
+
+    The exact forward's ``cache.eig`` holds them; the Newton-Schulz forward
+    solves none, so each sample's covariance gets one ``eigh`` here.
+    """
+    if cache.eig is None:
+        return [clamp_eigenvalues(eigh(_trusted(SymPsdMatrix, data=p))) for p in cache.p.data]
+    e = cache.eig
+    return [
+        _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
+        for lam, u in zip(e.eigenvalues, e.eigenvectors)
+    ]
+
+
 def _stacked_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """``_batch_pass`` of the Newton-Schulz phase with one layer call each way per batch.
+    """``_batch_pass`` with one layer call each way per batch, under either forward.
 
     The features of the whole batch are one ``w1 @ rb`` stack, which one
-    ``gcp_forward`` and one ``gcp_backward`` carry through the stacked
-    Newton-Schulz path. The classifier head, its gradient sums, the
-    condition number's ``eigh`` and ``dw1`` stay per sample and in the same
-    order, so every value is bit-identical to ``_batch_pass``. A failed
-    check raises as there, but names the stack rather than the sample.
+    ``gcp_forward`` and one ``gcp_backward`` carry through the layer's
+    stacked path. The classifier head, its gradient sums, the condition
+    number and ``dw1`` stay per sample and in the same order, so every value
+    is bit-identical to ``_batch_pass``. A failed check raises as there, but
+    names the stack rather than the sample.
     """
     q, cache = _pool(model, cfg, rb)
     sums = _BatchSums(model)
-    gqs = [
-        sums.add(q_b, clamp_eigenvalues(eigh(_trusted(SymPsdMatrix, data=p_b))), y)
-        for q_b, p_b, y in zip(q.data, cache.p.data, yb)
-    ]
+    gqs = [sums.add(q_b, e_b, y) for q_b, e_b, y in zip(q.data, _sample_eigs(cache), yb)]
     for gx, r in zip(gcp_backward(cache, np.stack(gqs)), rb):
         sums.dw1 += gx @ r.T
     return sums.result(rb.shape[0])
 
 
-def _ns_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+def _batch_pass_with_rerun(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
     """The stacked pass; on any failure the batch reruns sample by sample.
 
     The rerun raises what ``_batch_pass`` raises, so a diverging run logs
@@ -368,13 +388,11 @@ def run_hybrid_training(
     velocity = [np.zeros_like(param) for param in params]
     records: list = []
     for step, (rb, yb) in enumerate(data_stream):
-        cfg, batch_pass = (
-            (eig_cfg, _batch_pass) if schedule.switched(step) else (ns_cfg, _ns_batch_pass)
-        )
+        cfg = eig_cfg if schedule.switched(step) else ns_cfg
         lr = schedule.effective_lr(step)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, acc, mean_cond, grads = batch_pass(model, cfg, rb, yb)
+                loss, acc, mean_cond, grads = _batch_pass_with_rerun(model, cfg, rb, yb)
         except NumericalFailureError as err:
             return TrainingLog(records, "diverged", step, str(err), model)
         records.append(StepRecord(step, loss, acc, mean_cond, cfg.label, lr))
@@ -387,11 +405,19 @@ def run_hybrid_training(
 
 
 def evaluate_model(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple[float, float]:
-    """Deterministic whole-dataset (mean cross-entropy, error rate)."""
+    """Deterministic whole-dataset (mean cross-entropy, error rate).
+
+    The whole task is pooled by one stacked ``gcp_forward``, and the head
+    runs per sample in order. If the stacked forward fails, the samples are
+    pooled one by one, which raises the first failing sample's error.
+    """
+    try:
+        pooled = _pool(model, cfg, task.inputs)[0].data
+    except (NumericalFailureError, InvalidInputError):
+        pooled = [_pool(model, cfg, r)[0] for r in task.inputs]
     loss = 0.0
     hits = 0
-    for r, y in zip(task.inputs, task.labels):
-        q, _ = _pool(model, cfg, r)
+    for q, y in zip(pooled, task.labels):
         *_, sample_loss, hit = _head(model, q, y)
         loss += sample_loss
         hits += hit

@@ -20,6 +20,10 @@ def random_features(d: int, n: int, rng: np.random.Generator) -> FeatureMatrix:
     return FeatureMatrix(rng.normal(size=(d, n)))
 
 
+def same_bits(got, want) -> bool:
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -14,7 +14,7 @@ from specgrad.layer import (
 from specgrad.schemes import BackwardScheme
 from specgrad.synth import feature_matrix_with_spectrum
 
-from conftest import random_features
+from conftest import random_features, same_bits
 from oracles import spectrum_with_min_gap
 
 
@@ -101,14 +101,28 @@ class TestForward:
         assert cache.ns_trace.iterations == 10
 
     @pytest.mark.parametrize("b", [3, 4], ids=["b-3", "b-equals-d"])
-    @pytest.mark.parametrize("backward", ["pade", "newton_schulz"])
-    def test_exact_forward_refuses_a_stack(self, rng, b, backward):
-        # a stack reaches only the Newton-Schulz config; at B = d the exact
-        # path would broadcast silently and return a wrong Q
-        x = _trusted(FeatureMatrix, data=rng.normal(size=(b, 4, 16)))
+    @pytest.mark.parametrize(
+        "backward", ["ordinary", "topn", "trunc", "taylor", "pade", "newton_schulz"]
+    )
+    def test_exact_forward_of_a_stack_matches_each_matrix(self, rng, b, backward):
+        # each matrix of a (B, d, N) stack gets the bits of its own call, at
+        # B = d too, where a broadcast over the wrong axis would pass silently.
+        # Matrix 1 has a constant channel, so one of its eigenvalues is clamped
+        data = rng.normal(size=(b, 4, 16))
+        data[1, 2] = 0.5
+        grad_q = rng.normal(size=(b, 4, 4))
         cfg = GcpLayerConfig.eig(getattr(BackwardScheme, backward)())
-        with pytest.raises(InvalidInputError, match=rf"exact forward .* got \({b}, 4, 16\)"):
-            gcp_forward(x, cfg)
+        q, cache = gcp_forward(_trusted(FeatureMatrix, data=data.copy()), cfg)
+        grad_x = gcp_backward(cache, grad_q)
+        assert q.data.shape == cache.eig.eigenvectors.shape == (b, 4, 4)
+        for i in range(b):
+            q_i, cache_i = gcp_forward(FeatureMatrix(data[i]), cfg)
+            assert same_bits(q.data[i], q_i.data)
+            assert same_bits(cache.eig.eigenvalues[i], cache_i.eig.eigenvalues)
+            assert same_bits(cache.eig.eigenvectors[i], cache_i.eig.eigenvectors)
+            assert cache.clamped_count[i] == cache_i.clamped_count
+            assert same_bits(grad_x[i], gcp_backward(cache_i, grad_q[i]))
+        assert cache.clamped_count[1] >= 1
 
 
 class TestUpperTriangle:

@@ -18,7 +18,7 @@ from specgrad.newton_schulz import (
     ns_gradient_of_x,
 )
 
-from conftest import random_spd
+from conftest import random_spd, same_bits
 
 
 def spd_with_condition(d, cond, rng):
@@ -324,10 +324,6 @@ class TestGradientOfX:
                 pert[i, j] = h
                 fd[i, j] = (loss(x_arr + pert) - loss(x_arr - pert)) / (2 * h)
         assert np.abs(gx - fd).max() / np.abs(fd).max() <= 1e-4
-
-
-def same_bits(got, want) -> bool:
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestStack:

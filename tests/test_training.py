@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,25 @@ from specgrad.training import (
 from oracles import error_rate, mean_condition
 
 
-def stacked_and_per_sample(monkeypatch, spec, sched, batches):
-    """The run through the stacked Newton-Schulz pass and the run through the
-    per-sample ``_batch_pass`` alone, with the layer calls and the errors the
-    stacked pass made."""
+def stacked_and_per_sample(monkeypatch, spec, sched, batches, calls=None):
+    """The run through the stacked pass and the run through the per-sample
+    ``_batch_pass`` alone, with the layer forwards and the errors the stacked
+    run made. A ``calls`` Counter also receives the stacked run's calls of
+    ``gcp_forward``, ``gcp_backward``, the layer's ``eigh`` and the
+    condition number's ``eigh``."""
+    import specgrad.layer as layer
     import specgrad.training as training
 
-    forwards, raised = [], []
-    forward, stacked = training.gcp_forward, training._stacked_batch_pass
+    calls = Counter() if calls is None else calls
+    raised = []
+    stacked = training._stacked_batch_pass
 
-    def counting_forward(*args):
-        forwards.append(None)
-        return forward(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
 
     def recording_stacked(*args):
         try:
@@ -39,13 +48,31 @@ def stacked_and_per_sample(monkeypatch, spec, sched, batches):
             raise
 
     with monkeypatch.context() as patch:
-        patch.setattr(training, "gcp_forward", counting_forward)
+        for module, name in (
+            (training, "gcp_forward"),
+            (training, "gcp_backward"),
+            (layer, "eigh"),
+            (training, "eigh"),
+        ):
+            wrapper = counting(f"{module.__name__}.{name}", getattr(module, name))
+            patch.setattr(module, name, wrapper)
         patch.setattr(training, "_stacked_batch_pass", recording_stacked)
         log = run_hybrid_training(spec, sched, batches)
     with monkeypatch.context() as patch:
         patch.setattr(training, "_stacked_batch_pass", training._batch_pass)
         per_sample = run_hybrid_training(spec, sched, batches)
-    return log, per_sample, len(forwards), raised
+    return log, per_sample, calls["specgrad.training.gcp_forward"], raised
+
+
+def assert_same_run(log, ref):
+    assert (log.status, log.failure_step, log.failure_reason) == (
+        ref.status,
+        ref.failure_step,
+        ref.failure_reason,
+    )
+    assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+    for name in ("w1", "w2", "b2"):
+        assert np.array_equal(getattr(log.final_model, name), getattr(ref.final_model, name))
 
 
 def small_spec(seed=0):
@@ -313,8 +340,8 @@ class TestTraining:
 
 
 class TestStackedPass:
-    """The Newton-Schulz phase runs one stacked layer call each way per batch,
-    with the values and the failures of the per-sample pass."""
+    """Both phases run one stacked layer call each way per batch, with the
+    values and the failures of the per-sample pass."""
 
     def test_same_records_and_weights_as_per_sample(self, monkeypatch):
         spec = small_spec()
@@ -360,3 +387,94 @@ class TestStackedPass:
         assert (log.failure_step, log.failure_reason) == (ref.failure_step, ref.failure_reason)
         assert log.failure_step == 2
         assert log.failure_reason.startswith("covariance is non-finite in 16 of 16 entries")
+
+    @pytest.mark.parametrize(
+        "backward", ["ordinary", "topn", "trunc", "taylor", "pade", "newton_schulz"]
+    )
+    def test_exact_phase_same_records_and_weights_as_per_sample(self, monkeypatch, backward):
+        # 24 Newton-Schulz steps, then 16 exact ones: one layer call each way
+        # per step, and one eigensolve per sample, in the layer's exact
+        # forward after the switch and for the logged condition number before
+        spec = small_spec()
+        task = make_toy_task(spec, 80, seed=2)
+        batches = list(batch_stream(task, 8, 40, seed=3))
+        sched = schedule(24, 40, getattr(BackwardScheme, backward)())
+        calls = Counter()
+        log, ref, _, raised = stacked_and_per_sample(monkeypatch, spec, sched, batches, calls)
+        assert (raised, log.status) == ([], "completed")
+        assert log.records[24].scheme.startswith("eig_sqrt+")
+        assert calls == {
+            "specgrad.training.gcp_forward": 40,
+            "specgrad.training.gcp_backward": 40,
+            "specgrad.layer.eigh": 16 * 8,
+            "specgrad.training.eigh": 24 * 8,
+        }
+        assert_same_run(log, ref)
+
+    def test_exact_phase_divergence_reruns_the_batch_per_sample(self, monkeypatch):
+        # train-toy --seed 3 --n 4 --backward ordinary: clamped eigenvalues
+        # tie at the switch, so K is infinite at step 144. The stacked pass
+        # raises once, and the per-sample rerun logs its step and reason
+        spec = ToyModelSpec(n_cols=4, init_seed=3)
+        task = make_toy_task(spec, 240, seed=4)
+        batches = list(batch_stream(task, 8, 146, seed=5))
+        sched = schedule(144, 240, BackwardScheme.ordinary())
+        log, ref, _, raised = stacked_and_per_sample(monkeypatch, spec, sched, batches)
+        assert [type(err) for err in raised] == [NumericalFailureError]
+        assert (log.failure_step, log.failure_reason) == (
+            144,
+            "non-finite gradient under scheme ordinary",
+        )
+        assert_same_run(log, ref)
+
+
+def per_sample_evaluation(model, cfg, task):
+    """``evaluate_model`` one sample at a time: the reference for its stacked forward."""
+    from specgrad.training import _head, _pool
+
+    loss, hits = 0.0, 0
+    for r, y in zip(task.inputs, task.labels):
+        *_, sample_loss, hit = _head(model, _pool(model, cfg, r)[0], y)
+        loss += sample_loss
+        hits += hit
+    return loss / task.n_samples, 1.0 - hits / task.n_samples
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("forward", ["newton_schulz", "eig"])
+    def test_stacked_forward_gives_the_per_sample_bits(self, monkeypatch, forward):
+        import specgrad.training as training
+
+        spec = small_spec()
+        task = make_toy_task(spec, 50, seed=2)
+        log = run_hybrid_training(spec, schedule(10, 20), batch_stream(task, 8, 20, seed=3))
+        cfg = (
+            GcpLayerConfig.newton_schulz(spec.forward_iterations)
+            if forward == "newton_schulz"
+            else GcpLayerConfig.eig(BackwardScheme.pade(100))
+        )
+        want = per_sample_evaluation(log.final_model, cfg, task)
+        forwards = []
+        forward_fn = training.gcp_forward
+        monkeypatch.setattr(
+            training, "gcp_forward", lambda *args: forwards.append(None) or forward_fn(*args)
+        )
+        assert evaluate_model(log.final_model, cfg, task) == want
+        assert len(forwards) == 1
+
+    def test_failure_raises_what_the_per_sample_pass_raises(self):
+        # sample 5 overflows the covariance: the stacked forward fails for
+        # the whole task, and the rerun names that sample's own entries
+        spec = small_spec()
+        task = make_toy_task(spec, 12, seed=2)
+        task.inputs[5] *= 1e200
+        model = ToyModel.initialize(spec)
+        cfg = GcpLayerConfig.eig(BackwardScheme.pade(100))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError) as want:
+                per_sample_evaluation(model, cfg, task)
+            with pytest.raises(NumericalFailureError) as got:
+                evaluate_model(model, cfg, task)
+        assert str(got.value) == str(want.value)
+        assert got.value.details == want.value.details
+        assert str(got.value).startswith("covariance is non-finite in 16 of 16 entries")
