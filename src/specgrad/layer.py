@@ -130,20 +130,29 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
 
 
 def upper_triangle_vector(q) -> np.ndarray:
-    """Flatten the upper triangle (diagonal included) into the classifier input."""
+    """Flatten the upper triangle (diagonal included) into the classifier input.
+
+    A (..., d, d) stack gives a (..., d(d+1)/2) stack of vectors; anything
+    but square matrices is refused.
+    """
     data = q.data if isinstance(q, SymPsdMatrix) else np.asarray(q)
-    return data[_triu(data.shape[0])]  # fancy indexing copies
+    if data.ndim < 2 or data.shape[-2] != data.shape[-1]:
+        raise InvalidInputError(f"expected d x d matrices, got shape {data.shape}")
+    return data[(..., *_triu(data.shape[-1]))]  # fancy indexing copies
 
 
 def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
-    """Place upper-triangle gradient entries back into a d x d matrix."""
-    grad_vec = np.asarray(grad_vec, dtype=np.float64)
-    if grad_vec.size != d * (d + 1) // 2:
+    """Place upper-triangle gradient entries back into a d x d matrix.
+
+    A (..., d(d+1)/2) stack of vectors gives a (..., d, d) stack of matrices.
+    """
+    grad_vec = np.atleast_1d(np.asarray(grad_vec, dtype=np.float64))
+    if grad_vec.shape[-1] != d * (d + 1) // 2:
         raise InvalidInputError(
-            f"gradient vector of size {grad_vec.size} does not fit d={d}"
+            f"gradient vector of size {grad_vec.shape[-1]} does not fit d={d}"
         )
-    out = np.zeros((d, d))
-    out[_triu(d)] = grad_vec
+    out = np.zeros((*grad_vec.shape[:-1], d, d))
+    out[(..., *_triu(d))] = grad_vec
     return out
 
 

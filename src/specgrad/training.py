@@ -14,10 +14,11 @@ pooled representation can carry.
 
 Stacks: both phases run each batch as one stack, one ``gcp_forward`` and one
 ``gcp_backward`` call, and ``evaluate_model`` pools the whole task in one
-``gcp_forward``. The classifier head and its sums stay per sample and in
-order, so every value is bit-identical to a per-sample pass; on any failure
-the batch, or the task, reruns sample by sample and raises what that pass
-raises.
+``gcp_forward``. The classifier head takes the stack too. Each of its steps
+works within a sample, the gradients sum over the batch axis in sample order
+and the losses add one by one, so every value is bit-identical to a pass
+over one sample at a time; on any failure the batch, or the task, reruns
+sample by sample and raises what that pass raises.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (
-    EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
     _non_negative,
     _positive,
     _require_finite,
     _trusted,
-    clamp_eigenvalues,
-    condition_number,
     eigh,
+    float_info,
 )
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
@@ -245,23 +244,31 @@ class TrainingLog:
         return self.records[-1].loss if self.records else None
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def _head(model: ToyModel, q: np.ndarray, yb: np.ndarray):
+    """Classifier head on a (B, d, d) stack of pooled Q and its B labels.
 
-
-def _head(model: ToyModel, q, y: int):
-    """Classifier head on one pooled matrix ``q``.
-
-    Returns the pooled vector, the class probabilities, the cross-entropy
-    loss, and whether the prediction hit the label.
+    Returns each sample's cross-entropy loss and whether its prediction hit
+    the label, the gradient at its logits, and its pooled vector. Each
+    sample gets the bits of a head run on it alone: the logits are one gemv
+    per sample, and every other step works within a sample.
     """
     v = upper_triangle_vector(q)
-    logits = model.w2 @ v + model.b2
-    prob = _softmax(logits)
-    loss = -float(np.log(max(prob[y], 1e-300)))
-    return v, prob, loss, int(np.argmax(logits) == y)
+    logits = np.matmul(model.w2, v[..., None])[..., 0] + model.b2
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    prob = e / e.sum(axis=-1, keepdims=True)
+    picked = np.arange(yb.size), yb
+    losses = -np.log(np.maximum(prob[picked], 1e-300))
+    prob[picked] -= 1.0  # now the loss gradient at the logits
+    return losses, logits.argmax(axis=-1) == yb, prob, v
+
+
+def _sum_in_order(losses: np.ndarray) -> float:
+    """The losses added one by one from 0.0, in sample order; ``np.sum`` adds
+    pairwise and changes the bits."""
+    total = 0.0
+    for loss in losses.tolist():
+        total += loss
+    return total
 
 
 def _pool(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray):
@@ -271,93 +278,71 @@ def _pool(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray):
     return gcp_forward(_trusted(FeatureMatrix, data=features), cfg)
 
 
-class _BatchSums:
-    """What a batch sums over its samples: loss, hits, condition numbers, parameter gradients."""
-
-    def __init__(self, model: ToyModel):
-        self.model = model
-        self.dw1 = np.zeros_like(model.w1)
-        self.dw2 = np.zeros_like(model.w2)
-        self.db2 = np.zeros_like(model.b2)
-        self.loss = 0.0
-        self.hits = 0
-        self.conds = []
-
-    def add(self, q, e, y: int) -> np.ndarray:
-        """Add the head terms of one sample, given its pooled ``q`` and the
-        clamped eigenpairs ``e`` of its covariance; returns its checked loss
-        gradient at Q."""
-        v, prob, loss, hit = _head(self.model, q, y)
-        self.conds.append(condition_number(e).value)
-        self.loss += loss
-        self.hits += hit
-        dlogits = prob.copy()
-        dlogits[y] -= 1.0
-        self.dw2 += np.outer(dlogits, v)
-        self.db2 += dlogits
-        gq = grad_from_upper_triangle(self.model.w2.T @ dlogits, self.model.w1.shape[0])
-        _require_finite(gq, "loss gradient at Q", self.model.w2)
-        return gq
-
-    def result(self, batch: int):
-        """Batch means and gradients; a non-finite gradient sum is a ``NumericalFailureError``."""
-        model = self.model
-        scale = 1.0 / batch
-        grads = (self.dw1 * scale, self.dw2 * scale, self.db2 * scale)
-        for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
-            _require_finite(grad, f"batch gradient at {name}", param)
-        return self.loss * scale, self.hits * scale, float(np.mean(self.conds)), grads
-
-
-def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """Loss, accuracy, mean covariance condition, and parameter gradients, sample by sample.
-
-    A non-finite product (the features, the covariance, the loss gradient at
-    Q, or a parameter gradient summed over the batch) raises
-    ``NumericalFailureError`` naming it, which the caller records as the
-    divergence. The loss needs no check: each sample's is at most
-    -log(1e-300), and a non-finite softmax already fails the check at Q.
-    """
-    sums = _BatchSums(model)
-    for r, y in zip(rb, yb):
-        q, cache = _pool(model, cfg, r)
-        e = cache.eig if cache.eig is not None else clamp_eigenvalues(eigh(cache.p))
-        gq = sums.add(q, e, y)
-        sums.dw1 += gcp_backward(cache, gq) @ r.T
-    return sums.result(rb.shape[0])
-
-
-def _sample_eigs(cache) -> list:
-    """Each sample's clamped eigenpairs from a stacked cache, for its logged condition number.
+def _clamped_eigenvalues(cache) -> np.ndarray:
+    """Each sample's clamped eigenvalues from a stacked cache, for its logged condition number.
 
     The exact forward's ``cache.eig`` holds them; the Newton-Schulz forward
-    solves none, so each sample's covariance gets one ``eigh`` here.
+    solves none, so each sample's covariance gets one ``eigh`` here, clamped
+    as ``clamp_eigenvalues`` clamps.
     """
-    if cache.eig is None:
-        return [clamp_eigenvalues(eigh(_trusted(SymPsdMatrix, data=p))) for p in cache.p.data]
-    e = cache.eig
-    return [
-        _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
-        for lam, u in zip(e.eigenvalues, e.eigenvectors)
-    ]
+    if cache.eig is not None:
+        return cache.eig.eigenvalues
+    lam = [eigh(_trusted(SymPsdMatrix, data=p)).eigenvalues for p in cache.p.data]
+    return np.maximum(lam, float_info(np.float64).eps)
+
+
+def _sample_terms(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """What each sample of a (B, raw_dim, N) stack adds to its batch.
+
+    One ``gcp_forward`` and one ``gcp_backward`` carry the whole stack; the
+    result is each sample's loss, hit, condition number, and gradients at
+    ``w1``, ``w2`` and ``b2``, stacked along the first axis. A non-finite
+    product (the features, the covariance, or the loss gradient at Q)
+    raises ``NumericalFailureError`` naming it. The loss needs no check:
+    each sample's is at most -log(1e-300), and a non-finite softmax already
+    fails the check at Q.
+    """
+    q, cache = _pool(model, cfg, rb)
+    lam = _clamped_eigenvalues(cache)
+    losses, hits, dlogits, v = _head(model, q.data, yb)
+    # one gemv per sample, as for the logits
+    gq = grad_from_upper_triangle(np.matmul(model.w2.T, dlogits[..., None])[..., 0], q.d)
+    _require_finite(gq, "loss gradient at Q", model.w2)
+    dw1 = gcp_backward(cache, gq) @ rb.mT
+    return losses, hits, lam[:, 0] / lam[:, -1], dw1, dlogits[:, :, None] * v[:, None, :], dlogits
+
+
+def _batch_result(model: ToyModel, losses, hits, conds, *sample_grads):
+    """Batch means and gradients of the per-sample terms, summed in sample order.
+
+    A non-finite gradient sum is a ``NumericalFailureError`` naming its parameter.
+    """
+    scale = 1.0 / hits.size
+    grads = tuple(g.sum(axis=0) * scale for g in sample_grads)
+    for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
+        _require_finite(grad, f"batch gradient at {name}", param)
+    return _sum_in_order(losses) * scale, int(hits.sum()) * scale, float(np.mean(conds)), grads
 
 
 def _stacked_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """``_batch_pass`` with one layer call each way per batch, under either forward.
+    """Loss, accuracy, mean covariance condition, and parameter gradients of a batch.
 
-    The features of the whole batch are one ``w1 @ rb`` stack, which one
-    ``gcp_forward`` and one ``gcp_backward`` carry through the layer's
-    stacked path. The classifier head, its gradient sums, the condition
-    number and ``dw1`` stay per sample and in the same order, so every value
-    is bit-identical to ``_batch_pass``. A failed check raises as there, but
-    names the stack rather than the sample.
+    The whole batch is one stack through the layer and the head. A failed
+    check raises as in ``_batch_pass``, but names the stack rather than the
+    sample.
     """
-    q, cache = _pool(model, cfg, rb)
-    sums = _BatchSums(model)
-    gqs = [sums.add(q_b, e_b, y) for q_b, e_b, y in zip(q.data, _sample_eigs(cache), yb)]
-    for gx, r in zip(gcp_backward(cache, np.stack(gqs)), rb):
-        sums.dw1 += gx @ r.T
-    return sums.result(rb.shape[0])
+    return _batch_result(model, *_sample_terms(model, cfg, rb, yb))
+
+
+def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """``_stacked_batch_pass`` with one stack of one sample at a time.
+
+    Each sample gets the bits it gets in the stack, so the two return the
+    same values; a failure raises the first failing sample's error, naming
+    its own product.
+    """
+    terms = [_sample_terms(model, cfg, rb[b : b + 1], yb[b : b + 1]) for b in range(yb.size)]
+    return _batch_result(model, *map(np.concatenate, zip(*terms)))
 
 
 def _batch_pass_with_rerun(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
@@ -407,19 +392,14 @@ def run_hybrid_training(
 def evaluate_model(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple[float, float]:
     """Deterministic whole-dataset (mean cross-entropy, error rate).
 
-    The whole task is pooled by one stacked ``gcp_forward``, and the head
-    runs per sample in order. If the stacked forward fails, the samples are
+    The whole task is pooled by one stacked ``gcp_forward`` and goes through
+    the head as one stack. If the stacked forward fails, the samples are
     pooled one by one, which raises the first failing sample's error.
     """
     try:
-        pooled = _pool(model, cfg, task.inputs)[0].data
+        q = _pool(model, cfg, task.inputs)[0].data
     except (NumericalFailureError, InvalidInputError):
-        pooled = [_pool(model, cfg, r)[0] for r in task.inputs]
-    loss = 0.0
-    hits = 0
-    for q, y in zip(pooled, task.labels):
-        *_, sample_loss, hit = _head(model, q, y)
-        loss += sample_loss
-        hits += hit
+        q = np.stack([_pool(model, cfg, r)[0].data for r in task.inputs])
+    losses, hits, *_ = _head(model, q, task.labels)
     n = task.n_samples
-    return loss / n, 1.0 - hits / n
+    return _sum_in_order(losses) / n, 1.0 - int(hits.sum()) / n

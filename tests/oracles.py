@@ -10,7 +10,9 @@ the finite-difference suite well-separated eigenvalues, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
 eigendecomposition, ``table_cell`` one entry of an approximation-error table,
-and ``mean_condition`` and ``error_rate`` a training log. Tests import this
+and ``mean_condition`` and ``error_rate`` a training log. The per-sample
+evaluation is ``training.evaluate_model`` written as a loop over samples with
+the classifier head spelled out for one pooled matrix. Tests import this
 module the way they import ``conftest``. ``tests/test_oracles.py`` checks that
 every public name here has a test that imports it, and that none is also a
 name in ``specgrad``.
@@ -23,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from specgrad.core import EigenDecomposition, SymPsdMatrix
+from specgrad.core import EigenDecomposition, FeatureMatrix, SymPsdMatrix
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.pade import ApproximationErrorTable, PadeApproximant, PowerSeries
-from specgrad.training import TrainingLog
+from specgrad.layer import GcpLayerConfig, gcp_forward, upper_triangle_vector
+from specgrad.training import ToyModel, ToyTask, TrainingLog
 
 
 @dataclass(frozen=True)
@@ -282,3 +285,19 @@ def error_rate(log: TrainingLog, tail: int) -> float:
     """One minus the mean accuracy of the last ``tail`` steps; nan if none."""
     chunk = [r.accuracy for r in log.records[-tail:]]
     return 1.0 - float(np.mean(chunk)) if chunk else float("nan")
+
+
+def per_sample_evaluation(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple[float, float]:
+    """``evaluate_model``'s (mean cross-entropy, error rate), one sample at a time.
+
+    Each sample is pooled alone, and its softmax, loss and prediction are
+    computed from its own logits; the losses add up in sample order.
+    """
+    loss, hits = 0.0, 0
+    for r, y in zip(task.inputs, task.labels):
+        q, _ = gcp_forward(FeatureMatrix(model.w1 @ r), cfg)
+        logits = model.w2 @ upper_triangle_vector(q) + model.b2
+        e = np.exp(logits - logits.max())
+        loss += -float(np.log(max(e[y] / e.sum(), 1e-300)))
+        hits += int(np.argmax(logits) == y)
+    return loss / task.n_samples, 1.0 - hits / task.n_samples

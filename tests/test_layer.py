@@ -140,6 +140,26 @@ class TestUpperTriangle:
         with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
             grad_from_upper_triangle(np.ones(6), 4)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4), (4,)], ids=["stack", "wide", "vector"])
+    def test_non_square_input_refused(self, shape):
+        # the width is the last axis: a (2, 3, 4) input is not read as d = 2
+        with pytest.raises(InvalidInputError, match=r"expected d x d matrices, got shape"):
+            upper_triangle_vector(np.ones(shape))
+
+    @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["one-batch-axis", "two-batch-axes"])
+    def test_stack_gives_each_matrix_its_own_vector(self, rng, batch):
+        q = rng.normal(size=(*batch, 4, 4))
+        v = upper_triangle_vector(q)
+        assert v.shape == (*batch, 10)
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(v[idx], q[idx][np.triu_indices(4)])
+        assert np.array_equal(grad_from_upper_triangle(v, 4), np.triu(q))
+
+    def test_stack_of_gradient_vectors_of_wrong_size_refused(self):
+        # the vector size is the last axis: 3 x 6 = 18 entries do not fit d = 4 either
+        with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
+            grad_from_upper_triangle(np.ones((3, 6)), 4)
+
     @pytest.mark.parametrize("d", [1, 2, 8, 128])
     def test_roundtrip_at_width(self, rng, d):
         q = rng.normal(size=(d, d))

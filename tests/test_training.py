@@ -17,7 +17,7 @@ from specgrad.training import (
     run_hybrid_training,
 )
 
-from oracles import error_rate, mean_condition
+from oracles import error_rate, mean_condition, per_sample_evaluation
 
 
 def stacked_and_per_sample(monkeypatch, spec, sched, batches, calls=None):
@@ -411,6 +411,19 @@ class TestStackedPass:
         }
         assert_same_run(log, ref)
 
+    def test_train_toy_defaults_same_records_and_weights_as_per_sample(self, monkeypatch):
+        # train-toy's d = 8, N = 32, batch 8 and schedule, with the switch at
+        # step 24 and the stream cut at 40, so both phases and the head run
+        spec = ToyModelSpec(init_seed=0)
+        task = make_toy_task(spec, 240, seed=1)
+        batches = list(batch_stream(task, 8, 40, seed=2))
+        log, ref, forwards, raised = stacked_and_per_sample(
+            monkeypatch, spec, schedule(24, 240), batches
+        )
+        assert (forwards, raised, log.status) == (40, [], "completed")
+        assert log.records[24].scheme.startswith("eig_sqrt+pade")
+        assert_same_run(log, ref)
+
     def test_exact_phase_divergence_reruns_the_batch_per_sample(self, monkeypatch):
         # train-toy --seed 3 --n 4 --backward ordinary: clamped eigenvalues
         # tie at the switch, so K is infinite at step 144. The stacked pass
@@ -426,18 +439,6 @@ class TestStackedPass:
             "non-finite gradient under scheme ordinary",
         )
         assert_same_run(log, ref)
-
-
-def per_sample_evaluation(model, cfg, task):
-    """``evaluate_model`` one sample at a time: the reference for its stacked forward."""
-    from specgrad.training import _head, _pool
-
-    loss, hits = 0.0, 0
-    for r, y in zip(task.inputs, task.labels):
-        *_, sample_loss, hit = _head(model, _pool(model, cfg, r)[0], y)
-        loss += sample_loss
-        hits += hit
-    return loss / task.n_samples, 1.0 - hits / task.n_samples
 
 
 class TestEvaluate:
