@@ -47,7 +47,6 @@ from .pade import (
 from .schemes import (
     BackwardScheme,
     GradBound,
-    KMatrix,
     grad_covariance,
     gradient_upper_bound,
     k_matrix,

@@ -8,15 +8,15 @@ float32 or float64, whose epsilon ``float_info`` reads from ``np.finfo``.
 
 Validation contract: input is checked once, where it enters the program.
 The public constructors of the value types (``FeatureMatrix``,
-``SymPsdMatrix``, ``EigenDecomposition``, ``schemes.KMatrix``) check every
-invariant and copy their arrays, and so do the CLI and ``grad_check`` on
-their input. The package's own producers (``covariance``, ``eigh``,
-``clamp_eigenvalues``, ``matrix_power``, ``newton_schulz.ns_forward``,
-``schemes.k_matrix``) and the features that ``grad_check`` and the training
-loop derive from checked input build their results through ``_trusted``,
-which skips those checks: the results hold the invariants by construction,
-and ``tests/test_trusted.py`` pins that each one passes its public
-constructor. Where arithmetic on finite input can overflow (the covariance,
+``SymPsdMatrix``, ``EigenDecomposition``) check every invariant and copy
+their arrays, and so do the CLI and ``grad_check`` on their input. The
+package's own producers (``covariance``, ``eigh``, ``clamp_eigenvalues``,
+``matrix_power``, ``newton_schulz.ns_forward``) and the features that
+``grad_check`` and the training loop derive from checked input build their
+results through ``_trusted``, which skips those checks: the results hold the
+invariants by construction, and ``tests/test_trusted.py`` pins that each one
+passes its public constructor. ``schemes.k_matrix`` returns K as a plain
+read-only array, antisymmetric by construction, with no constructor to pass. Where arithmetic on finite input can overflow (the covariance,
 a matrix power, and in training the features, the loss gradient at Q and the
 batch gradients), a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.

@@ -41,7 +41,7 @@ from .newton_schulz import (
     ns_forward,
     ns_gradient_of_x,
 )
-from .schemes import BackwardScheme, KMatrix, grad_covariance, k_matrix
+from .schemes import BackwardScheme, grad_covariance, k_matrix
 
 EIG_SQRT = "eig_sqrt"
 NEWTON_SCHULZ = "newton_schulz"
@@ -156,7 +156,7 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, KMatrix | None]:
+def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradient w.r.t. the features, letting non-finite values flow through.
 
     Returns the d x N gradient and the K matrix it was built with (None for
@@ -180,14 +180,16 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
         InvalidInputError: ``grad_q`` does not have the shape of Q or holds a
             non-finite entry; the backward function it is passed to checks it.
         NumericalFailureError: the gradient contains non-finite values; the
-            error names the scheme and the offending K-matrix entries.
+            error names the scheme and, in ``k_entries``, the indices of the
+            non-finite K entries: (i, j) rows for one matrix, (b, i, j) for a
+            stack.
     """
     grad_x, k = _backward_raw(cache, grad_q)
     if not np.all(np.isfinite(grad_x)):
         raise NumericalFailureError(
             f"non-finite gradient under scheme {cache.config.backward.label}",
             scheme=cache.config.backward.label,
-            k_entries=[] if k is None else k.nonfinite_entries(),
+            k_entries=[] if k is None else np.argwhere(~np.isfinite(k)),
         )
     return grad_x
 

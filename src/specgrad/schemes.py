@@ -6,8 +6,10 @@ off-diagonal sensitivity through the antisymmetric matrix K with entries
 implements the ordinary rule plus the remedies that tame it: dropping small
 eigenvalues (top-n), clipping (truncation), truncated geometric series
 (taylor), and a rational surrogate (pade), along with per-scheme analytic
-upper bounds. K is float64; a bound takes the width of its clamp epsilon as
-a numpy dtype, read through ``np.finfo``.
+upper bounds. ``k_matrix`` returns K as a plain read-only float64 array, and
+``grad_covariance`` reads it only through Phi = K o (lambda_i - lambda_j),
+the scheme's damping of the exact Daleckii-Krein adjoint. A bound takes the
+width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
 
 Stacks: ``k_matrix`` and ``grad_covariance`` also take the layer's stacked
 eigenpairs, (B, d) and (B, d, d), so one pass covers a batch; each matrix
@@ -18,17 +20,15 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     EigenDecomposition,
-    _as_readonly,
     _gradient,
     _positive,
     _triu,
-    _trusted,
     float_info,
 )
 from .errors import InvalidInputError, PoleError
@@ -119,33 +119,11 @@ class BackwardScheme:
         return f"{self.kind}({spec.name}={value})"
 
 
-@dataclass(frozen=True)
-class KMatrix:
-    """Antisymmetric eigenvalue-gap matrix produced by one of the schemes."""
-
-    data: np.ndarray = field()
-
-    def __post_init__(self):
-        k = np.asarray(self.data, dtype=np.float64)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise InvalidInputError(f"K matrix must be square, got {k.shape}")
-        if np.any(np.diag(k) != 0.0):
-            raise InvalidInputError("K matrix diagonal must be exactly zero")
-        finite = np.isfinite(k) & np.isfinite(k.T)
-        skew = np.abs(k[finite] + k.T[finite])
-        scale = max(np.abs(k[np.isfinite(k)]).max(initial=0.0), 1.0)
-        if skew.size and skew.max() > 1e-12 * scale:
-            raise InvalidInputError("K matrix is not antisymmetric")
-        object.__setattr__(self, "data", _as_readonly(k))
-
-    def nonfinite_entries(self) -> list[tuple[int, int]]:
-        bad = np.argwhere(~np.isfinite(self.data))
-        return [tuple(map(int, ij)) for ij in bad]
-
-
-def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
+def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> np.ndarray:
     """The scheme-specific replacement for the 1/(lambda_i - lambda_j) matrix.
 
+    K is a read-only float64 array of shape (d, d), or (B, d, d) for stacked
+    eigenpairs, and this is the one place that dispatches on the scheme kind.
     Every scheme computes the upper triangle only, where the eigenvalue
     ordering keeps lambda_i >= lambda_j (so the ratio lambda_j / lambda_i is at
     or below one), and the lower triangle is its negation; an exact tie under
@@ -190,30 +168,36 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> KMatrix:
     k = np.zeros(lam.shape + (d,))
     k[..., rows, cols] = vals
     k[..., cols, rows] = -vals
-    return _trusted(KMatrix, data=k)
+    k.flags.writeable = False
+    return k
 
 
-def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: KMatrix) -> np.ndarray:
+def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: np.ndarray) -> np.ndarray:
     """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``.
 
     The Daleckii-Krein form of the square root's adjoint (Higham, *Functions
-    of Matrices*, ch. 6) is dl/dP = U (L o S) U^T with S = U^T (G + G^T) U for
-    G = dl/dQ, L_ij = K_ij (sqrt(lambda_i) - sqrt(lambda_j)) / 2 off the
-    diagonal and L_ii = 1/(4 sqrt(lambda_i)): symmetric, four d x d products.
+    of Matrices*, ch. 3 and 6) is dl/dP = U ((Phi o L) o S) U^T with
+    S = U^T (G + G^T) U for G = dl/dQ and the Loewner matrix
+    L_ij = 1/(2 (sqrt(lambda_i) + sqrt(lambda_j))). A scheme enters only
+    through Phi = K o (lambda_i - lambda_j), with Phi_ii = 1: the exact K
+    gives Phi = 1, a remedy its damping. No square roots are subtracted, so
+    a near tie loses no accuracy; at an exact tie ``ordinary``'s inf * 0 is
+    nan, and a finite K gives Phi = 0.
     """
     u = e.eigenvectors
     grad_q = _gradient(grad_q, u.shape)
-    if k.data.shape != u.shape:
-        raise InvalidInputError(f"K matrix shape {k.data.shape} does not match d={e.d}")
+    if k.shape != u.shape:
+        raise InvalidInputError(f"K matrix shape {k.shape} does not match d={e.d}")
     lam = e.eigenvalues
     if np.any(lam <= 0):
         raise InvalidInputError("non-positive eigenvalue; clamp before the backward pass")
     sqrt_lam = np.sqrt(lam)
     s = u.mT @ (grad_q + grad_q.mT) @ u
-    loewner = 0.5 * k.data * (sqrt_lam[..., :, None] - sqrt_lam[..., None, :])
+    phi = k * (lam[..., :, None] - lam[..., None, :])
     diag = np.arange(e.d)
-    loewner[..., diag, diag] = 0.25 / sqrt_lam
-    return u @ (loewner * s) @ u.mT
+    phi[..., diag, diag] = 1.0
+    phi /= 2.0 * (sqrt_lam[..., :, None] + sqrt_lam[..., None, :])  # now Phi o L
+    return u @ (phi * s) @ u.mT
 
 
 @dataclass(frozen=True)
@@ -259,7 +243,7 @@ def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> GradBound:
     tie = EigenDecomposition(np.full(2, eps), np.eye(2))
     try:
         k = k_matrix(tie, BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
-        value = float(abs(k.data[0, 1]))
+        value = float(abs(k[0, 1]))
     except PoleError:
         value = math.inf
     return GradBound(scheme.label, form, value, trigger)

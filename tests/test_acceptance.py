@@ -203,7 +203,7 @@ def test_criterion_3_pade_bound_order_of_magnitude():
 
         # the bound is what k_matrix emits at a tie at the clamp floor
         tie = EigenDecomposition(np.array([eps, eps]), np.eye(2))
-        assert pade == abs(k_matrix(tie, BackwardScheme.pade(100)).data[0, 1])
+        assert pade == abs(k_matrix(tie, BackwardScheme.pade(100))[0, 1])
 
 
 def test_criterion_4_oracle_gradient_suite():
@@ -251,8 +251,8 @@ def test_criterion_5_remedy_consistency():
         # near the pole: pade stays accurate where taylor visibly deviates
         e = EigenDecomposition(np.array([1.0, 0.999]), np.eye(2))
         exact = 1.0 / (1.0 - 0.999)
-        pade_entry = k_matrix(e, BackwardScheme.pade(100)).data[0, 1]
-        taylor_entry = k_matrix(e, BackwardScheme.taylor(100)).data[0, 1]
+        pade_entry = k_matrix(e, BackwardScheme.pade(100))[0, 1]
+        taylor_entry = k_matrix(e, BackwardScheme.taylor(100))[0, 1]
         assert abs(pade_entry - exact) / exact <= 1e-6
         assert abs(taylor_entry - exact) / exact >= 0.01
 

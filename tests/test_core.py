@@ -32,7 +32,6 @@ from specgrad.pade import (
 )
 from specgrad.schemes import (
     BackwardScheme,
-    KMatrix,
     grad_covariance,
     k_matrix,
 )
@@ -58,12 +57,10 @@ K_SCHEMES = (
         (FeatureMatrix, ([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]],)),
         (SymPsdMatrix, ([[2.0, 1.0], [1.0, 2.0]],)),
         (EigenDecomposition, ([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])),
-        (KMatrix, ([[0.0, 1.0], [-1.0, 0.0]],)),
         (PowerSeries, ([1.0, 1.0, 1.0],)),
         (PadeApproximant, ([1.0, 0.5], [0.5])),
     ],
-    ids=["FeatureMatrix", "SymPsdMatrix", "EigenDecomposition", "KMatrix", "PowerSeries",
-         "PadeApproximant"],
+    ids=["FeatureMatrix", "SymPsdMatrix", "EigenDecomposition", "PowerSeries", "PadeApproximant"],
 )
 def test_value_objects_hold_read_only_copies(cls, inputs):
     inputs = [np.array(a) for a in inputs]

@@ -1,0 +1,49 @@
+"""Every import under ``src/`` and ``tests/`` is one the project declares.
+
+``pyproject.toml`` declares numpy, and pytest for the tests. Anything else
+must come from the standard library, the package itself or a test module
+beside this one: an installed but undeclared package (scipy, say) would
+pass locally and fail on a clean install.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
+ALLOWED = (
+    set(sys.stdlib_module_names)
+    | {"numpy", "pytest", "specgrad"}
+    | {path.stem for path in TESTS.glob("*.py")}
+)
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports of ``source``, at any depth, whose top package is not allowed."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in ALLOWED]
+
+
+def test_guard_sees_every_import_form():
+    source = (
+        "import scipy\n"
+        "import numpy.linalg as la\n"
+        "from scipy.linalg import expm\n"
+        "from . import core\n"
+        "def f():\n"
+        "    import sklearn\n"
+    )
+    assert foreign_imports(source) == ["scipy", "scipy.linalg", "sklearn"]
+
+
+def test_src_and_tests_import_only_declared_packages():
+    files = sorted([*(ROOT / "src").rglob("*.py"), *TESTS.rglob("*.py")])
+    assert len(files) > 20
+    foreign = {str(path.relative_to(ROOT)): foreign_imports(path.read_text()) for path in files}
+    assert {path: names for path, names in foreign.items() if names} == {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgrad.core import EPS_DOUBLE, FeatureMatrix, _trusted
+from specgrad.core import EPS_DOUBLE, EigenDecomposition, FeatureMatrix, _trusted
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
@@ -11,7 +11,7 @@ from specgrad.layer import (
     grad_from_upper_triangle,
     upper_triangle_vector,
 )
-from specgrad.schemes import BackwardScheme
+from specgrad.schemes import BackwardScheme, grad_covariance, k_matrix
 from specgrad.synth import feature_matrix_with_spectrum
 
 from conftest import random_features, same_bits
@@ -226,12 +226,46 @@ class TestBackward:
         lam = e.eigenvalues.copy()
         lam[2] = lam[1]
         from dataclasses import replace
-        from specgrad.core import EigenDecomposition
 
         tied = replace(cache, eig=EigenDecomposition(lam, e.eigenvectors))
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(tied, np.ones((3, 3)))
-        assert err.value.details["k_entries"]
+        assert err.value.details["k_entries"].tolist() == [[1, 2], [2, 1]]
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            BackwardScheme.ordinary(),
+            BackwardScheme.topn(4),  # keeps the tied pair
+            BackwardScheme.taylor(100),
+            BackwardScheme.trunc(1e10),
+            BackwardScheme.pade(100),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_clamped_tie_in_a_stack(self, scheme):
+        # matrix 1 has two zero feature rows: its last two eigenvalues clamp
+        # to eps, an exact tie at (2, 3)
+        data = np.random.default_rng(3).normal(size=(2, 4, 12))
+        data[1, 2:] = 0.0
+        cfg = GcpLayerConfig.eig(scheme)
+        _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), cfg)
+        assert cache.clamped_count.tolist() == [0, 2]
+        lam = cache.eig.eigenvalues
+        assert lam[1, 2] == lam[1, 3] == EPS_DOUBLE
+        if scheme.kind in ("ordinary", "topn"):
+            # K = inf meets a zero gap: nan, named by (matrix, row, column)
+            with pytest.raises(NumericalFailureError) as err:
+                gcp_backward(cache, np.ones((2, 4, 4)))
+            assert err.value.details["k_entries"].tolist() == [[1, 2, 3], [1, 3, 2]]
+            return
+        assert np.all(np.isfinite(gcp_backward(cache, np.ones((2, 4, 4)))))
+        # with identity eigenvectors dl/dP is L o (G + G^T) exactly: the
+        # tied pair's L entry is K_23 (lam_2 - lam_3) = 0
+        eye = _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=np.stack([np.eye(4)] * 2))
+        loewner = grad_covariance(np.ones((2, 4, 4)), eye, k_matrix(eye, scheme)) / 2.0
+        assert loewner[1, 2, 3] == loewner[1, 3, 2] == 0.0
+        assert np.all(loewner[1, :2] > 0) and np.all(loewner[0] > 0)
 
     @pytest.mark.parametrize("bad", ["nan", "shape"])
     @pytest.mark.parametrize("cfg", all_legal_configs(4), ids=lambda cfg: cfg.label)

@@ -244,7 +244,7 @@ class TestPackedEvaluation:
                 with pytest.raises(PoleError, match="x = 1.0"):
                     k_matrix(e, BackwardScheme(kind, k))
                 continue
-            k_data = k_matrix(e, BackwardScheme(kind, k)).data
+            k_data = k_matrix(e, BackwardScheme(kind, k))
             assert_same_bits(k_data[rows, cols], two_real_passes(pa, ratios) / lam[rows])
 
     def test_no_warning_below_the_pole(self, kind, dtype):

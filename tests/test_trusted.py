@@ -22,7 +22,7 @@ from specgrad.core import (
 )
 from specgrad.errors import NumericalFailureError
 from specgrad.newton_schulz import NewtonSchulzTrace, ns_forward
-from specgrad.schemes import BackwardScheme, KMatrix, k_matrix
+from specgrad.schemes import BackwardScheme, k_matrix
 
 K_SCHEMES = (
     BackwardScheme.ordinary(),
@@ -73,9 +73,12 @@ def test_producer_results_pass_public_constructors(d, n, seed):
         trace, NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, trace.trace_p)
     )
 
+    # K is a plain array: read-only, zero diagonal, a negated mirror
     for scheme in K_SCHEMES:
         k = k_matrix(e, scheme)
-        _assert_frozen_and_rebuilds(k, KMatrix(k.data))
+        assert not k.flags.writeable and k.dtype == np.float64 and k.shape == (d, d)
+        assert np.all(np.diag(k) == 0.0)
+        np.testing.assert_array_equal(k, -k.T)
 
 
 def test_matrix_power_near_the_float_maximum_stays_finite():
