@@ -32,8 +32,9 @@ and so do ``clamp_eigenvalues``, ``count_clamped`` and ``matrix_power``
 eigenvectors). ``d`` and ``n_samples`` read the trailing axes, so both
 layer paths run a whole mini-batch in one call. ``eigh`` stays one matrix
 per call; the layer stacks its results. Each matrix of a stack gets the
-same bits as it would alone. The public constructors stay single-matrix;
-stacks are built only inside the package, through ``_trusted``.
+same bits as it would alone, and a non-finite product of a stack raises
+what its first failing matrix raises alone. The public constructors stay
+single-matrix; stacks are built only inside the package, through ``_trusted``.
 """
 
 from __future__ import annotations
@@ -129,14 +130,21 @@ def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> Non
     For products of checked, finite input, where only overflow can produce
     inf or nan. The error names the product and carries the largest |entry|
     of the ``operand`` it was computed from, which shows how far the values
-    had grown.
+    had grown. A stack of products reports its first non-finite matrix, with
+    that matrix's own count and size; an operand with the product's ``ndim``
+    is stacked with it and gives that matrix's slice, and any other operand
+    is shared by the stack and read whole. So a stack raises what its first
+    failing matrix raises alone.
     """
     finite = np.isfinite(product)
     if not finite.all():
-        largest = float(np.abs(operand).max())
+        # the leading indices of the first non-finite entry pick its matrix
+        first = tuple(np.argwhere(~finite)[0][:-2])
+        finite = finite[first]
+        largest = float(np.abs(operand[first] if operand.ndim == product.ndim else operand).max())
         raise NumericalFailureError(
-            f"{where} is non-finite in {product.size - int(finite.sum())} of "
-            f"{product.size} entries (largest |operand entry| {largest:.3e})",
+            f"{where} is non-finite in {finite.size - int(finite.sum())} of "
+            f"{finite.size} entries (largest |operand entry| {largest:.3e})",
             where=where,
             max_entry=largest,
         )
@@ -304,7 +312,8 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     powered = np.power(lam, alpha)
     u = e.eigenvectors
     q = (u * powered[..., None, :]) @ u.mT
-    _require_finite(q, f"matrix power {alpha}", lam)
+    # each matrix's eigenvalues as one row, so that a stack's are stacked with q
+    _require_finite(q, f"matrix power {alpha}", lam[..., None, :])
     return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.mT)
 
 

@@ -12,7 +12,8 @@ and the clamped eigenpairs are then stacks, and ``gcp_backward`` takes a
 (B, d, d) stack of gradients. The exact forward calls ``eigh`` once per
 matrix and stacks the results; everything after it runs once per batch.
 Each matrix gets the bits of its own single-matrix call, and a failed check
-fails the whole stack.
+fails the whole stack with the error of the first matrix that fails it
+(for a non-finite gradient, ``k_entries`` lists every matrix's entries).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
+    _non_negative,
     _triu,
     _trusted,
     clamp_eigenvalues,
@@ -253,7 +255,10 @@ def grad_check(
 
     Never raises on numerical trouble: non-finite analytic entries are counted
     in the report instead, so degenerate spectra produce data, not crashes.
+    A ``seed`` that is not a non-negative int is refused under every loss,
+    not only the one that reads it.
     """
+    seed = _non_negative(seed, "seed")
     d, n = x.d, x.n_samples
     if d * n > 10_000:
         raise InvalidInputError(

@@ -46,7 +46,8 @@ of (B, d, N) features. Every product is then one stacked matmul, so a
 mini-batch costs the matmul counts above once instead of B times, and each
 matrix's result is bit-identical to its own single-matrix call. A check
 (tr(P) > 0, the PSD and divergence guards, a finite gradient) fails the
-whole stack if any matrix fails it.
+whole stack if any matrix fails it; the tr(P)-overflow and divergence
+errors carry the ``max_entry`` of the first matrix that fails them.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     lowest = min(trace_p.flat)
     if lowest <= 0.0:
         raise InvalidInputError(f"trace pre-normalization needs tr(P) > 0, got {lowest:.3e}")
+    d = p.d
     if max(trace_p.flat) == np.inf:
         # a finite P whose diagonal sums past the float range; the root would be nan
-        raise NumericalFailureError(
-            "tr(P) overflowed", where="trace", max_entry=float(np.abs(p.data).max())
-        )
-    d = p.d
+        first = np.flatnonzero(np.ravel(trace_p) == np.inf)[0]
+        largest = float(np.abs(p.data.reshape(-1, d, d)[first]).max())
+        raise NumericalFailureError("tr(P) overflowed", where="trace", max_entry=largest)
     tr = _per_matrix(trace_p)
     a = p.data / tr
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
@@ -158,10 +159,11 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         y = y @ t
         # NaN fails every comparison, so one reduction also catches it
         if not np.abs(y).max() <= _DIVERGENCE_LIMIT:
+            largest = np.ravel(np.abs(y).max(axis=(-2, -1)))  # one per matrix
             raise NumericalFailureError(
                 f"Newton-Schulz iterate diverged at step {k + 1}",
                 step=k + 1,
-                max_entry=float(np.abs(y).max()),
+                max_entry=float(largest[~(largest <= _DIVERGENCE_LIMIT)][0]),
             )
         y_seq.append(y)
         t_seq.append(t)

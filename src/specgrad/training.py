@@ -17,8 +17,10 @@ Stacks: both phases run each batch as one stack, one ``gcp_forward`` and one
 ``gcp_forward``. The classifier head takes the stack too. Each of its steps
 works within a sample, the gradients sum over the batch axis in sample order
 and the losses add one by one, so every value is bit-identical to a pass
-over one sample at a time; on any failure the batch, or the task, reruns
-sample by sample and raises what that pass raises.
+over one sample at a time. A failed check of a stack reports its first
+failing sample with that sample's own figures, as a pass over that sample
+alone would; when samples fail at different checks, the stack raises the
+earliest check's error.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class HybridSchedule:
         if self.switch_step is not None:
             switch = _non_negative(self.switch_step, "switch_step")
             object.__setattr__(self, "switch_step", switch)
-        sched = tuple((int(s), float(lr)) for s, lr in self.lr_schedule)
+        sched = tuple(
+            (_non_negative(s, "lr schedule step"), float(lr)) for s, lr in self.lr_schedule
+        )
         if not sched or sched[0][0] != 0:
             raise InvalidInputError("lr schedule must start at step 0")
         steps = [s for s, _ in sched]
@@ -131,6 +135,7 @@ class ToyModelSpec:
             raise InvalidInputError("need raw_dim >= d >= 2 and n_cols >= 2")
         if not 1 <= self.init_condition < np.inf:
             raise InvalidInputError("init_condition must be finite and >= 1")
+        object.__setattr__(self, "init_seed", _non_negative(self.init_seed, "init_seed"))
 
 
 @dataclass
@@ -197,7 +202,7 @@ def make_toy_task(
     spec: ToyModelSpec, samples: int, seed: int = 0, kind: str = "balanced"
 ) -> ToyTask:
     samples = _positive(samples, "samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_non_negative(seed, "seed"))
     profiles = class_scale_profiles(spec.raw_dim, kind)
     labels = rng.integers(0, N_CLASSES, size=samples)
     inputs = rng.normal(size=(samples, spec.raw_dim, spec.n_cols))
@@ -208,12 +213,13 @@ def make_toy_task(
 def batch_stream(task: ToyTask, batch_size: int, steps: int, seed: int = 0):
     """Seeded generator of (inputs, labels) batches, one per training step.
 
-    A batch size or step count that is not a positive int is refused on the
-    call, not at the first batch, so a stream is never empty.
+    A batch size or step count that is not a positive int, or a seed that is
+    not a non-negative int, is refused on the call, not at the first batch,
+    so a stream is never empty.
     """
     batch_size = _positive(batch_size, "batch size")
     steps = _positive(steps, "steps")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_non_negative(seed, "seed"))
     draws = (rng.integers(0, task.n_samples, size=batch_size) for _ in range(steps))
     return ((task.inputs[idx], task.labels[idx]) for idx in draws)
 
@@ -291,16 +297,17 @@ def _clamped_eigenvalues(cache) -> np.ndarray:
     return np.maximum(lam, float_info(np.float64).eps)
 
 
-def _sample_terms(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """What each sample of a (B, raw_dim, N) stack adds to its batch.
+def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """Loss, accuracy, mean covariance condition, and parameter gradients of a batch.
 
-    One ``gcp_forward`` and one ``gcp_backward`` carry the whole stack; the
-    result is each sample's loss, hit, condition number, and gradients at
-    ``w1``, ``w2`` and ``b2``, stacked along the first axis. A non-finite
-    product (the features, the covariance, or the loss gradient at Q)
-    raises ``NumericalFailureError`` naming it. The loss needs no check:
-    each sample's is at most -log(1e-300), and a non-finite softmax already
-    fails the check at Q.
+    One ``gcp_forward`` and one ``gcp_backward`` carry the whole (B, raw_dim,
+    N) stack, and the head takes it in one pass; the gradients sum each
+    sample's over the batch axis in sample order. A non-finite product (the
+    features, the covariance, the loss gradient at Q, or a batch gradient)
+    raises ``NumericalFailureError`` naming it; a stacked product gives the
+    figures of its first failing sample. The loss needs no check: each
+    sample's is at most -log(1e-300), and a non-finite softmax already fails
+    the check at Q.
     """
     q, cache = _pool(model, cfg, rb)
     lam = _clamped_eigenvalues(cache)
@@ -309,52 +316,14 @@ def _sample_terms(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.n
     gq = grad_from_upper_triangle(np.matmul(model.w2.T, dlogits[..., None])[..., 0], q.d)
     _require_finite(gq, "loss gradient at Q", model.w2)
     dw1 = gcp_backward(cache, gq) @ rb.mT
-    return losses, hits, lam[:, 0] / lam[:, -1], dw1, dlogits[:, :, None] * v[:, None, :], dlogits
-
-
-def _batch_result(model: ToyModel, losses, hits, conds, *sample_grads):
-    """Batch means and gradients of the per-sample terms, summed in sample order.
-
-    A non-finite gradient sum is a ``NumericalFailureError`` naming its parameter.
-    """
-    scale = 1.0 / hits.size
-    grads = tuple(g.sum(axis=0) * scale for g in sample_grads)
+    scale = 1.0 / yb.size
+    grads = tuple(
+        g.sum(axis=0) * scale for g in (dw1, dlogits[:, :, None] * v[:, None, :], dlogits)
+    )
     for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
         _require_finite(grad, f"batch gradient at {name}", param)
-    return _sum_in_order(losses) * scale, int(hits.sum()) * scale, float(np.mean(conds)), grads
-
-
-def _stacked_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """Loss, accuracy, mean covariance condition, and parameter gradients of a batch.
-
-    The whole batch is one stack through the layer and the head. A failed
-    check raises as in ``_batch_pass``, but names the stack rather than the
-    sample.
-    """
-    return _batch_result(model, *_sample_terms(model, cfg, rb, yb))
-
-
-def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """``_stacked_batch_pass`` with one stack of one sample at a time.
-
-    Each sample gets the bits it gets in the stack, so the two return the
-    same values; a failure raises the first failing sample's error, naming
-    its own product.
-    """
-    terms = [_sample_terms(model, cfg, rb[b : b + 1], yb[b : b + 1]) for b in range(yb.size)]
-    return _batch_result(model, *map(np.concatenate, zip(*terms)))
-
-
-def _batch_pass_with_rerun(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
-    """The stacked pass; on any failure the batch reruns sample by sample.
-
-    The rerun raises what ``_batch_pass`` raises, so a diverging run logs
-    the same step and the same reason, naming the failing sample's product.
-    """
-    try:
-        return _stacked_batch_pass(model, cfg, rb, yb)
-    except (NumericalFailureError, InvalidInputError):
-        return _batch_pass(model, cfg, rb, yb)
+    mean_cond = float(np.mean(lam[:, 0] / lam[:, -1]))
+    return _sum_in_order(losses) * scale, int(hits.sum()) * scale, mean_cond, grads
 
 
 def run_hybrid_training(
@@ -377,7 +346,7 @@ def run_hybrid_training(
         lr = schedule.effective_lr(step)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, acc, mean_cond, grads = _batch_pass_with_rerun(model, cfg, rb, yb)
+                loss, acc, mean_cond, grads = _batch_pass(model, cfg, rb, yb)
         except NumericalFailureError as err:
             return TrainingLog(records, "diverged", step, str(err), model)
         records.append(StepRecord(step, loss, acc, mean_cond, cfg.label, lr))
@@ -393,13 +362,9 @@ def evaluate_model(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple
     """Deterministic whole-dataset (mean cross-entropy, error rate).
 
     The whole task is pooled by one stacked ``gcp_forward`` and goes through
-    the head as one stack. If the stacked forward fails, the samples are
-    pooled one by one, which raises the first failing sample's error.
+    the head as one stack. A failed check raises the error of the first
+    sample that fails it.
     """
-    try:
-        q = _pool(model, cfg, task.inputs)[0].data
-    except (NumericalFailureError, InvalidInputError):
-        q = np.stack([_pool(model, cfg, r)[0].data for r in task.inputs])
-    losses, hits, *_ = _head(model, q, task.labels)
+    losses, hits, *_ = _head(model, _pool(model, cfg, task.inputs)[0].data, task.labels)
     n = task.n_samples
     return _sum_in_order(losses) / n, 1.0 - int(hits.sum()) / n

@@ -11,8 +11,9 @@ estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
 eigendecomposition, ``table_cell`` one entry of an approximation-error table,
 and ``mean_condition`` and ``error_rate`` a training log. The per-sample
-evaluation is ``training.evaluate_model`` written as a loop over samples with
-the classifier head spelled out for one pooled matrix. Tests import this
+evaluation and batch pass are ``training.evaluate_model`` and the training
+step's ``_batch_pass`` written as loops over samples, with the classifier
+head and the finiteness checks spelled out for one pooled matrix. Tests import this
 module the way they import ``conftest``. ``tests/test_oracles.py`` checks that
 every public name here has a test that imports it, and that none is also a
 name in ``specgrad``.
@@ -25,10 +26,22 @@ from pathlib import Path
 
 import numpy as np
 
-from specgrad.core import EigenDecomposition, FeatureMatrix, SymPsdMatrix
+from specgrad.core import (
+    EigenDecomposition,
+    FeatureMatrix,
+    SymPsdMatrix,
+    clamp_eigenvalues,
+    eigh,
+)
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.pade import ApproximationErrorTable, PadeApproximant, PowerSeries
-from specgrad.layer import GcpLayerConfig, gcp_forward, upper_triangle_vector
+from specgrad.layer import (
+    GcpLayerConfig,
+    gcp_backward,
+    gcp_forward,
+    grad_from_upper_triangle,
+    upper_triangle_vector,
+)
 from specgrad.training import ToyModel, ToyTask, TrainingLog
 
 
@@ -301,3 +314,50 @@ def per_sample_evaluation(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -
         loss += -float(np.log(max(e[y] / e.sum(), 1e-300)))
         hits += int(np.argmax(logits) == y)
     return loss / task.n_samples, 1.0 - hits / task.n_samples
+
+
+def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> None:
+    """The training step's check of one sample's product, with its message."""
+    bad = product.size - int(np.isfinite(product).sum())
+    if bad:
+        largest = float(np.abs(operand).max())
+        raise NumericalFailureError(
+            f"{where} is non-finite in {bad} of {product.size} entries "
+            f"(largest |operand entry| {largest:.3e})",
+            where=where,
+            max_entry=largest,
+        )
+
+
+def per_sample_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):
+    """The training step's (loss, accuracy, mean condition, gradients), one sample at a time.
+
+    Each sample runs the whole pass alone, features to ``w1`` gradient, and
+    its terms add up in sample order; the first failing check of the first
+    failing sample raises. The batch gradients are checked once, after the sum.
+    """
+    scale = 1.0 / yb.size
+    loss, hits, conds = 0.0, 0, []
+    grads = [np.zeros_like(model.w1), np.zeros_like(model.w2), np.zeros_like(model.b2)]
+    for r, y in zip(rb, yb):
+        features = model.w1 @ r
+        _require_finite(features, "features w1 @ r", model.w1)
+        q, cache = gcp_forward(FeatureMatrix(features), cfg)
+        lam = clamp_eigenvalues(eigh(cache.p)).eigenvalues
+        conds.append(lam[0] / lam[-1])
+        v = upper_triangle_vector(q)
+        logits = model.w2 @ v + model.b2
+        e = np.exp(logits - logits.max())
+        prob = e / e.sum()
+        loss += -float(np.log(max(prob[y], 1e-300)))
+        hits += int(np.argmax(logits) == y)
+        prob[y] -= 1.0  # now the loss gradient at the logits
+        gq = grad_from_upper_triangle(model.w2.T @ prob, q.d)
+        _require_finite(gq, "loss gradient at Q", model.w2)
+        grads[0] += gcp_backward(cache, gq) @ r.T
+        grads[1] += np.outer(prob, v)
+        grads[2] += prob
+    grads = tuple(g * scale for g in grads)
+    for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
+        _require_finite(grad, f"batch gradient at {name}", param)
+    return loss * scale, hits * scale, float(np.mean(conds)), grads

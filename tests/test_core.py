@@ -11,7 +11,9 @@ from specgrad.core import (
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
+    _require_finite,
     _triu,
+    _trusted,
     clamp_eigenvalues,
     condition_number,
     count_clamped,
@@ -20,6 +22,7 @@ from specgrad.core import (
     matrix_power,
 )
 from specgrad.errors import InvalidInputError, NumericalFailureError
+from specgrad.layer import GcpLayerConfig, grad_check
 from specgrad.newton_schulz import ns_backward, ns_forward
 from specgrad.pade import (
     PadeApproximant,
@@ -363,6 +366,56 @@ class TestMatrixPower:
         assert rel <= 1e-8
 
 
+class TestRequireFinite:
+    """A stack of products raises what its first non-finite matrix raises alone."""
+
+    def test_stack_reports_its_first_failing_matrix(self, rng):
+        # matrices 2 and 3 of 4 fail; matrices 0 and 3 hold larger operand entries
+        operand = rng.uniform(-1.0, 1.0, size=(4, 3, 6))
+        operand[2, 1, 4] = 7.5
+        operand[0] *= 100.0
+        operand[3] *= 1000.0
+        product = operand @ operand.mT
+        product[2, 0, 1] = product[2, 2, 2] = np.inf
+        product[3] = np.nan
+        with pytest.raises(NumericalFailureError) as got:
+            _require_finite(product, "p", operand)
+        with pytest.raises(NumericalFailureError) as alone:
+            _require_finite(product[2], "p", operand[2])
+        assert str(got.value) == str(alone.value)
+        assert str(got.value) == (
+            "p is non-finite in 2 of 9 entries (largest |operand entry| 7.500e+00)"
+        )
+        assert got.value.details == alone.value.details == {"where": "p", "max_entry": 7.5}
+
+    def test_shared_operand_is_read_whole(self, rng):
+        # w1 @ r at d = B = 8: w1's leading axis has the batch's length, but
+        # w1 is shared by every sample, so sample 5 must not read w1[5]
+        w1 = rng.uniform(-1.0, 1.0, size=(8, 8))
+        w1[0, 0] = 9.0
+        features = w1 @ rng.normal(size=(8, 8, 32))
+        features[5, 3, :4] = np.inf
+        with pytest.raises(NumericalFailureError) as err:
+            _require_finite(features, "features w1 @ r", w1)
+        assert err.value.details["max_entry"] == 9.0
+        assert "non-finite in 4 of 256 entries" in str(err.value)
+
+    def test_matrix_power_slices_its_eigenvalues(self):
+        # B = d = 2: the (B, d) eigenvalues are stacked with Q, so matrix 1
+        # reports its own largest eigenvalue, 1, not matrix 0's 5e300
+        lam = np.array([[5e300, 1.0], [1.0, 1e-320]])
+        u = np.stack([np.eye(2)] * 2)
+        stack = _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
+        with np.errstate(all="ignore"):  # 1 / 1e-320 overflows, 0 * inf is nan
+            with pytest.raises(NumericalFailureError) as got:
+                matrix_power(stack, -1.0)
+            with pytest.raises(NumericalFailureError) as alone:
+                matrix_power(EigenDecomposition(lam[1], np.eye(2)), -1.0)
+        assert str(got.value) == str(alone.value)
+        assert got.value.details == alone.value.details
+        assert got.value.details["max_entry"] == 1.0
+
+
 class TestConditionNumber:
     def test_identity(self):
         e = eigh(SymPsdMatrix(np.eye(4)))
@@ -444,17 +497,26 @@ class TestCountRule:
             assert type(getattr(out, site.split(".")[1])) is int
 
 
-#: every public entry point that takes a count that may be zero, called with ``v``
+#: every public entry point that takes a count that may be zero, or a seed, called with ``v``
 ZERO_COUNT_SITES = {
     "pade_from_series.m": lambda v: pade_from_series(geometric_series(8), v, 1),
     "pade_from_series.n": lambda v: pade_from_series(geometric_series(8), 1, v),
     "warmup_steps": lambda v: HybridSchedule(BackwardScheme.pade(), None, warmup_steps=v),
     "switch_step": lambda v: HybridSchedule(BackwardScheme.pade(), v),
+    "ToyModelSpec.init_seed": lambda v: ToyModelSpec(init_seed=v),
+    "make_toy_task.seed": lambda v: make_toy_task(ToyModelSpec(), 2, seed=v),
+    "batch_stream.seed": lambda v: batch_stream(make_toy_task(ToyModelSpec(), 2), 2, 1, seed=v),
+    "grad_check.seed": lambda v: grad_check(
+        GcpLayerConfig.eig(BackwardScheme.ordinary()),
+        FeatureMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])),
+        seed=v,
+    ),
 }
 
 
 class TestZeroCountRule:
-    """A count that may be zero is a non-negative int; an integral float passes as one."""
+    """A count that may be zero, and a seed, is a non-negative int; an integral
+    float passes as one."""
 
     @pytest.mark.parametrize("value", [2.5, True, -1], ids=["fraction", "bool", "negative"])
     @pytest.mark.parametrize("site", ZERO_COUNT_SITES)
@@ -468,6 +530,8 @@ class TestZeroCountRule:
             out = ZERO_COUNT_SITES[site](value)
             if isinstance(out, HybridSchedule):
                 assert type(getattr(out, site)) is int
+            if isinstance(out, ToyModelSpec):  # stored as the int the model is seeded with
+                assert type(out.init_seed) is int
 
 
 def _gradient_site(site):

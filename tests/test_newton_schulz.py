@@ -372,3 +372,22 @@ class TestStack:
             ns_backward(trace, grad)
         with pytest.raises(InvalidInputError, match="gradient shape \\(3, 3\\)"):
             ns_backward(trace, grad[0])
+
+    @pytest.mark.parametrize("guard", ["divergence", "trace overflow"])
+    def test_guard_reports_the_first_failing_matrix(self, guard):
+        # matrices 1 and 2 both fail the guard, and matrix 2's entries are the
+        # larger: the stack raises what matrix 1 raises alone
+        if guard == "divergence":
+            # indefinite, both diverge at step 4: max_entry 3.0e6 and 1.2e7
+            failing = [np.diag([2.0, -1.0]), np.diag([2.1, -1.1])]
+        else:
+            failing = [np.diag([1e308, 1e308]), np.diag([1.7e308, 1.7e308])]
+        stack = _trusted(SymPsdMatrix, data=np.stack([np.eye(2), *failing]))
+        with np.errstate(over="ignore"):  # the trace's own overflow
+            with pytest.raises(NumericalFailureError) as got:
+                ns_forward(stack, 5)
+            with pytest.raises(NumericalFailureError) as alone:
+                ns_forward(SymPsdMatrix(failing[0]), 5)
+        assert str(got.value) == str(alone.value)
+        assert got.value.details == alone.value.details
+        assert got.value.details["max_entry"] == (3014557.0 if guard == "divergence" else 1e308)

@@ -17,12 +17,12 @@ from specgrad.training import (
     run_hybrid_training,
 )
 
-from oracles import error_rate, mean_condition, per_sample_evaluation
+from oracles import error_rate, mean_condition, per_sample_batch_pass, per_sample_evaluation
 
 
 def stacked_and_per_sample(monkeypatch, spec, sched, batches, calls=None):
-    """The run through the stacked pass and the run through the per-sample
-    ``_batch_pass`` alone, with the layer forwards and the errors the stacked
+    """The run through the stacked ``_batch_pass`` and the run through the
+    per-sample oracle, with the layer forwards and the errors the stacked
     run made. A ``calls`` Counter also receives the stacked run's calls of
     ``gcp_forward``, ``gcp_backward``, the layer's ``eigh`` and the
     condition number's ``eigh``."""
@@ -31,7 +31,7 @@ def stacked_and_per_sample(monkeypatch, spec, sched, batches, calls=None):
 
     calls = Counter() if calls is None else calls
     raised = []
-    stacked = training._stacked_batch_pass
+    stacked = training._batch_pass
 
     def counting(name, fn):
         def counted(*args):
@@ -56,10 +56,10 @@ def stacked_and_per_sample(monkeypatch, spec, sched, batches, calls=None):
         ):
             wrapper = counting(f"{module.__name__}.{name}", getattr(module, name))
             patch.setattr(module, name, wrapper)
-        patch.setattr(training, "_stacked_batch_pass", recording_stacked)
+        patch.setattr(training, "_batch_pass", recording_stacked)
         log = run_hybrid_training(spec, sched, batches)
     with monkeypatch.context() as patch:
-        patch.setattr(training, "_stacked_batch_pass", training._batch_pass)
+        patch.setattr(training, "_batch_pass", per_sample_batch_pass)
         per_sample = run_hybrid_training(spec, sched, batches)
     return log, per_sample, calls["specgrad.training.gcp_forward"], raised
 
@@ -139,6 +139,28 @@ class TestSchedule:
                 switch_step=None,
                 lr_schedule=((0, 0.1), (10, 0.01), (10, 0.001)),
             )
+
+
+    @pytest.mark.parametrize("step", [2.7, True, -1], ids=["fraction", "bool", "negative"])
+    def test_lr_schedule_step_is_a_count(self, step):
+        # a fraction or a bool used to pass through int(): 2.7 became 2, True 1
+        with pytest.raises(
+            InvalidInputError, match=f"^lr schedule step must be a non-negative int, got {step}$"
+        ):
+            HybridSchedule(
+                post_switch_scheme=BackwardScheme.ordinary(),
+                switch_step=None,
+                lr_schedule=((0, 0.1), (step, 0.01)),
+            )
+
+    def test_integral_lr_schedule_steps_pass_as_ints(self):
+        sched = HybridSchedule(
+            post_switch_scheme=BackwardScheme.ordinary(),
+            switch_step=None,
+            lr_schedule=((0.0, 0.1), (np.int64(2), 0.01)),
+        )
+        assert sched.lr_schedule == ((0, 0.1), (2, 0.01))
+        assert all(type(s) is int for s, _ in sched.lr_schedule)
 
 
 class TestTask:
@@ -303,7 +325,7 @@ class TestTraining:
         # a backward whose finite output overflows the batch sum at step 3:
         # the run ends on the typed error, with no record of the failing step.
         # The Newton-Schulz phase makes one stacked backward call per batch,
-        # so the 4th call is step 3; its per-sample rerun stays huge too
+        # so the 4th call is step 3
         import specgrad.training as training
 
         calls = []
@@ -341,7 +363,7 @@ class TestTraining:
 
 class TestStackedPass:
     """Both phases run one stacked layer call each way per batch, with the
-    values and the failures of the per-sample pass."""
+    values and the failures of the per-sample oracle."""
 
     def test_same_records_and_weights_as_per_sample(self, monkeypatch):
         spec = small_spec()
@@ -355,7 +377,7 @@ class TestStackedPass:
         for name in ("w1", "w2", "b2"):
             assert np.array_equal(getattr(log.final_model, name), getattr(ref.final_model, name))
 
-    def test_divergence_reruns_the_batch_per_sample(self, monkeypatch):
+    def test_divergence_logs_what_the_per_sample_pass_logs(self, monkeypatch):
         spec = small_spec()
         task = make_toy_task(spec, 40, seed=6)
         sched = HybridSchedule(
@@ -371,8 +393,8 @@ class TestStackedPass:
         assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
 
     def test_one_overflowing_sample_names_itself(self, monkeypatch):
-        # sample 5 of step 2 overflows the covariance: the stacked pass fails
-        # for the whole stack, and the rerun names that sample's own entries
+        # sample 5 of step 2 overflows the covariance: the stacked check fails
+        # for the whole stack and reports that sample's own entries
         spec = small_spec()
         task = make_toy_task(spec, 40, seed=6)
         batches = list(batch_stream(task, 8, 4, seed=7))
@@ -424,10 +446,10 @@ class TestStackedPass:
         assert log.records[24].scheme.startswith("eig_sqrt+pade")
         assert_same_run(log, ref)
 
-    def test_exact_phase_divergence_reruns_the_batch_per_sample(self, monkeypatch):
+    def test_exact_phase_divergence_logs_what_the_per_sample_pass_logs(self, monkeypatch):
         # train-toy --seed 3 --n 4 --backward ordinary: clamped eigenvalues
         # tie at the switch, so K is infinite at step 144. The stacked pass
-        # raises once, and the per-sample rerun logs its step and reason
+        # raises once, with the step and reason of the per-sample pass
         spec = ToyModelSpec(n_cols=4, init_seed=3)
         task = make_toy_task(spec, 240, seed=4)
         batches = list(batch_stream(task, 8, 146, seed=5))
@@ -439,6 +461,32 @@ class TestStackedPass:
             "non-finite gradient under scheme ordinary",
         )
         assert_same_run(log, ref)
+
+
+    @pytest.mark.parametrize("phase", ["newton_schulz", "exact"])
+    def test_a_diverging_run_pools_each_batch_once(self, monkeypatch, phase):
+        # failure_step + 1 forwards: one per logged step and one for the
+        # failing step, so nothing reruns the failing batch
+        import specgrad.training as training
+
+        if phase == "newton_schulz":
+            spec = small_spec()
+            task = make_toy_task(spec, 40, seed=6)
+            sched = HybridSchedule(BackwardScheme.pade(100), None, lr_schedule=((0, 1e9),))
+            batches = batch_stream(task, 4, 40, seed=7)
+        else:  # as in the test above: K is infinite at step 144
+            spec = ToyModelSpec(n_cols=4, init_seed=3)
+            task = make_toy_task(spec, 240, seed=4)
+            sched = schedule(144, 240, BackwardScheme.ordinary())
+            batches = batch_stream(task, 8, 146, seed=5)
+        forwards = []
+        forward = training.gcp_forward
+        monkeypatch.setattr(
+            training, "gcp_forward", lambda *args: forwards.append(None) or forward(*args)
+        )
+        log = run_hybrid_training(spec, sched, batches)
+        assert log.status == "diverged"
+        assert len(forwards) == log.failure_step + 1
 
 
 class TestEvaluate:
@@ -465,7 +513,7 @@ class TestEvaluate:
 
     def test_failure_raises_what_the_per_sample_pass_raises(self):
         # sample 5 overflows the covariance: the stacked forward fails for
-        # the whole task, and the rerun names that sample's own entries
+        # the whole task and reports that sample's own entries
         spec = small_spec()
         task = make_toy_task(spec, 12, seed=2)
         task.inputs[5] *= 1e200
