@@ -21,9 +21,9 @@ a matrix power, and in training the features, the loss gradient at Q and the
 batch gradients), a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.
 
-Constants that depend only on the width, the triangle indices of ``_triu``,
-are built once per width and cached: read-only, one entry per width the
-process uses.
+Constants that depend only on the width, the triangle indices of ``_triu``
+and the scaled identities of ``_eye``, are built once per width and cached:
+read-only, one entry per width (and scale and dtype) the process uses.
 
 Stacks: ``covariance`` and ``apply_centering`` take a leading batch axis
 (``FeatureMatrix`` data of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``),
@@ -80,6 +80,14 @@ def _triu(d: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@functools.cache
+def _eye(d: int, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
+    """Read-only ``scale * np.eye(d, dtype=dtype)``, built once per ``(d, scale, dtype)``."""
+    out = scale * np.eye(d, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 def _trusted(cls, **fields):
     """Build a value object from fields that hold its invariants by construction.
 
@@ -89,10 +97,10 @@ def _trusted(cls, **fields):
     nothing else holds a writeable reference to.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
+            value.setflags(write=False)
+    obj.__dict__.update(fields)  # the frozen __setattr__ refuses; the instance dict does not
     return obj
 
 
@@ -119,9 +127,14 @@ def _gradient(grad, shape: tuple, name: str = "gradient") -> np.ndarray:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != shape:
         raise InvalidInputError(f"{name} shape {grad.shape} does not match {shape}")
-    if not np.all(np.isfinite(grad)):
+    if not _finite(grad):
         raise InvalidInputError(f"non-finite {name} input")
     return grad
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, without ``ndarray.all``'s Python wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> None:
@@ -136,8 +149,8 @@ def _require_finite(product: np.ndarray, where: str, operand: np.ndarray) -> Non
     is shared by the stack and read whole. So a stack raises what its first
     failing matrix raises alone.
     """
-    finite = np.isfinite(product)
-    if not finite.all():
+    if not _finite(product):
+        finite = np.isfinite(product)
         # the leading indices of the first non-finite entry pick its matrix
         first = tuple(np.argwhere(~finite)[0][:-2])
         finite = finite[first]
@@ -202,7 +215,7 @@ class SymPsdMatrix:
 
     def trace(self):
         """tr(P) as a float, or for a stack the array of each matrix's trace."""
-        return np.trace(self.data, axis1=-2, axis2=-1)
+        return self.data.trace(axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -253,11 +266,15 @@ def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     Computed as X_c X_c^T / N with X_c the column-centered features, which is
     algebraically identical to sandwiching the centering matrix.
     """
-    # sum, then divide: the two steps of ``mean`` without its Python wrapper
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / x.n_samples
-    p = (xc @ xc.mT) / x.n_samples
-    _require_finite(p, "covariance", x.data)
-    return _trusted(SymPsdMatrix, data=0.5 * p + 0.5 * p.mT)
+    data = x.data
+    n = data.shape[-1]
+    # sum, then divide: the two steps of ``mean`` without its Python wrappers
+    xc = data - np.add.reduce(data, axis=-1, keepdims=True) / n
+    p = xc @ xc.mT
+    p /= n
+    _require_finite(p, "covariance", data)
+    p *= 0.5  # halved once: P/2 + (P/2)^T has the bits of 0.5 P + 0.5 P^T
+    return _trusted(SymPsdMatrix, data=p + p.mT)
 
 
 def eigh(p: SymPsdMatrix) -> EigenDecomposition:
@@ -275,9 +292,10 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     # LAPACK returns ascending eigenvalues with orthonormal columns, so the
-    # reversed copies are in non-increasing order and owned by the result
-    lam = np.array(lam[::-1], dtype=np.float64)
-    u = np.array(u[:, ::-1], dtype=np.float64)
+    # reversed copies are in non-increasing order and owned by the result;
+    # ``astype`` copies each reversed view into a C-contiguous float64 array
+    lam = lam[::-1].astype(np.float64)
+    u = u[:, ::-1].astype(np.float64)
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
@@ -304,7 +322,7 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     if not math.isfinite(alpha):
         raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
     lam = e.eigenvalues
-    if alpha != int(alpha) and np.any(lam < 0):
+    if alpha != int(alpha) and np.minimum.reduce(lam, axis=None) < 0:
         raise InvalidInputError(
             f"fractional power {alpha} of a matrix with negative eigenvalues "
             f"(min {lam.min():.3e})"
@@ -312,9 +330,11 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     powered = np.power(lam, alpha)
     u = e.eigenvectors
     q = (u * powered[..., None, :]) @ u.mT
-    # each matrix's eigenvalues as one row, so that a stack's are stacked with q
-    _require_finite(q, f"matrix power {alpha}", lam[..., None, :])
-    return _trusted(SymPsdMatrix, data=0.5 * q + 0.5 * q.mT)
+    if not _finite(q):  # the label and the operand are built only on failure
+        # each matrix's eigenvalues as one row, so that a stack's are stacked with q
+        _require_finite(q, f"matrix power {alpha}", lam[..., None, :])
+    q *= 0.5
+    return _trusted(SymPsdMatrix, data=q + q.mT)
 
 
 def condition_number(e: EigenDecomposition) -> ConditionNumber:

@@ -56,7 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SymPsdMatrix, _gradient, _positive, _trusted, apply_centering
+from .core import (
+    FeatureMatrix,
+    SymPsdMatrix,
+    _eye,
+    _gradient,
+    _positive,
+    _trusted,
+    apply_centering,
+)
 from .errors import InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
@@ -144,21 +152,28 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
     # violation means an indefinite matrix slipped past construction. The
     # einsum forms each matrix's squared distance without a d x d temporary
-    off = a - np.eye(d)
+    off = a - _eye(d)
     if max(np.einsum("...ij,...ij->...", off, off).flat) >= (np.sqrt(d) + 1.0) ** 2:
         raise InvalidInputError("trace-normalized input is too far from identity to be PSD")
-    eye3 = 3.0 * np.eye(d, dtype=a.dtype)
+    eye15 = _eye(d, 1.5, a.dtype)
 
     y = a
     y_seq = [y]
     z_seq = []
     t_seq = []
     for k in range(iterations):
-        # Z_0 = I: the products I @ Y_0 and T_1 @ I are exact, so skip them
-        t = 0.5 * (eye3 - (z_seq[-1] @ y if k else y))
+        # T = 1.5 I - 0.5 ZY, in place on the fresh product ZY. Halving is
+        # exact, so this has the bits of 0.5 (3 I - ZY). Z_0 = I: the
+        # products I @ Y_0 and T_1 @ I are exact, so skip them
+        if k:
+            t = z_seq[-1] @ y
+            t *= -0.5
+        else:
+            t = -0.5 * y
+        t += eye15
         y = y @ t
         # NaN fails every comparison, so one reduction also catches it
-        if not np.abs(y).max() <= _DIVERGENCE_LIMIT:
+        if not np.maximum.reduce(np.abs(y), axis=None) <= _DIVERGENCE_LIMIT:
             largest = np.ravel(np.abs(y).max(axis=(-2, -1)))  # one per matrix
             raise NumericalFailureError(
                 f"Newton-Schulz iterate diverged at step {k + 1}",
@@ -217,10 +232,10 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     # d tr(P) contributions from A = P / tr(P) and Q = sqrt(tr(P)) Y_N; each
     # sum runs over one matrix's d x d entries
     p = a * tr_p
-    da_dot_p = _per_matrix((da * p).sum(axis=(-2, -1)))
-    dq_dot_y = _per_matrix((grad_q * trace.final_y).sum(axis=(-2, -1)))
+    da_dot_p = _per_matrix(np.add.reduce(da * p, axis=(-2, -1)))
+    dq_dot_y = _per_matrix(np.add.reduce(grad_q * trace.final_y, axis=(-2, -1)))
     trace_term = -da_dot_p / (tr_p * tr_p) + dq_dot_y / (2.0 * sqrt_tr)
-    return da / tr_p + trace_term * np.eye(trace.d)
+    return da / tr_p + trace_term * _eye(trace.d)
 
 
 def ns_gradient_of_x(grad_p: np.ndarray, x: FeatureMatrix) -> np.ndarray:

@@ -55,6 +55,16 @@ MOMENTUM = 0.9
 N_CLASSES = 3
 
 
+def _step_rate_pairs(schedule) -> list:
+    """The (step, rate) entries of an ``lr_schedule``; anything but pairs is invalid input."""
+    try:
+        return [(step, rate) for step, rate in schedule]
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"lr schedule must be a sequence of (step, rate) pairs, got {schedule!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class HybridSchedule:
     """When to swap square-root methods and how the learning rate moves.
@@ -77,14 +87,15 @@ class HybridSchedule:
             switch = _non_negative(self.switch_step, "switch_step")
             object.__setattr__(self, "switch_step", switch)
         sched = tuple(
-            (_non_negative(s, "lr schedule step"), float(lr)) for s, lr in self.lr_schedule
+            (_non_negative(s, "lr schedule step"), _positive(lr, "lr schedule rate", float))
+            for s, lr in _step_rate_pairs(self.lr_schedule)
         )
         if not sched or sched[0][0] != 0:
             raise InvalidInputError("lr schedule must start at step 0")
         steps = [s for s, _ in sched]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("lr schedule steps must be strictly increasing")
-        if not all(0 < lr < np.inf for _, lr in sched):
+        if not all(lr < np.inf for _, lr in sched):
             raise InvalidInputError("learning rates must be positive and finite")
         if self.switch_step is not None:
             if len(sched) >= 2 and self.switch_step >= sched[-1][0]:
@@ -133,7 +144,7 @@ class ToyModelSpec:
             object.__setattr__(self, name, _positive(getattr(self, name), name))
         if self.d < 2 or self.raw_dim < self.d or self.n_cols < 2:
             raise InvalidInputError("need raw_dim >= d >= 2 and n_cols >= 2")
-        if not 1 <= self.init_condition < np.inf:
+        if not 1 <= _positive(self.init_condition, "init_condition", float) < np.inf:
             raise InvalidInputError("init_condition must be finite and >= 1")
         object.__setattr__(self, "init_seed", _non_negative(self.init_seed, "init_seed"))
 

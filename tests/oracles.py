@@ -5,7 +5,8 @@ power-iteration gradient reproduces the leading block of the ``taylor``
 scheme, the continued fraction builds the diagonal Pade approximants that
 ``pade_from_series`` solves for, the series-match residual certifies an
 approximant against its series, the literal centering matrix is what
-``core.apply_centering`` applies without forming, the min-gap spectrum gives
+``core.apply_centering`` applies without forming, the two bare-numpy forwards
+pin the bits of ``gcp_forward``'s Q under each forward, the min-gap spectrum gives
 the finite-difference suite well-separated eigenvalues, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
@@ -226,6 +227,49 @@ def series_match_residual(pa: PadeApproximant, s: PowerSeries) -> float:
     p_pad[: m + 1] = pa.p
     scale = max(np.abs(a).max(), 1.0)
     return float(np.abs(prod - p_pad).max() / scale)
+
+
+def _bare_covariance(x: np.ndarray) -> np.ndarray:
+    """X_c X_c^T / N with X_c the column-centered features, symmetrized as 0.5 P + 0.5 P^T."""
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    p = (xc @ xc.mT) / n
+    return 0.5 * p + 0.5 * p.mT
+
+
+def eig_sqrt_forward(x: np.ndarray) -> np.ndarray:
+    """Q of the exact forward, written as bare numpy, for a (d, N) block or a (B, d, N) stack.
+
+    Centre, X_c X_c^T / N, symmetrize, LAPACK ``eigh`` with its eigenpairs
+    reversed into non-increasing order, clamp at float64's epsilon,
+    U diag(lambda^(1/2)) U^T, symmetrize: the operations of ``gcp_forward``
+    in the order it runs them, so its Q must match this bit for bit. U is
+    copied C-contiguous, as ``core.eigh`` owns it, because a reversed view
+    is a different memory layout for matmul.
+    """
+    lam, u = np.linalg.eigh(_bare_covariance(x))
+    lam = np.maximum(lam[..., ::-1], np.finfo(np.float64).eps)
+    u = np.ascontiguousarray(u[..., ::-1])
+    q = (u * np.power(lam, 0.5)[..., None, :]) @ u.mT
+    return 0.5 * q + 0.5 * q.mT
+
+
+def newton_schulz_forward(x: np.ndarray, iterations: int) -> np.ndarray:
+    """Q of the NS(N) forward, written as bare numpy, for a (d, N) block or a (B, d, N) stack.
+
+    The covariance as in ``eig_sqrt_forward``, then A = P / tr(P), the
+    coupled loop T = 0.5 (3 I - Z Y), Y <- Y T, Z <- T Z from Y = A, Z = I
+    with every product formed, Q = sqrt(tr(P)) Y_N, symmetrized.
+    """
+    p = _bare_covariance(x)
+    tr = np.trace(p, axis1=-2, axis2=-1)[..., None, None]
+    eye = np.eye(p.shape[-1])
+    y, z = p / tr, eye
+    for _ in range(iterations):
+        t = 0.5 * (3.0 * eye - z @ y)
+        y, z = y @ t, t @ z
+    q = np.sqrt(tr) * y
+    return 0.5 * q + 0.5 * q.mT
 
 
 def centering_matrix(n: int, dtype=np.float64) -> np.ndarray:

@@ -15,7 +15,7 @@ from specgrad.schemes import BackwardScheme, grad_covariance, k_matrix
 from specgrad.synth import feature_matrix_with_spectrum
 
 from conftest import random_features, same_bits
-from oracles import spectrum_with_min_gap
+from oracles import eig_sqrt_forward, newton_schulz_forward, spectrum_with_min_gap
 
 
 def all_legal_configs(d: int = 4):
@@ -123,6 +123,18 @@ class TestForward:
             assert cache.clamped_count[i] == cache_i.clamped_count
             assert same_bits(grad_x[i], gcp_backward(cache_i, grad_q[i]))
         assert cache.clamped_count[1] >= 1
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_q_has_the_bits_of_the_bare_numpy_forward(self, d, stacked):
+        rng = np.random.default_rng(d)
+        data = rng.normal(size=(3, d, 4 * d + 2) if stacked else (d, 4 * d + 2))
+        x = _trusted(FeatureMatrix, data=data) if stacked else FeatureMatrix(data)
+        for backward in (BackwardScheme.pade(100), BackwardScheme.newton_schulz(5)):
+            q, _ = gcp_forward(x, GcpLayerConfig.eig(backward))
+            assert np.array_equal(q.data, eig_sqrt_forward(data)), backward.kind
+        q, _ = gcp_forward(x, GcpLayerConfig.newton_schulz(5))
+        assert np.array_equal(q.data, newton_schulz_forward(data, 5))
 
 
 class TestUpperTriangle:
@@ -266,6 +278,19 @@ class TestBackward:
         loewner = grad_covariance(np.ones((2, 4, 4)), eye, k_matrix(eye, scheme)) / 2.0
         assert loewner[1, 2, 3] == loewner[1, 3, 2] == 0.0
         assert np.all(loewner[1, :2] > 0) and np.all(loewner[0] > 0)
+
+    def test_stack_failure_names_only_its_first_failing_matrix(self):
+        # matrices 1 and 2 each clamp a tie: ordinary's gradient is nan in both,
+        # and the error carries the K entries of matrix 1 alone
+        data = np.random.default_rng(3).normal(size=(3, 4, 12))
+        data[1, 2:] = data[2, 1:3] = 0.0
+        scheme = BackwardScheme.ordinary()
+        _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), GcpLayerConfig.eig(scheme))
+        assert cache.clamped_count.tolist() == [0, 2, 2]
+        assert np.argwhere(np.isinf(k_matrix(cache.eig, scheme)))[:, 0].tolist() == [1, 1, 2, 2]
+        with pytest.raises(NumericalFailureError) as err:
+            gcp_backward(cache, np.ones((3, 4, 4)))
+        assert err.value.details["k_entries"].tolist() == [[1, 2, 3], [1, 3, 2]]
 
     @pytest.mark.parametrize("bad", ["nan", "shape"])
     @pytest.mark.parametrize("cfg", all_legal_configs(4), ids=lambda cfg: cfg.label)

@@ -185,16 +185,33 @@ class TestTask:
         b = [yb.tolist() for _, yb in batch_stream(task, 4, 5, seed=9)]
         assert a == b
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), None, "0.1", True, np.True_, 2j]
+    )
     def test_non_finite_rates_and_condition_rejected(self, value):
-        with pytest.raises(InvalidInputError):
+        # a non-real, bool or str rate or condition is refused under its field's name
+        with pytest.raises(InvalidInputError, match="lr schedule rate|learning rates"):
             HybridSchedule(
                 post_switch_scheme=BackwardScheme.ordinary(),
                 switch_step=None,
                 lr_schedule=((0, value),),
             )
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="init_condition"):
             ToyModelSpec(init_condition=value)
+
+    @pytest.mark.parametrize("schedule", [((0,),), ((0, 0.1, 5),), (0, 0.1), 5, None])
+    def test_malformed_lr_schedule_pairs_rejected(self, schedule):
+        pairs = r"lr schedule must be a sequence of \(step, rate\) pairs"
+        with pytest.raises(InvalidInputError, match=pairs):
+            HybridSchedule(BackwardScheme.ordinary(), None, lr_schedule=schedule)
+
+    def test_real_rates_and_condition_pass_as_floats(self):
+        sched = HybridSchedule(
+            BackwardScheme.ordinary(), None, lr_schedule=((0, 1), (5, np.float32(0.5)))
+        )
+        assert sched.lr_schedule == ((0, 1.0), (5, 0.5))
+        assert all(type(lr) is float for _, lr in sched.lr_schedule)
+        assert ToyModelSpec(init_condition=np.int64(10)).init_condition == 10
 
     @pytest.mark.parametrize(
         "sizes", [(1, 1, 4), (3, 2, 4), (2, 2, 1)], ids=["d-1", "raw-below-d", "n-cols-1"]
