@@ -25,9 +25,9 @@ Constants that depend only on the width, the triangle indices of ``_triu``
 and the scaled identities of ``_eye``, are built once per width and cached:
 read-only, one entry per width (and scale and dtype) the process uses.
 
-Stacks: ``covariance`` and ``apply_centering`` take a leading batch axis
-(``FeatureMatrix`` data of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``),
-and so do ``clamp_eigenvalues``, ``count_clamped`` and ``matrix_power``
+Stacks: ``covariance`` takes a leading batch axis (``FeatureMatrix`` data
+of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``), and so do
+``clamp_eigenvalues``, ``count_clamped`` and ``matrix_power``
 (an ``EigenDecomposition`` of (B, d) eigenvalues and (B, d, d)
 eigenvectors). ``d`` and ``n_samples`` read the trailing axes, so both
 layer paths run a whole mini-batch in one call. ``eigh`` stays one matrix
@@ -201,9 +201,11 @@ class SymPsdMatrix:
         data = np.asarray(self.data)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {data.shape}")
+        if not data.size:
+            raise InvalidInputError(f"need d >= 1, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("matrix contains non-finite entries")
-        scale = np.abs(data).max() if data.size else 0.0
+        scale = np.abs(data).max()
         if scale > 0 and np.abs(data - data.T).max() > 1e-12 * scale:
             raise InvalidInputError("matrix is not symmetric to 1e-12 relative tolerance")
         sym = 0.5 * data + 0.5 * data.T  # halving first cannot overflow
@@ -232,6 +234,8 @@ class EigenDecomposition:
             raise InvalidInputError(
                 f"inconsistent shapes: eigenvalues {lam.shape}, eigenvectors {u.shape}"
             )
+        if not lam.size:
+            raise InvalidInputError(f"need d >= 1, got eigenvectors of shape {u.shape}")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(u))):
             raise InvalidInputError("non-finite eigendecomposition")
         if np.any(np.diff(lam) > 0):
@@ -251,13 +255,6 @@ class EigenDecomposition:
 class ConditionNumber(NamedTuple):
     value: float
     ill_conditioned: bool
-
-
-def apply_centering(m: np.ndarray) -> np.ndarray:
-    """Right-multiply ``m``, or each matrix of a stack, by the centering matrix without forming it."""
-    m = np.asarray(m)
-    n = m.shape[-1]
-    return (m - m.sum(axis=-1, keepdims=True) / n) / n
 
 
 def covariance(x: FeatureMatrix) -> SymPsdMatrix:
@@ -319,14 +316,21 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
 
     alpha = 0.5 gives the principal square root.
     """
-    if not math.isfinite(alpha):
+    try:
+        finite = math.isfinite(alpha)
+    except TypeError:  # None, a string, a complex
+        raise InvalidInputError(f"exponent must be a real number, got {alpha!r}") from None
+    if not finite:
         raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
     lam = e.eigenvalues
-    if alpha != int(alpha) and np.minimum.reduce(lam, axis=None) < 0:
-        raise InvalidInputError(
-            f"fractional power {alpha} of a matrix with negative eigenvalues "
-            f"(min {lam.min():.3e})"
-        )
+    if alpha != int(alpha):
+        if np.minimum.reduce(lam, axis=None) < 0:
+            raise InvalidInputError(
+                f"fractional power {alpha} of a matrix with negative eigenvalues "
+                f"(min {lam.min():.3e})"
+            )
+    elif isinstance(alpha, (bool, np.bool_)):  # bools are integral: a fractional alpha skips this
+        raise InvalidInputError(f"exponent must be a real number, got {alpha!r}")
     powered = np.power(lam, alpha)
     u = e.eigenvectors
     q = (u * powered[..., None, :]) @ u.mT

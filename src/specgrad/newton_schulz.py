@@ -63,7 +63,6 @@ from .core import (
     _gradient,
     _positive,
     _trusted,
-    apply_centering,
 )
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -197,6 +196,13 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     return _trusted(SymPsdMatrix, data=q + q.mT), trace
 
 
+def _minus_half(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - 0.5 b, in place on the fresh products ``a`` and ``b``: halving is exact, same bits."""
+    b *= 0.5
+    a -= b
+    return a
+
+
 def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss with respect to P, given its gradient at Q.
 
@@ -217,33 +223,40 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
         t = trace.t_seq[k - 1]
         dt = y.mT @ dy
         if dz is None:
-            dz = -0.5 * (dt @ y.mT)
+            dz = dt @ y.mT
+            dz *= -0.5
         else:
             dt += dz @ z.mT
-            dz = t.mT @ dz - 0.5 * (dt @ y.mT)
-        dy = dy @ t.mT - 0.5 * (z.mT @ dt)
+            dz = _minus_half(t.mT @ dz, dt @ y.mT)
+        dy = _minus_half(dy @ t.mT, z.mT @ dt)
     # k = 1: Z_0 = I and Y_0 = A; Z_0 is constant, so dZ_0 is not formed
     a = trace.normalized_input
     dt = a.mT @ dy
     if dz is not None:
         dt += dz
-    da = dy @ trace.t_seq[0].mT - 0.5 * dt
+    da = _minus_half(dy @ trace.t_seq[0].mT, dt)
 
     # d tr(P) contributions from A = P / tr(P) and Q = sqrt(tr(P)) Y_N; each
-    # sum runs over one matrix's d x d entries
-    p = a * tr_p
-    da_dot_p = _per_matrix(np.add.reduce(da * p, axis=(-2, -1)))
+    # sum runs over one matrix's d x d entries (P *= dA has the bits of dA * P)
+    da_p = a * tr_p
+    da_p *= da
+    da_dot_p = _per_matrix(np.add.reduce(da_p, axis=(-2, -1)))
     dq_dot_y = _per_matrix(np.add.reduce(grad_q * trace.final_y, axis=(-2, -1)))
     trace_term = -da_dot_p / (tr_p * tr_p) + dq_dot_y / (2.0 * sqrt_tr)
-    return da / tr_p + trace_term * _eye(trace.d)
+    da /= tr_p
+    da += trace_term * _eye(trace.d)
+    return da
 
 
 def ns_gradient_of_x(grad_p: np.ndarray, x: FeatureMatrix) -> np.ndarray:
-    """Chain the covariance gradient back to the features: (G + G^T) X Ibar, matrix by matrix."""
+    """dL/dX = (G + G^T) X (I - 11^T / N) / N, each matrix's fresh product centred in place."""
     grad_p = np.asarray(grad_p, dtype=np.float64)
-    d = x.d
+    d, n = x.data.shape[-2:]
     if grad_p.shape != x.data.shape[:-1] + (d,):
         raise InvalidInputError(
             f"covariance gradient shape {grad_p.shape} does not match d={d}"
         )
-    return apply_centering((grad_p + grad_p.mT) @ x.data)
+    m = (grad_p + grad_p.mT) @ x.data
+    m -= np.add.reduce(m, axis=-1, keepdims=True) / n
+    m /= n
+    return m

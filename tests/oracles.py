@@ -5,8 +5,9 @@ power-iteration gradient reproduces the leading block of the ``taylor``
 scheme, the continued fraction builds the diagonal Pade approximants that
 ``pade_from_series`` solves for, the series-match residual certifies an
 approximant against its series, the literal centering matrix is what
-``core.apply_centering`` applies without forming, the two bare-numpy forwards
-pin the bits of ``gcp_forward``'s Q under each forward, the min-gap spectrum gives
+``core.covariance`` centres by without forming it, the two bare-numpy forwards
+pin the bits of ``gcp_forward``'s Q under each forward and the bare-numpy chain
+to X those of ``ns_gradient_of_x``, the min-gap spectrum gives
 the finite-difference suite well-separated eigenvalues, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
@@ -270,6 +271,18 @@ def newton_schulz_forward(x: np.ndarray, iterations: int) -> np.ndarray:
         y, z = y @ t, t @ z
     q = np.sqrt(tr) * y
     return 0.5 * q + 0.5 * q.mT
+
+
+def chain_to_x(grad_p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dL/dX = (G + G^T) X (I - 11^T / N) / N as bare numpy, for a (d, N) block or a (B, d, N) stack.
+
+    The product (G + G^T) X, less its row sums over N, then over N: the
+    operations of ``ns_gradient_of_x`` in its order, so its result must match
+    this bit for bit.
+    """
+    m = (grad_p + grad_p.mT) @ x
+    n = x.shape[-1]
+    return (m - m.sum(axis=-1, keepdims=True) / n) / n
 
 
 def centering_matrix(n: int, dtype=np.float64) -> np.ndarray:

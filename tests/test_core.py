@@ -135,8 +135,21 @@ class TestTypes:
                 lambda: EigenDecomposition(np.array([np.nan, 1.0]), np.eye(2)),
                 "non-finite eigendecomposition",
             ),
+            (lambda: SymPsdMatrix(np.zeros((0, 0))), "need d >= 1, got shape (0, 0)"),
+            (
+                lambda: EigenDecomposition(np.zeros(0), np.zeros((0, 0))),
+                "need d >= 1, got eigenvectors of shape (0, 0)",
+            ),
         ],
-        ids=["features-1d", "sym-not-square", "sym-non-finite", "eig-shapes", "eig-non-finite"],
+        ids=[
+            "features-1d",
+            "sym-not-square",
+            "sym-non-finite",
+            "eig-shapes",
+            "eig-non-finite",
+            "sym-empty",
+            "eig-empty",
+        ],
     )
     def test_malformed_value_refused(self, build, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -354,6 +367,18 @@ class TestMatrixPower:
         e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
         with pytest.raises(InvalidInputError, match=f"exponent must be finite, got {alpha}"):
             matrix_power(e, alpha)
+
+    @pytest.mark.parametrize("alpha", [True, False, np.True_, "0.5", None, 0.5j])
+    def test_non_real_exponent_rejected(self, alpha):
+        e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
+        message = f"exponent must be a real number, got {alpha!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            matrix_power(e, alpha)
+
+    @pytest.mark.parametrize("alpha,same_as", [(1, 1.0), (np.float64(0.5), 0.5), (np.int64(2), 2.0)])
+    def test_integer_and_numpy_exponents_pass_as_their_float(self, rng, alpha, same_as):
+        e = eigh(random_spd(4, rng))
+        assert np.array_equal(matrix_power(e, alpha).data, matrix_power(e, same_as).data)
 
     def test_sqrt_squared_relative_frobenius(self, rng):
         # cond <= 1e12 regime: sqrt then square reproduces the matrix

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from specgrad.newton_schulz import (
 )
 
 from conftest import random_spd, same_bits
+from oracles import chain_to_x
 
 
 def spd_with_condition(d, cond, rng):
@@ -252,6 +255,13 @@ class TestBackward:
         w = local.normal(size=(5, 5))
         assert fd_relative_error(p.data, w, 5) <= 1e-4
 
+    def test_leaves_its_inputs_untouched(self, rng):
+        _, trace = ns_forward(random_spd(6, rng), 5)
+        grad_q = rng.normal(size=(6, 6))
+        before = grad_q.copy()
+        out = ns_backward(trace, grad_q)
+        assert same_bits(grad_q, before) and not np.shares_memory(out, grad_q)
+
 
 class TestTrace:
     I = np.eye(3)
@@ -324,6 +334,61 @@ class TestGradientOfX:
                 pert[i, j] = h
                 fd[i, j] = (loss(x_arr + pert) - loss(x_arr - pert)) / (2 * h)
         assert np.abs(gx - fd).max() / np.abs(fd).max() <= 1e-4
+
+    @pytest.mark.parametrize("d", [1, 8, 64, 256])
+    @pytest.mark.parametrize("batch", [None, 3], ids=["single", "stack3"])
+    def test_has_the_bits_of_the_bare_numpy_chain(self, d, batch):
+        rng = np.random.default_rng(d)
+        n = 4 * d + 2  # not a power of two, so the order of the divisions shows
+        if batch is None:
+            x = FeatureMatrix(rng.normal(size=(d, n)))
+        else:
+            x = _trusted(FeatureMatrix, data=rng.normal(size=(batch, d, n)))
+        grad_p = rng.normal(size=x.data.shape[:-1] + (d,))
+        grad_before, x_before = grad_p.copy(), x.data.copy()
+        got = ns_gradient_of_x(grad_p, x)
+        assert same_bits(got, chain_to_x(grad_p, x.data))
+        assert same_bits(grad_p, grad_before) and same_bits(x.data, x_before)
+        assert not np.shares_memory(got, grad_p) and not np.shares_memory(got, x.data)
+
+
+class TestMemory:
+    """Peak bytes a call allocates, counted by ``tracemalloc``: deterministic, unlike its time.
+
+    The chain to X and the backward form their products in place, so each
+    call holds a fixed number of arrays live at the pooling width d = 128,
+    N = 4d. The slack covers array headers and the d-vector of row sums, and
+    is far below one d x d array (131072 bytes).
+    """
+
+    D, N, SLACK = 128, 512, 4096
+
+    @staticmethod
+    def peak(call) -> int:
+        call()  # the width's cached identity is built outside the count
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("batch", [None, 2], ids=["single", "stack2"])
+    def test_chain_to_x_holds_one_d_by_n_array(self, batch):
+        d, n = self.D, self.N
+        rng = np.random.default_rng(0)
+        shape = (d, n) if batch is None else (batch, d, n)
+        x = _trusted(FeatureMatrix, data=rng.normal(size=shape))
+        grad_p = rng.normal(size=shape[:-1] + (d,))
+        per_matrix = 8 * (d * n + d * d)  # the d x N result and G + G^T
+        assert self.peak(lambda: ns_gradient_of_x(grad_p, x)) <= (batch or 1) * per_matrix + self.SLACK
+
+    def test_backward_holds_six_d_by_d_arrays(self):
+        d = self.D
+        rng = np.random.default_rng(1)
+        _, trace = ns_forward(covariance(FeatureMatrix(rng.normal(size=(d, self.N)))), 5)
+        grad_q = rng.normal(size=(d, d))
+        assert self.peak(lambda: ns_backward(trace, grad_q)) <= 6 * 8 * d * d + self.SLACK
 
 
 class TestStack:
