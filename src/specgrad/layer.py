@@ -28,6 +28,7 @@ from .core import (
     SymPsdMatrix,
     _finite,
     _non_negative,
+    _positive,
     _triu,
     _trusted,
     clamp_eigenvalues,
@@ -62,6 +63,8 @@ class GcpLayerConfig:
     forward: str = EIG_SQRT
 
     def __post_init__(self):
+        if not isinstance(self.backward, BackwardScheme):
+            raise InvalidInputError(f"backward must be a BackwardScheme, got {self.backward!r}")
         if self.forward not in (EIG_SQRT, NEWTON_SCHULZ):
             raise InvalidInputError(f"unknown forward method {self.forward!r}")
         if self.forward == NEWTON_SCHULZ and self.backward.kind != "newton_schulz":
@@ -97,15 +100,17 @@ class GcpCache:
 
 
 def _eigh_each(p: SymPsdMatrix) -> EigenDecomposition:
-    """``eigh`` of ``p``, or of each matrix of a stack with the results stacked."""
-    if p.data.ndim == 2:
+    """``eigh`` of ``p``, or of each matrix of a stack, written into the stacked result."""
+    data = p.data
+    if data.ndim == 2:
         return eigh(p)
-    parts = [eigh(_trusted(SymPsdMatrix, data=p_b)) for p_b in p.data]
-    return _trusted(
-        EigenDecomposition,
-        eigenvalues=np.stack([e.eigenvalues for e in parts]),
-        eigenvectors=np.stack([e.eigenvectors for e in parts]),
-    )
+    lam = np.empty(data.shape[:-1])
+    u = np.empty(data.shape)
+    for b, p_b in enumerate(data):
+        e = eigh(_trusted(SymPsdMatrix, data=p_b))
+        lam[b] = e.eigenvalues
+        u[b] = e.eigenvectors
+    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
 
 
 def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, GcpCache]:
@@ -148,7 +153,9 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
     """Place upper-triangle gradient entries back into a d x d matrix.
 
     A (..., d(d+1)/2) stack of vectors gives a (..., d, d) stack of matrices.
+    A ``d`` that is not a positive int is invalid input.
     """
+    d = _positive(d, "d")
     grad_vec = np.atleast_1d(np.asarray(grad_vec, dtype=np.float64))
     if grad_vec.shape[-1] != d * (d + 1) // 2:
         raise InvalidInputError(

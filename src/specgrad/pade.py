@@ -16,6 +16,7 @@ a numpy dtype, float32 or float64.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,20 @@ class PadeApproximant:
     def q_full(self) -> np.ndarray:
         return np.concatenate([np.ones(1, dtype=self.q.dtype), self.q])
 
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """Read-only p_m + i q_m (q_0 = 1), zero-padded to the longer of the two.
+
+        The coefficients ``eval_rational`` runs its one Horner pass over, in the
+        complex type of p's width; packed on first use and kept, as the
+        approximant is immutable.
+        """
+        out = np.zeros(max(self.p.size, self.q.size + 1), dtype=np.result_type(self.p.dtype, 0j))
+        out.real[: self.p.size] = self.p
+        out.imag[: self.q.size + 1] = self.q_full
+        out.flags.writeable = False
+        return out
+
 
 def horner(coeffs: np.ndarray, x):
     """Polynomial with coefficients c_0 ... c_n (lowest first) at scalar or array x.
@@ -125,9 +140,10 @@ def eval_rational(pa: PadeApproximant, x):
 
     A [K/0] approximant (the Taylor polynomial) has Q = 1 and no pole, so one
     real Horner pass gives its value. Otherwise one Horner pass on x + 0j
-    over the packed coefficients p_m + i q_m gives P(x) as its real part and
-    Q(x) as its imaginary part. The cross terms of each product are exact
-    zeros, so finite halves are bit-identical to two real passes; a half
+    over the packed coefficients p_m + i q_m (``PadeApproximant.packed``,
+    built once per approximant) gives P(x) as its real part and Q(x) as its
+    imaginary part. The cross terms of each product are exact zeros, so
+    finite halves are bit-identical to two real passes; a half
     that overflows before the last step makes the other nan (inf * 0), far
     outside the ratios in [0, 1] the package evaluates. A denominator below
     ``_POLE_FLOOR`` in magnitude (float32: its smallest normal) raises
@@ -136,10 +152,7 @@ def eval_rational(pa: PadeApproximant, x):
     x = np.asarray(x, dtype=pa.p.dtype)
     if not pa.q.size:
         return horner(pa.p, x)[()]  # a scalar for scalar x, like the quotient below
-    packed = np.zeros(max(pa.p.size, pa.q.size + 1), dtype=np.result_type(x, 0j))
-    packed.real[: pa.p.size] = pa.p
-    packed.imag[: pa.q.size + 1] = pa.q_full
-    pq = horner(packed, x + 0j)
+    pq = horner(pa.packed, x + 0j)
     floor = _POLE_FLOOR_FLOAT32 if pq.real.dtype == np.float32 else _POLE_FLOOR
     pole = np.abs(pq.imag) < floor
     if pole.any():

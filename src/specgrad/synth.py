@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .core import EPS_DOUBLE, FeatureMatrix, _positive
@@ -19,6 +21,8 @@ def spectrum_for_condition(d: int, cond: float) -> np.ndarray:
     d = _positive(d, "d")
     if d < 2:
         raise InvalidInputError("need d >= 2 for a spectrum")
+    if isinstance(cond, (bool, np.bool_)) or not isinstance(cond, numbers.Real):
+        raise InvalidInputError(f"condition target must be a real number, got {cond!r}")
     if not 1.0 <= cond < np.inf:
         raise InvalidInputError(f"condition target must be finite and >= 1, got {cond}")
     lam = cond ** (-np.arange(d) / (d - 1))
@@ -35,15 +39,25 @@ def feature_matrix_with_spectrum(
     A Gaussian block is centered and whitened against its own sample
     covariance, then recolored through a random orthogonal basis carrying the
     target eigenvalues. Exact up to roundoff, so spectrum-sensitive checks
-    see the spectrum they asked for.
+    see the spectrum they asked for. The eigenvalues must form one non-empty
+    1-d vector of positive, finite values, and ``n_cols`` must be a real
+    number before it is compared with d.
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    try:
+        lam = np.asarray(eigenvalues, dtype=np.float64)
+    except (TypeError, ValueError):
+        lam = None
+    if lam is None or lam.ndim != 1 or not lam.size:
+        shape = "non-numeric entries" if lam is None else f"shape {lam.shape}"
+        raise InvalidInputError(f"target eigenvalues must be one non-empty 1-d vector, got {shape}")
+    if not isinstance(n_cols, numbers.Real):
+        raise InvalidInputError(f"n_cols must be a positive int, got {n_cols!r}")
     d = lam.size
     if n_cols <= d:
         raise InvalidInputError(f"need n_cols > d for a full-rank whitening, got {n_cols}")
     n_cols = _positive(n_cols, "n_cols")
-    if np.any(lam <= 0):
-        raise InvalidInputError("target eigenvalues must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):  # nan fails both comparisons
+        raise InvalidInputError("target eigenvalues must be positive and finite")
     g = rng.normal(size=(d, n_cols))
     gc = g - g.mean(axis=1, keepdims=True)
     mu, v = np.linalg.eigh((gc @ gc.T) / n_cols)

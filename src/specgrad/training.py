@@ -81,6 +81,10 @@ class HybridSchedule:
     lr_schedule: tuple = ((0, 0.05),)
 
     def __post_init__(self):
+        if not isinstance(self.post_switch_scheme, BackwardScheme):
+            raise InvalidInputError(
+                f"post_switch_scheme must be a BackwardScheme, got {self.post_switch_scheme!r}"
+            )
         warmup = _non_negative(self.warmup_steps, "warmup_steps")
         object.__setattr__(self, "warmup_steps", warmup)
         if self.switch_step is not None:
@@ -270,12 +274,20 @@ def _head(model: ToyModel, q: np.ndarray, yb: np.ndarray):
     per sample, and every other step works within a sample.
     """
     v = upper_triangle_vector(q)
-    logits = np.matmul(model.w2, v[..., None])[..., 0] + model.b2
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    prob = e / e.sum(axis=-1, keepdims=True)
+    logits = np.matmul(model.w2, v[..., None])[..., 0]
+    logits += model.b2
+    # the ufunc reductions of ``max`` and ``sum`` without their Python
+    # wrappers; each later step works in place on the fresh array before it
+    prob = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(prob, out=prob)
+    prob /= np.add.reduce(prob, axis=-1, keepdims=True)
     picked = np.arange(yb.size), yb
-    losses = -np.log(np.maximum(prob[picked], 1e-300))
-    prob[picked] -= 1.0  # now the loss gradient at the logits
+    hit = prob[picked]
+    losses = np.maximum(hit, 1e-300)
+    np.log(losses, out=losses)
+    np.negative(losses, out=losses)
+    hit -= 1.0
+    prob[picked] = hit  # now the loss gradient at the logits
     return losses, logits.argmax(axis=-1) == yb, prob, v
 
 
@@ -328,13 +340,17 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     _require_finite(gq, "loss gradient at Q", model.w2)
     dw1 = gcp_backward(cache, gq) @ rb.mT
     scale = 1.0 / yb.size
+    # the ufunc of ``sum``, scaled in place: the bits of ``g.sum(axis=0) * scale``
     grads = tuple(
-        g.sum(axis=0) * scale for g in (dw1, dlogits[:, :, None] * v[:, None, :], dlogits)
+        np.add.reduce(g, axis=0) for g in (dw1, dlogits[:, :, None] * v[:, None, :], dlogits)
     )
     for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
+        grad *= scale
         _require_finite(grad, f"batch gradient at {name}", param)
-    mean_cond = float(np.mean(lam[:, 0] / lam[:, -1]))
-    return _sum_in_order(losses) * scale, int(hits.sum()) * scale, mean_cond, grads
+    cond = lam[:, 0] / lam[:, -1]
+    # sum, then divide: the arithmetic of ``np.mean`` without its Python wrappers
+    mean_cond = float(np.add.reduce(cond) / cond.size)
+    return _sum_in_order(losses) * scale, np.count_nonzero(hits) * scale, mean_cond, grads
 
 
 def run_hybrid_training(
@@ -349,22 +365,24 @@ def run_hybrid_training(
     model = ToyModel.initialize(model_spec)
     ns_cfg = GcpLayerConfig.newton_schulz(model_spec.forward_iterations)
     eig_cfg = GcpLayerConfig.eig(schedule.post_switch_scheme)
+    ns_label, eig_label = ns_cfg.label, eig_cfg.label
     params = (model.w1, model.w2, model.b2)
     velocity = [np.zeros_like(param) for param in params]
     records: list = []
     for step, (rb, yb) in enumerate(data_stream):
-        cfg = eig_cfg if schedule.switched(step) else ns_cfg
+        cfg, label = (eig_cfg, eig_label) if schedule.switched(step) else (ns_cfg, ns_label)
         lr = schedule.effective_lr(step)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, acc, mean_cond, grads = _batch_pass(model, cfg, rb, yb)
         except NumericalFailureError as err:
             return TrainingLog(records, "diverged", step, str(err), model)
-        records.append(StepRecord(step, loss, acc, mean_cond, cfg.label, lr))
+        records.append(StepRecord(step, loss, acc, mean_cond, label, lr))
         for param, v, grad in zip(params, velocity, grads):
             # in place, rounding exactly as MOMENTUM * v - lr * grad
             v *= MOMENTUM
-            v -= lr * grad
+            grad *= lr
+            v -= grad
             param += v
     return TrainingLog(records, "completed", final_model=model)
 

@@ -1,9 +1,10 @@
-"""Every import under ``src/`` and ``tests/`` is one the project declares.
+"""Every import under ``src/``, ``tests/`` and ``perfbench/`` is one the project declares.
 
 ``pyproject.toml`` declares numpy, and pytest for the tests. Anything else
-must come from the standard library, the package itself or a test module
-beside this one: an installed but undeclared package (scipy, say) would
-pass locally and fail on a clean install.
+must come from the standard library, the package itself or a module beside
+the importing one (a test module, or a benchmark module): an installed but
+undeclared package (scipy, say) would pass locally and fail on a clean
+install, or in the benchmark's fresh checkout.
 """
 
 import ast
@@ -12,22 +13,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
-ALLOWED = (
-    set(sys.stdlib_module_names)
-    | {"numpy", "pytest", "specgrad"}
-    | {path.stem for path in TESTS.glob("*.py")}
-)
+PERFBENCH = ROOT / "perfbench"
+DECLARED = set(sys.stdlib_module_names) | {"numpy", "pytest", "specgrad"}
+ALLOWED = DECLARED | {path.stem for path in TESTS.glob("*.py")}
 
 
-def foreign_imports(source: str) -> list[str]:
-    """The absolute imports of ``source``, at any depth, whose top package is not allowed."""
+def foreign_imports(source: str, allowed: set = ALLOWED) -> list[str]:
+    """The absolute imports of ``source``, at any depth, whose top package is not ``allowed``."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return [name for name in names if name.split(".")[0] not in ALLOWED]
+    return [name for name in names if name.split(".")[0] not in allowed]
 
 
 def test_guard_sees_every_import_form():
@@ -47,3 +46,11 @@ def test_src_and_tests_import_only_declared_packages():
     assert len(files) > 20
     foreign = {str(path.relative_to(ROOT)): foreign_imports(path.read_text()) for path in files}
     assert {path: names for path, names in foreign.items() if names} == {}
+
+
+def test_perfbench_imports_only_declared_packages_and_its_siblings():
+    files = sorted(PERFBENCH.glob("*.py"))
+    assert {"run", "workloads", "spans"} <= {path.stem for path in files}
+    allowed = DECLARED | {path.stem for path in files}
+    foreign = {path.name: foreign_imports(path.read_text(), allowed) for path in files}
+    assert {name: names for name, names in foreign.items() if names} == {}

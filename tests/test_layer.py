@@ -46,6 +46,13 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="unknown forward method 'svd'"):
             GcpLayerConfig(backward=BackwardScheme.ordinary(), forward="svd")
 
+    @pytest.mark.parametrize("backward", ["pade", None, ("pade", 100)], ids=["str", "none", "tuple"])
+    @pytest.mark.parametrize("forward", ["eig_sqrt", "newton_schulz"])
+    def test_backward_that_is_not_a_scheme_refused(self, backward, forward):
+        # a string used to pass under the exact forward and fail at the first .kind
+        with pytest.raises(InvalidInputError, match="^backward must be a BackwardScheme, got"):
+            GcpLayerConfig(backward, forward)
+
 
 class TestForward:
     def test_constant_features_give_clamped_near_zero(self):
@@ -151,6 +158,11 @@ class TestUpperTriangle:
     def test_gradient_vector_of_wrong_size_refused(self):
         with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
             grad_from_upper_triangle(np.ones(6), 4)
+
+    @pytest.mark.parametrize("d", [None, "4", 0, -4, 4.5, True], ids=repr)
+    def test_width_that_is_not_a_positive_int_refused(self, d):
+        with pytest.raises(InvalidInputError, match=f"^d must be a positive int, got {d!r}$"):
+            grad_from_upper_triangle(np.ones(10), d)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4), (4,)], ids=["stack", "wide", "vector"])
     def test_non_square_input_refused(self, shape):

@@ -271,6 +271,51 @@ def test_an_overflowing_half_poisons_the_other():
         assert np.isnan(eval_rational(cubic, 1e200))
 
 
+class TestPackedCoefficients:
+    """The packed p + iq vector is built once per approximant and never goes stale."""
+
+    X = np.linspace(0.0, 0.99, 37)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_repeated_calls_give_the_same_bits(self, dtype):
+        pa = reciprocal_gap_pade("pade", 100, dtype)
+        x = self.X.astype(dtype)
+        first = eval_rational(pa, x)
+        assert pa.packed is pa.packed  # packed once and kept
+        assert not pa.packed.flags.writeable
+        for _ in range(3):
+            assert_same_bits(eval_rational(pa, x), first)
+        assert_same_bits(first, two_real_passes(pa, x))
+
+    def test_equal_but_distinct_approximants_pack_their_own(self):
+        a = pade_from_series(geometric_series(7), 3, 3)
+        b = pade_from_series(geometric_series(7), 3, 3)
+        other = pade_from_series(exp_series(7), 3, 3)
+        assert a is not b
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+        assert_same_bits(eval_rational(a, self.X), eval_rational(b, self.X))
+        assert a.packed is not b.packed
+        # packing one approximant leaves another's values alone
+        assert_same_bits(eval_rational(other, self.X), two_real_passes(other, self.X))
+        assert_same_bits(eval_rational(a, self.X), two_real_passes(a, self.X))
+
+    def test_float32_packs_as_complex64(self):
+        pa = reciprocal_gap_pade("pade", 100, np.float32)
+        assert pa.packed.dtype == np.complex64
+        assert reciprocal_gap_pade("pade", 100).packed.dtype == np.complex128
+        out = eval_rational(pa, self.X.astype(np.float32))
+        assert out.dtype == np.float32
+        assert_same_bits(out, two_real_passes(pa, self.X.astype(np.float32)))
+
+    @pytest.mark.parametrize("m,n", [(4, 3), (3, 3), (2, 5)])
+    def test_packed_holds_p_and_q_zero_padded(self, m, n):
+        pa = pade_from_series(exp_series(m + n + 1), m, n)
+        size = max(m, n) + 1
+        assert pa.packed.shape == (size,)
+        assert np.array_equal(pa.packed.real, np.pad(pa.p, (0, size - m - 1)))
+        assert np.array_equal(pa.packed.imag, np.pad(pa.q_full, (0, size - n - 1)))
+
+
 def test_float32_pole_is_typed():
     # [1/1] of 1/(1-x) has Q(1) = 0 exactly; float32 cannot hold the 1e-300
     # floor, so it compares against its smallest normal, and raises before

@@ -13,6 +13,12 @@ class TestSpectrumForCondition:
         with pytest.raises(InvalidInputError, match="finite and >= 1"):
             spectrum_for_condition(4, cond)
 
+    @pytest.mark.parametrize("cond", [None, "10", True, np.True_, 10j], ids=repr)
+    def test_target_that_is_not_a_real_number_refused(self, cond):
+        # None and "10" used to raise TypeError, and True passed as 1
+        with pytest.raises(InvalidInputError, match="condition target must be a real number"):
+            spectrum_for_condition(4, cond)
+
     def test_single_eigenvalue_refused(self):
         with pytest.raises(InvalidInputError, match="need d >= 2 for a spectrum"):
             spectrum_for_condition(1, 10.0)
@@ -30,8 +36,30 @@ class TestFeatureMatrixWithSpectrum:
         with pytest.raises(InvalidInputError, match=message):
             feature_matrix_with_spectrum(np.ones(4), n_cols, rng)
 
-    @pytest.mark.parametrize("lam", [[1.0, 0.0], [1.0, -0.5]], ids=["zero", "negative"])
+    @pytest.mark.parametrize("n_cols", [None, "9", 9j], ids=repr)
+    def test_column_count_that_is_not_a_number_refused(self, n_cols, rng):
+        # checked before the comparison with d, which raised TypeError
+        with pytest.raises(InvalidInputError, match=r"^n_cols must be a positive int, got"):
+            feature_matrix_with_spectrum(np.ones(4), n_cols, rng)
+
+    @pytest.mark.parametrize(
+        "lam,shape",
+        [(np.ones((2, 2)), r"shape \(2, 2\)"), (np.ones(0), r"shape \(0,\)"),
+         (3.0, r"shape \(\)"), (["a", "b"], "non-numeric entries")],
+        ids=["2-d", "empty", "scalar", "strings"],
+    )
+    def test_eigenvalues_that_are_not_one_vector_refused(self, lam, shape, rng):
+        # a 2-d target used to fail in a broadcast with a bare ValueError
+        with pytest.raises(InvalidInputError, match=f"one non-empty 1-d vector, got {shape}$"):
+            feature_matrix_with_spectrum(lam, 9, rng)
+
+    @pytest.mark.parametrize(
+        "lam", [[1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [1.0, np.inf]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
     def test_non_positive_target_refused(self, lam, rng):
+        # a nan or inf target used to reach the recolouring and fail there
+        # with a RuntimeWarning or an error about the features
         with pytest.raises(InvalidInputError, match="target eigenvalues must be positive"):
             feature_matrix_with_spectrum(np.array(lam), 4, rng)
 

@@ -153,6 +153,15 @@ class TestSchedule:
                 lr_schedule=((0, 0.1), (step, 0.01)),
             )
 
+    @pytest.mark.parametrize("scheme", ["pade", None, 100], ids=repr)
+    def test_post_switch_scheme_that_is_not_a_scheme_refused(self, scheme):
+        # a string used to pass here and end the run at the switch step with
+        # an AttributeError
+        with pytest.raises(
+            InvalidInputError, match="^post_switch_scheme must be a BackwardScheme, got"
+        ):
+            HybridSchedule(post_switch_scheme=scheme, switch_step=2)
+
     def test_integral_lr_schedule_steps_pass_as_ints(self):
         sched = HybridSchedule(
             post_switch_scheme=BackwardScheme.ordinary(),
