@@ -16,9 +16,10 @@ package's own producers (``covariance``, ``eigh``, ``clamp_eigenvalues``,
 results through ``_trusted``, which skips those checks: the results hold the
 invariants by construction, and ``tests/test_trusted.py`` pins that each one
 passes its public constructor. ``schemes.k_matrix`` returns K as a plain
-read-only array, antisymmetric by construction, with no constructor to pass. Where arithmetic on finite input can overflow (the covariance,
-a matrix power, and in training the features, the loss gradient at Q and the
-batch gradients), a non-finite product raises ``NumericalFailureError``, not
+read-only array, antisymmetric by construction, with no constructor to pass.
+Where arithmetic on finite input can overflow (the covariance, a matrix
+power, and in training the features, the loss gradient at Q and the batch
+gradients), a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.
 
 Constants that depend only on the width, the triangle indices of ``_triu``
@@ -215,10 +216,6 @@ class SymPsdMatrix:
     def d(self) -> int:
         return self.data.shape[-1]
 
-    def trace(self):
-        """tr(P) as a float, or for a stack the array of each matrix's trace."""
-        return self.data.trace(axis1=-2, axis2=-1)
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -306,9 +303,12 @@ def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposi
 
 
 def count_clamped(e: EigenDecomposition, dtype=np.float64):
-    """Eigenvalues below the epsilon of ``dtype``: an int, or for a stack one count per matrix."""
-    below = e.eigenvalues < float_info(dtype).eps
-    return int(np.count_nonzero(below)) if below.ndim == 1 else below.sum(axis=-1)
+    """Eigenvalues at or below the epsilon of ``dtype``: one count, or one per matrix of a stack.
+
+    Raw and clamped eigenvalues give the same count, since clamping lifts
+    exactly these to the epsilon.
+    """
+    return np.add.reduce(e.eigenvalues <= float_info(dtype).eps, axis=-1)
 
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:

@@ -13,7 +13,7 @@ and the clamped eigenpairs are then stacks, and ``gcp_backward`` takes a
 matrix and stacks the results; everything after it runs once per batch.
 Each matrix gets the bits of its own single-matrix call, and a failed check
 fails the whole stack with the error of the first matrix that fails it (for
-a non-finite gradient, ``k_entries`` lists that matrix's entries only).
+a non-finite gradient, ``k_entries`` and ``clamped`` read that matrix only).
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class GcpCache:
     config: GcpLayerConfig
     eig: EigenDecomposition | None = None
     ns_trace: NewtonSchulzTrace | None = None
-    clamped_count: int | np.ndarray = 0
 
 
 def _eigh_each(p: SymPsdMatrix) -> EigenDecomposition:
@@ -117,33 +116,27 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
     """Covariance, then the configured square root; returns Q and the cache.
 
     ``x`` may also be a (B, d, N) stack built inside the package; Q and
-    every array of the cache are then stacks (``clamped_count`` holds one
-    count per matrix), and ``gcp_backward`` takes a (B, d, d) stack of
-    gradients.
+    every array of the cache are then stacks, and ``gcp_backward`` takes a
+    (B, d, d) stack of gradients.
     """
     p = covariance(x)
     e = trace = None
-    clamped = 0
     if cfg.backward.kind == "newton_schulz":
         q, trace = ns_forward(p, cfg.backward.param)
     if cfg.forward == EIG_SQRT:
         # an exact root replaces the NS one; an NS backward still reverses the trace
-        e_raw = _eigh_each(p)
-        e = clamp_eigenvalues(e_raw)
-        clamped = count_clamped(e_raw)
+        e = clamp_eigenvalues(_eigh_each(p))
         q = matrix_power(e, 0.5)
-    return q, GcpCache(
-        x=x, p=p, config=cfg, eig=e, ns_trace=trace, clamped_count=clamped
-    )
+    return q, GcpCache(x=x, p=p, config=cfg, eig=e, ns_trace=trace)
 
 
-def upper_triangle_vector(q) -> np.ndarray:
+def upper_triangle_vector(q: np.ndarray) -> np.ndarray:
     """Flatten the upper triangle (diagonal included) into the classifier input.
 
     A (..., d, d) stack gives a (..., d(d+1)/2) stack of vectors; anything
     but square matrices is refused.
     """
-    data = q.data if isinstance(q, SymPsdMatrix) else np.asarray(q)
+    data = np.asarray(q)
     if data.ndim < 2 or data.shape[-2] != data.shape[-1]:
         raise InvalidInputError(f"expected d x d matrices, got shape {data.shape}")
     return data[(..., *_triu(data.shape[-1]))]  # fancy indexing copies
@@ -156,7 +149,10 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
     A ``d`` that is not a positive int is invalid input.
     """
     d = _positive(d, "d")
-    grad_vec = np.atleast_1d(np.asarray(grad_vec, dtype=np.float64))
+    try:
+        grad_vec = np.atleast_1d(np.asarray(grad_vec, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"gradient vector must be numeric: {exc}") from None
     if grad_vec.shape[-1] != d * (d + 1) // 2:
         raise InvalidInputError(
             f"gradient vector of size {grad_vec.shape[-1]} does not fit d={d}"
@@ -193,17 +189,24 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
             error names the scheme and, in ``k_entries``, the indices of the
             non-finite K entries: (i, j) rows for one matrix; for a stack,
             (b, i, j) rows of the first matrix b whose gradient is non-finite.
+            A cache that holds eigenpairs adds ``clamped``, that matrix's
+            count of eigenvalues clamped to eps (``core.count_clamped``).
     """
     grad_x, k = _backward_raw(cache, grad_q)
     if not _finite(grad_x):
-        entries = [] if k is None else np.argwhere(~np.isfinite(k))
-        if k is not None and k.ndim == 3:
-            first = np.argwhere(~np.isfinite(grad_x))[0, 0]
-            entries = entries[entries[:, 0] == first]
+        # the leading indices of the first non-finite entry pick its matrix:
+        # none for one matrix, (b,) for a stack
+        first = np.argwhere(~np.isfinite(grad_x))[0, :-2]
+        details = {"k_entries": []}
+        if k is not None:
+            entries = np.argwhere(~np.isfinite(k))
+            details["k_entries"] = entries[np.all(entries[:, :-2] == first, axis=1)]
+        if cache.eig is not None:
+            details["clamped"] = count_clamped(cache.eig)[tuple(first)]
         raise NumericalFailureError(
             f"non-finite gradient under scheme {cache.config.backward.label}",
             scheme=cache.config.backward.label,
-            k_entries=entries,
+            **details,
         )
     return grad_x
 

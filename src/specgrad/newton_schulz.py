@@ -116,14 +116,6 @@ class NewtonSchulzTrace:
     def d(self) -> int:
         return self.y_seq[0].shape[-1]
 
-    @property
-    def normalized_input(self) -> np.ndarray:
-        return self.y_seq[0]
-
-    @property
-    def final_y(self) -> np.ndarray:
-        return self.y_seq[-1]
-
 
 def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSchulzTrace]:
     """Approximate principal square root of ``p``, or of each matrix of a stack, with its trace.
@@ -134,7 +126,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
             divergence guard.
     """
     iterations = _positive(iterations, "iterations")
-    trace_p = p.trace()
+    trace_p = p.data.trace(axis1=-2, axis2=-1)
     # min and max over ``.flat`` read a single trace or a stack's alike, and
     # cost a fraction of a numpy reduction at d = 8
     lowest = min(trace_p.flat)
@@ -211,7 +203,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     post-compensation term (1/(2 sqrt(tr(P)))) tr(dQ^T Y_N) I. A stacked
     trace takes a stack of gradients of its shape.
     """
-    grad_q = _gradient(grad_q, trace.normalized_input.shape)
+    grad_q = _gradient(grad_q, trace.y_seq[0].shape)
     tr_p = _per_matrix(trace.trace_p)
     sqrt_tr = np.sqrt(tr_p)
 
@@ -230,7 +222,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
             dz = _minus_half(t.mT @ dz, dt @ y.mT)
         dy = _minus_half(dy @ t.mT, z.mT @ dt)
     # k = 1: Z_0 = I and Y_0 = A; Z_0 is constant, so dZ_0 is not formed
-    a = trace.normalized_input
+    a = trace.y_seq[0]
     dt = a.mT @ dy
     if dz is not None:
         dt += dz
@@ -241,7 +233,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     da_p = a * tr_p
     da_p *= da
     da_dot_p = _per_matrix(np.add.reduce(da_p, axis=(-2, -1)))
-    dq_dot_y = _per_matrix(np.add.reduce(grad_q * trace.final_y, axis=(-2, -1)))
+    dq_dot_y = _per_matrix(np.add.reduce(grad_q * trace.y_seq[-1], axis=(-2, -1)))
     trace_term = -da_dot_p / (tr_p * tr_p) + dq_dot_y / (2.0 * sqrt_tr)
     da /= tr_p
     da += trace_term * _eye(trace.d)

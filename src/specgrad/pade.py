@@ -118,9 +118,6 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     a = a.astype(dtype, copy=False)
 
-    if n == 0:
-        return PadeApproximant(a[: m + 1], np.zeros(0, dtype=dtype))
-
     # toeplitz[r, j] = a_{m+r-j}, zero where m + r - j < 0
     padded = np.concatenate([np.zeros(n, dtype=dtype), a])
     r = np.arange(n)
@@ -156,7 +153,7 @@ def eval_rational(pa: PadeApproximant, x):
     floor = _POLE_FLOOR_FLOAT32 if pq.real.dtype == np.float32 else _POLE_FLOOR
     pole = np.abs(pq.imag) < floor
     if pole.any():
-        bad = float(x[pole][0] if x.ndim else x)
+        bad = float(x[pole][0])
         raise PoleError(f"denominator vanishes at x = {bad!r}", x=bad)
     return pq.real / pq.imag
 

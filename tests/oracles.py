@@ -8,7 +8,8 @@ approximant against its series, the literal centering matrix is what
 ``core.covariance`` centres by without forming it, the two bare-numpy forwards
 pin the bits of ``gcp_forward``'s Q under each forward and the bare-numpy chain
 to X those of ``ns_gradient_of_x``, the min-gap spectrum gives
-the finite-difference suite well-separated eigenvalues, and the beta-smoothness
+the finite-difference suite well-separated eigenvalues, the Loewner-form
+gradient shows which pairs of dL/dP reach dL/dX, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
 eigendecomposition, ``table_cell`` one entry of an approximation-error table,
@@ -285,6 +286,27 @@ def chain_to_x(grad_p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m - m.sum(axis=-1, keepdims=True) / n) / n
 
 
+def loewner_gradient_of_x(x: np.ndarray, g: np.ndarray, phi_tied: float) -> np.ndarray:
+    """dL/dX of the exact forward at dL/dQ = ``g`` through the Loewner form, as bare numpy.
+
+    The covariance as in ``eig_sqrt_forward``, its eigenvalues clamped at
+    float64's epsilon, L_ij = 1/(2(sqrt(lambda_i) + sqrt(lambda_j))) and
+    dL/dP = U ((Phi o L) o S) U^T with S = U^T (G + G^T) U, chained to X by
+    ``chain_to_x``. Phi is 1 on every pair except the tied clamped ones, the
+    off-diagonal pairs of two eigenvalues clamped to eps, where it is
+    ``phi_tied``: 1 is the exact adjoint, 0 is what a finite K gives at a tie.
+    """
+    eps = np.finfo(np.float64).eps
+    lam, u = np.linalg.eigh(_bare_covariance(x))
+    lam, u = lam[::-1], u[:, ::-1]
+    clamped = lam <= eps
+    root = np.sqrt(np.maximum(lam, eps))
+    phi = np.where(np.outer(clamped, clamped), phi_tied, 1.0)
+    np.fill_diagonal(phi, 1.0)
+    loewner = phi / (2.0 * (root[:, None] + root[None, :]))
+    return chain_to_x(u @ (loewner * (u.T @ (g + g.T) @ u)) @ u.T, x)
+
+
 def centering_matrix(n: int, dtype=np.float64) -> np.ndarray:
     """The n x n matrix (1/n)(I - (1/n) 11^T) that centers and averages columns."""
     eye = np.eye(n, dtype=dtype)
@@ -366,7 +388,7 @@ def per_sample_evaluation(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -
     loss, hits = 0.0, 0
     for r, y in zip(task.inputs, task.labels):
         q, _ = gcp_forward(FeatureMatrix(model.w1 @ r), cfg)
-        logits = model.w2 @ upper_triangle_vector(q) + model.b2
+        logits = model.w2 @ upper_triangle_vector(q.data) + model.b2
         e = np.exp(logits - logits.max())
         loss += -float(np.log(max(e[y] / e.sum(), 1e-300)))
         hits += int(np.argmax(logits) == y)
@@ -402,7 +424,7 @@ def per_sample_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, 
         q, cache = gcp_forward(FeatureMatrix(features), cfg)
         lam = clamp_eigenvalues(eigh(cache.p)).eigenvalues
         conds.append(lam[0] / lam[-1])
-        v = upper_triangle_vector(q)
+        v = upper_triangle_vector(q.data)
         logits = model.w2 @ v + model.b2
         e = np.exp(logits - logits.max())
         prob = e / e.sum()

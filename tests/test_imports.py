@@ -4,10 +4,12 @@
 must come from the standard library, the package itself or a module beside
 the importing one (a test module, or a benchmark module): an installed but
 undeclared package (scipy, say) would pass locally and fail on a clean
-install, or in the benchmark's fresh checkout.
+install, or in the benchmark's fresh checkout. The benchmark's traced
+stages are read from its source, not imported, so that this guard holds too.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -54,3 +56,41 @@ def test_perfbench_imports_only_declared_packages_and_its_siblings():
     allowed = DECLARED | {path.stem for path in files}
     foreign = {path.name: foreign_imports(path.read_text(), allowed) for path in files}
     assert {name: names for name, names in foreign.items() if names} == {}
+
+
+def _spans_targets() -> tuple:
+    """``perfbench/spans.py``'s ``TARGETS``, read from its source without importing it."""
+    for node in ast.parse((PERFBENCH / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def test_every_traced_stage_is_called_where_the_benchmark_patches_it():
+    # the benchmark times a stage by replacing the named attribute of the
+    # module that calls it; an alias or a dropped call would time nothing
+    targets = _spans_targets()
+    assert len(targets) > 10
+    problems = []
+    for module_name, attr, span in targets:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, attr):
+            problems.append(f"{module_name} has no {attr} ({span})")
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        called = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        if attr in imported and attr not in called:
+            problems.append(f"{module_name} imports {attr} but never calls it ({span})")
+    assert problems == []

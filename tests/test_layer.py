@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgrad.core import EPS_DOUBLE, EigenDecomposition, FeatureMatrix, _trusted
+from specgrad.core import EPS_DOUBLE, EigenDecomposition, FeatureMatrix, _trusted, count_clamped
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
@@ -15,7 +15,12 @@ from specgrad.schemes import BackwardScheme, grad_covariance, k_matrix
 from specgrad.synth import feature_matrix_with_spectrum
 
 from conftest import random_features, same_bits
-from oracles import eig_sqrt_forward, newton_schulz_forward, spectrum_with_min_gap
+from oracles import (
+    eig_sqrt_forward,
+    loewner_gradient_of_x,
+    newton_schulz_forward,
+    spectrum_with_min_gap,
+)
 
 
 def all_legal_configs(d: int = 4):
@@ -59,7 +64,7 @@ class TestForward:
         x = FeatureMatrix(np.ones((3, 5)))
         q, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
         assert np.abs(q.data).max() <= np.sqrt(EPS_DOUBLE) * 1.01
-        assert cache.clamped_count == 3
+        assert count_clamped(cache.eig) == 3
 
     def test_eig_and_ns_agree_when_well_conditioned(self, rng):
         x = random_features(5, 20, rng)
@@ -83,7 +88,7 @@ class TestForward:
         np.testing.assert_allclose(
             q.data, np.diag([1.0, np.sqrt(EPS_DOUBLE)]), atol=1e-12
         )
-        assert cache.clamped_count == 1
+        assert count_clamped(cache.eig) == 1
 
     def test_cache_holds_what_backward_needs(self, rng):
         x = random_features(4, 16, rng)
@@ -127,9 +132,9 @@ class TestForward:
             assert same_bits(q.data[i], q_i.data)
             assert same_bits(cache.eig.eigenvalues[i], cache_i.eig.eigenvalues)
             assert same_bits(cache.eig.eigenvectors[i], cache_i.eig.eigenvectors)
-            assert cache.clamped_count[i] == cache_i.clamped_count
+            assert count_clamped(cache.eig)[i] == count_clamped(cache_i.eig)
             assert same_bits(grad_x[i], gcp_backward(cache_i, grad_q[i]))
-        assert cache.clamped_count[1] >= 1
+        assert count_clamped(cache.eig)[1] >= 1
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("d", [1, 8, 64])
@@ -149,7 +154,7 @@ class TestUpperTriangle:
         q, _ = gcp_forward(
             random_features(4, 12, rng), GcpLayerConfig.eig(BackwardScheme.ordinary())
         )
-        v = upper_triangle_vector(q)
+        v = upper_triangle_vector(q.data)
         assert v.size == 10
         g = grad_from_upper_triangle(v, 4)
         assert np.array_equal(g[np.triu_indices(4)], v)
@@ -178,6 +183,16 @@ class TestUpperTriangle:
         for idx in np.ndindex(*batch):
             assert np.array_equal(v[idx], q[idx][np.triu_indices(4)])
         assert np.array_equal(grad_from_upper_triangle(v, 4), np.triu(q))
+
+    @pytest.mark.parametrize(
+        "vec,reason",
+        [(["a"] * 10, "could not convert string to float"), ({"a": 1.0}, "not 'dict'")],
+        ids=["strings", "dict"],
+    )
+    def test_non_numeric_gradient_vector_refused(self, vec, reason):
+        message = f"^gradient vector must be numeric: .*{reason}"
+        with pytest.raises(InvalidInputError, match=message):
+            grad_from_upper_triangle(vec, 4)
 
     def test_stack_of_gradient_vectors_of_wrong_size_refused(self):
         # the vector size is the last axis: 3 x 6 = 18 entries do not fit d = 4 either
@@ -210,7 +225,7 @@ class TestUpperTriangle:
             for cfg in all_legal_configs(5):
                 q, cache = gcp_forward(x, cfg)
                 gcp_backward(cache, grad_q)
-                grad_from_upper_triangle(upper_triangle_vector(q), 5)
+                grad_from_upper_triangle(upper_triangle_vector(q.data), 5)
 
         run()
         calls = []
@@ -255,6 +270,7 @@ class TestBackward:
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(tied, np.ones((3, 3)))
         assert err.value.details["k_entries"].tolist() == [[1, 2], [2, 1]]
+        assert err.value.details["clamped"] == 0
 
     @pytest.mark.parametrize(
         "scheme",
@@ -274,7 +290,7 @@ class TestBackward:
         data[1, 2:] = 0.0
         cfg = GcpLayerConfig.eig(scheme)
         _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), cfg)
-        assert cache.clamped_count.tolist() == [0, 2]
+        assert count_clamped(cache.eig).tolist() == [0, 2]
         lam = cache.eig.eigenvalues
         assert lam[1, 2] == lam[1, 3] == EPS_DOUBLE
         if scheme.kind in ("ordinary", "topn"):
@@ -282,6 +298,7 @@ class TestBackward:
             with pytest.raises(NumericalFailureError) as err:
                 gcp_backward(cache, np.ones((2, 4, 4)))
             assert err.value.details["k_entries"].tolist() == [[1, 2, 3], [1, 3, 2]]
+            assert err.value.details["clamped"] == 2
             return
         assert np.all(np.isfinite(gcp_backward(cache, np.ones((2, 4, 4)))))
         # with identity eigenvectors dl/dP is L o (G + G^T) exactly: the
@@ -298,11 +315,12 @@ class TestBackward:
         data[1, 2:] = data[2, 1:3] = 0.0
         scheme = BackwardScheme.ordinary()
         _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), GcpLayerConfig.eig(scheme))
-        assert cache.clamped_count.tolist() == [0, 2, 2]
+        assert count_clamped(cache.eig).tolist() == [0, 2, 2]
         assert np.argwhere(np.isinf(k_matrix(cache.eig, scheme)))[:, 0].tolist() == [1, 1, 2, 2]
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(cache, np.ones((3, 4, 4)))
         assert err.value.details["k_entries"].tolist() == [[1, 2, 3], [1, 3, 2]]
+        assert err.value.details["clamped"] == 2
 
     @pytest.mark.parametrize("bad", ["nan", "shape"])
     @pytest.mark.parametrize("cfg", all_legal_configs(4), ids=lambda cfg: cfg.label)
@@ -314,6 +332,70 @@ class TestBackward:
             grad_q[1, 2] = np.nan
         with pytest.raises(InvalidInputError):
             gcp_backward(cache, grad_q)
+
+
+class TestClampedNullBlock:
+    """At N < d the covariance has a null block, and its clamped eigenvalues tie at eps.
+
+    The centred features lie in the range of P, so the null-null pairs of
+    dL/dP are annihilated by the chain to X up to roundoff: whether a scheme
+    damps a tied pair to 0 or keeps its exact weight 1/(4 sqrt(eps)) barely
+    moves dL/dX. ``ordinary`` instead meets inf * 0 on those pairs and fails.
+    """
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_oracle_is_the_exact_adjoint_at_full_rank(self, d):
+        # no clamped eigenvalue at N = 4d: Phi = 1 everywhere, pade's Phi to roundoff
+        cfg = GcpLayerConfig.eig(BackwardScheme.pade(100))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(d, 4 * d))
+            g = rng.normal(size=(d, d))
+            _, cache = gcp_forward(FeatureMatrix(x), cfg)
+            assert count_clamped(cache.eig) == 0
+            oracle = loewner_gradient_of_x(x, g, 1.0)
+            assert np.abs(gcp_backward(cache, g) - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_tied_null_pairs_do_not_reach_x(self, d):
+        # seeds 0-9 at N = 3d/4: Phi = 1 and Phi = 0 on the tied clamped
+        # pairs agree to 1e-7 relative, although L there is 1/(4 sqrt(eps)) = 1.7e7
+        tied = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(d, 3 * d // 4))
+            g = rng.normal(size=(d, d))
+            exact = loewner_gradient_of_x(x, g, 1.0)
+            damped = loewner_gradient_of_x(x, g, 0.0)
+            assert np.abs(exact - damped).max() <= 1e-7 * np.abs(exact).max(), seed
+            _, cache = gcp_forward(FeatureMatrix(x), GcpLayerConfig.eig(BackwardScheme.pade(100)))
+            tied += int(count_clamped(cache.eig)) >= 2
+        assert tied >= 5  # the comparison is not vacuous: most draws tie
+
+    @staticmethod
+    def assert_fails_inside_the_null_block(cache, grad_q, lead):
+        # rank 3 at N = 4: the last five eigenvalues clamp, so ordinary's
+        # non-finite K entries are the 20 off-diagonal pairs of that block
+        with pytest.raises(NumericalFailureError) as err:
+            gcp_backward(cache, grad_q)
+        entries = err.value.details["k_entries"]
+        assert len(entries) == 20
+        assert np.all(entries[:, :-2] == lead) and np.all(entries[:, -2:] >= 3)
+        assert err.value.details["clamped"] == 5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ordinary_fails_only_on_tied_clamped_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        x = 1e-3 * rng.normal(size=(8, 4))
+        cfg = GcpLayerConfig.eig(BackwardScheme.ordinary())
+        _, cache = gcp_forward(FeatureMatrix(x), cfg)
+        self.assert_fails_inside_the_null_block(cache, np.ones((8, 8)), [])
+        # a stack whose second matrix is the same draw, three copies of each
+        # sample (the same rank-3 covariance), behind a full-rank first matrix
+        stack = np.stack([rng.normal(size=(8, 12)), np.tile(x, 3)])
+        _, cache = gcp_forward(_trusted(FeatureMatrix, data=stack), cfg)
+        assert count_clamped(cache.eig).tolist() == [0, 5]
+        self.assert_fails_inside_the_null_block(cache, np.ones((2, 8, 8)), [1])
 
 
 class TestGradCheck:

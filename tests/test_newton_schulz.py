@@ -44,8 +44,8 @@ def expanded_ns_backward(trace, grad_q):
             1.5 * dy - 0.5 * (dy @ yt @ zt + zt @ yt @ dy + zt @ dz @ zt),
             1.5 * dz - 0.5 * (dz @ zt @ yt + yt @ zt @ dz + yt @ dy @ yt),
         )
-    p = trace.normalized_input * tr_p
-    trace_term = -np.sum(dy * p) / tr_p**2 + np.sum(grad_q * trace.final_y) / (
+    p = trace.y_seq[0] * tr_p
+    trace_term = -np.sum(dy * p) / tr_p**2 + np.sum(grad_q * trace.y_seq[-1]) / (
         2.0 * np.sqrt(tr_p)
     )
     return dy / tr_p + trace_term * np.eye(trace.d)
@@ -94,7 +94,7 @@ class TestForward:
         q, trace = ns_forward(SymPsdMatrix(np.eye(3)), 20)
         assert np.abs(q.data - np.eye(3)).max() <= 1e-10
         assert trace.iterations == 20
-        np.testing.assert_allclose(trace.normalized_input, np.eye(3) / 3.0)
+        np.testing.assert_allclose(trace.y_seq[0], np.eye(3) / 3.0)
 
     def test_matches_exact_square_root(self, rng):
         q, _ = ns_forward(SymPsdMatrix(np.diag([4.0, 1.0])), 20)
@@ -127,7 +127,7 @@ class TestForward:
         # stores neither Z_0 = I nor Z_N, which nothing reads
         p = random_spd(6, rng)
         q, trace = ns_forward(p, 4)
-        y = trace.normalized_input
+        y = trace.y_seq[0]
         z = np.eye(6)
         for k in range(1, 5):
             t = 0.5 * (3.0 * np.eye(6) - z @ y)
