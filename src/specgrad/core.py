@@ -3,8 +3,8 @@
 Covariance construction, the symmetric eigendecomposition (LAPACK through
 numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
 Everything here is a pure function over small immutable value types; all
-heavier schemes build on these primitives. A float width is a numpy dtype,
-float32 or float64, whose epsilon ``float_info`` reads from ``np.finfo``.
+heavier schemes build on these primitives. A float width argument is a
+numpy dtype, float32 or float64; ``float_info`` reads its epsilon.
 
 Validation contract: input is checked once, where it enters the program.
 The public constructors of the value types (``FeatureMatrix``,
@@ -22,9 +22,9 @@ power, and in training the features, the loss gradient at Q and the batch
 gradients), a non-finite product raises ``NumericalFailureError``, not
 ``InvalidInputError``, since the input was valid.
 
-Constants that depend only on the width, the triangle indices of ``_triu``
-and the scaled identities of ``_eye``, are built once per width and cached:
-read-only, one entry per width (and scale and dtype) the process uses.
+Every array argument goes through ``_float_array``, which does not copy an
+array of its width: float64, but float32 stays float32 in the Pade types.
+``_triu``'s indices and ``_eye``'s scaled identities are cached read-only.
 
 Stacks: ``covariance`` takes a leading batch axis (``FeatureMatrix`` data
 of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``), and so do
@@ -82,9 +82,9 @@ def _triu(d: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _eye(d: int, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
-    """Read-only ``scale * np.eye(d, dtype=dtype)``, built once per ``(d, scale, dtype)``."""
-    out = scale * np.eye(d, dtype=dtype)
+def _eye(d: int, scale: float = 1.0) -> np.ndarray:
+    """Read-only ``scale * np.eye(d)``, built once per ``(d, scale)``."""
+    out = scale * np.eye(d)
     out.flags.writeable = False
     return out
 
@@ -123,9 +123,21 @@ def _non_negative(value, name: str) -> int:
     return _positive(value, name, floor_zero=True)
 
 
+def _float_array(value, name: str, single: bool = False) -> np.ndarray:
+    """``value`` as float64, float32 kept where ``single``; complex or non-numeric is invalid."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind != "c":
+            width = np.float32 if single and a.dtype == np.float32 else np.float64
+            return a.astype(width, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must be numeric: {exc}") from None
+    raise InvalidInputError(f"{name} must be real, got {a.dtype}")
+
+
 def _gradient(grad, shape: tuple, name: str = "gradient") -> np.ndarray:
     """``grad`` as float64; a shape other than ``shape`` or a non-finite entry is invalid input."""
-    grad = np.asarray(grad, dtype=np.float64)
+    grad = _float_array(grad, name)
     if grad.shape != shape:
         raise InvalidInputError(f"{name} shape {grad.shape} does not match {shape}")
     if not _finite(grad):
@@ -171,7 +183,7 @@ class FeatureMatrix:
     data: np.ndarray = field()
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _float_array(self.data, "feature matrix")
         if data.ndim != 2:
             raise InvalidInputError(f"feature matrix must be 2-d, got shape {data.shape}")
         d, n = data.shape
@@ -199,7 +211,7 @@ class SymPsdMatrix:
     data: np.ndarray = field()
 
     def __post_init__(self):
-        data = np.asarray(self.data)
+        data = _float_array(self.data, "matrix")
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {data.shape}")
         if not data.size:
@@ -225,8 +237,8 @@ class EigenDecomposition:
     eigenvectors: np.ndarray = field()
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        u = np.asarray(self.eigenvectors, dtype=np.float64)
+        lam = _float_array(self.eigenvalues, "eigenvalues")
+        u = _float_array(self.eigenvectors, "eigenvectors")
         if lam.ndim != 1 or u.ndim != 2 or u.shape != (lam.size, lam.size):
             raise InvalidInputError(
                 f"inconsistent shapes: eigenvalues {lam.shape}, eigenvectors {u.shape}"
@@ -296,19 +308,19 @@ def eigh(p: SymPsdMatrix) -> EigenDecomposition:
 def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposition:
     """Replace every eigenvalue below the epsilon of ``dtype`` with that epsilon.
 
-    Idempotent; the eigenvalues stay float64 and in order, the eigenvectors untouched.
+    Idempotent; the eigenvalues stay in order, the eigenvectors untouched.
     """
     lam = np.maximum(e.eigenvalues, float_info(dtype).eps)
     return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=e.eigenvectors)
 
 
-def count_clamped(e: EigenDecomposition, dtype=np.float64):
-    """Eigenvalues at or below the epsilon of ``dtype``: one count, or one per matrix of a stack.
+def count_clamped(e: EigenDecomposition):
+    """Eigenvalues at or below float64's epsilon: one count, or one per matrix of a stack.
 
     Raw and clamped eigenvalues give the same count, since clamping lifts
     exactly these to the epsilon.
     """
-    return np.add.reduce(e.eigenvalues <= float_info(dtype).eps, axis=-1)
+    return np.add.reduce(e.eigenvalues <= EPS_DOUBLE, axis=-1)
 
 
 def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _float_array
 from .errors import InvalidInputError
 
 FEATURE_MAGIC = b"GCPF"
@@ -105,7 +106,7 @@ def write_feature_file(path, matrices) -> None:
     Layout: 16-byte header (magic GCPF, u32 d, u32 N, u32 count) followed by
     ``count`` row-major d x N blocks.
     """
-    matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+    matrices = [_float_array(m, "feature matrix") for m in matrices]
     if not matrices:
         raise InvalidInputError("feature file needs at least one matrix")
     d, n = matrices[0].shape

@@ -27,6 +27,7 @@ from .core import (
     FeatureMatrix,
     SymPsdMatrix,
     _finite,
+    _float_array,
     _non_negative,
     _positive,
     _triu,
@@ -117,8 +118,10 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
 
     ``x`` may also be a (B, d, N) stack built inside the package; Q and
     every array of the cache are then stacks, and ``gcp_backward`` takes a
-    (B, d, d) stack of gradients.
+    (B, d, d) stack of gradients. Any other ``x`` is invalid input.
     """
+    if not isinstance(x, FeatureMatrix):
+        raise InvalidInputError(f"x must be a FeatureMatrix, got {type(x).__name__}")
     p = covariance(x)
     e = trace = None
     if cfg.backward.kind == "newton_schulz":
@@ -136,7 +139,7 @@ def upper_triangle_vector(q: np.ndarray) -> np.ndarray:
     A (..., d, d) stack gives a (..., d(d+1)/2) stack of vectors; anything
     but square matrices is refused.
     """
-    data = np.asarray(q)
+    data = _float_array(q, "q")
     if data.ndim < 2 or data.shape[-2] != data.shape[-1]:
         raise InvalidInputError(f"expected d x d matrices, got shape {data.shape}")
     return data[(..., *_triu(data.shape[-1]))]  # fancy indexing copies
@@ -149,14 +152,9 @@ def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
     A ``d`` that is not a positive int is invalid input.
     """
     d = _positive(d, "d")
-    try:
-        grad_vec = np.atleast_1d(np.asarray(grad_vec, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"gradient vector must be numeric: {exc}") from None
+    grad_vec = np.atleast_1d(_float_array(grad_vec, "gradient vector"))
     if grad_vec.shape[-1] != d * (d + 1) // 2:
-        raise InvalidInputError(
-            f"gradient vector of size {grad_vec.shape[-1]} does not fit d={d}"
-        )
+        raise InvalidInputError(f"gradient vector of size {grad_vec.shape[-1]} does not fit d={d}")
     out = np.zeros((*grad_vec.shape[:-1], d, d))
     out[(..., *_triu(d))] = grad_vec
     return out
@@ -274,6 +272,8 @@ def grad_check(
     not only the one that reads it.
     """
     seed = _non_negative(seed, "seed")
+    if not isinstance(x, FeatureMatrix):
+        raise InvalidInputError(f"x must be a FeatureMatrix, got {type(x).__name__}")
     d, n = x.d, x.n_samples
     if d * n > 10_000:
         raise InvalidInputError(

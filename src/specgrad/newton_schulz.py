@@ -60,6 +60,7 @@ from .core import (
     FeatureMatrix,
     SymPsdMatrix,
     _eye,
+    _float_array,
     _gradient,
     _positive,
     _trusted,
@@ -71,32 +72,23 @@ DEFAULT_ITERATIONS = 5
 _DIVERGENCE_LIMIT = 1e6
 
 
-def _per_matrix(values):
-    """One value per matrix, shaped to broadcast over each d x d matrix of a stack.
-
-    A single matrix's value is a scalar and stays one, which numpy
-    broadcasts without the cost of a (1, 1) array.
-    """
-    return values[..., None, None] if isinstance(values, np.ndarray) else values
-
-
 @dataclass(frozen=True)
 class NewtonSchulzTrace:
     """Everything the backward pass needs from an N-step forward.
 
     ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_1, ..., Z_{N-1}
     (Z_0 = I is implied); ``t_seq`` holds the factors T_1, ..., T_N;
-    ``trace_p`` is tr(P), or for a stack the array of each matrix's trace.
+    ``trace_p`` holds tr(P), one per matrix of a stack.
 
     Raises:
         InvalidInputError: the sequence lengths do not line up with one N >= 1,
-            or ``trace_p`` is not positive and finite.
+            or a matrix's ``trace_p`` is not positive and finite.
     """
 
     y_seq: tuple
     z_seq: tuple
     t_seq: tuple
-    trace_p: float
+    trace_p: np.ndarray
 
     def __post_init__(self):
         n = self.iterations
@@ -105,8 +97,10 @@ class NewtonSchulzTrace:
                 "a trace of N >= 1 steps holds N + 1 Y iterates, N - 1 Z and N T, "
                 f"got {len(self.y_seq)}, {len(self.z_seq)} and {len(self.t_seq)}"
             )
-        if not 0.0 < self.trace_p < np.inf:
+        trace_p = _float_array(self.trace_p, "trace_p")
+        if not np.all((trace_p > 0.0) & (trace_p < np.inf)):
             raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
+        object.__setattr__(self, "trace_p", trace_p)
 
     @property
     def iterations(self) -> int:
@@ -138,7 +132,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         first = np.flatnonzero(np.ravel(trace_p) == np.inf)[0]
         largest = float(np.abs(p.data.reshape(-1, d, d)[first]).max())
         raise NumericalFailureError("tr(P) overflowed", where="trace", max_entry=largest)
-    tr = _per_matrix(trace_p)
+    tr = trace_p[..., None, None]  # one per matrix, broadcast over its d x d entries
     a = p.data / tr
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
     # violation means an indefinite matrix slipped past construction. The
@@ -146,7 +140,7 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
     off = a - _eye(d)
     if max(np.einsum("...ij,...ij->...", off, off).flat) >= (np.sqrt(d) + 1.0) ** 2:
         raise InvalidInputError("trace-normalized input is too far from identity to be PSD")
-    eye15 = _eye(d, 1.5, a.dtype)
+    eye15 = _eye(d, 1.5)
 
     y = a
     y_seq = [y]
@@ -204,7 +198,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     trace takes a stack of gradients of its shape.
     """
     grad_q = _gradient(grad_q, trace.y_seq[0].shape)
-    tr_p = _per_matrix(trace.trace_p)
+    tr_p = trace.trace_p[..., None, None]
     sqrt_tr = np.sqrt(tr_p)
 
     dy = sqrt_tr * grad_q
@@ -232,8 +226,8 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     # sum runs over one matrix's d x d entries (P *= dA has the bits of dA * P)
     da_p = a * tr_p
     da_p *= da
-    da_dot_p = _per_matrix(np.add.reduce(da_p, axis=(-2, -1)))
-    dq_dot_y = _per_matrix(np.add.reduce(grad_q * trace.y_seq[-1], axis=(-2, -1)))
+    da_dot_p = np.add.reduce(da_p, axis=(-2, -1), keepdims=True)
+    dq_dot_y = np.add.reduce(grad_q * trace.y_seq[-1], axis=(-2, -1), keepdims=True)
     trace_term = -da_dot_p / (tr_p * tr_p) + dq_dot_y / (2.0 * sqrt_tr)
     da /= tr_p
     da += trace_term * _eye(trace.d)
@@ -242,12 +236,10 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
 
 def ns_gradient_of_x(grad_p: np.ndarray, x: FeatureMatrix) -> np.ndarray:
     """dL/dX = (G + G^T) X (I - 11^T / N) / N, each matrix's fresh product centred in place."""
-    grad_p = np.asarray(grad_p, dtype=np.float64)
+    grad_p = _float_array(grad_p, "covariance gradient")
     d, n = x.data.shape[-2:]
     if grad_p.shape != x.data.shape[:-1] + (d,):
-        raise InvalidInputError(
-            f"covariance gradient shape {grad_p.shape} does not match d={d}"
-        )
+        raise InvalidInputError(f"covariance gradient shape {grad_p.shape} does not match d={d}")
     m = (grad_p + grad_p.mT) @ x.data
     m -= np.add.reduce(m, axis=-1, keepdims=True) / n
     m /= n

@@ -9,9 +9,9 @@ wherever the Toeplitz block is nonsingular.
 The singular case matters here: the geometric series 1, 1, 1, ... produces an
 all-ones Toeplitz block, and the minimum-norm solution keeps high-degree
 diagonal approximants constructible and numerically exact.
-The construction runs in the coefficients' dtype and the evaluation in the
-complex type of that width; the surrogate and the error tables take theirs as
-a numpy dtype, float32 or float64.
+Float32 coefficients stay float32 and any other real ones become float64;
+the construction runs in that width and the evaluation in its complex type.
+The surrogate and the error tables take theirs as a numpy dtype.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_readonly, _non_negative, _positive, float_info
+from .core import _as_readonly, _float_array, _non_negative, _positive, float_info
 from .errors import InvalidInputError, PoleError
 
 #: |Q(x)| below this is a pole. float32 cannot hold 1e-300 (it rounds to 0),
@@ -37,7 +37,7 @@ class PowerSeries:
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs))
+        c = np.atleast_1d(_float_array(self.coeffs, "power series coefficients", single=True))
         if c.ndim != 1 or c.size < 1:
             raise InvalidInputError("a power series needs at least one coefficient")
         if not np.all(np.isfinite(c)):
@@ -57,12 +57,13 @@ class PadeApproximant:
     q: np.ndarray = field()
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.p))
-        q = np.atleast_1d(np.asarray(self.q))
+        p = np.atleast_1d(_float_array(self.p, "approximant p", single=True))
+        q = np.atleast_1d(_float_array(self.q, "approximant q", single=True))
+        width = np.result_type(p, q)  # one width for both: float32 only if both are
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise InvalidInputError("non-finite approximant coefficients")
-        object.__setattr__(self, "p", _as_readonly(p))
-        object.__setattr__(self, "q", _as_readonly(q))
+        object.__setattr__(self, "p", _as_readonly(p.astype(width, copy=False)))
+        object.__setattr__(self, "q", _as_readonly(q.astype(width, copy=False)))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -112,20 +113,16 @@ def pade_from_series(s: PowerSeries, m: int, n: int) -> PadeApproximant:
     m, n = _non_negative(m, "degree M"), _non_negative(n, "degree N")
     a = s.coeffs
     if a.size < m + n + 1:
-        raise InvalidInputError(
-            f"series has {a.size} coefficients, [{m}/{n}] needs {m + n + 1}"
-        )
-    dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
-    a = a.astype(dtype, copy=False)
+        raise InvalidInputError(f"series has {a.size} coefficients, [{m}/{n}] needs {m + n + 1}")
 
     # toeplitz[r, j] = a_{m+r-j}, zero where m + r - j < 0
-    padded = np.concatenate([np.zeros(n, dtype=dtype), a])
+    padded = np.concatenate([np.zeros(n, dtype=a.dtype), a])
     r = np.arange(n)
     toeplitz = padded[n + m + r[:, None] - r[None, :]]
     q = np.linalg.lstsq(toeplitz, -a[m + 1 : m + n + 1], rcond=None)[0]
 
-    q_full = np.concatenate([np.ones(1, dtype=dtype), q])
-    p = np.empty(m + 1, dtype=dtype)
+    q_full = np.concatenate([np.ones(1, dtype=a.dtype), q])
+    p = np.empty(m + 1, dtype=a.dtype)
     for i in range(m + 1):
         j_hi = min(i, n)
         p[i] = np.dot(q_full[: j_hi + 1], a[i - j_hi : i + 1][::-1])
@@ -146,7 +143,7 @@ def eval_rational(pa: PadeApproximant, x):
     ``_POLE_FLOOR`` in magnitude (float32: its smallest normal) raises
     ``PoleError`` naming the first such x.
     """
-    x = np.asarray(x, dtype=pa.p.dtype)
+    x = _float_array(x, "x", single=True).astype(pa.p.dtype, copy=False)
     if not pa.q.size:
         return horner(pa.p, x)[()]  # a scalar for scalar x, like the quotient below
     pq = horner(pa.packed, x + 0j)
@@ -216,7 +213,7 @@ def approximation_error_table(
     """
     dtype = float_info(dtype).dtype
     degrees = tuple(_positive(k, "degree") for k in degrees)
-    ratios = tuple(float(r) for r in ratios)
+    ratios = tuple(np.ravel(_float_array(ratios, "ratios")).tolist())
     if not degrees or not ratios:
         raise InvalidInputError("the degree and ratio grids each need at least one entry")
     if any(not (0.0 <= r < 1.0) for r in ratios):

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -16,19 +17,27 @@ from specgrad.core import (
     _trusted,
     clamp_eigenvalues,
     condition_number,
-    count_clamped,
     covariance,
     eigh,
     matrix_power,
 )
+from specgrad import io
 from specgrad.errors import InvalidInputError, NumericalFailureError
-from specgrad.layer import GcpLayerConfig, grad_check
-from specgrad.newton_schulz import ns_backward, ns_forward
+from specgrad.layer import (
+    GcpLayerConfig,
+    gcp_backward,
+    gcp_forward,
+    grad_check,
+    grad_from_upper_triangle,
+    upper_triangle_vector,
+)
+from specgrad.newton_schulz import NewtonSchulzTrace, ns_backward, ns_forward, ns_gradient_of_x
 from specgrad.pade import (
     PadeApproximant,
     PowerSeries,
     approximation_error_table,
     diagonal_degrees,
+    eval_rational,
     geometric_series,
     pade_from_series,
     reciprocal_gap_pade,
@@ -79,6 +88,52 @@ def test_value_objects_hold_read_only_copies(cls, inputs):
         np.testing.assert_array_equal(value, snapshot[name], err_msg=name)
 
 
+_X = FeatureMatrix(np.random.default_rng(0).normal(size=(2, 6)))
+_E = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
+_I = np.eye(2)
+_EIG = GcpLayerConfig.eig(BackwardScheme.pade())
+_NS = GcpLayerConfig.newton_schulz(2)
+
+#: every array argument of the package, with the name its refusal gives
+ARRAY_ARGUMENTS = {
+    "FeatureMatrix": ("feature matrix", lambda a: FeatureMatrix(a)),
+    "SymPsdMatrix": ("matrix", lambda a: SymPsdMatrix(a)),
+    "eigenvalues": ("eigenvalues", lambda a: EigenDecomposition(a, _I)),
+    "eigenvectors": ("eigenvectors", lambda a: EigenDecomposition([2.0, 1.0], a)),
+    "grad_covariance": ("gradient", lambda a: grad_covariance(a, _E, k_matrix(_E, K_SCHEMES[0]))),
+    "ns_backward": ("gradient", lambda a: ns_backward(ns_forward(SymPsdMatrix(_I), 2)[1], a)),
+    "gcp_backward-eig": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _EIG)[1], a)),
+    "gcp_backward-ns": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _NS)[1], a)),
+    "NewtonSchulzTrace": ("trace_p", lambda a: NewtonSchulzTrace((_I, _I), (), (_I,), a)),
+    "ns_gradient_of_x": ("covariance gradient", lambda a: ns_gradient_of_x(a, _X)),
+    "upper_triangle_vector": ("q", upper_triangle_vector),
+    "grad_from_upper_triangle": ("gradient vector", lambda a: grad_from_upper_triangle(a, 2)),
+    "PowerSeries": ("power series coefficients", lambda a: PowerSeries(a)),
+    "PadeApproximant-p": ("approximant p", lambda a: PadeApproximant(a, [0.5])),
+    "PadeApproximant-q": ("approximant q", lambda a: PadeApproximant([1.0], a)),
+    "eval_rational": ("x", lambda a: eval_rational(reciprocal_gap_pade("pade", 3), a)),
+    "approximation_error_table": ("ratios", lambda a: approximation_error_table("taylor", (2,), a)),
+    "write_feature_file": ("feature matrix", lambda a: io.write_feature_file(os.devnull, [a])),
+}
+
+NOT_REAL = {
+    "strings": np.array(["a", "b"]),
+    "dict": {"a": 1.0},
+    "ragged": [[1.0, 2.0], [3.0]],
+    "complex": np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("name,call", ARRAY_ARGUMENTS.values(), ids=ARRAY_ARGUMENTS.keys())
+def test_array_argument_that_is_not_real_numbers_is_refused_by_name(name, call, value):
+    # one rule (``core._float_array``) converts every array argument; complex
+    # input is refused, not truncated with a warning or kept complex
+    refusal = f"^{re.escape(name)} must be (numeric: |real, got complex)"
+    with pytest.raises(InvalidInputError, match=refusal):
+        call(value)
+
+
 class TestTypes:
     def test_feature_matrix_needs_two_samples(self):
         with pytest.raises(InvalidInputError):
@@ -107,6 +162,15 @@ class TestTypes:
             a = scale * rng.normal(size=(6, 6))
             a = a + 1e-14 * np.abs(a).max() * rng.normal(size=a.shape) + a.T
             assert np.array_equal(SymPsdMatrix(a).data, 0.5 * (a + a.T))
+
+    def test_float32_sym_matrix_holds_float64_and_roots_in_float64(self):
+        # the layer is float64 by construction: the NS forward of a float32
+        # input runs in float64, as the exact forward does
+        p = SymPsdMatrix(np.diag([2.0, 1.0]).astype(np.float32))
+        assert p.data.dtype == np.float64
+        q, trace = ns_forward(p, 5)
+        assert q.data.dtype == np.float64
+        assert all(y.dtype == np.float64 for y in trace.y_seq)
 
     def test_sym_matrix_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
@@ -164,8 +228,6 @@ class TestTypes:
         e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
         with pytest.raises(InvalidInputError):
             clamp_eigenvalues(e, width)
-        with pytest.raises(InvalidInputError):
-            count_clamped(e, width)
 
 
 class TestCovariance:

@@ -1,4 +1,4 @@
-"""Every import under ``src/``, ``tests/`` and ``perfbench/`` is one the project declares.
+"""Every import under ``src/``, ``tests/``, ``scripts/`` and ``perfbench/`` is declared.
 
 ``pyproject.toml`` declares numpy, and pytest for the tests. Anything else
 must come from the standard library, the package itself or a module beside
@@ -16,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
+SCRIPTS = ROOT / "scripts"
 DECLARED = set(sys.stdlib_module_names) | {"numpy", "pytest", "specgrad"}
 ALLOWED = DECLARED | {path.stem for path in TESTS.glob("*.py")}
 
@@ -48,6 +49,13 @@ def test_src_and_tests_import_only_declared_packages():
     assert len(files) > 20
     foreign = {str(path.relative_to(ROOT)): foreign_imports(path.read_text()) for path in files}
     assert {path: names for path, names in foreign.items() if names} == {}
+
+
+def test_scripts_import_only_declared_packages():
+    files = sorted(SCRIPTS.glob("*.py"))
+    assert SCRIPTS / "output_digest.py" in files
+    foreign = {path.name: foreign_imports(path.read_text(), DECLARED) for path in files}
+    assert {name: names for name, names in foreign.items() if names} == {}
 
 
 def test_perfbench_imports_only_declared_packages_and_its_siblings():

@@ -90,6 +90,12 @@ class TestForward:
         )
         assert count_clamped(cache.eig) == 1
 
+    def test_features_that_are_not_a_feature_matrix_refused(self):
+        # a bare array would reach the covariance through ``ndarray.data``
+        cfg = GcpLayerConfig.eig(BackwardScheme.ordinary())
+        with pytest.raises(InvalidInputError, match="^x must be a FeatureMatrix, got ndarray$"):
+            gcp_forward(np.ones((4, 8)), cfg)
+
     def test_cache_holds_what_backward_needs(self, rng):
         x = random_features(4, 16, rng)
         _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
@@ -434,6 +440,11 @@ class TestGradCheck:
         message = r"loss kind must be one of \('sum', 'trace', 'random-linear'\), got 'mean'"
         with pytest.raises(InvalidInputError, match=message):
             grad_check(GcpLayerConfig.eig(BackwardScheme.ordinary()), x, loss_kind="mean")
+
+    def test_features_that_are_not_a_feature_matrix_refused(self):
+        cfg = GcpLayerConfig.eig(BackwardScheme.ordinary())
+        with pytest.raises(InvalidInputError, match="^x must be a FeatureMatrix, got ndarray$"):
+            grad_check(cfg, np.ones((4, 8)))
 
     def test_size_cap(self):
         x = FeatureMatrix(np.random.default_rng(0).normal(size=(101, 101)))

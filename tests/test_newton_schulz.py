@@ -424,6 +424,19 @@ class TestStack:
             assert same_bits(grad_p[b], grad_p_b)
             assert same_bits(grad_x[b], ns_gradient_of_x(grad_p_b, x_b))
 
+    def test_stacked_trace_rebuilds_through_its_constructor(self):
+        local = np.random.default_rng(7)
+        x = _trusted(FeatureMatrix, data=local.normal(size=(3, 4, 12)))
+        _, trace = ns_forward(covariance(x), 5)
+        rebuilt = NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, trace.trace_p)
+        grad_q = local.normal(size=(3, 4, 4))
+        assert same_bits(ns_backward(rebuilt, grad_q), ns_backward(trace, grad_q))
+        # each matrix's trace is checked: one non-positive trace refuses the stack
+        bad = trace.trace_p.copy()
+        bad[1] = 0.0
+        with pytest.raises(InvalidInputError, match="^trace_p must be positive and finite, got"):
+            NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, bad)
+
     def test_one_failing_matrix_fails_the_stack(self, rng):
         # each check reads every matrix: one member with tr(P) <= 0 or a
         # non-finite gradient raises for the whole stack, as its own call would

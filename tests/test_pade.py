@@ -83,6 +83,26 @@ class TestFromSeries:
         np.testing.assert_array_equal(ints.p, floats.p)
         np.testing.assert_array_equal(ints.q, floats.q)
 
+    def test_integer_approximant_evaluates_in_float64(self):
+        # (1 + 2x) / (1 + x) at x = 0.5; int coefficients must not cast x to int
+        pa = PadeApproximant(np.array([1, 2]), np.array([1]))
+        assert pa.p.dtype == pa.q.dtype == np.float64
+        assert eval_rational(pa, 0.5) == 4 / 3
+
+    def test_float16_coefficients_evaluate_in_float64(self):
+        half = np.float16
+        pa = PadeApproximant(np.array([1, 2], dtype=half), np.array([1], dtype=half))
+        assert pa.p.dtype == pa.q.dtype == np.float64
+        assert eval_rational(pa, half(0.5)).dtype == np.float64
+        assert eval_rational(pa, half(0.5)) == 4 / 3
+        assert PowerSeries(np.ones(3, dtype=half)).coeffs.dtype == np.float64
+
+    def test_numerator_and_denominator_share_one_width(self):
+        single = np.ones(2, dtype=np.float32)
+        assert PadeApproximant(single, single[:1]).q.dtype == np.float32
+        mixed = PadeApproximant(single, np.ones(1))
+        assert mixed.p.dtype == mixed.q.dtype == np.float64
+
     def test_singular_toeplitz_minimum_norm(self):
         # all-ones Toeplitz block; the min-norm solution still matches the series
         pa = pade_from_series(geometric_series(10), 5, 4)
