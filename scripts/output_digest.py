@@ -14,7 +14,11 @@ digests two checkouts, and ``diff`` compares the two digests:
 
 The grid: ``train-toy`` at seeds 0-9 x both tasks x five backward schemes x
 ``--n`` 32 and 4 (200 runs), ``gradcheck`` under all seven ``--scheme``
-values, and ``approx-table`` and ``bounds`` at both precisions.
+values, ``approx-table`` at both precisions, ``bounds`` at both precisions
+in both formats, and ``condition`` at both precisions in both formats on
+three inputs: its defaults, ``--n 4`` (rank-deficient covariances) and
+``--input`` of a feature file written from a fixed seed, one of whose
+blocks has a singular covariance. The input file is not an output.
 """
 
 from __future__ import annotations
@@ -28,10 +32,24 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from specgrad import cli
+from specgrad import io as feature_io
 
 TRAIN_BACKWARDS = ("pade", "taylor", "trunc", "ordinary", "topn")
 GRADCHECK_SCHEMES = ("ordinary", "topn", "trunc", "taylor", "pade", "newton", "isqrt")
+PRECISIONS = ("single", "double")
+FORMATS = ("csv", "json")
+FEATURE_FILE = "features.gcpf"
+CONDITION_INPUTS = {"default": [], "n=4": ["--n", "4"], "input": ["--input", FEATURE_FILE]}
+
+
+def write_features(path) -> None:
+    """Four 8 x 32 Gaussian blocks from seed 0; the second repeats a channel, so P is singular."""
+    blocks = np.random.default_rng(0).standard_normal((4, 8, 32))
+    blocks[1, 0] = blocks[1, 1]
+    feature_io.write_feature_file(path, list(blocks))
 
 
 def grid():
@@ -43,8 +61,15 @@ def grid():
         yield f"train-toy/seed={seed}/{task}/{backward}/n={n}", argv + ["--n", str(n)]
     for scheme in GRADCHECK_SCHEMES:
         yield f"gradcheck/{scheme}", ["gradcheck", "--scheme", scheme]
-    for command, precision in itertools.product(("approx-table", "bounds"), ("single", "double")):
-        yield f"{command}/{precision}", [command, "--precision", precision]
+    for precision in PRECISIONS:
+        yield f"approx-table/{precision}", ["approx-table", "--precision", precision]
+    for fmt, precision in itertools.product(FORMATS, PRECISIONS):
+        yield f"bounds/{fmt}/{precision}", ["bounds", "--format", fmt, "--precision", precision]
+    for (name, flags), fmt, precision in itertools.product(
+        CONDITION_INPUTS.items(), FORMATS, PRECISIONS
+    ):
+        argv = ["condition", "--format", fmt, "--precision", precision, *flags]
+        yield f"condition/{name}/{fmt}/{precision}", argv
 
 
 def digest_run(label: str, argv: list) -> list[tuple]:
@@ -54,6 +79,8 @@ def digest_run(label: str, argv: list) -> list[tuple]:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            if FEATURE_FILE in argv:  # relative, so the recorded --input is the same everywhere
+                write_features(FEATURE_FILE)
             with contextlib.redirect_stdout(console), contextlib.redirect_stderr(console):
                 code = cli.main(argv)
         finally:
@@ -61,14 +88,14 @@ def digest_run(label: str, argv: list) -> list[tuple]:
         outputs = {
             f"{label}/{path.relative_to(tmp)}": path.read_bytes()
             for path in Path(tmp).rglob("*")
-            if path.is_file()
+            if path.is_file() and path.name != FEATURE_FILE
         }
     outputs[f"{label}/console"] = console.getvalue().encode()
     return [(name, hashlib.sha256(data).hexdigest(), code) for name, data in outputs.items()]
 
 
 def main() -> int:
-    os.environ.pop("SPECGRAD_SEED", None)  # gradcheck's default seed reads it
+    os.environ.pop("SPECGRAD_SEED", None)  # the default --seed reads it
     rows = sorted(row for label, argv in grid() for row in digest_run(label, argv))
     for name, sha, code in rows:
         print(f"{sha}  {name}  {code}")

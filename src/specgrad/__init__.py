@@ -11,7 +11,6 @@ from .core import (
     EPS_DOUBLE,
     EPS_SINGLE,
     ILL_CONDITIONED_THRESHOLD,
-    ConditionNumber,
     EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
@@ -46,7 +45,6 @@ from .pade import (
 )
 from .schemes import (
     BackwardScheme,
-    GradBound,
     grad_covariance,
     gradient_upper_bound,
     k_matrix,

@@ -34,12 +34,21 @@ import argparse
 import os
 import sys
 from collections import namedtuple
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .core import FeatureMatrix, _positive, clamp_eigenvalues, condition_number, covariance, eigh
+from .core import (
+    ILL_CONDITIONED_THRESHOLD,
+    FeatureMatrix,
+    _positive,
+    clamp_eigenvalues,
+    condition_number,
+    covariance,
+    eigh,
+)
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import EIG_SQRT, LOSS_KINDS, NEWTON_SCHULZ, GcpLayerConfig, grad_check
 from .newton_schulz import DEFAULT_ITERATIONS
@@ -375,19 +384,27 @@ def cmd_approx_table(args) -> int:
     return EXIT_OK
 
 
-_BOUNDS_ORDER = ("pade", "taylor", "trunc", "topn", "newton", "ordinary")
+#: the ``bounds`` rows in order: scheme name -> (the bound in the eigenvalues, when it is reached)
+_BOUNDS = {
+    "pade": ("(1/lambda_i) * sum(p_m) / (1 + sum(q_n))", "lambda_i = lambda_j <= eps"),
+    "taylor": ("(K+1)/lambda_i", "lambda_i = lambda_j <= eps"),
+    "trunc": ("T", "|1/(lambda_i - lambda_j)| >= T"),
+    "topn": ("1/lambda_N", "lambda_N <= eps"),
+    "newton": ("no analytic form", "n/a"),
+    "ordinary": ("1/(lambda_i - lambda_j)", "lambda_i = lambda_j"),
+}
 
 
 def cmd_bounds(args) -> int:
     out = Path(f"bounds.{args.format}" if args.out is None else args.out)
     header = ["scheme", "analytic_form", "max_value", "trigger", "single_safe"]
+    limit = float(np.finfo(np.float32).max)  # a Python float, so that ``<`` gives a JSON bool
     rows = []
-    for name in _BOUNDS_ORDER:
+    for name, (form, trigger) in _BOUNDS.items():
         scheme = _scheme_from_flags(name, args)
-        bound = gradient_upper_bound(scheme, _DTYPES[args.precision])
-        rows.append(
-            [scheme.kind, bound.analytic_form, bound.max_value, bound.trigger, bound.single_safe]
-        )
+        value = gradient_upper_bound(scheme, _DTYPES[args.precision])
+        single_safe = None if value is None else value < limit
+        rows.append([scheme.kind, form, value, trigger, single_safe])
     _write_table(out, args.format, header, rows, _record(args))
     return EXIT_OK
 
@@ -405,7 +422,7 @@ def cmd_gradcheck(args) -> int:
 
     payload = {
         "config": _record(args, n=n),
-        "report": report.to_dict(),
+        "report": asdict(report),
         "tolerance": tol,
         "passed": passed,
     }
@@ -428,12 +445,10 @@ def cmd_condition(args) -> int:
         raise InvalidInputError("no feature blocks to measure")
 
     values = []
-    flags = []
     for block in blocks:
         e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(block))), _DTYPES[args.precision])
-        cn = condition_number(e)
-        values.append(cn.value)
-        flags.append(cn.ill_conditioned)
+        values.append(condition_number(e))
+    flags = [v > ILL_CONDITIONED_THRESHOLD for v in values]
 
     d, n = blocks[0].shape
     config = _record(
@@ -473,7 +488,7 @@ def cmd_train_toy(args) -> int:
 
     config = _record(args, switch_step=switch_step, warmup_steps=warmup_steps)
     records = [{"type": "config", **config}]
-    records += [{"type": "step", **r.to_dict()} for r in log.records]
+    records += [{"type": "step", **asdict(r)} for r in log.records]
     records.append(
         {
             "type": "status",

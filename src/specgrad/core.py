@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -261,11 +260,6 @@ class EigenDecomposition:
         return self.eigenvalues.shape[-1]
 
 
-class ConditionNumber(NamedTuple):
-    value: float
-    ill_conditioned: bool
-
-
 def covariance(x: FeatureMatrix) -> SymPsdMatrix:
     """Sample covariance of the columns of ``x``, or of each block of a stack.
 
@@ -353,17 +347,13 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     return _trusted(SymPsdMatrix, data=q + q.mT)
 
 
-def condition_number(e: EigenDecomposition) -> ConditionNumber:
-    """Ratio of extreme eigenvalues, flagged when strictly above 1e14.
+def condition_number(e: EigenDecomposition) -> float:
+    """Ratio of extreme eigenvalues; ``inf`` when the smallest is zero.
 
-    A zero smallest eigenvalue yields an infinite sentinel with the flag set;
-    negative eigenvalues are invalid input (clamp first).
+    Negative eigenvalues are invalid input (clamp first).
     """
     lam_max = float(e.eigenvalues[0])
     lam_min = float(e.eigenvalues[-1])
     if lam_min < 0:
         raise InvalidInputError(f"negative smallest eigenvalue {lam_min:.3e}; clamp first")
-    if lam_min == 0.0:
-        return ConditionNumber(math.inf, True)
-    value = lam_max / lam_min
-    return ConditionNumber(value, value > ILL_CONDITIONED_THRESHOLD)
+    return math.inf if lam_min == 0.0 else lam_max / lam_min

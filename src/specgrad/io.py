@@ -109,6 +109,8 @@ def write_feature_file(path, matrices) -> None:
     matrices = [_float_array(m, "feature matrix") for m in matrices]
     if not matrices:
         raise InvalidInputError("feature file needs at least one matrix")
+    if matrices[0].ndim != 2:
+        raise InvalidInputError(f"feature matrix must be 2-d, got shape {matrices[0].shape}")
     d, n = matrices[0].shape
     if any(m.shape != (d, n) for m in matrices):
         raise InvalidInputError("all feature matrices must share one shape")

@@ -18,7 +18,7 @@ a non-finite gradient, ``k_entries`` and ``clamped`` read that matrix only).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,10 +241,6 @@ class GradCheckReport:
 
     def passes(self, tol: float) -> bool:
         return self.n_nonfinite == 0 and self.max_rel_error <= tol
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _bumped(data: np.ndarray, i: int, j: int, value: float) -> FeatureMatrix:
     """Checked features with entry (i, j) set to ``value``, the entry moved by a step.

@@ -82,7 +82,8 @@ class NewtonSchulzTrace:
 
     Raises:
         InvalidInputError: the sequence lengths do not line up with one N >= 1,
-            or a matrix's ``trace_p`` is not positive and finite.
+            ``trace_p`` does not hold one tr(P) per matrix of ``y_seq[0]``, or a
+            matrix's ``trace_p`` is not positive and finite.
     """
 
     y_seq: tuple
@@ -98,6 +99,11 @@ class NewtonSchulzTrace:
                 f"got {len(self.y_seq)}, {len(self.z_seq)} and {len(self.t_seq)}"
             )
         trace_p = _float_array(self.trace_p, "trace_p")
+        lead = self.y_seq[0].shape[:-2]
+        if trace_p.shape != lead:
+            raise InvalidInputError(
+                f"trace_p shape {trace_p.shape} does not match the stack shape {lead} of y_seq"
+            )
         if not np.all((trace_p > 0.0) & (trace_p < np.inf)):
             raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
         object.__setattr__(self, "trace_p", trace_p)

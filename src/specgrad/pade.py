@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_readonly, _float_array, _non_negative, _positive, float_info
+from .core import _as_readonly, _finite, _float_array, _non_negative, _positive, float_info
 from .errors import InvalidInputError, PoleError
 
 #: |Q(x)| below this is a pole. float32 cannot hold 1e-300 (it rounds to 0),
@@ -141,9 +141,11 @@ def eval_rational(pa: PadeApproximant, x):
     that overflows before the last step makes the other nan (inf * 0), far
     outside the ratios in [0, 1] the package evaluates. A denominator below
     ``_POLE_FLOOR`` in magnitude (float32: its smallest normal) raises
-    ``PoleError`` naming the first such x.
+    ``PoleError`` naming the first such x. A non-finite x is invalid input.
     """
     x = _float_array(x, "x", single=True).astype(pa.p.dtype, copy=False)
+    if not _finite(x):
+        raise InvalidInputError(f"x must be finite, got {float(x[~np.isfinite(x)][0])!r}")
     if not pa.q.size:
         return horner(pa.p, x)[()]  # a scalar for scalar x, like the quotient below
     pq = horner(pa.packed, x + 0j)

@@ -5,8 +5,8 @@ off-diagonal sensitivity through the antisymmetric matrix K with entries
 1/(lambda_i - lambda_j), which explodes when eigenvalues collide. This module
 implements the ordinary rule plus the remedies that tame it: dropping small
 eigenvalues (top-n), clipping (truncation), truncated geometric series
-(taylor), and a rational surrogate (pade), along with per-scheme analytic
-upper bounds. ``k_matrix`` returns K as a plain read-only float64 array, and
+(taylor), and a rational surrogate (pade), along with each scheme's upper
+bound on |K|. ``k_matrix`` returns K as a plain read-only float64 array, and
 ``grad_covariance`` reads it only through Phi = K o (lambda_i - lambda_j),
 the scheme's damping of the exact Daleckii-Krein adjoint. A bound takes the
 width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
@@ -33,8 +33,6 @@ from .core import (
 )
 from .errors import InvalidInputError, PoleError
 from .pade import eval_rational, reciprocal_gap_pade
-
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 #: kept-eigenvalue fraction used when a top-n scheme does not pin n explicitly
 DEFAULT_TOPN_RATIO = 200.0 / 256.0
@@ -200,34 +198,8 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: np.ndarray) ->
     return u @ (phi * s) @ u.mT
 
 
-@dataclass(frozen=True)
-class GradBound:
-    """Analytic upper bound of |K_ij| for a scheme, or a no-bound marker."""
-
-    scheme: str
-    analytic_form: str
-    max_value: float | None
-    trigger: str
-
-    @property
-    def single_safe(self) -> bool | None:
-        return None if self.max_value is None else self.max_value < FLOAT32_MAX
-
-
-#: each kind's bound as a formula in the eigenvalues, and when it is reached
-_BOUND_FORMS = {
-    "ordinary": ("1/(lambda_i - lambda_j)", "lambda_i = lambda_j"),
-    "topn": ("1/lambda_N", "lambda_N <= eps"),
-    "trunc": ("T", "|1/(lambda_i - lambda_j)| >= T"),
-    "taylor": ("(K+1)/lambda_i", "lambda_i = lambda_j <= eps"),
-    "pade": ("(1/lambda_i) * sum(p_m) / (1 + sum(q_n))", "lambda_i = lambda_j <= eps"),
-    # the Newton-Schulz backward admits no closed-form bound on its product chain
-    "newton_schulz": ("no analytic form", "n/a"),
-}
-
-
-def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> GradBound:
-    """Largest |K_ij| the scheme can emit, with its trigger condition.
+def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> float | None:
+    """Largest |K_ij| the scheme can emit, or ``None`` for the Newton-Schulz backward.
 
     For eigenvalues clamped to at least ``eps = np.finfo(dtype).eps`` the
     largest entry sits at a tie at ``eps``, so the bound is the |K_01| that
@@ -235,16 +207,15 @@ def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> GradBound:
     is attained. Top-n keeps one eigenvalue there and drops its partner. A
     Pade denominator that vanishes at the tie gives ``inf``. ``k_matrix``
     works in float64, so ``dtype`` (float32 or float64) sets only ``eps``.
+    The Newton-Schulz backward admits no closed-form bound on its product chain.
     """
     eps = float_info(dtype).eps
-    form, trigger = _BOUND_FORMS[scheme.kind]
     if scheme.kind == "newton_schulz":
-        return GradBound(scheme.label, form, None, trigger)
+        return None
     tie = EigenDecomposition(np.full(2, eps), np.eye(2))
     try:
         k = k_matrix(tie, BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
-        value = float(abs(k[0, 1]))
     except PoleError:
-        value = math.inf
-    return GradBound(scheme.label, form, value, trigger)
+        return math.inf
+    return float(abs(k[0, 1]))
 

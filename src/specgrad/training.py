@@ -25,7 +25,7 @@ earliest check's error.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -247,10 +247,6 @@ class StepRecord:
     mean_condition_number: float
     scheme: str
     lr: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainingLog:

@@ -29,7 +29,6 @@ from specgrad.pade import (
     reciprocal_gap_pade,
 )
 from specgrad.schemes import (
-    FLOAT32_MAX,
     BackwardScheme,
     grad_covariance,
     gradient_upper_bound,
@@ -137,19 +136,19 @@ def test_criterion_2_pade_error_table():
 
 def test_criterion_3_gradient_upper_bounds():
     with criterion(3, "gradient upper bounds vs published values"):
-        taylor = gradient_upper_bound(BackwardScheme.taylor(100)).max_value
+        taylor = gradient_upper_bound(BackwardScheme.taylor(100))
         assert taylor == pytest.approx(4.55e17, rel=0.01)
-        topn = gradient_upper_bound(BackwardScheme.topn()).max_value
+        topn = gradient_upper_bound(BackwardScheme.topn())
         assert topn == pytest.approx(4.50e15, rel=0.01)
-        trunc = gradient_upper_bound(BackwardScheme.trunc(1e10)).max_value
+        trunc = gradient_upper_bound(BackwardScheme.trunc(1e10))
         assert trunc == 1e10
 
-        pade = gradient_upper_bound(BackwardScheme.pade(100)).max_value
+        pade = gradient_upper_bound(BackwardScheme.pade(100))
         assert np.isfinite(pade) and pade < 3.40e38  # single-precision safety
         # qualitative ordering of the published table: pade largest, then
         # taylor, topn, trunc; ordinary unbounded
         assert pade > taylor > topn > trunc
-        assert math.isinf(gradient_upper_bound(BackwardScheme.ordinary()).max_value)
+        assert math.isinf(gradient_upper_bound(BackwardScheme.ordinary()))
         # every bounded scheme stays single-precision safe in single mode too
         for scheme in (
             BackwardScheme.pade(100),
@@ -157,7 +156,7 @@ def test_criterion_3_gradient_upper_bounds():
             BackwardScheme.topn(),
             BackwardScheme.trunc(1e10),
         ):
-            assert gradient_upper_bound(scheme, np.float32).max_value < FLOAT32_MAX
+            assert gradient_upper_bound(scheme, np.float32) < np.finfo(np.float32).max
 
 
 def test_criterion_3_pade_bound_order_of_magnitude():
@@ -197,7 +196,7 @@ def test_criterion_3_pade_bound_order_of_magnitude():
         q_abs = math.fsum(np.abs(pa.q_full))
         assert abs(math.fsum(pa.q_full)) <= gamma(n + 1) * q_abs
 
-        pade = gradient_upper_bound(BackwardScheme.pade(100)).max_value
+        pade = gradient_upper_bound(BackwardScheme.pade(100))
         floor = sum_p / (gamma(n + 1) * q_abs) / eps
         assert np.isfinite(pade) and pade >= floor, (pade, floor)
 

@@ -101,6 +101,14 @@ class TestFeatureFile:
                 io.read_feature_file(path)
         assert case.startswith("read") or not path.exists()
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-d", "3-d"])
+    def test_matrix_that_is_not_2d_refused(self, tmp_path, shape):
+        path = tmp_path / "feat.gcpf"
+        with pytest.raises(InvalidInputError) as err:
+            io.write_feature_file(path, [np.ones(shape)])
+        assert str(err.value) == f"feature matrix must be 2-d, got shape {shape}"
+        assert not path.exists()
+
     def test_config_line_without_equals_refused(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("# comment\nseed 3\n")
@@ -567,11 +575,14 @@ class TestBounds:
         ids=["double", "single", "degree-3"],
     )
     def test_json_is_strict(self, tmp_path, argv, infinite):
-        # an unbounded gradient is the string "inf", as in the CSV table
+        # an unbounded gradient is the string "inf", as in the CSV table, and
+        # single_safe is a JSON bool, or null where there is no bound
         path = tmp_path / "bounds.json"
         assert run("bounds", "--format", "json", *argv, "--out", str(path)) == EXIT_OK
         rows = parse_json(path.read_text())["rows"]
         assert {r[0] for r in rows if r[2] == "inf"} == infinite
+        safe = {r[0]: None if r[0] == "newton_schulz" else r[0] not in infinite for r in rows}
+        assert {r[0]: r[4] for r in rows} == safe
 
     def test_single_precision_rows_use_float32_epsilon(self, tmp_path):
         # eps is exactly 2**-23, so topn's 1/eps and taylor(100)'s 101/eps are integers
@@ -953,7 +964,7 @@ class TestCondition:
         for row in rows:
             x = gaussian_features(4, 24, rng)
             e = clamp_eigenvalues(eigh(covariance(x)))
-            assert float(row[1]) == pytest.approx(condition_number(e).value, rel=1e-8)
+            assert float(row[1]) == pytest.approx(condition_number(e), rel=1e-8)
 
 
 class TestTrainToy:

@@ -437,6 +437,17 @@ class TestStack:
         with pytest.raises(InvalidInputError, match="^trace_p must be positive and finite, got"):
             NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, bad)
 
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1)], ids=["scalar", "short", "column"])
+    def test_trace_p_must_hold_one_trace_per_matrix(self, shape):
+        # a scalar trace_p would broadcast over the stack: a finite, wrong gradient
+        x = _trusted(FeatureMatrix, data=np.random.default_rng(7).normal(size=(3, 4, 12)))
+        _, trace = ns_forward(covariance(x), 5)
+        with pytest.raises(InvalidInputError) as err:
+            NewtonSchulzTrace(trace.y_seq, trace.z_seq, trace.t_seq, np.full(shape, 2.0))
+        assert str(err.value) == (
+            f"trace_p shape {shape} does not match the stack shape (3,) of y_seq"
+        )
+
     def test_one_failing_matrix_fails_the_stack(self, rng):
         # each check reads every matrix: one member with tr(P) <= 0 or a
         # non-finite gradient raises for the whole stack, as its own call would

@@ -181,6 +181,16 @@ class TestEvalRational:
         assert err.value.details == {"x": 1.0}
         assert str(err.value) == "denominator vanishes at x = 1.0"
 
+    @pytest.mark.parametrize("kind", ["taylor", "pade"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_is_refused(self, kind, bad):
+        # a nan from a nan x would pass on silently
+        pa = reciprocal_gap_pade(kind, 4)
+        for x in (bad, np.array([0.5, bad, 0.25])):
+            with pytest.raises(InvalidInputError) as err:
+                eval_rational(pa, x)
+            assert str(err.value) == f"x must be finite, got {float(bad)!r}"
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestArrayEvaluation:

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def assert_same_run(log, ref):
         ref.failure_step,
         ref.failure_reason,
     )
-    assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+    assert [asdict(r) for r in log.records] == [asdict(r) for r in ref.records]
     for name in ("w1", "w2", "b2"):
         assert np.array_equal(getattr(log.final_model, name), getattr(ref.final_model, name))
 
@@ -281,7 +282,7 @@ class TestTraining:
             log = run_hybrid_training(
                 spec, schedule(20, 50), batch_stream(task, 6, 50, seed=5)
             )
-            logs.append([r.to_dict() for r in log.records])
+            logs.append([asdict(r) for r in log.records])
         assert logs[0] == logs[1]
 
     def test_loss_parity_and_condition_trend(self):
@@ -399,7 +400,7 @@ class TestStackedPass:
             monkeypatch, spec, schedule(None, 40), batches
         )
         assert (forwards, raised, log.status) == (40, [], "completed")
-        assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+        assert [asdict(r) for r in log.records] == [asdict(r) for r in ref.records]
         for name in ("w1", "w2", "b2"):
             assert np.array_equal(getattr(log.final_model, name), getattr(ref.final_model, name))
 
@@ -416,7 +417,7 @@ class TestStackedPass:
         assert len(raised) == 1
         assert log.status == ref.status == "diverged"
         assert (log.failure_step, log.failure_reason) == (ref.failure_step, ref.failure_reason)
-        assert [r.to_dict() for r in log.records] == [r.to_dict() for r in ref.records]
+        assert [asdict(r) for r in log.records] == [asdict(r) for r in ref.records]
 
     def test_one_overflowing_sample_names_itself(self, monkeypatch):
         # sample 5 of step 2 overflows the covariance: the stacked check fails
