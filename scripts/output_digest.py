@@ -14,11 +14,12 @@ digests two checkouts, and ``diff`` compares the two digests:
 
 The grid: ``train-toy`` at seeds 0-9 x both tasks x five backward schemes x
 ``--n`` 32 and 4 (200 runs), ``gradcheck`` under all seven ``--scheme``
-values, ``approx-table`` at both precisions, ``bounds`` at both precisions
-in both formats, and ``condition`` at both precisions in both formats on
-three inputs: its defaults, ``--n 4`` (rank-deficient covariances) and
-``--input`` of a feature file written from a fixed seed, one of whose
-blocks has a singular covariance. The input file is not an output.
+values x the three ``--loss`` kinds (``sum``, the default, ``trace`` and
+``random-linear``; 21 runs), ``approx-table`` at both precisions,
+``bounds`` at both precisions in both formats, and ``condition`` at both
+precisions in both formats on three inputs: its defaults, ``--n 4``
+(rank-deficient covariances) and ``--input`` of a feature file written
+from a fixed seed, one of whose blocks has a singular covariance. The input file is not an output.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from specgrad import io as feature_io
 
 TRAIN_BACKWARDS = ("pade", "taylor", "trunc", "ordinary", "topn")
 GRADCHECK_SCHEMES = ("ordinary", "topn", "trunc", "taylor", "pade", "newton", "isqrt")
+GRADCHECK_LOSSES = ("trace", "random-linear")
 PRECISIONS = ("single", "double")
 FORMATS = ("csv", "json")
 FEATURE_FILE = "features.gcpf"
@@ -61,6 +63,8 @@ def grid():
         yield f"train-toy/seed={seed}/{task}/{backward}/n={n}", argv + ["--n", str(n)]
     for scheme in GRADCHECK_SCHEMES:
         yield f"gradcheck/{scheme}", ["gradcheck", "--scheme", scheme]
+        for loss in GRADCHECK_LOSSES:
+            yield f"gradcheck/{scheme}/{loss}", ["gradcheck", "--scheme", scheme, "--loss", loss]
     for precision in PRECISIONS:
         yield f"approx-table/{precision}", ["approx-table", "--precision", precision]
     for fmt, precision in itertools.product(FORMATS, PRECISIONS):

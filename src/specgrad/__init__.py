@@ -5,21 +5,16 @@ and coupled Newton-Schulz iteration) with six backward rules (ordinary
 analytic, top-n, truncation, Taylor, Pade, Newton-Schulz), plus the Pade
 approximant machinery behind the rational scheme, a hybrid training protocol,
 and a CLI harness that reproduces the desk-scale tables.
+
+The public API takes a ``FeatureMatrix`` and returns Q as a ``SymPsdMatrix``
+with a ``GcpCache`` (``gcp_forward``, ``gcp_backward``, ``grad_check``). The
+stage kernels between (``core.covariance``, ``core.eigh``,
+``newton_schulz.ns_forward``, ``schemes.k_matrix`` and the rest) trust the
+plain arrays they are given, so they are importable from their modules but
+not exported here.
 """
 
-from .core import (
-    EPS_DOUBLE,
-    EPS_SINGLE,
-    ILL_CONDITIONED_THRESHOLD,
-    EigenDecomposition,
-    FeatureMatrix,
-    SymPsdMatrix,
-    clamp_eigenvalues,
-    condition_number,
-    covariance,
-    eigh,
-    matrix_power,
-)
+from .core import EPS_DOUBLE, EPS_SINGLE, ILL_CONDITIONED_THRESHOLD, FeatureMatrix, SymPsdMatrix
 from .errors import InvalidInputError, NumericalFailureError, PoleError
 from .layer import (
     GcpCache,
@@ -31,7 +26,6 @@ from .layer import (
     grad_from_upper_triangle,
     upper_triangle_vector,
 )
-from .newton_schulz import NewtonSchulzTrace, ns_backward, ns_forward, ns_gradient_of_x
 from .pade import (
     ApproximationErrorTable,
     PadeApproximant,
@@ -43,12 +37,7 @@ from .pade import (
     pade_from_series,
     reciprocal_gap_pade,
 )
-from .schemes import (
-    BackwardScheme,
-    grad_covariance,
-    gradient_upper_bound,
-    k_matrix,
-)
+from .schemes import BackwardScheme, gradient_upper_bound
 from .training import (
     HybridSchedule,
     StepRecord,

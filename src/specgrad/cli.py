@@ -446,8 +446,8 @@ def cmd_condition(args) -> int:
 
     values = []
     for block in blocks:
-        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(block))), _DTYPES[args.precision])
-        values.append(condition_number(e))
+        lam, _ = eigh(covariance(FeatureMatrix(block).data))
+        values.append(condition_number(clamp_eigenvalues(lam, _DTYPES[args.precision])))
     flags = [v > ILL_CONDITIONED_THRESHOLD for v in values]
 
     d, n = blocks[0].shape

@@ -2,40 +2,38 @@
 
 Covariance construction, the symmetric eigendecomposition (LAPACK through
 numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
-Everything here is a pure function over small immutable value types; all
-heavier schemes build on these primitives. A float width argument is a
-numpy dtype, float32 or float64; ``float_info`` reads its epsilon.
+Two immutable value types hold checked input; the stage kernels are pure
+functions over plain arrays, and all heavier schemes build on them. A float
+width argument is a numpy dtype, float32 or float64; ``float_info`` reads
+its epsilon.
 
 Validation contract: input is checked once, where it enters the program.
 The public constructors of the value types (``FeatureMatrix``,
-``SymPsdMatrix``, ``EigenDecomposition``) check every invariant and copy
-their arrays, and so do the CLI and ``grad_check`` on their input. The
-package's own producers (``covariance``, ``eigh``, ``clamp_eigenvalues``,
-``matrix_power``, ``newton_schulz.ns_forward``) and the features that
-``grad_check`` and the training loop derive from checked input build their
-results through ``_trusted``, which skips those checks: the results hold the
-invariants by construction, and ``tests/test_trusted.py`` pins that each one
-passes its public constructor. ``schemes.k_matrix`` returns K as a plain
-read-only array, antisymmetric by construction, with no constructor to pass.
-Where arithmetic on finite input can overflow (the covariance, a matrix
-power, and in training the features, the loss gradient at Q and the batch
-gradients), a non-finite product raises ``NumericalFailureError``, not
-``InvalidInputError``, since the input was valid.
+``SymPsdMatrix``) check every invariant and copy their arrays, and the CLI
+checks its input the same way. The stage kernels below
+(``covariance``, ``eigh``, ``clamp_eigenvalues``, ``count_clamped``,
+``matrix_power``, ``condition_number``) take and return plain float64
+arrays and trust them: a covariance from ``covariance`` is symmetric PSD
+by construction, and eigenvalues from ``eigh`` come non-increasing with
+orthonormal eigenvectors. ``layer`` says where value objects are built
+from kernel results. Where arithmetic on finite input can overflow (the
+covariance, a matrix power, and in training the features, the loss
+gradient at Q and the batch gradients), a non-finite product raises
+``NumericalFailureError``, not ``InvalidInputError``, since the input was
+valid; so does an eigensolver that does not converge.
 
-Every array argument goes through ``_float_array``, which does not copy an
-array of its width: float64, but float32 stays float32 in the Pade types.
-``_triu``'s indices and ``_eye``'s scaled identities are cached read-only.
+Every array argument of the public API goes through ``_float_array``, which
+does not copy an array of its width: float64, but float32 stays float32 in
+the Pade types. ``_triu``'s indices and ``_eye``'s scaled identities are
+cached read-only.
 
-Stacks: ``covariance`` takes a leading batch axis (``FeatureMatrix`` data
-of shape (B, d, N) gives a (B, d, d) ``SymPsdMatrix``), and so do
-``clamp_eigenvalues``, ``count_clamped`` and ``matrix_power``
-(an ``EigenDecomposition`` of (B, d) eigenvalues and (B, d, d)
-eigenvectors). ``d`` and ``n_samples`` read the trailing axes, so both
-layer paths run a whole mini-batch in one call. ``eigh`` stays one matrix
-per call; the layer stacks its results. Each matrix of a stack gets the
-same bits as it would alone, and a non-finite product of a stack raises
-what its first failing matrix raises alone. The public constructors stay
-single-matrix; stacks are built only inside the package, through ``_trusted``.
+Stacks: ``covariance`` takes (B, d, N) features and gives (B, d, d)
+covariances, and ``clamp_eigenvalues``, ``count_clamped`` and
+``matrix_power`` take (B, d) eigenvalues and (B, d, d) eigenvectors, so
+both layer paths run a whole mini-batch in one call. ``eigh`` takes a
+stack too, though the layer still calls it once per matrix. Each matrix of
+a stack gets the same bits as it would alone, and a non-finite product of a
+stack raises what its first failing matrix raises alone.
 """
 
 from __future__ import annotations
@@ -86,22 +84,6 @@ def _eye(d: int, scale: float = 1.0) -> np.ndarray:
     out = scale * np.eye(d)
     out.flags.writeable = False
     return out
-
-
-def _trusted(cls, **fields):
-    """Build a value object from fields that hold its invariants by construction.
-
-    The one path by which the package's producers skip ``__post_init__``:
-    every field is set as given and every array is marked read-only in place,
-    without a copy. Callers pass all of the class's fields, as arrays that
-    nothing else holds a writeable reference to.
-    """
-    obj = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj.__dict__.update(fields)  # the frozen __setattr__ refuses; the instance dict does not
-    return obj
 
 
 def _positive(value, name: str, kind=int, floor_zero: bool = False):
@@ -228,97 +210,65 @@ class SymPsdMatrix:
         return self.data.shape[-1]
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs (U, lambda): lambda non-increasing, U orthogonal, each column's sign free."""
-
-    eigenvalues: np.ndarray = field()
-    eigenvectors: np.ndarray = field()
-
-    def __post_init__(self):
-        lam = _float_array(self.eigenvalues, "eigenvalues")
-        u = _float_array(self.eigenvectors, "eigenvectors")
-        if lam.ndim != 1 or u.ndim != 2 or u.shape != (lam.size, lam.size):
-            raise InvalidInputError(
-                f"inconsistent shapes: eigenvalues {lam.shape}, eigenvectors {u.shape}"
-            )
-        if not lam.size:
-            raise InvalidInputError(f"need d >= 1, got eigenvectors of shape {u.shape}")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(u))):
-            raise InvalidInputError("non-finite eigendecomposition")
-        if np.any(np.diff(lam) > 0):
-            raise InvalidInputError("eigenvalues must be sorted in non-increasing order")
-        gram = u.T @ u
-        ortho = np.abs(gram - np.eye(lam.size)).max()
-        if ortho > 1e-10:
-            raise InvalidInputError(f"eigenvector matrix not orthogonal: residual {ortho:.3e}")
-        object.__setattr__(self, "eigenvalues", _as_readonly(lam))
-        object.__setattr__(self, "eigenvectors", _as_readonly(u))
-
-    @property
-    def d(self) -> int:
-        return self.eigenvalues.shape[-1]
-
-
-def covariance(x: FeatureMatrix) -> SymPsdMatrix:
-    """Sample covariance of the columns of ``x``, or of each block of a stack.
+def covariance(x: np.ndarray) -> np.ndarray:
+    """Sample covariance of the columns of ``x`` (d, N), or of each block of a stack.
 
     Computed as X_c X_c^T / N with X_c the column-centered features, which is
     algebraically identical to sandwiching the centering matrix.
     """
-    data = x.data
-    n = data.shape[-1]
+    n = x.shape[-1]
     # sum, then divide: the two steps of ``mean`` without its Python wrappers
-    xc = data - np.add.reduce(data, axis=-1, keepdims=True) / n
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     p = xc @ xc.mT
     p /= n
-    _require_finite(p, "covariance", data)
+    _require_finite(p, "covariance", x)
     p *= 0.5  # halved once: P/2 + (P/2)^T has the bits of 0.5 P + 0.5 P^T
-    return _trusted(SymPsdMatrix, data=p + p.mT)
+    return p + p.mT
 
 
-def eigh(p: SymPsdMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy).
+def eigh(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors ``(lam, u)`` of a symmetric matrix, or of each matrix of a stack.
 
-    Eigenvalues come back sorted non-increasing. The sign of each eigenvector
-    column is LAPACK's: Q = U f(Lambda) U^T and its gradient are the same
-    for either sign, so no result reads it.
+    LAPACK, via numpy. Eigenvalues come back sorted non-increasing, with U's
+    columns in the same order. The sign of each column is LAPACK's:
+    Q = U f(Lambda) U^T and its gradient are the same for either sign, so no
+    result reads it.
 
     Raises:
-        NumericalFailureError: LAPACK did not converge.
+        NumericalFailureError: LAPACK did not converge; ``details`` carry
+            ``where="eigh"`` and ``max_entry``, the largest |entry| of ``p``.
     """
     try:
-        lam, u = np.linalg.eigh(p.data)
+        lam, u = np.linalg.eigh(p)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    # LAPACK returns ascending eigenvalues with orthonormal columns, so the
-    # reversed copies are in non-increasing order and owned by the result;
-    # ``astype`` copies each reversed view into a C-contiguous float64 array
-    lam = lam[::-1].astype(np.float64)
-    u = u[:, ::-1].astype(np.float64)
-    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
+        raise NumericalFailureError(
+            f"eigensolver did not converge: {exc}", where="eigh", max_entry=float(np.abs(p).max())
+        ) from exc
+    # LAPACK returns ascending eigenvalues; reversing the last axis orders
+    # each matrix's alike, and ``astype`` copies each reversed view into a
+    # C-contiguous float64 array
+    return lam[..., ::-1].astype(np.float64), u[..., ::-1].astype(np.float64)
 
 
-def clamp_eigenvalues(e: EigenDecomposition, dtype=np.float64) -> EigenDecomposition:
-    """Replace every eigenvalue below the epsilon of ``dtype`` with that epsilon.
+def clamp_eigenvalues(lam: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``lam`` with every eigenvalue below the epsilon of ``dtype`` raised to that epsilon.
 
-    Idempotent; the eigenvalues stay in order, the eigenvectors untouched.
+    Idempotent, and the order is kept; the eigenvectors do not change.
     """
-    lam = np.maximum(e.eigenvalues, float_info(dtype).eps)
-    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=e.eigenvectors)
+    return np.maximum(lam, float_info(dtype).eps)
 
 
-def count_clamped(e: EigenDecomposition):
+def count_clamped(lam: np.ndarray):
     """Eigenvalues at or below float64's epsilon: one count, or one per matrix of a stack.
 
     Raw and clamped eigenvalues give the same count, since clamping lifts
     exactly these to the epsilon.
     """
-    return np.add.reduce(e.eigenvalues <= EPS_DOUBLE, axis=-1)
+    return np.add.reduce(lam <= EPS_DOUBLE, axis=-1)
 
 
-def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
-    """U diag(lambda^alpha) U^T, of one matrix or of each matrix of a stack.
+def matrix_power(lam: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """U diag(lam^alpha) U^T, of one matrix or of each matrix of a stack.
 
     alpha = 0.5 gives the principal square root.
     """
@@ -328,7 +278,6 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
         raise InvalidInputError(f"exponent must be a real number, got {alpha!r}") from None
     if not finite:
         raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
-    lam = e.eigenvalues
     if alpha != int(alpha):
         if np.minimum.reduce(lam, axis=None) < 0:
             raise InvalidInputError(
@@ -338,22 +287,21 @@ def matrix_power(e: EigenDecomposition, alpha: float) -> SymPsdMatrix:
     elif isinstance(alpha, (bool, np.bool_)):  # bools are integral: a fractional alpha skips this
         raise InvalidInputError(f"exponent must be a real number, got {alpha!r}")
     powered = np.power(lam, alpha)
-    u = e.eigenvectors
     q = (u * powered[..., None, :]) @ u.mT
     if not _finite(q):  # the label and the operand are built only on failure
         # each matrix's eigenvalues as one row, so that a stack's are stacked with q
         _require_finite(q, f"matrix power {alpha}", lam[..., None, :])
     q *= 0.5
-    return _trusted(SymPsdMatrix, data=q + q.mT)
+    return q + q.mT
 
 
-def condition_number(e: EigenDecomposition) -> float:
-    """Ratio of extreme eigenvalues; ``inf`` when the smallest is zero.
+def condition_number(lam: np.ndarray) -> float:
+    """Ratio of the extreme eigenvalues of non-increasing ``lam``; ``inf`` when the smallest is zero.
 
     Negative eigenvalues are invalid input (clamp first).
     """
-    lam_max = float(e.eigenvalues[0])
-    lam_min = float(e.eigenvalues[-1])
+    lam_max = float(lam[0])
+    lam_min = float(lam[-1])
     if lam_min < 0:
         raise InvalidInputError(f"negative smallest eigenvalue {lam_min:.3e}; clamp first")
     return math.inf if lam_min == 0.0 else lam_max / lam_min

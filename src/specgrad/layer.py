@@ -6,11 +6,22 @@ caches whatever its backward needs; the backward pass chains the covariance
 gradient to the input features. A finite-difference checker arbitrates every
 pairing.
 
+Between its stages the layer passes plain float64 arrays: the features'
+data, the covariance, the clamped eigenvalues and eigenvectors (which the
+cache holds as two read-only arrays) or the NS trace. Only its edge objects are value
+types. It takes a ``FeatureMatrix`` and wraps Q and the cached covariance as
+``SymPsdMatrix`` through ``_trusted``, which skips the public constructor's
+checks: both are symmetric by construction, and the two checks would add
+about two thirds to a d = 8 exact forward. ``grad_check`` and the training
+loop build their features through ``_trusted`` too, from input already
+checked.
+
 Stacks: ``gcp_forward`` also takes a (B, d, N) ``FeatureMatrix`` built
 inside the package, under either forward. Q, the covariance, the NS trace
 and the clamped eigenpairs are then stacks, and ``gcp_backward`` takes a
 (B, d, d) stack of gradients. The exact forward calls ``eigh`` once per
-matrix and stacks the results; everything after it runs once per batch.
+matrix and stacks the results, since the benchmark's pins count one call
+per matrix; everything after it runs once per batch.
 Each matrix gets the bits of its own single-matrix call, and a failed check
 fails the whole stack with the error of the first matrix that fails it (for
 a non-finite gradient, ``k_entries`` and ``clamped`` read that matrix only).
@@ -23,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
     _finite,
@@ -31,7 +41,6 @@ from .core import (
     _non_negative,
     _positive,
     _triu,
-    _trusted,
     clamp_eigenvalues,
     count_clamped,
     covariance,
@@ -50,6 +59,21 @@ from .schemes import BackwardScheme, grad_covariance, k_matrix
 
 EIG_SQRT = "eig_sqrt"
 NEWTON_SCHULZ = "newton_schulz"
+
+
+def _trusted(cls, **fields):
+    """Build a value object from fields that hold its invariants by construction.
+
+    Skips ``__post_init__``: every field is set as given and every array is
+    marked read-only in place, without a copy. Callers pass all of the
+    class's fields, as arrays that nothing else holds a writeable reference to.
+    """
+    obj = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)  # the frozen __setattr__ refuses; the instance dict does not
+    return obj
 
 
 @dataclass(frozen=True)
@@ -90,27 +114,30 @@ class GcpLayerConfig:
 
 @dataclass(frozen=True)
 class GcpCache:
-    """State saved by the forward pass for the configured backward."""
+    """State saved by the forward pass for the configured backward.
+
+    The exact forward keeps the clamped ``eigenvalues`` (non-increasing) and
+    their ``eigenvectors``, both read-only; the Newton-Schulz backward reads
+    ``ns_trace``.
+    """
 
     x: FeatureMatrix
     p: SymPsdMatrix
     config: GcpLayerConfig
-    eig: EigenDecomposition | None = None
+    eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
     ns_trace: NewtonSchulzTrace | None = None
 
 
-def _eigh_each(p: SymPsdMatrix) -> EigenDecomposition:
+def _eigh_each(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``p``, or of each matrix of a stack, written into the stacked result."""
-    data = p.data
-    if data.ndim == 2:
+    if p.ndim == 2:
         return eigh(p)
-    lam = np.empty(data.shape[:-1])
-    u = np.empty(data.shape)
-    for b, p_b in enumerate(data):
-        e = eigh(_trusted(SymPsdMatrix, data=p_b))
-        lam[b] = e.eigenvalues
-        u[b] = e.eigenvectors
-    return _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
+    lam = np.empty(p.shape[:-1])
+    u = np.empty(p.shape)
+    for b, p_b in enumerate(p):
+        lam[b], u[b] = eigh(p_b)
+    return lam, u
 
 
 def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, GcpCache]:
@@ -122,15 +149,27 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
     """
     if not isinstance(x, FeatureMatrix):
         raise InvalidInputError(f"x must be a FeatureMatrix, got {type(x).__name__}")
-    p = covariance(x)
-    e = trace = None
+    p = covariance(x.data)
+    lam = u = trace = None
     if cfg.backward.kind == "newton_schulz":
         q, trace = ns_forward(p, cfg.backward.param)
     if cfg.forward == EIG_SQRT:
         # an exact root replaces the NS one; an NS backward still reverses the trace
-        e = clamp_eigenvalues(_eigh_each(p))
-        q = matrix_power(e, 0.5)
-    return q, GcpCache(x=x, p=p, config=cfg, eig=e, ns_trace=trace)
+        lam, u = _eigh_each(p)
+        lam = clamp_eigenvalues(lam)
+        q = matrix_power(lam, u, 0.5)
+        # the cache's own fresh arrays: read-only in place, without a copy
+        lam.setflags(write=False)
+        u.setflags(write=False)
+    cache = GcpCache(
+        x=x,
+        p=_trusted(SymPsdMatrix, data=p),
+        config=cfg,
+        eigenvalues=lam,
+        eigenvectors=u,
+        ns_trace=trace,
+    )
+    return _trusted(SymPsdMatrix, data=q), cache
 
 
 def upper_triangle_vector(q: np.ndarray) -> np.ndarray:
@@ -171,9 +210,10 @@ def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, np.n
         if cache.ns_trace is not None:
             grad_p = ns_backward(cache.ns_trace, grad_q)
         else:
-            k = k_matrix(cache.eig, cache.config.backward)
-            grad_p = grad_covariance(grad_q, cache.eig, k)
-        grad_x = ns_gradient_of_x(grad_p, cache.x)
+            lam = cache.eigenvalues
+            k = k_matrix(lam, cache.config.backward)
+            grad_p = grad_covariance(grad_q, lam, cache.eigenvectors, k)
+        grad_x = ns_gradient_of_x(grad_p, cache.x.data)
     return grad_x, k
 
 
@@ -199,8 +239,8 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
         if k is not None:
             entries = np.argwhere(~np.isfinite(k))
             details["k_entries"] = entries[np.all(entries[:, :-2] == first, axis=1)]
-        if cache.eig is not None:
-            details["clamped"] = count_clamped(cache.eig)[tuple(first)]
+        if cache.eigenvalues is not None:
+            details["clamped"] = count_clamped(cache.eigenvalues)[tuple(first)]
         raise NumericalFailureError(
             f"non-finite gradient under scheme {cache.config.backward.label}",
             scheme=cache.config.backward.label,

@@ -40,6 +40,12 @@ N = 1 the single step is both special steps and costs 2. Validated against
 central finite differences and, in the tests, against the per-step
 recursion expanded into triple products (12 matmuls a step).
 
+Arrays: ``ns_forward`` takes the covariance as a plain (d, d) float64 array
+from ``core.covariance`` and returns Q as one, with the trace as a plain
+record that only it builds; ``ns_gradient_of_x`` takes the (d, N)
+features as an array. The kernels trust these arrays, and check only the
+gradient they are given.
+
 Stacks: ``ns_forward``, ``ns_backward`` and ``ns_gradient_of_x`` also take
 a leading batch axis, a (B, d, d) covariance stack from ``core.covariance``
 of (B, d, N) features. Every product is then one stacked matmul, so a
@@ -56,15 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FeatureMatrix,
-    SymPsdMatrix,
-    _eye,
-    _float_array,
-    _gradient,
-    _positive,
-    _trusted,
-)
+from .core import _eye, _float_array, _gradient, _positive
 from .errors import InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
@@ -74,39 +72,17 @@ _DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class NewtonSchulzTrace:
-    """Everything the backward pass needs from an N-step forward.
+    """Everything the backward pass needs from an N-step forward; ``ns_forward`` builds it.
 
     ``y_seq`` holds Y_0 = A, ..., Y_N; ``z_seq`` holds Z_1, ..., Z_{N-1}
     (Z_0 = I is implied); ``t_seq`` holds the factors T_1, ..., T_N;
     ``trace_p`` holds tr(P), one per matrix of a stack.
-
-    Raises:
-        InvalidInputError: the sequence lengths do not line up with one N >= 1,
-            ``trace_p`` does not hold one tr(P) per matrix of ``y_seq[0]``, or a
-            matrix's ``trace_p`` is not positive and finite.
     """
 
     y_seq: tuple
     z_seq: tuple
     t_seq: tuple
     trace_p: np.ndarray
-
-    def __post_init__(self):
-        n = self.iterations
-        if n < 1 or len(self.z_seq) != n - 1 or len(self.t_seq) != n:
-            raise InvalidInputError(
-                "a trace of N >= 1 steps holds N + 1 Y iterates, N - 1 Z and N T, "
-                f"got {len(self.y_seq)}, {len(self.z_seq)} and {len(self.t_seq)}"
-            )
-        trace_p = _float_array(self.trace_p, "trace_p")
-        lead = self.y_seq[0].shape[:-2]
-        if trace_p.shape != lead:
-            raise InvalidInputError(
-                f"trace_p shape {trace_p.shape} does not match the stack shape {lead} of y_seq"
-            )
-        if not np.all((trace_p > 0.0) & (trace_p < np.inf)):
-            raise InvalidInputError(f"trace_p must be positive and finite, got {self.trace_p!r}")
-        object.__setattr__(self, "trace_p", trace_p)
 
     @property
     def iterations(self) -> int:
@@ -117,7 +93,7 @@ class NewtonSchulzTrace:
         return self.y_seq[0].shape[-1]
 
 
-def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSchulzTrace]:
+def ns_forward(p: np.ndarray, iterations: int) -> tuple[np.ndarray, NewtonSchulzTrace]:
     """Approximate principal square root of ``p``, or of each matrix of a stack, with its trace.
 
     Raises:
@@ -126,20 +102,20 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
             divergence guard.
     """
     iterations = _positive(iterations, "iterations")
-    trace_p = p.data.trace(axis1=-2, axis2=-1)
+    trace_p = p.trace(axis1=-2, axis2=-1)
     # min and max over ``.flat`` read a single trace or a stack's alike, and
     # cost a fraction of a numpy reduction at d = 8
     lowest = min(trace_p.flat)
     if lowest <= 0.0:
         raise InvalidInputError(f"trace pre-normalization needs tr(P) > 0, got {lowest:.3e}")
-    d = p.d
+    d = p.shape[-1]
     if max(trace_p.flat) == np.inf:
         # a finite P whose diagonal sums past the float range; the root would be nan
         first = np.flatnonzero(np.ravel(trace_p) == np.inf)[0]
-        largest = float(np.abs(p.data.reshape(-1, d, d)[first]).max())
+        largest = float(np.abs(p.reshape(-1, d, d)[first]).max())
         raise NumericalFailureError("tr(P) overflowed", where="trace", max_entry=largest)
     tr = trace_p[..., None, None]  # one per matrix, broadcast over its d x d entries
-    a = p.data / tr
+    a = p / tr
     # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
     # violation means an indefinite matrix slipped past construction. The
     # einsum forms each matrix's squared distance without a d x d temporary
@@ -176,16 +152,10 @@ def ns_forward(p: SymPsdMatrix, iterations: int) -> tuple[SymPsdMatrix, NewtonSc
         if k + 1 < iterations:  # nothing reads Z_N
             z_seq.append(t @ z_seq[-1] if k else t)
 
+    trace_p.setflags(write=False)  # a stack's traces; one matrix's is a numpy scalar
     q = np.sqrt(tr) * y_seq[-1]
     q *= 0.5  # in place, so that q + q.mT = 0.5 Q + 0.5 Q^T needs one temporary fewer
-    trace = _trusted(
-        NewtonSchulzTrace,
-        y_seq=tuple(y_seq),
-        z_seq=tuple(z_seq),
-        t_seq=tuple(t_seq),
-        trace_p=trace_p,
-    )
-    return _trusted(SymPsdMatrix, data=q + q.mT), trace
+    return q + q.mT, NewtonSchulzTrace(tuple(y_seq), tuple(z_seq), tuple(t_seq), trace_p)
 
 
 def _minus_half(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,13 +210,13 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     return da
 
 
-def ns_gradient_of_x(grad_p: np.ndarray, x: FeatureMatrix) -> np.ndarray:
+def ns_gradient_of_x(grad_p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """dL/dX = (G + G^T) X (I - 11^T / N) / N, each matrix's fresh product centred in place."""
     grad_p = _float_array(grad_p, "covariance gradient")
-    d, n = x.data.shape[-2:]
-    if grad_p.shape != x.data.shape[:-1] + (d,):
+    d, n = x.shape[-2:]
+    if grad_p.shape != x.shape[:-1] + (d,):
         raise InvalidInputError(f"covariance gradient shape {grad_p.shape} does not match d={d}")
-    m = (grad_p + grad_p.mT) @ x.data
+    m = (grad_p + grad_p.mT) @ x
     m -= np.add.reduce(m, axis=-1, keepdims=True) / n
     m /= n
     return m

@@ -11,9 +11,12 @@ bound on |K|. ``k_matrix`` returns K as a plain read-only float64 array, and
 the scheme's damping of the exact Daleckii-Krein adjoint. A bound takes the
 width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
 
-Stacks: ``k_matrix`` and ``grad_covariance`` also take the layer's stacked
-eigenpairs, (B, d) and (B, d, d), so one pass covers a batch; each matrix
-gets the bits of its own call.
+Both take the eigenpairs as plain float64 arrays, the non-increasing
+eigenvalues (d,) and the eigenvectors (d, d) that ``core.eigh`` returns,
+clamped by ``core.clamp_eigenvalues``, and trust them; ``grad_covariance``
+checks only the gradient it is given. Stacks: both also take the layer's
+stacked eigenpairs, (B, d) and (B, d, d), so one pass covers a batch; each
+matrix gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EigenDecomposition,
-    _gradient,
-    _positive,
-    _triu,
-    float_info,
-)
+from .core import _gradient, _positive, _triu, float_info
 from .errors import InvalidInputError, PoleError
 from .pade import eval_rational, reciprocal_gap_pade
 
@@ -117,11 +114,11 @@ class BackwardScheme:
         return f"{self.kind}({spec.name}={value})"
 
 
-def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> np.ndarray:
+def k_matrix(lam: np.ndarray, scheme: BackwardScheme) -> np.ndarray:
     """The scheme-specific replacement for the 1/(lambda_i - lambda_j) matrix.
 
     K is a read-only float64 array of shape (d, d), or (B, d, d) for stacked
-    eigenpairs, and this is the one place that dispatches on the scheme kind.
+    eigenvalues, and this is the one place that dispatches on the scheme kind.
     Every scheme computes the upper triangle only, where the eigenvalue
     ordering keeps lambda_i >= lambda_j (so the ratio lambda_j / lambda_i is at
     or below one), and the lower triangle is its negation; an exact tie under
@@ -135,8 +132,7 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> np.ndarray:
     ``gradient_upper_bound`` is the |K_01| this function emits at a tie at
     ``eps``, the largest entry for eigenvalues clamped to at least ``eps``.
     """
-    lam = e.eigenvalues
-    d = e.d
+    d = lam.shape[-1]
     kind = scheme.kind
     if kind == "newton_schulz":
         raise InvalidInputError(f"scheme {scheme.label} does not define a K matrix")
@@ -170,7 +166,9 @@ def k_matrix(e: EigenDecomposition, scheme: BackwardScheme) -> np.ndarray:
     return k
 
 
-def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: np.ndarray) -> np.ndarray:
+def grad_covariance(
+    grad_q: np.ndarray, lam: np.ndarray, u: np.ndarray, k: np.ndarray
+) -> np.ndarray:
     """Full backward chain dl/dQ -> dl/dP through the scheme that built ``k``.
 
     The Daleckii-Krein form of the square root's adjoint (Higham, *Functions
@@ -182,17 +180,16 @@ def grad_covariance(grad_q: np.ndarray, e: EigenDecomposition, k: np.ndarray) ->
     a near tie loses no accuracy; at an exact tie ``ordinary``'s inf * 0 is
     nan, and a finite K gives Phi = 0.
     """
-    u = e.eigenvectors
     grad_q = _gradient(grad_q, u.shape)
+    d = lam.shape[-1]
     if k.shape != u.shape:
-        raise InvalidInputError(f"K matrix shape {k.shape} does not match d={e.d}")
-    lam = e.eigenvalues
+        raise InvalidInputError(f"K matrix shape {k.shape} does not match d={d}")
     if np.any(lam <= 0):
         raise InvalidInputError("non-positive eigenvalue; clamp before the backward pass")
     sqrt_lam = np.sqrt(lam)
     s = u.mT @ (grad_q + grad_q.mT) @ u
     phi = k * (lam[..., :, None] - lam[..., None, :])
-    diag = np.arange(e.d)
+    diag = np.arange(d)
     phi[..., diag, diag] = 1.0
     phi /= 2.0 * (sqrt_lam[..., :, None] + sqrt_lam[..., None, :])  # now Phi o L
     return u @ (phi * s) @ u.mT
@@ -212,9 +209,8 @@ def gradient_upper_bound(scheme: BackwardScheme, dtype=np.float64) -> float | No
     eps = float_info(dtype).eps
     if scheme.kind == "newton_schulz":
         return None
-    tie = EigenDecomposition(np.full(2, eps), np.eye(2))
     try:
-        k = k_matrix(tie, BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
+        k = k_matrix(np.full(2, eps), BackwardScheme.topn(1) if scheme.kind == "topn" else scheme)
     except PoleError:
         return math.inf
     return float(abs(k[0, 1]))

@@ -29,19 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    FeatureMatrix,
-    SymPsdMatrix,
-    _non_negative,
-    _positive,
-    _require_finite,
-    _trusted,
-    eigh,
-    float_info,
-)
+from .core import FeatureMatrix, _non_negative, _positive, _require_finite, eigh, float_info
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
     GcpLayerConfig,
+    _trusted,
     gcp_backward,
     gcp_forward,
     grad_from_upper_triangle,
@@ -306,13 +298,13 @@ def _pool(model: ToyModel, cfg: GcpLayerConfig, r: np.ndarray):
 def _clamped_eigenvalues(cache) -> np.ndarray:
     """Each sample's clamped eigenvalues from a stacked cache, for its logged condition number.
 
-    The exact forward's ``cache.eig`` holds them; the Newton-Schulz forward
-    solves none, so each sample's covariance gets one ``eigh`` here, clamped
-    as ``clamp_eigenvalues`` clamps.
+    The exact forward's cache holds them; the Newton-Schulz forward solves
+    none, so each sample's covariance gets one ``eigh`` here, clamped as
+    ``clamp_eigenvalues`` clamps.
     """
-    if cache.eig is not None:
-        return cache.eig.eigenvalues
-    lam = [eigh(_trusted(SymPsdMatrix, data=p)).eigenvalues for p in cache.p.data]
+    if cache.eigenvalues is not None:
+        return cache.eigenvalues
+    lam = [eigh(p)[0] for p in cache.p.data]
     return np.maximum(lam, float_info(np.float64).eps)
 
 

@@ -11,9 +11,10 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def random_spd(d: int, rng: np.random.Generator, jitter: float = 0.5) -> SymPsdMatrix:
+def random_spd(d: int, rng: np.random.Generator, jitter: float = 0.5) -> np.ndarray:
+    """A random symmetric positive definite d x d array, symmetrized by ``SymPsdMatrix``."""
     a = rng.normal(size=(d, d))
-    return SymPsdMatrix(a @ a.T + jitter * np.eye(d))
+    return SymPsdMatrix(a @ a.T + jitter * np.eye(d)).data
 
 
 def random_features(d: int, n: int, rng: np.random.Generator) -> FeatureMatrix:

@@ -11,9 +11,9 @@ to X those of ``ns_gradient_of_x``, the min-gap spectrum gives
 the finite-difference suite well-separated eigenvalues, the Loewner-form
 gradient shows which pairs of dL/dP reach dL/dX, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
-the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` an
-eigendecomposition, ``table_cell`` one entry of an approximation-error table,
-and ``mean_condition`` and ``error_rate`` a training log. The per-sample
+the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` a
+matrix from its eigenpairs, ``table_cell`` one entry of an approximation-error
+table, and ``mean_condition`` and ``error_rate`` a training log. The per-sample
 evaluation and batch pass are ``training.evaluate_model`` and the training
 step's ``_batch_pass`` written as loops over samples, with the classifier
 head and the finiteness checks spelled out for one pooled matrix. Tests import this
@@ -29,13 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specgrad.core import (
-    EigenDecomposition,
-    FeatureMatrix,
-    SymPsdMatrix,
-    clamp_eigenvalues,
-    eigh,
-)
+from specgrad.core import FeatureMatrix, clamp_eigenvalues, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.pade import ApproximationErrorTable, PadeApproximant, PowerSeries
 from specgrad.layer import (
@@ -54,7 +48,7 @@ class PowerIterationTrace:
 
     us: np.ndarray = field()  # (k_iters + 1, d)
     norms: np.ndarray = field()  # (k_iters,)
-    p: SymPsdMatrix = field()
+    p: np.ndarray = field()
 
     @property
     def k_iters(self) -> int:
@@ -65,13 +59,13 @@ class PowerIterationTrace:
         return self.us[-1]
 
 
-def power_iteration(p: SymPsdMatrix, k_iters: int, v0: np.ndarray) -> PowerIterationTrace:
+def power_iteration(p: np.ndarray, k_iters: int, v0: np.ndarray) -> PowerIterationTrace:
     """Run k_iters normalized power steps from a nonzero v0, keeping the whole sequence."""
-    us = np.empty((k_iters + 1, p.d))
+    us = np.empty((k_iters + 1, p.shape[-1]))
     norms = np.empty(k_iters)
     us[0] = v0 / np.linalg.norm(v0)
     for k in range(k_iters):
-        w = p.data @ us[k]
+        w = p @ us[k]
         norms[k] = np.linalg.norm(w)
         us[k + 1] = w / norms[k]
     return PowerIterationTrace(us, norms, p)
@@ -90,7 +84,7 @@ def pi_gradient(trace: PowerIterationTrace, grad_u: np.ndarray) -> np.ndarray:
         u_next = trace.us[k + 1]
         projected = (g - u_next * np.dot(u_next, g)) / trace.norms[k]
         total += np.outer(projected, trace.us[k])
-        g = trace.p.data @ projected
+        g = trace.p @ projected
     return total
 
 
@@ -356,10 +350,9 @@ def read_csv(path) -> tuple[dict, list, list]:
     return preamble, header, rows
 
 
-def reconstruct(e: EigenDecomposition) -> np.ndarray:
+def reconstruct(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U diag(lambda) U^T."""
-    u = e.eigenvectors
-    return (u * e.eigenvalues) @ u.T
+    return (u * lam) @ u.T
 
 
 def table_cell(table: ApproximationErrorTable, ratio: float, degree: int) -> float:
@@ -422,7 +415,7 @@ def per_sample_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, 
         features = model.w1 @ r
         _require_finite(features, "features w1 @ r", model.w1)
         q, cache = gcp_forward(FeatureMatrix(features), cfg)
-        lam = clamp_eigenvalues(eigh(cache.p)).eigenvalues
+        lam = clamp_eigenvalues(eigh(cache.p.data)[0])
         conds.append(lam[0] / lam[-1])
         v = upper_triangle_vector(q.data)
         logits = model.w2 @ v + model.b2

@@ -11,14 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from specgrad.core import (
-    EPS_DOUBLE,
-    EigenDecomposition,
-    SymPsdMatrix,
-    clamp_eigenvalues,
-    eigh,
-    matrix_power,
-)
+from specgrad.core import EPS_DOUBLE, SymPsdMatrix, clamp_eigenvalues, eigh, matrix_power
 from specgrad.layer import GcpLayerConfig, grad_check
 from specgrad.newton_schulz import ns_forward
 from specgrad.pade import (
@@ -201,7 +194,7 @@ def test_criterion_3_pade_bound_order_of_magnitude():
         assert np.isfinite(pade) and pade >= floor, (pade, floor)
 
         # the bound is what k_matrix emits at a tie at the clamp floor
-        tie = EigenDecomposition(np.array([eps, eps]), np.eye(2))
+        tie = np.array([eps, eps])
         assert pade == abs(k_matrix(tie, BackwardScheme.pade(100))[0, 1])
 
 
@@ -231,10 +224,9 @@ def test_criterion_5_remedy_consistency():
             rng = np.random.default_rng(seed)
             lam = np.array([1.0, 0.7, 0.49, 0.343])
             u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-            e = EigenDecomposition(lam, u)
             w = rng.normal(size=(4, 4))
             grads = [
-                grad_covariance(w, e, k_matrix(e, scheme))
+                grad_covariance(w, lam, u, k_matrix(lam, scheme))
                 for scheme in (
                     BackwardScheme.ordinary(),
                     BackwardScheme.taylor(100),
@@ -248,10 +240,10 @@ def test_criterion_5_remedy_consistency():
                     assert rel <= 1e-8, (seed, a, b, rel)
 
         # near the pole: pade stays accurate where taylor visibly deviates
-        e = EigenDecomposition(np.array([1.0, 0.999]), np.eye(2))
+        lam = np.array([1.0, 0.999])
         exact = 1.0 / (1.0 - 0.999)
-        pade_entry = k_matrix(e, BackwardScheme.pade(100))[0, 1]
-        taylor_entry = k_matrix(e, BackwardScheme.taylor(100))[0, 1]
+        pade_entry = k_matrix(lam, BackwardScheme.pade(100))[0, 1]
+        taylor_entry = k_matrix(lam, BackwardScheme.taylor(100))[0, 1]
         assert abs(pade_entry - exact) / exact <= 1e-6
         assert abs(taylor_entry - exact) / exact >= 0.01
 
@@ -263,7 +255,7 @@ def test_criterion_6_power_iteration_behavior():
             rng = np.random.default_rng(seed)
             lam = np.array([1.0, 0.25, 0.1])  # lambda1/lambda2 = 4
             u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            p = SymPsdMatrix((u * lam) @ u.T)
+            p = SymPsdMatrix((u * lam) @ u.T).data
             v0 = rng.normal(size=3)
             trace = power_iteration(p, 30, v0)
             err = min(
@@ -273,7 +265,7 @@ def test_criterion_6_power_iteration_behavior():
             assert err <= 1e-6, (seed, err)
 
         # no dominance: stuck after 10 iterations
-        p = SymPsdMatrix(np.diag([1.01, 1.0]))
+        p = np.diag([1.01, 1.0])
         v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         trace = power_iteration(p, 10, v0)
         assert np.linalg.norm(trace.estimate - np.array([1.0, 0.0])) >= 0.1
@@ -284,8 +276,7 @@ def test_criterion_6_power_iteration_behavior():
             rng = np.random.default_rng(100 + seed)
             lam = np.array([1.0, 0.5, 0.3])  # lambda1/lambda2 = 2
             u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            e = EigenDecomposition(lam, u)
-            p = SymPsdMatrix(reconstruct(e))
+            p = SymPsdMatrix(reconstruct(lam, u)).data
             degree = 80
             g1 = rng.normal(size=3)
             got = pi_gradient(power_iteration(p, degree + 1, u[:, 0]), g1)
@@ -313,16 +304,17 @@ def test_criterion_8_newton_schulz_convergence():
             rng = np.random.default_rng(seed)
             lam = 100.0 ** (-np.arange(6) / 5)  # condition number 100
             u = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-            p = SymPsdMatrix((u * lam) @ u.T)
-            exact = matrix_power(clamp_eigenvalues(eigh(p)), 0.5)
-            norm = np.linalg.norm(exact.data)
+            p = SymPsdMatrix((u * lam) @ u.T).data
+            lam_p, u_p = eigh(p)
+            exact = matrix_power(clamp_eigenvalues(lam_p), u_p, 0.5)
+            norm = np.linalg.norm(exact)
             errors = []
             for iters in range(1, 11):
                 q, _ = ns_forward(p, iters)
-                errors.append(np.linalg.norm(q.data - exact.data) / norm)
+                errors.append(np.linalg.norm(q - exact) / norm)
             assert all(b < a for a, b in zip(errors, errors[1:])), (seed, errors)
             q, _ = ns_forward(p, 20)
-            assert np.linalg.norm(q.data - exact.data) / norm <= 1e-5
+            assert np.linalg.norm(q - exact) / norm <= 1e-5
 
 
 def test_criterion_9_hybrid_toy_training():

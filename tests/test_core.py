@@ -10,14 +10,13 @@ from specgrad.core import (
     EPS_DOUBLE,
     EPS_SINGLE,
     ILL_CONDITIONED_THRESHOLD,
-    EigenDecomposition,
     FeatureMatrix,
     SymPsdMatrix,
     _require_finite,
     _triu,
-    _trusted,
     clamp_eigenvalues,
     condition_number,
+    count_clamped,
     covariance,
     eigh,
     matrix_power,
@@ -26,13 +25,15 @@ from specgrad import io
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
+    _eigh_each,
+    _trusted,
     gcp_backward,
     gcp_forward,
     grad_check,
     grad_from_upper_triangle,
     upper_triangle_vector,
 )
-from specgrad.newton_schulz import NewtonSchulzTrace, ns_backward, ns_forward, ns_gradient_of_x
+from specgrad.newton_schulz import ns_backward, ns_forward, ns_gradient_of_x
 from specgrad.pade import (
     PadeApproximant,
     PowerSeries,
@@ -51,7 +52,7 @@ from specgrad.schemes import (
 from specgrad.synth import gaussian_features, spectrum_for_condition
 from specgrad.training import HybridSchedule, ToyModelSpec, batch_stream, make_toy_task
 
-from conftest import random_spd
+from conftest import random_spd, same_bits
 from oracles import centering_matrix, reconstruct
 
 #: the five schemes that build a K matrix
@@ -69,11 +70,10 @@ K_SCHEMES = (
     [
         (FeatureMatrix, ([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]],)),
         (SymPsdMatrix, ([[2.0, 1.0], [1.0, 2.0]],)),
-        (EigenDecomposition, ([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])),
         (PowerSeries, ([1.0, 1.0, 1.0],)),
         (PadeApproximant, ([1.0, 0.5], [0.5])),
     ],
-    ids=["FeatureMatrix", "SymPsdMatrix", "EigenDecomposition", "PowerSeries", "PadeApproximant"],
+    ids=["FeatureMatrix", "SymPsdMatrix", "PowerSeries", "PadeApproximant"],
 )
 def test_value_objects_hold_read_only_copies(cls, inputs):
     inputs = [np.array(a) for a in inputs]
@@ -90,23 +90,23 @@ def test_value_objects_hold_read_only_copies(cls, inputs):
 
 
 _X = FeatureMatrix(np.random.default_rng(0).normal(size=(2, 6)))
-_E = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
+_LAM = np.array([2.0, 1.0])
 _I = np.eye(2)
 _EIG = GcpLayerConfig.eig(BackwardScheme.pade())
 _NS = GcpLayerConfig.newton_schulz(2)
 
-#: every array argument of the package, with the name its refusal gives
+#: every array argument the package converts, with the name its refusal gives
 ARRAY_ARGUMENTS = {
     "FeatureMatrix": ("feature matrix", lambda a: FeatureMatrix(a)),
     "SymPsdMatrix": ("matrix", lambda a: SymPsdMatrix(a)),
-    "eigenvalues": ("eigenvalues", lambda a: EigenDecomposition(a, _I)),
-    "eigenvectors": ("eigenvectors", lambda a: EigenDecomposition([2.0, 1.0], a)),
-    "grad_covariance": ("gradient", lambda a: grad_covariance(a, _E, k_matrix(_E, K_SCHEMES[0]))),
-    "ns_backward": ("gradient", lambda a: ns_backward(ns_forward(SymPsdMatrix(_I), 2)[1], a)),
+    "grad_covariance": (
+        "gradient",
+        lambda a: grad_covariance(a, _LAM, _I, k_matrix(_LAM, K_SCHEMES[0])),
+    ),
+    "ns_backward": ("gradient", lambda a: ns_backward(ns_forward(_I, 2)[1], a)),
     "gcp_backward-eig": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _EIG)[1], a)),
     "gcp_backward-ns": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _NS)[1], a)),
-    "NewtonSchulzTrace": ("trace_p", lambda a: NewtonSchulzTrace((_I, _I), (), (_I,), a)),
-    "ns_gradient_of_x": ("covariance gradient", lambda a: ns_gradient_of_x(a, _X)),
+    "ns_gradient_of_x": ("covariance gradient", lambda a: ns_gradient_of_x(a, _X.data)),
     "upper_triangle_vector": ("q", upper_triangle_vector),
     "grad_from_upper_triangle": ("gradient vector", lambda a: grad_from_upper_triangle(a, 2)),
     "PowerSeries": ("power series coefficients", lambda a: PowerSeries(a)),
@@ -169,22 +169,13 @@ class TestTypes:
         # input runs in float64, as the exact forward does
         p = SymPsdMatrix(np.diag([2.0, 1.0]).astype(np.float32))
         assert p.data.dtype == np.float64
-        q, trace = ns_forward(p, 5)
-        assert q.data.dtype == np.float64
+        q, trace = ns_forward(p.data, 5)
+        assert q.dtype == np.float64
         assert all(y.dtype == np.float64 for y in trace.y_seq)
 
     def test_sym_matrix_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
             SymPsdMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-
-    def test_eigendecomposition_enforces_order(self):
-        with pytest.raises(InvalidInputError):
-            EigenDecomposition(np.array([1.0, 2.0]), np.eye(2))
-
-    def test_eigendecomposition_enforces_orthogonality(self):
-        u = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
-            EigenDecomposition(np.array([2.0, 1.0]), u)
 
     @pytest.mark.parametrize(
         "build,message",
@@ -192,29 +183,9 @@ class TestTypes:
             (lambda: FeatureMatrix(np.ones(4)), "feature matrix must be 2-d, got shape (4,)"),
             (lambda: SymPsdMatrix(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
             (lambda: SymPsdMatrix(np.diag([1.0, np.inf])), "matrix contains non-finite entries"),
-            (
-                lambda: EigenDecomposition(np.ones(3), np.eye(2)),
-                "inconsistent shapes: eigenvalues (3,), eigenvectors (2, 2)",
-            ),
-            (
-                lambda: EigenDecomposition(np.array([np.nan, 1.0]), np.eye(2)),
-                "non-finite eigendecomposition",
-            ),
             (lambda: SymPsdMatrix(np.zeros((0, 0))), "need d >= 1, got shape (0, 0)"),
-            (
-                lambda: EigenDecomposition(np.zeros(0), np.zeros((0, 0))),
-                "need d >= 1, got eigenvectors of shape (0, 0)",
-            ),
         ],
-        ids=[
-            "features-1d",
-            "sym-not-square",
-            "sym-non-finite",
-            "eig-shapes",
-            "eig-non-finite",
-            "sym-empty",
-            "eig-empty",
-        ],
+        ids=["features-1d", "sym-not-square", "sym-non-finite", "sym-empty"],
     )
     def test_malformed_value_refused(self, build, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -226,27 +197,24 @@ class TestTypes:
 
     @pytest.mark.parametrize("width", [np.float16, np.int64, np.complex128, "half", "bogus"])
     def test_width_other_than_float32_or_float64_is_rejected(self, width):
-        e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
         with pytest.raises(InvalidInputError):
-            clamp_eigenvalues(e, width)
+            clamp_eigenvalues(np.array([1.0, 0.0]), width)
 
 
 class TestCovariance:
     def test_constant_rows_give_zero(self):
-        x = FeatureMatrix(np.array([[3.0, 3.0, 3.0], [-1.0, -1.0, -1.0]]))
-        assert np.abs(covariance(x).data).max() == 0.0
+        x = np.array([[3.0, 3.0, 3.0], [-1.0, -1.0, -1.0]])
+        assert np.abs(covariance(x)).max() == 0.0
 
     def test_hand_case(self):
         # P = X Ibar X^T for X = [[1,-1],[0,0]]: centered columns are
         # (1,0) and (-1,0), so the (0,0) entry is (1 + 1)/2 = 1
-        x = FeatureMatrix(np.array([[1.0, -1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(
-            covariance(x).data, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-15
-        )
+        x = np.array([[1.0, -1.0], [0.0, 0.0]])
+        np.testing.assert_allclose(covariance(x), np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-15)
 
     def test_matches_centering_matrix_formula(self, rng):
         x = rng.normal(size=(4, 50))
-        direct = covariance(FeatureMatrix(x)).data
+        direct = covariance(x)
         literal = x @ centering_matrix(50) @ x.T
         np.testing.assert_allclose(direct, literal, atol=1e-13)
 
@@ -254,73 +222,79 @@ class TestCovariance:
         x = rng.normal(size=(4, 50))
         mean = x.mean(axis=1)
         oracle = sum(np.outer(x[:, i] - mean, x[:, i] - mean) for i in range(50)) / 50
-        np.testing.assert_allclose(covariance(FeatureMatrix(x)).data, oracle, atol=1e-12)
+        np.testing.assert_allclose(covariance(x), oracle, atol=1e-12)
 
     def test_output_is_psd_up_to_roundoff(self, rng):
         for _ in range(10):
             x = rng.normal(size=(6, 9))
-            p = covariance(FeatureMatrix(x))
-            lam = np.linalg.eigvalsh(p.data)
+            p = covariance(x)
+            lam = np.linalg.eigvalsh(p)
             assert lam.min() >= -1e-10 * max(lam.max(), 1.0)
-            assert np.array_equal(p.data, p.data.T)
+            assert np.array_equal(p, p.T)
 
 
 class TestEigh:
     def test_diagonal_matrix(self):
-        e = eigh(SymPsdMatrix(np.diag([4.0, 1.0])))
-        np.testing.assert_allclose(e.eigenvalues, [4.0, 1.0])
-        np.testing.assert_allclose(np.abs(e.eigenvectors), np.eye(2), atol=1e-14)
+        lam, u = eigh(np.diag([4.0, 1.0]))
+        np.testing.assert_allclose(lam, [4.0, 1.0])
+        np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
 
     def test_analytic_2x2(self):
-        e = eigh(SymPsdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-        np.testing.assert_allclose(e.eigenvalues, [3.0, 1.0], rtol=1e-14)
+        lam, u = eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(lam, [3.0, 1.0], rtol=1e-14)
         s = 1.0 / math.sqrt(2.0)
-        got = np.abs(e.eigenvectors)
-        np.testing.assert_allclose(got, [[s, s], [s, s]], rtol=1e-12)
+        np.testing.assert_allclose(np.abs(u), [[s, s], [s, s]], rtol=1e-12)
 
     def test_reconstruction_residual(self, rng):
         for d in (2, 3, 5, 8, 16):
             p = random_spd(d, rng)
-            e = eigh(p)
-            residual = np.abs(reconstruct(e) - p.data).max()
-            assert residual <= 1e-9 * (1.0 + e.eigenvalues[0])
+            lam, u = eigh(p)
+            residual = np.abs(reconstruct(lam, u) - p).max()
+            assert residual <= 1e-9 * (1.0 + lam[0])
 
     def test_matches_reference_eigenvalues(self, rng):
         for _ in range(5):
             p = random_spd(7, rng)
-            e = eigh(p)
-            ref = np.linalg.eigvalsh(p.data)[::-1]
-            np.testing.assert_allclose(e.eigenvalues, ref, rtol=1e-10, atol=1e-12)
+            ref = np.linalg.eigvalsh(p)[::-1]
+            np.testing.assert_allclose(eigh(p)[0], ref, rtol=1e-10, atol=1e-12)
 
     def test_deterministic(self, rng):
         p = random_spd(6, rng)
-        e1 = eigh(p)
-        e2 = eigh(p)
-        assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
-        assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+        lam1, u1 = eigh(p)
+        lam2, u2 = eigh(p)
+        assert np.array_equal(lam1, lam2)
+        assert np.array_equal(u1, u2)
 
     def test_repeated_eigenvalues_give_orthogonal_basis(self):
-        p = SymPsdMatrix(np.diag([2.0, 2.0, 1.0]))
-        e = eigh(p)
-        np.testing.assert_allclose(e.eigenvalues, [2.0, 2.0, 1.0], rtol=1e-14)
+        lam, u = eigh(np.diag([2.0, 2.0, 1.0]))
+        np.testing.assert_allclose(lam, [2.0, 2.0, 1.0], rtol=1e-14)
         # subspace comparison, not vector comparison: span of first two
         # columns must be the xy-plane
-        sub = e.eigenvectors[:, :2]
+        sub = u[:, :2]
         proj = sub @ sub.T
         np.testing.assert_allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_zero_matrix(self):
-        e = eigh(SymPsdMatrix(np.zeros((3, 3))))
-        np.testing.assert_allclose(e.eigenvalues, np.zeros(3))
+        np.testing.assert_allclose(eigh(np.zeros((3, 3)))[0], np.zeros(3))
+
+    def test_stack_orders_each_matrix_by_its_own_eigenvalues(self, rng):
+        # each matrix's last axis is reversed, not the stack's batch axis
+        lam, u = eigh(np.stack([np.diag([1.0, 3.0]), np.diag([5.0, 2.0])]))
+        np.testing.assert_array_equal(lam, [[3.0, 1.0], [5.0, 2.0]])
+        np.testing.assert_array_equal(np.abs(u), [[[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+        p = np.stack([random_spd(6, rng) for _ in range(3)])
+        stacked = eigh(p)
+        for got, want in zip(stacked, _eigh_each(p)):
+            assert same_bits(got, want)
 
     @pytest.mark.parametrize("d", [1, 64, 256])  # 256: the paper's pooling width
     def test_moderately_large_matrix(self, rng, d):
         p = random_spd(d, rng)
-        e = eigh(p)
-        assert np.abs(reconstruct(e) - p.data).max() <= 1e-9 * (1.0 + e.eigenvalues[0])
-        assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d)).max() <= 1e-10
-        ref = np.linalg.eigvalsh(p.data)[::-1]
-        np.testing.assert_allclose(e.eigenvalues, ref, rtol=1e-9, atol=1e-10)
+        lam, u = eigh(p)
+        assert np.abs(reconstruct(lam, u) - p).max() <= 1e-9 * (1.0 + lam[0])
+        assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-10
+        ref = np.linalg.eigvalsh(p)[::-1]
+        np.testing.assert_allclose(lam, ref, rtol=1e-9, atol=1e-10)
 
     @pytest.mark.parametrize("spectrum", ["random", "tied", "clamped"])
     def test_results_do_not_read_eigenvector_signs(self, rng, spectrum):
@@ -334,30 +308,95 @@ class TestEigh:
                 p = random_spd(6, rng)
             elif spectrum == "tied":
                 rot = np.linalg.qr(rng.normal(size=(6, 6)))[0] if i else np.eye(6)
-                p = SymPsdMatrix((rot * [3.0, 3.0, 3.0, 1.0, 1.0, 0.5]) @ rot.T)
+                p = SymPsdMatrix((rot * [3.0, 3.0, 3.0, 1.0, 1.0, 0.5]) @ rot.T).data
             else:  # 3 samples: a rank-2 covariance with a clamped tail
-                p = covariance(FeatureMatrix(rng.normal(size=(6, 3))))
-            e = clamp_eigenvalues(eigh(p))
+                p = covariance(rng.normal(size=(6, 3)))
+            lam, u = eigh(p)
+            lam = clamp_eigenvalues(lam)
             flip = rng.random(6) < 0.5
             flip[rng.integers(6)] = True
-            flipped = EigenDecomposition(
-                e.eigenvalues, e.eigenvectors * np.where(flip, -1.0, 1.0)
-            )
-            assert np.array_equal(matrix_power(flipped, 0.5).data, matrix_power(e, 0.5).data)
+            flipped = u * np.where(flip, -1.0, 1.0)
+            assert np.array_equal(matrix_power(lam, flipped, 0.5), matrix_power(lam, u, 0.5))
             g = rng.normal(size=(6, 6))
             for scheme in K_SCHEMES:
+                k = k_matrix(lam, scheme)
                 with np.errstate(invalid="ignore"):
-                    ref = grad_covariance(g, e, k_matrix(e, scheme))
-                    out = grad_covariance(g, flipped, k_matrix(flipped, scheme))
+                    ref = grad_covariance(g, lam, u, k)
+                    out = grad_covariance(g, lam, flipped, k)
                 assert np.array_equal(out, ref, equal_nan=True), scheme.label
 
     def test_solver_failure_is_typed(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # the error names the solve and carries the largest |entry| of the
+        # matrix it was given; through a stack, that of the failing matrix
+        solve = np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NumericalFailureError):
-            eigh(SymPsdMatrix(np.eye(2)))
+        def fail_above(limit):
+            def eigh_or_fail(a):
+                if np.abs(a).max() > limit:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return solve(a)
+
+            return eigh_or_fail
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_above(0.0))
+        with pytest.raises(NumericalFailureError, match="^eigensolver did not converge") as err:
+            eigh(np.diag([1.0, -3.0]))
+        assert err.value.details == {"where": "eigh", "max_entry": 3.0}
+
+        data = np.random.default_rng(0).normal(size=(3, 4, 12))
+        data[1] *= 10.0
+        data[2] *= 100.0
+        x = _trusted(FeatureMatrix, data=data)
+        p = covariance(data)
+        largest = [float(np.abs(p_b).max()) for p_b in p]
+        # the first matrix passes; the second and third fail, and the third's entries are larger
+        monkeypatch.setattr(np.linalg, "eigh", fail_above(largest[0]))
+        with pytest.raises(NumericalFailureError) as err:
+            gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.pade()))
+        assert largest[0] < largest[1] < largest[2]
+        assert err.value.details == {"where": "eigh", "max_entry": largest[1]}
+
+
+def _stacked_stage_arrays() -> dict:
+    """Three (5, 8) feature blocks and what the exact path makes of them, stacked.
+
+    Block 1 repeats a channel, so one of its eigenvalues clamps.
+    """
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(3, 5, 8))
+    data[1, 4] = data[1, 3]
+    p = covariance(data)
+    lam, u = _eigh_each(p)
+    clamped = clamp_eigenvalues(lam)
+    return {"data": data, "lam": lam, "clamped": clamped, "u": u, "g": rng.normal(size=p.shape)}
+
+
+#: each stage kernel that takes a stack, with the arrays it is called on
+STACKED_STAGES = {
+    "covariance": (covariance, ("data",)),
+    "clamp_eigenvalues": (clamp_eigenvalues, ("lam",)),
+    "count_clamped": (count_clamped, ("lam",)),
+    "matrix_power": (lambda lam, u: matrix_power(lam, u, 0.5), ("clamped", "u")),
+    **{
+        f"k_matrix-{scheme.kind}": ((lambda lam, s=scheme: k_matrix(lam, s)), ("clamped",))
+        for scheme in K_SCHEMES
+    },
+    "grad_covariance": (
+        lambda g, lam, u: grad_covariance(g, lam, u, k_matrix(lam, K_SCHEMES[-1])),
+        ("g", "clamped", "u"),
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", STACKED_STAGES)
+def test_stage_kernel_gives_each_matrix_of_a_stack_its_own_bits(stage):
+    call, names = STACKED_STAGES[stage]
+    arrays = _stacked_stage_arrays()
+    stacked = call(*(arrays[name] for name in names))
+    assert len(stacked) == 3
+    for b in range(3):
+        assert same_bits(stacked[b], call(*(arrays[name][b] for name in names))), b
+    assert count_clamped(arrays["lam"]).tolist() == [0, 1, 0]
 
 
 class TestTriangleIndices:
@@ -374,83 +413,68 @@ class TestTriangleIndices:
 
 class TestClamp:
     def test_forced_by_rule(self):
-        e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
-        out = clamp_eigenvalues(e)
-        np.testing.assert_allclose(out.eigenvalues, [1.0, EPS_DOUBLE])
+        np.testing.assert_allclose(clamp_eigenvalues(np.array([1.0, 0.0])), [1.0, EPS_DOUBLE])
 
     def test_no_change_above_eps(self):
-        e = EigenDecomposition(np.array([1.0, 0.5]), np.eye(2))
-        out = clamp_eigenvalues(e)
-        np.testing.assert_allclose(out.eigenvalues, [1.0, 0.5])
+        np.testing.assert_allclose(clamp_eigenvalues(np.array([1.0, 0.5])), [1.0, 0.5])
 
     def test_tiny_values_collapse_to_eps(self):
-        e = EigenDecomposition(np.array([1e-20, 1e-30]), np.eye(2))
-        out = clamp_eigenvalues(e)
-        np.testing.assert_allclose(out.eigenvalues, [EPS_DOUBLE, EPS_DOUBLE])
+        out = clamp_eigenvalues(np.array([1e-20, 1e-30]))
+        np.testing.assert_allclose(out, [EPS_DOUBLE, EPS_DOUBLE])
 
     def test_single_precision_eps(self):
-        e = EigenDecomposition(np.array([1.0, 1e-9]), np.eye(2))
-        out = clamp_eigenvalues(e, np.float32)
-        np.testing.assert_allclose(out.eigenvalues, [1.0, EPS_SINGLE])
+        out = clamp_eigenvalues(np.array([1.0, 1e-9]), np.float32)
+        np.testing.assert_allclose(out, [1.0, EPS_SINGLE])
 
     def test_idempotent(self, rng):
         lam = np.sort(np.abs(rng.normal(size=6) * 1e-12))[::-1]
-        e = EigenDecomposition(lam, np.eye(6))
-        once = clamp_eigenvalues(e)
-        twice = clamp_eigenvalues(once)
-        assert np.array_equal(once.eigenvalues, twice.eigenvalues)
+        once = clamp_eigenvalues(lam)
+        assert np.array_equal(once, clamp_eigenvalues(once))
 
 
 class TestMatrixPower:
     def test_diagonal_square_root(self):
-        e = eigh(SymPsdMatrix(np.diag([4.0, 1.0])))
-        q = matrix_power(e, 0.5)
-        np.testing.assert_allclose(q.data, np.diag([2.0, 1.0]), atol=1e-14)
+        q = matrix_power(*eigh(np.diag([4.0, 1.0])), 0.5)
+        np.testing.assert_allclose(q, np.diag([2.0, 1.0]), atol=1e-14)
 
     def test_identity_power(self, rng):
         p = random_spd(5, rng)
-        q = matrix_power(eigh(p), 1.0)
-        assert np.abs(q.data - p.data).max() <= 1e-10
+        assert np.abs(matrix_power(*eigh(p), 1.0) - p).max() <= 1e-10
 
     def test_squaring_oracle(self, rng):
         for _ in range(5):
             p = random_spd(6, rng)
-            q = matrix_power(eigh(p), 0.5)
-            np.testing.assert_allclose(
-                q.data @ q.data, p.data, rtol=1e-9, atol=1e-9
-            )
+            q = matrix_power(*eigh(p), 0.5)
+            np.testing.assert_allclose(q @ q, p, rtol=1e-9, atol=1e-9)
 
     def test_negative_eigenvalue_fractional_power(self):
-        e = EigenDecomposition(np.array([1.0, -0.5]), np.eye(2))
         with pytest.raises(InvalidInputError, match="fractional power 0.5 of a matrix"):
-            matrix_power(e, 0.5)
+            matrix_power(np.array([1.0, -0.5]), _I, 0.5)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_nonfinite_exponent_rejected(self, alpha):
-        e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
         with pytest.raises(InvalidInputError, match=f"exponent must be finite, got {alpha}"):
-            matrix_power(e, alpha)
+            matrix_power(_LAM, _I, alpha)
 
     @pytest.mark.parametrize("alpha", [True, False, np.True_, "0.5", None, 0.5j])
     def test_non_real_exponent_rejected(self, alpha):
-        e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
         message = f"exponent must be a real number, got {alpha!r}"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            matrix_power(e, alpha)
+            matrix_power(_LAM, _I, alpha)
 
     @pytest.mark.parametrize("alpha,same_as", [(1, 1.0), (np.float64(0.5), 0.5), (np.int64(2), 2.0)])
     def test_integer_and_numpy_exponents_pass_as_their_float(self, rng, alpha, same_as):
-        e = eigh(random_spd(4, rng))
-        assert np.array_equal(matrix_power(e, alpha).data, matrix_power(e, same_as).data)
+        lam, u = eigh(random_spd(4, rng))
+        assert np.array_equal(matrix_power(lam, u, alpha), matrix_power(lam, u, same_as))
 
     def test_sqrt_squared_relative_frobenius(self, rng):
         # cond <= 1e12 regime: sqrt then square reproduces the matrix
         lam = np.array([1.0, 1e-3, 1e-6, 1e-9])
         u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        p = SymPsdMatrix((u * lam) @ u.T)
-        e = clamp_eigenvalues(eigh(p))
-        q = matrix_power(e, 0.5)
-        rel = np.linalg.norm(q.data @ q.data - p.data) / np.linalg.norm(p.data)
+        p = SymPsdMatrix((u * lam) @ u.T).data
+        lam, u = eigh(p)
+        q = matrix_power(clamp_eigenvalues(lam), u, 0.5)
+        rel = np.linalg.norm(q @ q - p) / np.linalg.norm(p)
         assert rel <= 1e-8
 
 
@@ -492,13 +516,11 @@ class TestRequireFinite:
         # B = d = 2: the (B, d) eigenvalues are stacked with Q, so matrix 1
         # reports its own largest eigenvalue, 1, not matrix 0's 5e300
         lam = np.array([[5e300, 1.0], [1.0, 1e-320]])
-        u = np.stack([np.eye(2)] * 2)
-        stack = _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=u)
         with np.errstate(all="ignore"):  # 1 / 1e-320 overflows, 0 * inf is nan
             with pytest.raises(NumericalFailureError) as got:
-                matrix_power(stack, -1.0)
+                matrix_power(lam, np.stack([_I] * 2), -1.0)
             with pytest.raises(NumericalFailureError) as alone:
-                matrix_power(EigenDecomposition(lam[1], np.eye(2)), -1.0)
+                matrix_power(lam[1], _I, -1.0)
         assert str(got.value) == str(alone.value)
         assert got.value.details == alone.value.details
         assert got.value.details["max_entry"] == 1.0
@@ -506,33 +528,28 @@ class TestRequireFinite:
 
 class TestConditionNumber:
     def test_identity(self):
-        e = eigh(SymPsdMatrix(np.eye(4)))
-        cn = condition_number(e)
+        cn = condition_number(eigh(np.eye(4))[0])
         assert cn == 1.0 and not cn > ILL_CONDITIONED_THRESHOLD
 
     def test_threshold_is_strict(self):
         # the CLI flags a condition number strictly above the threshold
-        e = EigenDecomposition(np.array([1e14, 1.0]), np.eye(2))
-        cn = condition_number(e)
+        cn = condition_number(np.array([1e14, 1.0]))
         assert cn == 1e14 and not cn > ILL_CONDITIONED_THRESHOLD
-        e = EigenDecomposition(np.array([1.0000001e14, 1.0]), np.eye(2))
-        assert condition_number(e) > ILL_CONDITIONED_THRESHOLD
+        assert condition_number(np.array([1.0000001e14, 1.0])) > ILL_CONDITIONED_THRESHOLD
 
     def test_zero_eigenvalue_sentinel(self):
-        e = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
-        cn = condition_number(e)
+        cn = condition_number(np.array([1.0, 0.0]))
         assert math.isinf(cn) and cn > ILL_CONDITIONED_THRESHOLD
 
     def test_negative_eigenvalue_rejected(self):
-        e = EigenDecomposition(np.array([1.0, -1e-12]), np.eye(2))
         with pytest.raises(InvalidInputError, match="clamp first"):
-            condition_number(e)
+            condition_number(np.array([1.0, -1e-12]))
 
     def test_matches_reference_solver(self, rng):
         for _ in range(5):
             p = random_spd(6, rng)
-            cn = condition_number(eigh(p))
-            ref = np.linalg.eigvalsh(p.data)
+            cn = condition_number(eigh(p)[0])
+            ref = np.linalg.eigvalsh(p)
             expected = ref[-1] / ref[0]
             assert abs(cn - expected) <= 1e-8 * expected
 
@@ -543,7 +560,7 @@ _TOY = ToyModelSpec(d=2, raw_dim=2, n_cols=4)
 #: every public entry point that takes a count, called with the count ``v``
 COUNT_SITES = {
     "BackwardScheme": lambda v: BackwardScheme.pade(v),
-    "ns_forward": lambda v: ns_forward(SymPsdMatrix(np.eye(2)), v),
+    "ns_forward": lambda v: ns_forward(np.eye(2), v),
     "diagonal_degrees": diagonal_degrees,
     "reciprocal_gap_pade": lambda v: reciprocal_gap_pade("pade", v),
     "reciprocal_gap_pade.taylor": lambda v: reciprocal_gap_pade("taylor", v),
@@ -625,11 +642,11 @@ class TestZeroCountRule:
 
 def _gradient_site(site):
     """The call that hands ``site`` a gradient, and the shape it expects."""
-    p = SymPsdMatrix(np.diag([3.0, 2.0, 1.0]))
-    e = eigh(p)
+    p = np.diag([3.0, 2.0, 1.0])
+    lam, u = eigh(p)
     if site == "grad_covariance":
-        k = k_matrix(e, BackwardScheme.ordinary())
-        return (lambda g: grad_covariance(g, e, k)), (3, 3)
+        k = k_matrix(lam, BackwardScheme.ordinary())
+        return (lambda g: grad_covariance(g, lam, u, k)), (3, 3)
     trace = ns_forward(p, 3)[1]
     return (lambda g: ns_backward(trace, g)), (3, 3)
 

@@ -102,3 +102,44 @@ def test_every_traced_stage_is_called_where_the_benchmark_patches_it():
         if attr in imported and attr not in called:
             problems.append(f"{module_name} imports {attr} but never calls it ({span})")
     assert problems == []
+
+
+#: the stage kernels, each with the module that defines it; they trust their
+#: arrays, so the package does not export them
+STAGE_KERNELS = {
+    "covariance": "core",
+    "eigh": "core",
+    "clamp_eigenvalues": "core",
+    "count_clamped": "core",
+    "matrix_power": "core",
+    "condition_number": "core",
+    "ns_forward": "newton_schulz",
+    "ns_backward": "newton_schulz",
+    "ns_gradient_of_x": "newton_schulz",
+    "k_matrix": "schemes",
+    "grad_covariance": "schemes",
+}
+
+
+def test_package_exports_no_stage_kernel_and_every_export_resolves():
+    import specgrad
+
+    tree = ast.parse((ROOT / "src" / "specgrad" / "__init__.py").read_text())
+    exports = [
+        (node.module, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exports) > 30
+    for module, name in exports:
+        assert getattr(specgrad, name) is getattr(importlib.import_module(f"specgrad.{module}"), name)
+
+    hidden = set(STAGE_KERNELS) | {"EigenDecomposition", "NewtonSchulzTrace"}
+    assert len(hidden) == 13
+    public = {name for name in vars(specgrad) if not name.startswith("_")}
+    assert {name for _, name in exports} & hidden == set()
+    assert public & hidden == set()
+    for name, module in STAGE_KERNELS.items():
+        assert callable(getattr(importlib.import_module(f"specgrad.{module}"), name))
+    assert not hasattr(importlib.import_module("specgrad.core"), "EigenDecomposition")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from specgrad.core import EPS_DOUBLE, EigenDecomposition, FeatureMatrix, _trusted, count_clamped
+from specgrad.core import EPS_DOUBLE, FeatureMatrix, clamp_eigenvalues, count_clamped, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
+    _trusted,
     gcp_backward,
     gcp_forward,
     grad_check,
@@ -64,7 +65,7 @@ class TestForward:
         x = FeatureMatrix(np.ones((3, 5)))
         q, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
         assert np.abs(q.data).max() <= np.sqrt(EPS_DOUBLE) * 1.01
-        assert count_clamped(cache.eig) == 3
+        assert count_clamped(cache.eigenvalues) == 3
 
     def test_eig_and_ns_agree_when_well_conditioned(self, rng):
         x = random_features(5, 20, rng)
@@ -88,7 +89,7 @@ class TestForward:
         np.testing.assert_allclose(
             q.data, np.diag([1.0, np.sqrt(EPS_DOUBLE)]), atol=1e-12
         )
-        assert count_clamped(cache.eig) == 1
+        assert count_clamped(cache.eigenvalues) == 1
 
     def test_features_that_are_not_a_feature_matrix_refused(self):
         # a bare array would reach the covariance through ``ndarray.data``
@@ -99,15 +100,35 @@ class TestForward:
     def test_cache_holds_what_backward_needs(self, rng):
         x = random_features(4, 16, rng)
         _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
-        assert cache.eig is not None and cache.ns_trace is None
+        assert cache.eigenvalues is not None and cache.eigenvectors is not None
+        assert cache.ns_trace is None
         cfg = GcpLayerConfig.newton_schulz(5)
         _, cache = gcp_forward(x, cfg)
-        assert cache.eig is None and cache.ns_trace is not None
+        assert cache.eigenvalues is None and cache.eigenvectors is None
+        assert cache.ns_trace is not None
         assert cache.ns_trace.iterations == 5
         assert cfg.label == "newton_schulz(5)"
         _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.newton_schulz(10)))
-        assert cache.eig is not None and cache.ns_trace is not None
+        assert cache.eigenvalues is not None and cache.ns_trace is not None
         assert cache.ns_trace.iterations == 10
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("cfg", all_legal_configs(4), ids=lambda cfg: cfg.label)
+    def test_cache_holds_the_clamped_eigenpairs_of_its_covariance(self, cfg, stacked):
+        # the exact forward caches each covariance's eigh, clamped, as two
+        # arrays; the NS forward solves none. A zero channel clamps one eigenvalue
+        data = np.random.default_rng(2).normal(size=(3, 4, 6) if stacked else (4, 6))
+        data[..., 3, :] = 0.0
+        x = _trusted(FeatureMatrix, data=data) if stacked else FeatureMatrix(data)
+        _, cache = gcp_forward(x, cfg)
+        if cfg.forward == "newton_schulz":
+            assert cache.eigenvalues is None and cache.eigenvectors is None
+            return
+        for b in range(3) if stacked else (...,):
+            lam, u = eigh(cache.p.data[b])
+            assert same_bits(cache.eigenvalues[b], clamp_eigenvalues(lam))
+            assert same_bits(cache.eigenvectors[b], u)
+            assert count_clamped(cache.eigenvalues[b]) == 1
 
     def test_mixed_pairing_returns_the_exact_root(self, rng):
         # exact forward, NS backward: Q is the eigendecomposition's root, and
@@ -132,15 +153,15 @@ class TestForward:
         cfg = GcpLayerConfig.eig(getattr(BackwardScheme, backward)())
         q, cache = gcp_forward(_trusted(FeatureMatrix, data=data.copy()), cfg)
         grad_x = gcp_backward(cache, grad_q)
-        assert q.data.shape == cache.eig.eigenvectors.shape == (b, 4, 4)
+        assert q.data.shape == cache.eigenvectors.shape == (b, 4, 4)
         for i in range(b):
             q_i, cache_i = gcp_forward(FeatureMatrix(data[i]), cfg)
             assert same_bits(q.data[i], q_i.data)
-            assert same_bits(cache.eig.eigenvalues[i], cache_i.eig.eigenvalues)
-            assert same_bits(cache.eig.eigenvectors[i], cache_i.eig.eigenvectors)
-            assert count_clamped(cache.eig)[i] == count_clamped(cache_i.eig)
+            assert same_bits(cache.eigenvalues[i], cache_i.eigenvalues)
+            assert same_bits(cache.eigenvectors[i], cache_i.eigenvectors)
+            assert count_clamped(cache.eigenvalues)[i] == count_clamped(cache_i.eigenvalues)
             assert same_bits(grad_x[i], gcp_backward(cache_i, grad_q[i]))
-        assert count_clamped(cache.eig)[1] >= 1
+        assert count_clamped(cache.eigenvalues)[1] >= 1
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("d", [1, 8, 64])
@@ -267,12 +288,11 @@ class TestBackward:
         )
         _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
         # plant an exact tie: the realized spectrum is equal only to roundoff
-        e = cache.eig
-        lam = e.eigenvalues.copy()
+        lam = cache.eigenvalues.copy()
         lam[2] = lam[1]
         from dataclasses import replace
 
-        tied = replace(cache, eig=EigenDecomposition(lam, e.eigenvectors))
+        tied = replace(cache, eigenvalues=lam)
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(tied, np.ones((3, 3)))
         assert err.value.details["k_entries"].tolist() == [[1, 2], [2, 1]]
@@ -296,8 +316,8 @@ class TestBackward:
         data[1, 2:] = 0.0
         cfg = GcpLayerConfig.eig(scheme)
         _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), cfg)
-        assert count_clamped(cache.eig).tolist() == [0, 2]
-        lam = cache.eig.eigenvalues
+        assert count_clamped(cache.eigenvalues).tolist() == [0, 2]
+        lam = cache.eigenvalues
         assert lam[1, 2] == lam[1, 3] == EPS_DOUBLE
         if scheme.kind in ("ordinary", "topn"):
             # K = inf meets a zero gap: nan, named by (matrix, row, column)
@@ -309,8 +329,8 @@ class TestBackward:
         assert np.all(np.isfinite(gcp_backward(cache, np.ones((2, 4, 4)))))
         # with identity eigenvectors dl/dP is L o (G + G^T) exactly: the
         # tied pair's L entry is K_23 (lam_2 - lam_3) = 0
-        eye = _trusted(EigenDecomposition, eigenvalues=lam, eigenvectors=np.stack([np.eye(4)] * 2))
-        loewner = grad_covariance(np.ones((2, 4, 4)), eye, k_matrix(eye, scheme)) / 2.0
+        eye = np.stack([np.eye(4)] * 2)
+        loewner = grad_covariance(np.ones((2, 4, 4)), lam, eye, k_matrix(lam, scheme)) / 2.0
         assert loewner[1, 2, 3] == loewner[1, 3, 2] == 0.0
         assert np.all(loewner[1, :2] > 0) and np.all(loewner[0] > 0)
 
@@ -321,8 +341,8 @@ class TestBackward:
         data[1, 2:] = data[2, 1:3] = 0.0
         scheme = BackwardScheme.ordinary()
         _, cache = gcp_forward(_trusted(FeatureMatrix, data=data), GcpLayerConfig.eig(scheme))
-        assert count_clamped(cache.eig).tolist() == [0, 2, 2]
-        assert np.argwhere(np.isinf(k_matrix(cache.eig, scheme)))[:, 0].tolist() == [1, 1, 2, 2]
+        assert count_clamped(cache.eigenvalues).tolist() == [0, 2, 2]
+        assert np.argwhere(np.isinf(k_matrix(cache.eigenvalues, scheme)))[:, 0].tolist() == [1, 1, 2, 2]
         with pytest.raises(NumericalFailureError) as err:
             gcp_backward(cache, np.ones((3, 4, 4)))
         assert err.value.details["k_entries"].tolist() == [[1, 2, 3], [1, 3, 2]]
@@ -358,7 +378,7 @@ class TestClampedNullBlock:
             x = rng.normal(size=(d, 4 * d))
             g = rng.normal(size=(d, d))
             _, cache = gcp_forward(FeatureMatrix(x), cfg)
-            assert count_clamped(cache.eig) == 0
+            assert count_clamped(cache.eigenvalues) == 0
             oracle = loewner_gradient_of_x(x, g, 1.0)
             assert np.abs(gcp_backward(cache, g) - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -375,7 +395,7 @@ class TestClampedNullBlock:
             damped = loewner_gradient_of_x(x, g, 0.0)
             assert np.abs(exact - damped).max() <= 1e-7 * np.abs(exact).max(), seed
             _, cache = gcp_forward(FeatureMatrix(x), GcpLayerConfig.eig(BackwardScheme.pade(100)))
-            tied += int(count_clamped(cache.eig)) >= 2
+            tied += int(count_clamped(cache.eigenvalues)) >= 2
         assert tied >= 5  # the comparison is not vacuous: most draws tie
 
     @staticmethod
@@ -400,7 +420,7 @@ class TestClampedNullBlock:
         # sample (the same rank-3 covariance), behind a full-rank first matrix
         stack = np.stack([rng.normal(size=(8, 12)), np.tile(x, 3)])
         _, cache = gcp_forward(_trusted(FeatureMatrix, data=stack), cfg)
-        assert count_clamped(cache.eig).tolist() == [0, 5]
+        assert count_clamped(cache.eigenvalues).tolist() == [0, 5]
         self.assert_fails_inside_the_null_block(cache, np.ones((2, 8, 8)), [1])
 
 

@@ -6,8 +6,6 @@ import pytest
 from specgrad.core import (
     EPS_DOUBLE,
     EPS_SINGLE,
-    EigenDecomposition,
-    FeatureMatrix,
     SymPsdMatrix,
     clamp_eigenvalues,
     covariance,
@@ -42,8 +40,15 @@ def gamma(k: int) -> float:
 
 
 def eig_of(lam, u=None):
+    """Eigenpairs (lam, u) as float64 arrays; identity eigenvectors unless given."""
     d = len(lam)
-    return EigenDecomposition(np.asarray(lam, dtype=float), np.eye(d) if u is None else u)
+    return np.asarray(lam, dtype=float), np.eye(d) if u is None else u
+
+
+def clamped_eigh(p):
+    """The exact forward's eigenpairs of ``p``: eigenvalues clamped at eps."""
+    lam, u = eigh(p)
+    return clamp_eigenvalues(lam), u
 
 
 class TestSchemeConfig:
@@ -111,12 +116,12 @@ class TestSchemeConfig:
 
 class TestKMatrix:
     def test_ordinary_direct_formula(self):
-        k = k_matrix(eig_of([3.0, 1.0]), BackwardScheme.ordinary())
+        k = k_matrix(eig_of([3.0, 1.0])[0], BackwardScheme.ordinary())
         assert k[0, 1] == pytest.approx(0.5)
         assert k[1, 0] == pytest.approx(-0.5)
 
     def test_ordinary_tie_gives_inf(self):
-        k = k_matrix(eig_of([1.0, 1.0]), BackwardScheme.ordinary())
+        k = k_matrix(eig_of([1.0, 1.0])[0], BackwardScheme.ordinary())
         assert math.isinf(k[0, 1])
         assert k[1, 0] == -math.inf
         assert np.argwhere(~np.isfinite(k)).tolist() == [[0, 1], [1, 0]]
@@ -124,27 +129,27 @@ class TestKMatrix:
     @pytest.mark.parametrize("scheme", [BackwardScheme.taylor(), BackwardScheme.pade()])
     def test_series_scheme_needs_clamped_eigenvalues(self, scheme):
         with pytest.raises(InvalidInputError, match="need strictly positive .clamped."):
-            k_matrix(eig_of([1.0, 0.0]), scheme)
+            k_matrix(eig_of([1.0, 0.0])[0], scheme)
 
     def test_topn_zeroes_dropped_pairs(self):
-        k = k_matrix(eig_of([4.0, 2.0, 1.0, 0.5]), BackwardScheme.topn(2))
+        k = k_matrix(eig_of([4.0, 2.0, 1.0, 0.5])[0], BackwardScheme.topn(2))
         assert k[0, 1] == pytest.approx(1.0 / 2.0)
         assert k[0, 2] == pytest.approx(1.0 / 4.0)  # dropped lambda treated as 0
         assert k[2, 3] == 0.0  # both dropped
 
     def test_trunc_clips(self):
-        k = k_matrix(eig_of([1.0, 1.0 - 1e-12]), BackwardScheme.trunc(1e10))
+        k = k_matrix(eig_of([1.0, 1.0 - 1e-12])[0], BackwardScheme.trunc(1e10))
         assert k[0, 1] == 1e10
         assert k[1, 0] == -1e10
-        k = k_matrix(eig_of([1.0, 1.0]), BackwardScheme.trunc(1e10))
+        k = k_matrix(eig_of([1.0, 1.0])[0], BackwardScheme.trunc(1e10))
         assert k[0, 1] == 1e10  # infinity clips to the threshold
 
     def test_taylor_tie_attains_bound(self):
-        k = k_matrix(eig_of([1.0, 1.0]), BackwardScheme.taylor(100))
+        k = k_matrix(eig_of([1.0, 1.0])[0], BackwardScheme.taylor(100))
         assert k[0, 1] == pytest.approx(101.0)
 
     def test_pade_near_pole_accuracy(self):
-        k = k_matrix(eig_of([1.0, 0.999]), BackwardScheme.pade(100))
+        k = k_matrix(eig_of([1.0, 0.999])[0], BackwardScheme.pade(100))
         assert k[0, 1] == pytest.approx(1000.0, rel=1e-6)
 
     @pytest.mark.parametrize("degree", [10, 50, 100, 200])
@@ -178,16 +183,15 @@ class TestKMatrix:
             steps = delta * rng.uniform(1.0, 1.5, size=d - 1)
             lam = rng.uniform(0.5, 2.0) * np.cumprod(np.concatenate([[1.0], 1.0 - steps]))
             e = eig_of(lam)
-            pade = k_matrix(e, BackwardScheme.pade(degree))[rows, cols]
-            ordinary = k_matrix(e, BackwardScheme.ordinary())[rows, cols]
+            pade = k_matrix(e[0], BackwardScheme.pade(degree))[rows, cols]
+            ordinary = k_matrix(e[0], BackwardScheme.ordinary())[rows, cols]
             g = (lam[rows] - lam[cols]) / lam[rows]
             assert g.min() >= delta
             bound = gamma(5 * (m + n + 1)) / g * np.abs(ordinary)
             assert np.all(np.abs(pade - ordinary) <= bound), (seed, np.max(np.abs(pade - ordinary) / bound))
 
     def test_antisymmetry_all_schemes(self, rng):
-        e = eigh(random_spd(6, rng))
-        e = clamp_eigenvalues(e)
+        e = clamped_eigh(random_spd(6, rng))
         for scheme in (
             BackwardScheme.ordinary(),
             BackwardScheme.topn(4),
@@ -195,7 +199,7 @@ class TestKMatrix:
             BackwardScheme.taylor(50),
             BackwardScheme.pade(50),
         ):
-            k = k_matrix(e, scheme)
+            k = k_matrix(e[0], scheme)
             assert np.abs(np.diag(k)).max() == 0.0
             np.testing.assert_allclose(k, -k.T, atol=1e-10)
 
@@ -214,7 +218,7 @@ class TestKMatrix:
                 BackwardScheme.trunc(1e10),
                 BackwardScheme.pade(100),
             ):
-                k = np.abs(k_matrix(e, scheme))
+                k = np.abs(k_matrix(e[0], scheme))
                 if scheme.kind == "taylor":
                     per_row_bound = (scheme.param + 1) / spectrum[:, None]
                     assert np.all(k <= per_row_bound + 1e-9)
@@ -226,13 +230,12 @@ class TestKMatrix:
     def test_iterative_schemes_have_no_k(self, rng):
         e = eigh(random_spd(3, rng))
         with pytest.raises(InvalidInputError):
-            k_matrix(e, BackwardScheme.newton_schulz(10))
+            k_matrix(e[0], BackwardScheme.newton_schulz(10))
 
 
 def fd_gradient_through_x(x_arr, w, h=1e-6):
     def loss(arr):
-        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(arr))))
-        return float(np.sum(w * matrix_power(e, 0.5).data))
+        return float(np.sum(w * matrix_power(*clamped_eigh(covariance(arr)), 0.5)))
 
     fd = np.zeros_like(x_arr)
     for i in range(x_arr.shape[0]):
@@ -246,19 +249,19 @@ def fd_gradient_through_x(x_arr, w, h=1e-6):
 class TestGradCovariance:
     def test_zero_gradient(self, rng):
         e = eigh(random_spd(3, rng))
-        out = grad_covariance(np.zeros((3, 3)), e, k_matrix(e, BackwardScheme.ordinary()))
+        out = grad_covariance(np.zeros((3, 3)), *e, k_matrix(e[0], BackwardScheme.ordinary()))
         assert np.abs(out).max() == 0.0
 
     def test_trace_loss_diagonal_case(self):
         # l = tr(Q) with P = diag(4, 1): dl/dP = diag(1/(2 sqrt(lambda)))
         e = eig_of([4.0, 1.0])
-        out = grad_covariance(np.eye(2), e, k_matrix(e, BackwardScheme.ordinary()))
+        out = grad_covariance(np.eye(2), *e, k_matrix(e[0], BackwardScheme.ordinary()))
         np.testing.assert_allclose(out, np.diag([0.25, 0.5]))
 
     def test_nonpositive_eigenvalue_rejected(self):
         e = eig_of([1.0, 0.0])
         with pytest.raises(InvalidInputError, match="clamp before the backward pass"):
-            grad_covariance(np.eye(2), e, k_matrix(e, BackwardScheme.ordinary()))
+            grad_covariance(np.eye(2), *e, k_matrix(e[0], BackwardScheme.ordinary()))
 
     @pytest.mark.parametrize(
         "grad_q,k_lam",
@@ -271,17 +274,16 @@ class TestGradCovariance:
     )
     def test_malformed_input_rejected(self, grad_q, k_lam):
         e = eig_of([3.0, 2.0, 1.0])
-        k = k_matrix(eig_of(k_lam), BackwardScheme.ordinary())
+        k = k_matrix(eig_of(k_lam)[0], BackwardScheme.ordinary())
         with pytest.raises(InvalidInputError):
-            grad_covariance(grad_q, e, k)
+            grad_covariance(grad_q, *e, k)
 
     def test_ordinary_matches_finite_differences(self, rng):
         x_arr = rng.normal(size=(3, 12))
         w = rng.normal(size=(3, 3))
-        x = FeatureMatrix(x_arr)
-        e = clamp_eigenvalues(eigh(covariance(x)))
-        gp = grad_covariance(w, e, k_matrix(e, BackwardScheme.ordinary()))
-        gx = ns_gradient_of_x(gp, x)
+        e = clamped_eigh(covariance(x_arr))
+        gp = grad_covariance(w, *e, k_matrix(e[0], BackwardScheme.ordinary()))
+        gx = ns_gradient_of_x(gp, x_arr)
         fd = fd_gradient_through_x(x_arr, w)
         assert np.abs(gx - fd).max() / np.abs(fd).max() <= 1e-5
 
@@ -290,10 +292,10 @@ class TestGradCovariance:
         # must agree pairwise to 1e-8 relative
         lam = np.array([1.0, 0.65, 0.4, 0.2])
         u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        e = EigenDecomposition(lam, u)
+        e = lam, u
         w = rng.normal(size=(4, 4))
         grads = {
-            scheme.kind: grad_covariance(w, e, k_matrix(e, scheme))
+            scheme.kind: grad_covariance(w, *e, k_matrix(e[0], scheme))
             for scheme in (
                 BackwardScheme.ordinary(),
                 BackwardScheme.taylor(100),
@@ -335,14 +337,14 @@ class TestDaleckiiKrein:
         lam = spectrum_for_condition(d, 10)
         u = np.linalg.qr(rng.normal(size=(d, d)))[0]
         g = rng.normal(size=(d, d))
-        return EigenDecomposition(lam, u), g, daleckii_krein(lam, u, g)
+        return (lam, u), g, daleckii_krein(lam, u, g)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_matches_kronecker_solve(self, d):
         # (I kron Q + Q kron I) vec X = vec sym(G)
         for seed in self.SEEDS:
-            e, g, x = self.case(d, seed)
-            q = e.eigenvectors @ np.diag(np.sqrt(e.eigenvalues)) @ e.eigenvectors.T
+            (lam, u), g, x = self.case(d, seed)
+            q = u @ np.diag(np.sqrt(lam)) @ u.T
             lyapunov = np.kron(np.eye(d), q) + np.kron(q, np.eye(d))
             vec = np.linalg.solve(lyapunov, ((g + g.T) / 2).reshape(-1))
             assert rel_diff(vec.reshape(d, d), x) <= 1e-13
@@ -366,7 +368,7 @@ class TestDaleckiiKrein:
         for d in dims:
             for seed in self.SEEDS:
                 e, g, x = self.case(d, seed)
-                grad_p = grad_covariance(g, e, k_matrix(e, scheme))
+                grad_p = grad_covariance(g, *e, k_matrix(e[0], scheme))
                 assert rel_diff((grad_p + grad_p.T) / 2, x) <= tol
 
     @pytest.mark.parametrize(
@@ -385,7 +387,7 @@ class TestDaleckiiKrein:
         for d in (2, 3, 8, 64, 128):
             for seed in range(3):
                 e, g, _ = self.case(d, seed)
-                grad_p = grad_covariance(g, e, k_matrix(e, scheme))
+                grad_p = grad_covariance(g, *e, k_matrix(e[0], scheme))
                 assert np.abs(grad_p - grad_p.T).max() <= 1e-14 * np.abs(grad_p).max()
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -393,27 +395,27 @@ class TestDaleckiiKrein:
         # dropping the smallest eigenvalue changes the gradient
         for seed in self.SEEDS:
             e, g, x = self.case(d, seed)
-            grad_p = grad_covariance(g, e, k_matrix(e, BackwardScheme.topn(d - 1)))
+            grad_p = grad_covariance(g, *e, k_matrix(e[0], BackwardScheme.topn(d - 1)))
             assert rel_diff((grad_p + grad_p.T) / 2, x) > 1e-4
 
 
 class TestPowerIteration:
     def test_converges_when_dominant(self):
-        p = SymPsdMatrix(np.diag([4.0, 1.0]))
+        p = np.diag([4.0, 1.0])
         v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         trace = power_iteration(p, 30, v0)
         # alignment error (1/4)^30 from the induction bound
         assert np.linalg.norm(trace.estimate - np.array([1.0, 0.0])) <= 1e-6
 
     def test_identity_never_aligns(self):
-        p = SymPsdMatrix(np.eye(3))
+        p = np.eye(3)
         v0 = np.array([1.0, 2.0, 2.0])
         trace = power_iteration(p, 25, v0)
         np.testing.assert_allclose(trace.estimate, v0 / 3.0, atol=1e-14)
 
     def test_slow_rate_near_tied_spectrum(self):
         # lambda1/lambda2 = 1.01: error shrinks like (1/1.01)^k
-        p = SymPsdMatrix(np.diag([1.01, 1.0]))
+        p = np.diag([1.01, 1.0])
         v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
         trace = power_iteration(p, 10, v0)
         assert np.linalg.norm(trace.estimate - np.array([1.0, 0.0])) >= 0.1
@@ -425,7 +427,7 @@ class TestPowerIteration:
         assert isinstance(trace, PowerIterationTrace)
         assert trace.k_iters == 4 and trace.us.shape == (5, 3)
         np.testing.assert_allclose(np.linalg.norm(trace.us, axis=1), 1.0, rtol=1e-13)
-        steps = trace.us[:-1] @ p.data  # row k is P u^(k); P is symmetric
+        steps = trace.us[:-1] @ p  # row k is P u^(k); P is symmetric
         np.testing.assert_allclose(trace.norms, np.linalg.norm(steps, axis=1), rtol=1e-13)
         np.testing.assert_allclose(trace.us[1:], steps / trace.norms[:, None], rtol=1e-13)
 
@@ -448,8 +450,7 @@ class TestPiGradient:
         # K_pi - 1
         lam = np.array([1.0, 0.45, 0.2])
         u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        e = EigenDecomposition(lam, u)
-        p = SymPsdMatrix(reconstruct(e))
+        p = SymPsdMatrix(reconstruct(lam, u)).data
         degree = 60
         grad_u1 = rng.normal(size=3)
 
@@ -512,14 +513,14 @@ class TestBounds:
         # pade(3)'s denominator rounds to exactly zero at ratio 1
         assert gradient_upper_bound(BackwardScheme.pade(3)) == math.inf
         with pytest.raises(PoleError) as err:
-            k_matrix(eig_of([EPS_DOUBLE, EPS_DOUBLE]), BackwardScheme.pade(3))
+            k_matrix(eig_of([EPS_DOUBLE, EPS_DOUBLE])[0], BackwardScheme.pade(3))
         assert err.value.details == {"x": 1.0}
         assert "np.float64" not in str(err.value)
 
     def test_pade_degree_one_is_the_constant_surrogate(self):
         # the [0/0] approximant of 1/(1-x) is 1, so K_ij = 1/lambda_i
         assert reciprocal_gap_pade("pade", 1).degrees == (0, 0)
-        k = k_matrix(eig_of([4.0, 2.0, 1.0]), BackwardScheme.pade(1))
+        k = k_matrix(eig_of([4.0, 2.0, 1.0])[0], BackwardScheme.pade(1))
         np.testing.assert_array_equal(k[0], [0.0, 0.25, 0.25])
         assert k[1, 2] == 0.5
         assert gradient_upper_bound(BackwardScheme.pade(1)) == 1.0 / EPS_DOUBLE
@@ -536,10 +537,9 @@ class TestBetaSmoothness:
         w = np.ones((3, 3))
 
         def fn(x_arr):
-            x = FeatureMatrix(x_arr)
-            e = clamp_eigenvalues(eigh(covariance(x)))
-            gp = grad_covariance(w, e, k_matrix(e, scheme))
-            return ns_gradient_of_x(gp, x)
+            e = clamped_eigh(covariance(x_arr))
+            gp = grad_covariance(w, *e, k_matrix(e[0], scheme))
+            return ns_gradient_of_x(gp, x_arr)
 
         return fn
 
@@ -574,11 +574,11 @@ class TestBetaSmoothness:
         gen = np.random.default_rng(seed)
         lam = np.array([1.0, 0.5 + 4e-16, 0.5])
         x0 = feature_matrix_with_spectrum(lam, 16, gen).data
-        e = clamp_eigenvalues(eigh(covariance(FeatureMatrix(x0))))
+        e = clamped_eigh(covariance(x0))
         w = np.ones((3, 3))
-        grad_p = grad_covariance(w, e, k_matrix(e, BackwardScheme.ordinary()))
+        grad_p = grad_covariance(w, *e, k_matrix(e[0], BackwardScheme.ordinary()))
         assert np.abs(grad_p - grad_p.T).max() <= 1e-14 * np.abs(grad_p).max()
-        assert rel_diff(grad_p, daleckii_krein(e.eigenvalues, e.eigenvectors, w)) <= 1e-14
+        assert rel_diff(grad_p, daleckii_krein(*e, w)) <= 1e-14
 
     def test_taylor_matches_ordinary_on_separated_spectrum(self, rng):
         from specgrad.synth import feature_matrix_with_spectrum

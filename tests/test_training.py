@@ -339,6 +339,20 @@ class TestTraining:
         assert (pade.status, len(pade.records)) == ("completed", 160)
         assert np.isfinite(pade.final_loss)
 
+    @pytest.mark.parametrize("switch", [None, 0], ids=["condition-solve", "exact-forward"])
+    def test_eigensolver_failure_is_a_divergence(self, monkeypatch, switch):
+        # the NS phase solves each covariance only for its logged condition
+        # number, the exact phase in the forward; either failure ends the run
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        spec = small_spec()
+        task = make_toy_task(spec, 8, seed=6)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        log = run_hybrid_training(spec, schedule(switch, 4), batch_stream(task, 2, 4, seed=1))
+        assert (log.status, log.failure_step, log.records) == ("diverged", 0, [])
+        assert log.failure_reason == "eigensolver did not converge: Eigenvalues did not converge"
+
     def test_run_failing_at_step_zero_has_no_final_loss(self):
         spec = small_spec()
         task = make_toy_task(spec, 4, seed=6)
