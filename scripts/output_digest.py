@@ -20,6 +20,13 @@ values x the three ``--loss`` kinds (``sum``, the default, ``trace`` and
 precisions in both formats on three inputs: its defaults, ``--n 4``
 (rank-deficient covariances) and ``--input`` of a feature file written
 from a fixed seed, one of whose blocks has a singular covariance. The input file is not an output.
+Then eleven runs that the CLI refuses, so that each refusal's message and
+exit code are digested too: ``gradcheck --d 1``, ``--n 8``, ``--cond 0.5``
+and ``--scheme pade --topn 3``; ``train-toy --lr-schedule 1:0.1``,
+``--switch-frac 0.9`` and ``--steps 0``; ``bounds --degree 0``;
+``approx-table --ratios 1.0``; ``condition --d 4 --n 1``, and
+``condition --input`` of a file that does not exist. Each exits 64 but the
+last, which exits 74.
 """
 
 from __future__ import annotations
@@ -45,6 +52,19 @@ PRECISIONS = ("single", "double")
 FORMATS = ("csv", "json")
 FEATURE_FILE = "features.gcpf"
 CONDITION_INPUTS = {"default": [], "n=4": ["--n", "4"], "input": ["--input", FEATURE_FILE]}
+REFUSALS = (
+    ["gradcheck", "--d", "1"],
+    ["gradcheck", "--n", "8"],
+    ["gradcheck", "--cond", "0.5"],
+    ["gradcheck", "--scheme", "pade", "--topn", "3"],
+    ["train-toy", "--lr-schedule", "1:0.1"],
+    ["train-toy", "--switch-frac", "0.9"],
+    ["train-toy", "--steps", "0"],
+    ["bounds", "--degree", "0"],
+    ["approx-table", "--ratios", "1.0"],
+    ["condition", "--d", "4", "--n", "1"],
+    ["condition", "--input", "missing.gcpf"],
+)
 
 
 def write_features(path) -> None:
@@ -74,6 +94,8 @@ def grid():
     ):
         argv = ["condition", "--format", fmt, "--precision", precision, *flags]
         yield f"condition/{name}/{fmt}/{precision}", argv
+    for argv in REFUSALS:
+        yield "refused/" + "/".join(argv), argv
 
 
 def digest_run(label: str, argv: list) -> list[tuple]:

@@ -7,20 +7,21 @@ functions over plain arrays, and all heavier schemes build on them. A float
 width argument is a numpy dtype, float32 or float64; ``float_info`` reads
 its epsilon.
 
-Validation contract: input is checked once, where it enters the program.
-The public constructors of the value types (``FeatureMatrix``,
-``SymPsdMatrix``) check every invariant and copy their arrays, and the CLI
-checks its input the same way. The stage kernels below
+Validation contract: input is checked once, at the layer's edge, where it
+enters the program. The public constructors of the value types
+(``FeatureMatrix``, ``SymPsdMatrix``) check every invariant and copy their
+arrays, and the CLI checks its input the same way. The stage kernels below
 (``covariance``, ``eigh``, ``clamp_eigenvalues``, ``count_clamped``,
 ``matrix_power``, ``condition_number``) take and return plain float64
 arrays and trust them: a covariance from ``covariance`` is symmetric PSD
-by construction, and eigenvalues from ``eigh`` come non-increasing with
-orthonormal eigenvectors. ``layer`` says where value objects are built
-from kernel results. Where arithmetic on finite input can overflow (the
-covariance, a matrix power, and in training the features, the loss
-gradient at Q and the batch gradients), a non-finite product raises
-``NumericalFailureError``, not ``InvalidInputError``, since the input was
-valid; so does an eigensolver that does not converge.
+by construction, eigenvalues from ``eigh`` come non-increasing with
+orthonormal eigenvectors and are clamped before any other kernel reads
+them, so the kernels refuse nothing. Where arithmetic on finite input can
+overflow (the covariance, a matrix power, and in training the features,
+the loss gradient at Q and the batch gradients), a non-finite product
+raises ``NumericalFailureError``, not ``InvalidInputError``, since the
+input was valid; so does an eigensolver that does not converge. ``layer``
+says where value objects are built from kernel results.
 
 Every array argument of the public API goes through ``_float_array``, which
 does not copy an array of its width: float64, but float32 stays float32 in
@@ -270,22 +271,8 @@ def count_clamped(lam: np.ndarray):
 def matrix_power(lam: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     """U diag(lam^alpha) U^T, of one matrix or of each matrix of a stack.
 
-    alpha = 0.5 gives the principal square root.
+    alpha = 0.5 gives the principal square root, real since ``lam`` is clamped.
     """
-    try:
-        finite = math.isfinite(alpha)
-    except TypeError:  # None, a string, a complex
-        raise InvalidInputError(f"exponent must be a real number, got {alpha!r}") from None
-    if not finite:
-        raise InvalidInputError(f"exponent must be finite, got {alpha!r}")
-    if alpha != int(alpha):
-        if np.minimum.reduce(lam, axis=None) < 0:
-            raise InvalidInputError(
-                f"fractional power {alpha} of a matrix with negative eigenvalues "
-                f"(min {lam.min():.3e})"
-            )
-    elif isinstance(alpha, (bool, np.bool_)):  # bools are integral: a fractional alpha skips this
-        raise InvalidInputError(f"exponent must be a real number, got {alpha!r}")
     powered = np.power(lam, alpha)
     q = (u * powered[..., None, :]) @ u.mT
     if not _finite(q):  # the label and the operand are built only on failure
@@ -296,12 +283,6 @@ def matrix_power(lam: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def condition_number(lam: np.ndarray) -> float:
-    """Ratio of the extreme eigenvalues of non-increasing ``lam``; ``inf`` when the smallest is zero.
-
-    Negative eigenvalues are invalid input (clamp first).
-    """
-    lam_max = float(lam[0])
+    """Ratio of the extreme eigenvalues of non-increasing, clamped ``lam``; ``inf`` at a zero."""
     lam_min = float(lam[-1])
-    if lam_min < 0:
-        raise InvalidInputError(f"negative smallest eigenvalue {lam_min:.3e}; clamp first")
-    return math.inf if lam_min == 0.0 else lam_max / lam_min
+    return math.inf if lam_min == 0.0 else float(lam[0]) / lam_min

@@ -8,13 +8,16 @@ pairing.
 
 Between its stages the layer passes plain float64 arrays: the features'
 data, the covariance, the clamped eigenvalues and eigenvectors (which the
-cache holds as two read-only arrays) or the NS trace. Only its edge objects are value
-types. It takes a ``FeatureMatrix`` and wraps Q and the cached covariance as
-``SymPsdMatrix`` through ``_trusted``, which skips the public constructor's
-checks: both are symmetric by construction, and the two checks would add
-about two thirds to a d = 8 exact forward. ``grad_check`` and the training
-loop build their features through ``_trusted`` too, from input already
-checked.
+cache holds as two read-only arrays) or the NS trace. Only its edge checks
+its arguments: ``gcp_forward`` the types of ``x`` and ``cfg``,
+``gcp_backward`` that of ``cache`` and ``grad_q`` under ``core._gradient``;
+the kernels raise only numerical failures and the NS forward's tr(P) <= 0.
+Only its edge objects are value types. It takes a ``FeatureMatrix`` and
+wraps Q and the cached covariance as ``SymPsdMatrix`` through ``_trusted``,
+which skips the public constructor's checks: both are symmetric by
+construction, and the two checks would add about two thirds to a d = 8
+exact forward. ``grad_check`` and the training loop build their features
+through ``_trusted`` too, from input already checked.
 
 Stacks: ``gcp_forward`` also takes a (B, d, N) ``FeatureMatrix`` built
 inside the package, under either forward. Q, the covariance, the NS trace
@@ -38,6 +41,7 @@ from .core import (
     SymPsdMatrix,
     _finite,
     _float_array,
+    _gradient,
     _non_negative,
     _positive,
     _triu,
@@ -129,6 +133,12 @@ class GcpCache:
     ns_trace: NewtonSchulzTrace | None = None
 
 
+def _require_type(value, cls, name: str) -> None:
+    """Refuse an argument that is not a ``cls``, naming it and the type it has."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _eigh_each(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``p``, or of each matrix of a stack, written into the stacked result."""
     if p.ndim == 2:
@@ -145,10 +155,10 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
 
     ``x`` may also be a (B, d, N) stack built inside the package; Q and
     every array of the cache are then stacks, and ``gcp_backward`` takes a
-    (B, d, d) stack of gradients. Any other ``x`` is invalid input.
+    (B, d, d) stack of gradients. Any other ``x`` or ``cfg`` is invalid input.
     """
-    if not isinstance(x, FeatureMatrix):
-        raise InvalidInputError(f"x must be a FeatureMatrix, got {type(x).__name__}")
+    _require_type(x, FeatureMatrix, "x")
+    _require_type(cfg, GcpLayerConfig, "cfg")
     p = covariance(x.data)
     lam = u = trace = None
     if cfg.backward.kind == "newton_schulz":
@@ -221,8 +231,8 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features.
 
     Raises:
-        InvalidInputError: ``grad_q`` does not have the shape of Q or holds a
-            non-finite entry; the backward function it is passed to checks it.
+        InvalidInputError: ``cache`` is not a ``GcpCache``, or ``grad_q`` does
+            not have the shape of Q or holds a non-finite entry.
         NumericalFailureError: the gradient contains non-finite values; the
             error names the scheme and, in ``k_entries``, the indices of the
             non-finite K entries: (i, j) rows for one matrix; for a stack,
@@ -230,7 +240,8 @@ def gcp_backward(cache: GcpCache, grad_q: np.ndarray) -> np.ndarray:
             A cache that holds eigenpairs adds ``clamped``, that matrix's
             count of eigenvalues clamped to eps (``core.count_clamped``).
     """
-    grad_x, k = _backward_raw(cache, grad_q)
+    _require_type(cache, GcpCache, "cache")
+    grad_x, k = _backward_raw(cache, _gradient(grad_q, cache.p.data.shape))
     if not _finite(grad_x):
         # the leading indices of the first non-finite entry pick its matrix:
         # none for one matrix, (b,) for a stack
@@ -308,8 +319,7 @@ def grad_check(
     not only the one that reads it.
     """
     seed = _non_negative(seed, "seed")
-    if not isinstance(x, FeatureMatrix):
-        raise InvalidInputError(f"x must be a FeatureMatrix, got {type(x).__name__}")
+    _require_type(x, FeatureMatrix, "x")
     d, n = x.d, x.n_samples
     if d * n > 10_000:
         raise InvalidInputError(

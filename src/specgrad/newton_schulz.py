@@ -43,17 +43,20 @@ recursion expanded into triple products (12 matmuls a step).
 Arrays: ``ns_forward`` takes the covariance as a plain (d, d) float64 array
 from ``core.covariance`` and returns Q as one, with the trace as a plain
 record that only it builds; ``ns_gradient_of_x`` takes the (d, N)
-features as an array. The kernels trust these arrays, and check only the
-gradient they are given.
+features as an array. The kernels trust these arrays, the gradients they
+are given (``layer.gcp_backward`` checks them) and the iteration count
+(``BackwardScheme`` checks it). They raise only the tr(P) <= 0 refusal,
+which constant features reach, and the numerical failures: tr(P) overflow
+and divergence.
 
 Stacks: ``ns_forward``, ``ns_backward`` and ``ns_gradient_of_x`` also take
 a leading batch axis, a (B, d, d) covariance stack from ``core.covariance``
 of (B, d, N) features. Every product is then one stacked matmul, so a
 mini-batch costs the matmul counts above once instead of B times, and each
 matrix's result is bit-identical to its own single-matrix call. A check
-(tr(P) > 0, the PSD and divergence guards, a finite gradient) fails the
-whole stack if any matrix fails it; the tr(P)-overflow and divergence
-errors carry the ``max_entry`` of the first matrix that fails them.
+(tr(P) > 0, the divergence guard) fails the whole stack if any matrix
+fails it; the tr(P)-overflow and divergence errors carry the ``max_entry``
+of the first matrix that fails them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _eye, _float_array, _gradient, _positive
+from .core import _eye
 from .errors import InvalidInputError, NumericalFailureError
 
 DEFAULT_ITERATIONS = 5
@@ -101,7 +104,6 @@ def ns_forward(p: np.ndarray, iterations: int) -> tuple[np.ndarray, NewtonSchulz
         NumericalFailureError: tr(P) overflowed, or an iterate exceeded the
             divergence guard.
     """
-    iterations = _positive(iterations, "iterations")
     trace_p = p.trace(axis1=-2, axis2=-1)
     # min and max over ``.flat`` read a single trace or a stack's alike, and
     # cost a fraction of a numpy reduction at d = 8
@@ -116,12 +118,6 @@ def ns_forward(p: np.ndarray, iterations: int) -> tuple[np.ndarray, NewtonSchulz
         raise NumericalFailureError("tr(P) overflowed", where="trace", max_entry=largest)
     tr = trace_p[..., None, None]  # one per matrix, broadcast over its d x d entries
     a = p / tr
-    # any PSD input with unit trace satisfies ||A - I||_F <= sqrt(d); a
-    # violation means an indefinite matrix slipped past construction. The
-    # einsum forms each matrix's squared distance without a d x d temporary
-    off = a - _eye(d)
-    if max(np.einsum("...ij,...ij->...", off, off).flat) >= (np.sqrt(d) + 1.0) ** 2:
-        raise InvalidInputError("trace-normalized input is too far from identity to be PSD")
     eye15 = _eye(d, 1.5)
 
     y = a
@@ -173,7 +169,6 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
     post-compensation term (1/(2 sqrt(tr(P)))) tr(dQ^T Y_N) I. A stacked
     trace takes a stack of gradients of its shape.
     """
-    grad_q = _gradient(grad_q, trace.y_seq[0].shape)
     tr_p = trace.trace_p[..., None, None]
     sqrt_tr = np.sqrt(tr_p)
 
@@ -212,10 +207,7 @@ def ns_backward(trace: NewtonSchulzTrace, grad_q: np.ndarray) -> np.ndarray:
 
 def ns_gradient_of_x(grad_p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """dL/dX = (G + G^T) X (I - 11^T / N) / N, each matrix's fresh product centred in place."""
-    grad_p = _float_array(grad_p, "covariance gradient")
-    d, n = x.shape[-2:]
-    if grad_p.shape != x.shape[:-1] + (d,):
-        raise InvalidInputError(f"covariance gradient shape {grad_p.shape} does not match d={d}")
+    n = x.shape[-1]
     m = (grad_p + grad_p.mT) @ x
     m -= np.add.reduce(m, axis=-1, keepdims=True) / n
     m /= n

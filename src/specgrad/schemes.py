@@ -13,10 +13,11 @@ width of its clamp epsilon as a numpy dtype, read through ``np.finfo``.
 
 Both take the eigenpairs as plain float64 arrays, the non-increasing
 eigenvalues (d,) and the eigenvectors (d, d) that ``core.eigh`` returns,
-clamped by ``core.clamp_eigenvalues``, and trust them; ``grad_covariance``
-checks only the gradient it is given. Stacks: both also take the layer's
-stacked eigenpairs, (B, d) and (B, d, d), so one pass covers a batch; each
-matrix gets the bits of its own call.
+clamped by ``core.clamp_eigenvalues``, and trust them, as ``grad_covariance``
+trusts its K and its gradient (``layer.gcp_backward`` checks it): neither
+refuses anything, and a Pade pole raises ``PoleError``. Stacks: both also
+take the layer's stacked eigenpairs, (B, d) and (B, d, d), so one pass
+covers a batch; each matrix gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gradient, _positive, _triu, float_info
+from .core import _positive, _triu, float_info
 from .errors import InvalidInputError, PoleError
 from .pade import eval_rational, reciprocal_gap_pade
 
@@ -134,9 +135,6 @@ def k_matrix(lam: np.ndarray, scheme: BackwardScheme) -> np.ndarray:
     """
     d = lam.shape[-1]
     kind = scheme.kind
-    if kind == "newton_schulz":
-        raise InvalidInputError(f"scheme {scheme.label} does not define a K matrix")
-
     rows, cols = _triu(d, 1)
     if kind in ("ordinary", "trunc", "topn"):
         lam_eff = lam
@@ -153,8 +151,6 @@ def k_matrix(lam: np.ndarray, scheme: BackwardScheme) -> np.ndarray:
             vals = np.minimum(vals, scheme.param)
     else:
         # series surrogates: ratios lambda_j / lambda_i <= 1
-        if np.any(lam <= 0):
-            raise InvalidInputError("series schemes need strictly positive (clamped) eigenvalues")
         lam_i = lam[..., rows]
         ratios = lam[..., cols] / lam_i
         vals = eval_rational(reciprocal_gap_pade(kind, scheme.param), ratios) / lam_i
@@ -180,12 +176,7 @@ def grad_covariance(
     a near tie loses no accuracy; at an exact tie ``ordinary``'s inf * 0 is
     nan, and a finite K gives Phi = 0.
     """
-    grad_q = _gradient(grad_q, u.shape)
     d = lam.shape[-1]
-    if k.shape != u.shape:
-        raise InvalidInputError(f"K matrix shape {k.shape} does not match d={d}")
-    if np.any(lam <= 0):
-        raise InvalidInputError("non-positive eigenvalue; clamp before the backward pass")
     sqrt_lam = np.sqrt(lam)
     s = u.mT @ (grad_q + grad_q.mT) @ u
     phi = k * (lam[..., :, None] - lam[..., None, :])

@@ -6,7 +6,7 @@ import numbers
 
 import numpy as np
 
-from .core import EPS_DOUBLE, FeatureMatrix, _positive
+from .core import EPS_DOUBLE, FeatureMatrix, _float_array, _positive
 from .errors import InvalidInputError
 
 
@@ -40,16 +40,14 @@ def feature_matrix_with_spectrum(
     covariance, then recolored through a random orthogonal basis carrying the
     target eigenvalues. Exact up to roundoff, so spectrum-sensitive checks
     see the spectrum they asked for. The eigenvalues must form one non-empty
-    1-d vector of positive, finite values, and ``n_cols`` must be a real
+    1-d vector of positive, finite real numbers, and ``n_cols`` must be a real
     number before it is compared with d.
     """
-    try:
-        lam = np.asarray(eigenvalues, dtype=np.float64)
-    except (TypeError, ValueError):
-        lam = None
-    if lam is None or lam.ndim != 1 or not lam.size:
-        shape = "non-numeric entries" if lam is None else f"shape {lam.shape}"
-        raise InvalidInputError(f"target eigenvalues must be one non-empty 1-d vector, got {shape}")
+    lam = _float_array(eigenvalues, "target eigenvalues")
+    if lam.ndim != 1 or not lam.size:
+        raise InvalidInputError(
+            f"target eigenvalues must be one non-empty 1-d vector, got shape {lam.shape}"
+        )
     if not isinstance(n_cols, numbers.Real):
         raise InvalidInputError(f"n_cols must be a positive int, got {n_cols!r}")
     d = lam.size

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, _non_negative, _positive, _require_finite, eigh, float_info
+from .core import FeatureMatrix, _non_negative, _positive, _require_finite, clamp_eigenvalues, eigh
 from .errors import InvalidInputError, NumericalFailureError
 from .layer import (
     GcpLayerConfig,
@@ -299,13 +299,11 @@ def _clamped_eigenvalues(cache) -> np.ndarray:
     """Each sample's clamped eigenvalues from a stacked cache, for its logged condition number.
 
     The exact forward's cache holds them; the Newton-Schulz forward solves
-    none, so each sample's covariance gets one ``eigh`` here, clamped as
-    ``clamp_eigenvalues`` clamps.
+    none, so each sample's covariance gets one ``eigh`` here, then the clamp.
     """
     if cache.eigenvalues is not None:
         return cache.eigenvalues
-    lam = [eigh(p)[0] for p in cache.p.data]
-    return np.maximum(lam, float_info(np.float64).eps)
+    return clamp_eigenvalues(np.array([eigh(p)[0] for p in cache.p.data]))
 
 
 def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.ndarray):

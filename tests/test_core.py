@@ -33,7 +33,7 @@ from specgrad.layer import (
     grad_from_upper_triangle,
     upper_triangle_vector,
 )
-from specgrad.newton_schulz import ns_backward, ns_forward, ns_gradient_of_x
+from specgrad.newton_schulz import ns_forward
 from specgrad.pade import (
     PadeApproximant,
     PowerSeries,
@@ -49,7 +49,7 @@ from specgrad.schemes import (
     grad_covariance,
     k_matrix,
 )
-from specgrad.synth import gaussian_features, spectrum_for_condition
+from specgrad.synth import feature_matrix_with_spectrum, gaussian_features, spectrum_for_condition
 from specgrad.training import HybridSchedule, ToyModelSpec, batch_stream, make_toy_task
 
 from conftest import random_spd, same_bits
@@ -90,23 +90,21 @@ def test_value_objects_hold_read_only_copies(cls, inputs):
 
 
 _X = FeatureMatrix(np.random.default_rng(0).normal(size=(2, 6)))
-_LAM = np.array([2.0, 1.0])
 _I = np.eye(2)
 _EIG = GcpLayerConfig.eig(BackwardScheme.pade())
 _NS = GcpLayerConfig.newton_schulz(2)
+#: a (2, 2, 6) stack: ``gcp_backward`` checks a stack's gradient before
+#: ``grad_covariance`` or ``ns_backward`` reads it
+_X_STACK = _trusted(FeatureMatrix, data=np.random.default_rng(1).normal(size=(2, 2, 6)))
 
 #: every array argument the package converts, with the name its refusal gives
 ARRAY_ARGUMENTS = {
     "FeatureMatrix": ("feature matrix", lambda a: FeatureMatrix(a)),
     "SymPsdMatrix": ("matrix", lambda a: SymPsdMatrix(a)),
-    "grad_covariance": (
-        "gradient",
-        lambda a: grad_covariance(a, _LAM, _I, k_matrix(_LAM, K_SCHEMES[0])),
-    ),
-    "ns_backward": ("gradient", lambda a: ns_backward(ns_forward(_I, 2)[1], a)),
+    "grad_covariance": ("gradient", lambda a: gcp_backward(gcp_forward(_X_STACK, _EIG)[1], a)),
+    "ns_backward": ("gradient", lambda a: gcp_backward(gcp_forward(_X_STACK, _NS)[1], a)),
     "gcp_backward-eig": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _EIG)[1], a)),
     "gcp_backward-ns": ("gradient", lambda a: gcp_backward(gcp_forward(_X, _NS)[1], a)),
-    "ns_gradient_of_x": ("covariance gradient", lambda a: ns_gradient_of_x(a, _X.data)),
     "upper_triangle_vector": ("q", upper_triangle_vector),
     "grad_from_upper_triangle": ("gradient vector", lambda a: grad_from_upper_triangle(a, 2)),
     "PowerSeries": ("power series coefficients", lambda a: PowerSeries(a)),
@@ -115,6 +113,10 @@ ARRAY_ARGUMENTS = {
     "eval_rational": ("x", lambda a: eval_rational(reciprocal_gap_pade("pade", 3), a)),
     "approximation_error_table": ("ratios", lambda a: approximation_error_table("taylor", (2,), a)),
     "write_feature_file": ("feature matrix", lambda a: io.write_feature_file(os.devnull, [a])),
+    "feature_matrix_with_spectrum": (
+        "target eigenvalues",
+        lambda a: feature_matrix_with_spectrum(a, 9, np.random.default_rng(0)),
+    ),
 }
 
 NOT_REAL = {
@@ -448,19 +450,10 @@ class TestMatrixPower:
             np.testing.assert_allclose(q @ q, p, rtol=1e-9, atol=1e-9)
 
     def test_negative_eigenvalue_fractional_power(self):
-        with pytest.raises(InvalidInputError, match="fractional power 0.5 of a matrix"):
-            matrix_power(np.array([1.0, -0.5]), _I, 0.5)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_exponent_rejected(self, alpha):
-        with pytest.raises(InvalidInputError, match=f"exponent must be finite, got {alpha}"):
-            matrix_power(_LAM, _I, alpha)
-
-    @pytest.mark.parametrize("alpha", [True, False, np.True_, "0.5", None, 0.5j])
-    def test_non_real_exponent_rejected(self, alpha):
-        message = f"exponent must be a real number, got {alpha!r}"
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            matrix_power(_LAM, _I, alpha)
+        # matrix_power trusts its eigenvalues: the layer clamps a negative
+        # one to eps first, so the square root stays real
+        q = matrix_power(clamp_eigenvalues(np.array([1.0, -0.5])), _I, 0.5)
+        np.testing.assert_array_equal(q, np.diag([1.0, math.sqrt(EPS_DOUBLE)]))
 
     @pytest.mark.parametrize("alpha,same_as", [(1, 1.0), (np.float64(0.5), 0.5), (np.int64(2), 2.0)])
     def test_integer_and_numpy_exponents_pass_as_their_float(self, rng, alpha, same_as):
@@ -541,10 +534,6 @@ class TestConditionNumber:
         cn = condition_number(np.array([1.0, 0.0]))
         assert math.isinf(cn) and cn > ILL_CONDITIONED_THRESHOLD
 
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(InvalidInputError, match="clamp first"):
-            condition_number(np.array([1.0, -1e-12]))
-
     def test_matches_reference_solver(self, rng):
         for _ in range(5):
             p = random_spd(6, rng)
@@ -560,7 +549,8 @@ _TOY = ToyModelSpec(d=2, raw_dim=2, n_cols=4)
 #: every public entry point that takes a count, called with the count ``v``
 COUNT_SITES = {
     "BackwardScheme": lambda v: BackwardScheme.pade(v),
-    "ns_forward": lambda v: ns_forward(np.eye(2), v),
+    # the Newton-Schulz forward's iteration count, checked where the layer is configured
+    "ns_forward": lambda v: GcpLayerConfig.newton_schulz(v),
     "diagonal_degrees": diagonal_degrees,
     "reciprocal_gap_pade": lambda v: reciprocal_gap_pade("pade", v),
     "reciprocal_gap_pade.taylor": lambda v: reciprocal_gap_pade("taylor", v),
@@ -640,27 +630,48 @@ class TestZeroCountRule:
                 assert type(out.init_seed) is int
 
 
-def _gradient_site(site):
-    """The call that hands ``site`` a gradient, and the shape it expects."""
-    p = np.diag([3.0, 2.0, 1.0])
-    lam, u = eigh(p)
-    if site == "grad_covariance":
-        k = k_matrix(lam, BackwardScheme.ordinary())
-        return (lambda g: grad_covariance(g, lam, u, k)), (3, 3)
-    trace = ns_forward(p, 3)[1]
-    return (lambda g: ns_backward(trace, g)), (3, 3)
-
-
 class TestGradientRule:
-    """A gradient has exactly the expected shape and finite entries; one message each."""
+    """``gcp_backward`` holds ``grad_q`` to Q's shape and finite entries; one message each.
+
+    A site is the backward kernel that reads the gradient once it passes:
+    ``grad_covariance`` under the exact forward, ``ns_backward`` under NS.
+    """
+
+    SITES = {"grad_covariance": _EIG, "ns_backward": _NS}
+
+    @staticmethod
+    def _refused(cfg, shape, bad):
+        x = np.random.default_rng(0).normal(size=shape)
+        cache = gcp_forward(_trusted(FeatureMatrix, data=x), cfg)[1]
+        q_shape = cache.p.data.shape
+        if bad == "shape":
+            grad, message = np.ones(2), f"gradient shape (2,) does not match {q_shape}"
+        else:
+            # one entry of the last matrix: a stack fails as a whole
+            grad, message = np.ones(q_shape), "non-finite gradient input"
+            grad.flat[-1] = np.nan
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            gcp_backward(cache, grad)
 
     @pytest.mark.parametrize("bad", ["shape", "nan"])
-    @pytest.mark.parametrize("site", ["grad_covariance", "ns_backward"])
+    @pytest.mark.parametrize("site", SITES)
     def test_refused(self, site, bad):
-        call, shape = _gradient_site(site)
-        if bad == "shape":
-            grad, message = np.ones(2), f"gradient shape (2,) does not match {shape}"
-        else:
-            grad, message = np.full(shape, np.nan), "non-finite gradient input"
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            call(grad)
+        self._refused(self.SITES[site], (3, 8), bad)
+
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_refused_for_a_stack(self, site, bad):
+        self._refused(self.SITES[site], (2, 3, 8), bad)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_refused_before_the_backward_can_fail(self, site):
+        # tied eigenvalues make ``ordinary``'s K non-finite, and a nan
+        # gradient makes the NS backward's product nan; either would be a
+        # NumericalFailureError if the gradient reached the kernel
+        cfg = GcpLayerConfig.eig(BackwardScheme.ordinary()) if site == "grad_covariance" else _NS
+        x = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        cache = gcp_forward(FeatureMatrix(x), cfg)[1]
+        grad = np.ones((2, 2))
+        grad[0, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="^non-finite gradient input$"):
+            gcp_backward(cache, grad)

@@ -97,6 +97,39 @@ class TestForward:
         with pytest.raises(InvalidInputError, match="^x must be a FeatureMatrix, got ndarray$"):
             gcp_forward(np.ones((4, 8)), cfg)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda x: gcp_forward(x, "eig"), "cfg must be a GcpLayerConfig, got str"),
+            (lambda x: grad_check("cfg", x), "cfg must be a GcpLayerConfig, got str"),
+            (lambda x: gcp_backward("cache", np.ones((4, 4))), "cache must be a GcpCache, got str"),
+            # the scheme in place of the config it goes into
+            (
+                lambda x: gcp_forward(x, BackwardScheme.pade()),
+                "cfg must be a GcpLayerConfig, got BackwardScheme",
+            ),
+            (
+                lambda x: grad_check(BackwardScheme.pade(), x),
+                "cfg must be a GcpLayerConfig, got BackwardScheme",
+            ),
+            # the forward's whole (Q, cache) pair in place of its cache
+            (
+                lambda x: gcp_backward(
+                    gcp_forward(x, GcpLayerConfig.newton_schulz()), np.ones((4, 4))
+                ),
+                "cache must be a GcpCache, got tuple",
+            ),
+        ],
+        ids=[
+            "gcp_forward", "grad_check", "gcp_backward",
+            "gcp_forward-scheme", "grad_check-scheme", "gcp_backward-pair",
+        ],
+    )
+    def test_edge_arguments_of_the_wrong_type_refused(self, call, message, rng):
+        # each used to fail deep inside with an AttributeError
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call(random_features(4, 16, rng))
+
     def test_cache_holds_what_backward_needs(self, rng):
         x = random_features(4, 16, rng)
         _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
@@ -268,6 +301,21 @@ class TestUpperTriangle:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("forward", ["eig", "ns"])
+    def test_gradient_is_converted_once_at_the_edge(self, forward, rng):
+        # the backward kernels trust an array; gcp_backward converts a list
+        # (and a float32 array) to the float64 array they read
+        cfg = (
+            GcpLayerConfig.eig(BackwardScheme.pade()) if forward == "eig"
+            else GcpLayerConfig.newton_schulz()
+        )
+        _, cache = gcp_forward(random_features(3, 9, rng), cfg)
+        g = rng.normal(size=(3, 3))
+        out = gcp_backward(cache, g)
+        assert np.array_equal(gcp_backward(cache, g.tolist()), out)
+        g32 = g.astype(np.float32)
+        assert np.array_equal(gcp_backward(cache, g32), gcp_backward(cache, g32.astype(np.float64)))
+
     def test_zero_gradient(self, rng):
         x = random_features(3, 9, rng)
         for cfg in all_legal_configs(3):

@@ -3,8 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specgrad.core import SymPsdMatrix, clamp_eigenvalues, covariance, eigh, matrix_power
+from specgrad.core import (
+    FeatureMatrix,
+    SymPsdMatrix,
+    clamp_eigenvalues,
+    covariance,
+    eigh,
+    matrix_power,
+)
 from specgrad.errors import InvalidInputError, NumericalFailureError
+from specgrad.layer import GcpLayerConfig, _trusted, gcp_backward, gcp_forward
 from specgrad.newton_schulz import (
     NewtonSchulzTrace,
     ns_backward,
@@ -137,18 +145,14 @@ class TestForward:
         with pytest.raises(InvalidInputError, match="needs tr\\(P\\) > 0"):
             ns_forward(np.zeros((3, 3)), 5)
 
-    def test_indefinite_input_far_from_identity_rejected(self):
-        # tr(P) > 0, but A = P / tr(P) = diag(10, -9) is no unit-trace PSD matrix
-        with pytest.raises(InvalidInputError, match="too far from identity to be PSD"):
-            ns_forward(np.diag([1.0, -0.9]), 5)
-
     def test_needs_at_least_one_iteration(self):
-        with pytest.raises(InvalidInputError):
-            ns_forward(np.eye(2), 0)
+        # ns_forward trusts its count: the layer's configuration refuses zero
+        with pytest.raises(InvalidInputError, match="iterations must be a positive int, got 0$"):
+            GcpLayerConfig.newton_schulz(0)
 
     def test_divergence_guard_is_typed(self):
-        # indefinite input with a mildly negative eigenvalue slips past the
-        # sanity bound but the iteration blows up; the guard must catch it
+        # indefinite input with a mildly negative eigenvalue: the iteration
+        # blows up, and the guard must catch it
         from specgrad.errors import NumericalFailureError
 
         with pytest.raises(NumericalFailureError) as err:
@@ -168,9 +172,12 @@ class TestBackward:
         assert np.abs(out).max() == 0.0
 
     def test_dimension_mismatch(self, rng):
-        _, trace = ns_forward(random_spd(4, rng), 6)
-        with pytest.raises(InvalidInputError):
-            ns_backward(trace, np.zeros((3, 3)))
+        # ns_backward trusts its gradient: gcp_backward checks it against Q
+        x = FeatureMatrix(rng.normal(size=(4, 12)))
+        _, cache = gcp_forward(x, GcpLayerConfig.newton_schulz(6))
+        message = r"^gradient shape \(3, 3\) does not match \(4, 4\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            gcp_backward(cache, np.zeros((3, 3)))
 
     def test_matches_finite_differences(self, rng):
         # one iteration: the first and last reverse steps are the same step;
@@ -284,10 +291,6 @@ class TestGradientOfX:
         ibar = (np.eye(7) - np.ones((7, 7)) / 7) / 7
         expected = 2.0 * g @ x @ ibar
         np.testing.assert_allclose(ns_gradient_of_x(g, x), expected, atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidInputError):
-            ns_gradient_of_x(np.zeros((4, 4)), rng.normal(size=(3, 7)))
 
     def test_end_to_end_finite_differences(self, rng):
         x_arr = rng.normal(size=(4, 10))
@@ -411,11 +414,12 @@ class TestStack:
             ns_forward(np.stack([good, -np.eye(3) / 3]), 5)
         grad = rng.normal(size=(2, 3, 3))
         grad[1, 0, 0] = np.nan
-        _, trace = ns_forward(np.stack([good, good]), 5)
+        x = _trusted(FeatureMatrix, data=rng.normal(size=(2, 3, 12)))
+        _, cache = gcp_forward(x, GcpLayerConfig.newton_schulz(5))
         with pytest.raises(InvalidInputError, match="non-finite gradient input"):
-            ns_backward(trace, grad)
+            gcp_backward(cache, grad)
         with pytest.raises(InvalidInputError, match="gradient shape \\(3, 3\\)"):
-            ns_backward(trace, grad[0])
+            gcp_backward(cache, grad[0])
 
     @pytest.mark.parametrize("guard", ["divergence", "trace overflow"])
     def test_guard_reports_the_first_failing_matrix(self, guard):

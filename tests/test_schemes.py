@@ -6,6 +6,7 @@ import pytest
 from specgrad.core import (
     EPS_DOUBLE,
     EPS_SINGLE,
+    FeatureMatrix,
     SymPsdMatrix,
     clamp_eigenvalues,
     covariance,
@@ -13,6 +14,7 @@ from specgrad.core import (
     matrix_power,
 )
 from specgrad.errors import InvalidInputError, NumericalFailureError, PoleError
+from specgrad.layer import GcpLayerConfig, gcp_backward, gcp_forward
 from specgrad.newton_schulz import ns_gradient_of_x
 from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
@@ -127,9 +129,13 @@ class TestKMatrix:
         assert np.argwhere(~np.isfinite(k)).tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("scheme", [BackwardScheme.taylor(), BackwardScheme.pade()])
-    def test_series_scheme_needs_clamped_eigenvalues(self, scheme):
-        with pytest.raises(InvalidInputError, match="need strictly positive .clamped."):
-            k_matrix(eig_of([1.0, 0.0])[0], scheme)
+    def test_series_scheme_needs_clamped_eigenvalues(self, scheme, rng):
+        # k_matrix and grad_covariance trust their eigenvalues: rank-deficient
+        # features (d = 4, N = 3) have zero and rounding-negative ones, which
+        # the layer clamps to eps before either reads them
+        _, cache = gcp_forward(FeatureMatrix(rng.normal(size=(4, 3))), GcpLayerConfig.eig(scheme))
+        assert cache.eigenvalues.min() >= EPS_DOUBLE
+        assert np.isfinite(gcp_backward(cache, rng.normal(size=(4, 4)))).all()
 
     def test_topn_zeroes_dropped_pairs(self):
         k = k_matrix(eig_of([4.0, 2.0, 1.0, 0.5])[0], BackwardScheme.topn(2))
@@ -258,25 +264,15 @@ class TestGradCovariance:
         out = grad_covariance(np.eye(2), *e, k_matrix(e[0], BackwardScheme.ordinary()))
         np.testing.assert_allclose(out, np.diag([0.25, 0.5]))
 
-    def test_nonpositive_eigenvalue_rejected(self):
-        e = eig_of([1.0, 0.0])
-        with pytest.raises(InvalidInputError, match="clamp before the backward pass"):
-            grad_covariance(np.eye(2), *e, k_matrix(e[0], BackwardScheme.ordinary()))
-
     @pytest.mark.parametrize(
-        "grad_q,k_lam",
-        [
-            (np.eye(3), [2.0, 1.0]),
-            (np.eye(2), [3.0, 2.0, 1.0]),
-            (np.diag([1.0, 1.0, np.nan]), [3.0, 2.0, 1.0]),
-        ],
-        ids=["k-size", "grad-shape", "grad-nonfinite"],
+        "grad_q", [np.eye(2), np.diag([1.0, 1.0, np.nan])], ids=["grad-shape", "grad-nonfinite"]
     )
-    def test_malformed_input_rejected(self, grad_q, k_lam):
-        e = eig_of([3.0, 2.0, 1.0])
-        k = k_matrix(eig_of(k_lam)[0], BackwardScheme.ordinary())
+    def test_malformed_input_rejected(self, grad_q, rng):
+        # ``gcp_backward`` checks the gradient before it reaches grad_covariance
+        x = FeatureMatrix(rng.normal(size=(3, 8)))
+        _, cache = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.ordinary()))
         with pytest.raises(InvalidInputError):
-            grad_covariance(grad_q, *e, k)
+            gcp_backward(cache, grad_q)
 
     def test_ordinary_matches_finite_differences(self, rng):
         x_arr = rng.normal(size=(3, 12))

@@ -43,15 +43,23 @@ class TestFeatureMatrixWithSpectrum:
             feature_matrix_with_spectrum(np.ones(4), n_cols, rng)
 
     @pytest.mark.parametrize(
-        "lam,shape",
-        [(np.ones((2, 2)), r"shape \(2, 2\)"), (np.ones(0), r"shape \(0,\)"),
-         (3.0, r"shape \(\)"), (["a", "b"], "non-numeric entries")],
+        "lam,message",
+        [(np.ones((2, 2)), r"one non-empty 1-d vector, got shape \(2, 2\)$"),
+         (np.ones(0), r"one non-empty 1-d vector, got shape \(0,\)$"),
+         (3.0, r"one non-empty 1-d vector, got shape \(\)$"),
+         # the array rule refuses them first, by name
+         (["a", "b"], "^target eigenvalues must be numeric: ")],
         ids=["2-d", "empty", "scalar", "strings"],
     )
-    def test_eigenvalues_that_are_not_one_vector_refused(self, lam, shape, rng):
+    def test_eigenvalues_that_are_not_one_vector_refused(self, lam, message, rng):
         # a 2-d target used to fail in a broadcast with a bare ValueError
-        with pytest.raises(InvalidInputError, match=f"one non-empty 1-d vector, got {shape}$"):
+        with pytest.raises(InvalidInputError, match=message):
             feature_matrix_with_spectrum(lam, 9, rng)
+
+    def test_complex_eigenvalues_refused_not_truncated(self, rng):
+        # np.asarray(..., float64) kept only the real parts: spectrum [2, 1]
+        with pytest.raises(InvalidInputError, match="^target eigenvalues must be real, got complex"):
+            feature_matrix_with_spectrum(np.array([2 + 5j, 1]), 9, rng)
 
     @pytest.mark.parametrize(
         "lam", [[1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [1.0, np.inf]],

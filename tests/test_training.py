@@ -4,14 +4,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from specgrad.core import FeatureMatrix
 from specgrad.errors import InvalidInputError, NumericalFailureError
-from specgrad.layer import GcpLayerConfig
+from specgrad.layer import GcpLayerConfig, _trusted, gcp_forward
 from specgrad.schemes import BackwardScheme
 from specgrad.training import (
     HybridSchedule,
     ToyModel,
     ToyModelSpec,
     _batch_pass,
+    _clamped_eigenvalues,
     batch_stream,
     evaluate_model,
     make_toy_task,
@@ -405,6 +407,13 @@ class TestTraining:
 class TestStackedPass:
     """Both phases run one stacked layer call each way per batch, with the
     values and the failures of the per-sample oracle."""
+
+    def test_ns_phase_logs_the_eigenvalues_the_exact_forward_clamps(self, rng):
+        # N = 3 < d = 4: each sample has zero eigenvalues for the clamp to raise
+        x = _trusted(FeatureMatrix, data=rng.normal(size=(3, 4, 3)))
+        _, ns = gcp_forward(x, GcpLayerConfig.newton_schulz(3))
+        _, exact = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.pade()))
+        assert np.array_equal(_clamped_eigenvalues(ns), exact.eigenvalues)
 
     def test_same_records_and_weights_as_per_sample(self, monkeypatch):
         spec = small_spec()
