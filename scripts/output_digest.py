@@ -15,7 +15,9 @@ digests two checkouts, and ``diff`` compares the two digests:
 The grid: ``train-toy`` at seeds 0-9 x both tasks x five backward schemes x
 ``--n`` 32 and 4 (200 runs), ``gradcheck`` under all seven ``--scheme``
 values x the three ``--loss`` kinds (``sum``, the default, ``trace`` and
-``random-linear``; 21 runs), ``approx-table`` at both precisions,
+``random-linear``; 21 runs), ``gradcheck --d 4 --n 20`` under ``--scheme
+ordinary`` and ``isqrt``, ``approx-table`` at both precisions, at its
+defaults and at ``--kind taylor --degrees 3,7 --ratios 0,0.5,0.9``,
 ``bounds`` at both precisions in both formats, and ``condition`` at both
 precisions in both formats on three inputs: its defaults, ``--n 4``
 (rank-deficient covariances) and ``--input`` of a feature file written
@@ -48,6 +50,11 @@ from specgrad import io as feature_io
 TRAIN_BACKWARDS = ("pade", "taylor", "trunc", "ordinary", "topn")
 GRADCHECK_SCHEMES = ("ordinary", "topn", "trunc", "taylor", "pade", "newton", "isqrt")
 GRADCHECK_LOSSES = ("trace", "random-linear")
+GRADCHECK_SMALL = ("ordinary", "isqrt")
+APPROX_GRIDS = {
+    "defaults": [],
+    "taylor-3,7": ["--kind", "taylor", "--degrees", "3,7", "--ratios", "0,0.5,0.9"],
+}
 PRECISIONS = ("single", "double")
 FORMATS = ("csv", "json")
 FEATURE_FILE = "features.gcpf"
@@ -85,8 +92,12 @@ def grid():
         yield f"gradcheck/{scheme}", ["gradcheck", "--scheme", scheme]
         for loss in GRADCHECK_LOSSES:
             yield f"gradcheck/{scheme}/{loss}", ["gradcheck", "--scheme", scheme, "--loss", loss]
-    for precision in PRECISIONS:
-        yield f"approx-table/{precision}", ["approx-table", "--precision", precision]
+    for scheme in GRADCHECK_SMALL:
+        argv = ["gradcheck", "--scheme", scheme, "--d", "4", "--n", "20"]
+        yield f"gradcheck/{scheme}/d=4/n=20", argv
+    for (name, flags), precision in itertools.product(APPROX_GRIDS.items(), PRECISIONS):
+        label = f"approx-table/{precision}" + ("" if name == "defaults" else f"/{name}")
+        yield label, ["approx-table", "--precision", precision, *flags]
     for fmt, precision in itertools.product(FORMATS, PRECISIONS):
         yield f"bounds/{fmt}/{precision}", ["bounds", "--format", fmt, "--precision", precision]
     for (name, flags), fmt, precision in itertools.product(

@@ -27,7 +27,6 @@ from .layer import (
     upper_triangle_vector,
 )
 from .pade import (
-    ApproximationErrorTable,
     PadeApproximant,
     PowerSeries,
     approximation_error_table,

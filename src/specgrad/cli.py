@@ -167,7 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--topn", type=int, default=SCHEME_PARAMS["topn"].default)
     p.add_argument("--degree", type=int, default=degree)
     p.add_argument("--trunc-threshold", type=float, default=threshold)
-    p.add_argument("--iters", type=int, default=SCHEME_PARAMS["newton_schulz"].default)
+    p.add_argument("--iters", type=int, default=10)
     p.add_argument("--loss", choices=LOSS_KINDS, default="sum")
     p.add_argument("--out", help="JSON report path (default stdout)")
 
@@ -365,22 +365,17 @@ def _write_table(path, fmt, header, rows, config) -> None:
     print(f"wrote {path}")
 
 
-def _table_rows(table):
-    header = ["ratio"] + [f"deg{k}" for k in table.degrees]
-    rows = [[r] + list(table.errors[i]) for i, r in enumerate(table.ratios)]
-    return header, rows
-
-
 def cmd_approx_table(args) -> int:
     dtype = _DTYPES[args.precision]
     kinds = ("taylor", "pade") if args.kind == "both" else (args.kind,)
-    tables = [approximation_error_table(k, args.degrees, args.ratios, dtype) for k in kinds]
+    grids = [approximation_error_table(k, args.degrees, args.ratios, dtype) for k in kinds]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for table in tables:
-        header, rows = _table_rows(table)
-        path = outdir / f"approx_{table.kind}.{args.format}"
-        _write_table(path, args.format, header, rows, _record(args, kind=table.kind))
+    header = ["ratio"] + [f"deg{k}" for k in args.degrees]
+    for kind, errors in zip(kinds, grids):
+        rows = [[r, *row] for r, row in zip(args.ratios, errors)]
+        path = outdir / f"approx_{kind}.{args.format}"
+        _write_table(path, args.format, header, rows, _record(args, kind=kind))
     return EXIT_OK
 
 
@@ -422,7 +417,10 @@ def cmd_gradcheck(args) -> int:
 
     payload = {
         "config": _record(args, n=n),
-        "report": asdict(report),
+        "report": {
+            "scheme": cfg.label, "loss_kind": args.loss, "d": args.d, "n_samples": n,
+            **asdict(report),
+        },
         "tolerance": tol,
         "passed": passed,
     }

@@ -85,7 +85,8 @@ class GcpLayerConfig:
     """Forward square-root method and backward scheme of the layer.
 
     The Newton-Schulz forward runs ``backward.param`` steps, so its
-    backward always reverses the trace the forward built.
+    backward always reverses the trace the forward built; ``newton_schulz()``
+    and ``BackwardScheme.newton_schulz()`` both default to ``DEFAULT_ITERATIONS``.
     """
 
     backward: BackwardScheme
@@ -275,23 +276,22 @@ def _loss_weight(kind: str, d: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    """Outcome of comparing a backward scheme against central differences.
+    """What ``grad_check`` computes: the analytic gradient's distance from central differences.
 
     Relative errors are normalized by the largest finite-difference entry so
     near-zero gradient components do not manufacture spurious failures.
+    The configuration, loss and shape it was run on are the caller's own
+    arguments, so the report does not repeat them.
     """
 
-    scheme: str
-    loss_kind: str
-    d: int
-    n_samples: int
     max_rel_error: float
     mean_rel_error: float
     n_nonfinite: int
-    worst_entry: tuple = (0, 0)
+    worst_entry: tuple
 
     def passes(self, tol: float) -> bool:
         return self.n_nonfinite == 0 and self.max_rel_error <= tol
+
 
 def _bumped(data: np.ndarray, i: int, j: int, value: float) -> FeatureMatrix:
     """Checked features with entry (i, j) set to ``value``, the entry moved by a step.
@@ -320,12 +320,11 @@ def grad_check(
     """
     seed = _non_negative(seed, "seed")
     _require_type(x, FeatureMatrix, "x")
-    d, n = x.d, x.n_samples
-    if d * n > 10_000:
+    if x.data.size > 10_000:
         raise InvalidInputError(
-            f"central differences over {d * n} entries is too large (cap 10000)"
+            f"central differences over {x.data.size} entries is too large (cap 10000)"
         )
-    w = _loss_weight(loss_kind, d, seed)
+    w = _loss_weight(loss_kind, x.d, seed)
 
     q, cache = gcp_forward(x, cfg)
     analytic, _ = _backward_raw(cache, w)
@@ -356,10 +355,6 @@ def grad_check(
         mean_rel = float("nan")
         worst = (0, 0)
     return GradCheckReport(
-        scheme=cfg.label,
-        loss_kind=loss_kind,
-        d=d,
-        n_samples=n,
         max_rel_error=max_rel,
         mean_rel_error=mean_rel,
         n_nonfinite=n_nonfinite,

@@ -11,7 +11,8 @@ all-ones Toeplitz block, and the minimum-norm solution keeps high-degree
 diagonal approximants constructible and numerically exact.
 Float32 coefficients stay float32 and any other real ones become float64;
 the construction runs in that width and the evaluation in its complex type.
-The surrogate and the error tables take theirs as a numpy dtype.
+The surrogate and the error grid take theirs as a numpy dtype. The grid is a
+plain array whose axes are the caller's own ratios and degrees.
 """
 
 from __future__ import annotations
@@ -196,34 +197,26 @@ def reciprocal_gap_pade(kind: str, k: int, dtype=np.float64) -> PadeApproximant:
     return _PADE_CACHE[key]
 
 
-@dataclass(frozen=True)
-class ApproximationErrorTable:
-    kind: str
-    degrees: tuple
-    ratios: tuple
-    errors: np.ndarray  # shape (len(ratios), len(degrees))
+def approximation_error_table(kind: str, degrees, ratios, dtype=np.float64) -> np.ndarray:
+    """Absolute errors |1/(1-x) - approx(x)| computed in ``dtype``, one row per ratio.
 
-
-def approximation_error_table(
-    kind: str, degrees, ratios, dtype=np.float64
-) -> ApproximationErrorTable:
-    """Grid of absolute errors |1/(1-x) - approx(x)| computed in ``dtype``.
-
-    Each degree-K column evaluates the ``reciprocal_gap_pade(kind, K, dtype)``
-    surrogate: the [K/0] Taylor polynomial or the degree-K-matched diagonal
-    Pade approximant. Both grids need at least one entry.
+    Returns a float64 array of shape (len(ratios), len(degrees)), in the
+    order given: entry (i, j) is the error at ``ratios[i]`` of the
+    ``reciprocal_gap_pade(kind, degrees[j], dtype)`` surrogate, the [K/0]
+    Taylor polynomial or the degree-K-matched diagonal Pade approximant.
+    Both grids need at least one entry, and every ratio must lie in [0, 1).
     """
     dtype = float_info(dtype).dtype
-    degrees = tuple(_positive(k, "degree") for k in degrees)
-    ratios = tuple(np.ravel(_float_array(ratios, "ratios")).tolist())
-    if not degrees or not ratios:
+    degrees = [_positive(k, "degree") for k in degrees]
+    r = np.ravel(_float_array(ratios, "ratios"))
+    if not degrees or not r.size:
         raise InvalidInputError("the degree and ratio grids each need at least one entry")
-    if any(not (0.0 <= r < 1.0) for r in ratios):
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise InvalidInputError("ratios must lie in [0, 1)")
-    x = np.array(ratios, dtype=dtype)
+    x = r.astype(dtype)
     exact = 1 / (1 - x)
 
-    errors = np.zeros((len(ratios), len(degrees)))
+    errors = np.zeros((x.size, len(degrees)))
     for j, k in enumerate(degrees):
         errors[:, j] = np.abs(exact - eval_rational(reciprocal_gap_pade(kind, k, dtype), x))
-    return ApproximationErrorTable(kind, degrees, ratios, errors)
+    return errors

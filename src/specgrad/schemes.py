@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import _positive, _triu, float_info
 from .errors import InvalidInputError, PoleError
+from .newton_schulz import DEFAULT_ITERATIONS
 from .pade import eval_rational, reciprocal_gap_pade
 
 #: kept-eigenvalue fraction used when a top-n scheme does not pin n explicitly
@@ -46,7 +47,7 @@ SCHEME_PARAMS = {
     "trunc": SchemeParam("t", 1e10, float),
     "taylor": SchemeParam("degree", 100, int),
     "pade": SchemeParam("degree", 100, int),
-    "newton_schulz": SchemeParam("iterations", 10, int),
+    "newton_schulz": SchemeParam("iterations", DEFAULT_ITERATIONS, int),
 }
 
 
@@ -54,7 +55,8 @@ SCHEME_PARAMS = {
 class BackwardScheme:
     """Tagged selection of one backward gradient rule and its one parameter.
 
-    The classmethods fill in the kind's default; only ``ordinary`` and
+    The classmethods fill in the kind's default, for Newton-Schulz the
+    library's one count ``DEFAULT_ITERATIONS``; only ``ordinary`` and
     ``topn`` accept ``BackwardScheme(kind)`` without a parameter.
     """
 

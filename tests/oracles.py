@@ -7,13 +7,15 @@ scheme, the continued fraction builds the diagonal Pade approximants that
 approximant against its series, the literal centering matrix is what
 ``core.covariance`` centres by without forming it, the two bare-numpy forwards
 pin the bits of ``gcp_forward``'s Q under each forward and the bare-numpy chain
-to X those of ``ns_gradient_of_x``, the min-gap spectrum gives
+to X those of ``ns_gradient_of_x``, the spectral form of Newton-Schulz
+checks ``ns_forward`` and ``ns_backward`` from the eigenpairs and a scalar
+recurrence, at every width, the min-gap spectrum gives
 the finite-difference suite well-separated eigenvalues, the Loewner-form
 gradient shows which pairs of dL/dP reach dL/dX, and the beta-smoothness
 estimate compares the gradient fields of two schemes. The readers parse what
 the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` a
 matrix from its eigenpairs, ``table_cell`` one entry of an approximation-error
-table, and ``mean_condition`` and ``error_rate`` a training log. The per-sample
+grid, and ``mean_condition`` and ``error_rate`` a training log. The per-sample
 evaluation and batch pass are ``training.evaluate_model`` and the training
 step's ``_batch_pass`` written as loops over samples, with the classifier
 head and the finiteness checks spelled out for one pooled matrix. Tests import this
@@ -31,7 +33,7 @@ import numpy as np
 
 from specgrad.core import FeatureMatrix, clamp_eigenvalues, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
-from specgrad.pade import ApproximationErrorTable, PadeApproximant, PowerSeries
+from specgrad.pade import PadeApproximant, PowerSeries
 from specgrad.layer import (
     GcpLayerConfig,
     gcp_backward,
@@ -268,6 +270,49 @@ def newton_schulz_forward(x: np.ndarray, iterations: int) -> np.ndarray:
     return 0.5 * q + 0.5 * q.mT
 
 
+def _newton_schulz_scalar(a: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_N at each a_i and its divided differences [g_N](a_i, a_j), as bare numpy.
+
+    g_N is the coupled iteration y <- y t, z <- t z, t = 1.5 - 0.5 z y run on
+    scalars from y = a, z = 1, so g_N(a) is the final y. Each divided
+    difference of a product follows the product rule
+    [fg](a, b) = f(a) [g](a, b) + [f](a, b) g(b), from [y](a, b) = 1 and
+    [z](a, b) = 0. Nothing is subtracted from a near equal, so a tie a_i = a_j
+    gets the derivative g_N'(a_i), with no cancellation near one.
+    """
+    y, z = a, np.ones_like(a)
+    dy, dz = np.ones((a.size, a.size)), np.zeros((a.size, a.size))
+    for _ in range(iterations):
+        t = 1.5 - 0.5 * z * y
+        dt = -0.5 * (z[:, None] * dy + dz * y[None, :])
+        dy = y[:, None] * dt + dy * t[None, :]
+        dz = t[:, None] * dz + dt * z[None, :]
+        y, z = y * t, t * z
+    return y, dy
+
+
+def newton_schulz_spectral(
+    p: np.ndarray, iterations: int, grad_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, dL/dP) of trace-scaled NS(N) at ``p`` and dL/dQ = ``grad_q``, from its spectral form.
+
+    Every NS iterate is a polynomial in A = P / tr(P), so
+    Q = sqrt(tr(P)) U g_N(Lambda / tr(P)) U^T with the eigenpairs of P and
+    g_N from ``_newton_schulz_scalar``. The gradient is the Daleckii-Krein
+    adjoint H = U (Gamma o (U^T G U)) U^T with Gamma_ij = [g_N](a_i, a_j),
+    taken through A to P, plus the two terms of tr(P): the pre-normalization's
+    -<H, P> / tr(P)^(3/2) I and the post-compensation's
+    <G, Y_N> / (2 sqrt(tr(P))) I.
+    """
+    tau = np.trace(p)
+    lam, u = np.linalg.eigh(p)
+    g, gamma = _newton_schulz_scalar(lam / tau, iterations)
+    y = (u * g) @ u.T
+    h = u @ (gamma * (u.T @ grad_q @ u)) @ u.T
+    trace_term = np.sum(grad_q * y) / (2.0 * np.sqrt(tau)) - np.sum(h * p) / tau**1.5
+    return np.sqrt(tau) * y, h / np.sqrt(tau) + trace_term * np.eye(p.shape[-1])
+
+
 def chain_to_x(grad_p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """dL/dX = (G + G^T) X (I - 11^T / N) / N as bare numpy, for a (d, N) block or a (B, d, N) stack.
 
@@ -355,9 +400,9 @@ def reconstruct(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u * lam) @ u.T
 
 
-def table_cell(table: ApproximationErrorTable, ratio: float, degree: int) -> float:
-    """The error of ``table`` at one ratio and degree of its grid."""
-    return float(table.errors[table.ratios.index(ratio), table.degrees.index(degree)])
+def table_cell(errors: np.ndarray, ratios, degrees, ratio: float, degree: int) -> float:
+    """The entry at one ratio and degree of an error grid over ``ratios`` x ``degrees``."""
+    return float(errors[list(ratios).index(ratio), list(degrees).index(degree)])
 
 
 def mean_condition(log: TrainingLog, lo: int, hi: int) -> float:

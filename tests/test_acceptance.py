@@ -81,26 +81,26 @@ def taylor_remainder(x: float, degree: int) -> float:
 
 def test_criterion_1_taylor_error_table():
     with criterion(1, "Taylor error table reproduction", budget_seconds=1.0):
-        table = approximation_error_table("taylor", DEGREES, RATIOS)
+        errors = approximation_error_table("taylor", DEGREES, RATIOS)
 
         # degree-100 anchor cells: the closed-form remainder both certifies
         # the computed value and reproduces the published figures
         for ratio, reference in ((0.9, 2e-4), (0.99, 36.0), (0.999, 904.0)):
-            computed = table_cell(table, ratio, 100)
+            computed = table_cell(errors, RATIOS, DEGREES, ratio, 100)
             remainder = taylor_remainder(ratio, 100)
             assert computed == pytest.approx(remainder, rel=0.10)
             # the reference grid prints one to three significant figures;
             # its entry must be the remainder at that precision
             assert reference == pytest.approx(remainder, rel=0.25)
-        assert table_cell(table, 0.99, 100) == pytest.approx(36.0, rel=0.10)
-        assert table_cell(table, 0.999, 100) == pytest.approx(904.0, rel=0.10)
+        assert table_cell(errors, RATIOS, DEGREES, 0.99, 100) == pytest.approx(36.0, rel=0.10)
+        assert table_cell(errors, RATIOS, DEGREES, 0.999, 100) == pytest.approx(904.0, rel=0.10)
 
         # full grid to order of magnitude wherever the truncation remainder
         # is decisively above the double-precision noise floor; below it the
         # computed error must sit at noise level
         for degree in DEGREES:
             for j, ratio in enumerate(RATIOS):
-                computed = table_cell(table, ratio, degree)
+                computed = table_cell(errors, RATIOS, DEGREES, ratio, degree)
                 remainder = taylor_remainder(ratio, degree)
                 f_val = 1.0 / (1.0 - ratio)
                 if remainder >= 1e-10 * f_val:
@@ -123,8 +123,8 @@ def test_criterion_2_pade_error_table():
     one wherever the relative eigenvalue gaps are bounded away from zero.
     """
     with criterion(2, "Pade error table all cells <= 1e-9", budget_seconds=5.0):
-        table = approximation_error_table("pade", DEGREES, RATIOS)
-        assert float(table.errors.max()) <= 1e-9
+        errors = approximation_error_table("pade", DEGREES, RATIOS)
+        assert float(errors.max()) <= 1e-9
 
 
 def test_criterion_3_gradient_upper_bounds():

@@ -172,6 +172,21 @@ class TestApproxTable:
         _, _, rows = read_csv(tmp_path / "approx_pade.csv")
         assert float(rows[0][1]) == 8.099998474121094
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_and_rows_follow_the_given_grids_in_order(self, tmp_path, fmt):
+        # the CLI builds the header and the ratio column from its own flags
+        args = ("--kind", "taylor", "--degrees", "7,3", "--ratios", "0.9,0,0.5", "--format", fmt)
+        assert run("approx-table", *args, "--out", str(tmp_path)) == EXIT_OK
+        path = tmp_path / f"approx_taylor.{fmt}"
+        if fmt == "csv":
+            _, header, rows = read_csv(path)
+        else:
+            doc = parse_json(path.read_text())
+            header, rows = doc["header"], doc["rows"]
+        assert header == ["ratio", "deg7", "deg3"]
+        assert [float(r[0]) for r in rows] == [0.9, 0.0, 0.5]
+        assert float(rows[2][2]) == 0.5**4 / 0.5  # the ratio-0.5 row, degree 3
+
 
 def _hdr(out):
     _, header, _ = read_csv(out / "approx_pade.csv")
@@ -613,6 +628,17 @@ class TestGradCheck:
         assert code == EXIT_CHECK_FAILED
         doc = parse_json(path.read_text())
         assert doc["report"]["n_nonfinite"] > 0
+
+    def test_report_keys_in_order(self, capsys):
+        # the CLI writes the run's own inputs first, then what grad_check computes
+        assert run("gradcheck", "--scheme", "isqrt", "--d", "3", "--n", "7") == EXIT_OK
+        report = parse_json(capsys.readouterr().out)["report"]
+        assert list(report) == [
+            "scheme", "loss_kind", "d", "n_samples",
+            "max_rel_error", "mean_rel_error", "n_nonfinite", "worst_entry",
+        ]
+        assert report["scheme"] == "newton_schulz(10)"
+        assert (report["loss_kind"], report["d"], report["n_samples"]) == ("sum", 3, 7)
 
     def test_pade_robust_near_degeneracy(self, capsys):
         assert run("gradcheck", "--scheme", "pade", "--d", "8", "--cond", "1e6") == EXIT_OK

@@ -316,6 +316,22 @@ class TestBackward:
         g32 = g.astype(np.float32)
         assert np.array_equal(gcp_backward(cache, g32), gcp_backward(cache, g32.astype(np.float64)))
 
+    @pytest.mark.parametrize("iterations", [1, 5, 10])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_newton_schulz_backward_ignores_the_forward(self, iterations, stacked):
+        # ns_backward reads only the NS trace, so under the exact forward
+        # the NS backward gives NS-only's dL/dX bit for bit, though Q differs
+        rng = np.random.default_rng(iterations)
+        shape = (3, 6, 20) if stacked else (6, 20)
+        data = rng.normal(size=shape)
+        x = _trusted(FeatureMatrix, data=data) if stacked else FeatureMatrix(data)
+        g = rng.normal(size=(*shape[:-1], shape[-2]))
+        eig = GcpLayerConfig.eig(BackwardScheme.newton_schulz(iterations))
+        q_eig, cache_eig = gcp_forward(x, eig)
+        q_ns, cache_ns = gcp_forward(x, GcpLayerConfig.newton_schulz(iterations))
+        assert not np.array_equal(q_eig.data, q_ns.data)
+        assert same_bits(gcp_backward(cache_eig, g), gcp_backward(cache_ns, g))
+
     def test_zero_gradient(self, rng):
         x = random_features(3, 9, rng)
         for cfg in all_legal_configs(3):

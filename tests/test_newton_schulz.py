@@ -21,7 +21,7 @@ from specgrad.newton_schulz import (
 )
 
 from conftest import random_spd, same_bits
-from oracles import chain_to_x
+from oracles import chain_to_x, newton_schulz_spectral
 
 
 def spd_with_condition(d, cond, rng):
@@ -260,6 +260,53 @@ class TestBackward:
         before = grad_q.copy()
         out = ns_backward(trace, grad_q)
         assert same_bits(grad_q, before) and not np.shares_memory(out, grad_q)
+
+
+def spectral_case(d: int, spectrum: str) -> np.ndarray:
+    """P = U diag(lambda) U^T with a random orthogonal U, for one named spectrum."""
+    rng = np.random.default_rng(d)
+    u = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    if spectrum == "random":
+        lam = np.geomspace(1.0, 1e-4, d) * rng.uniform(0.5, 2.0, d)
+    elif spectrum == "tied":  # four eigenvalues, each d/4 times
+        lam = np.repeat([1.0, 0.25, 1e-2, 1e-4], d // 4)
+    else:  # rank-deficient: the lower half is zero
+        lam = np.concatenate([np.geomspace(1.0, 1e-3, d // 2), np.zeros(d - d // 2)])
+    p = (u * lam) @ u.T
+    return 0.5 * p + 0.5 * p.T
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+@pytest.mark.parametrize("spectrum", ["random", "tied", "rank-deficient"])
+@pytest.mark.parametrize("d", [8, 64, 256])
+class TestSpectralForm:
+    """NS(N) against Q = sqrt(tr(P)) U g_N(Lambda / tr(P)) U^T and its adjoint.
+
+    The oracle shares no code with the kernels: it takes LAPACK's eigenpairs
+    and a scalar recurrence. Up to N = 5 both agree to 1e-13 relative at
+    every width. g_N'(0) = 1.5^N, so at a null eigenvalue the gradient's
+    sensitivity grows with N, and at N = 10 the eigensolver's roundoff alone
+    moves the oracle by about 1e-13.
+    """
+
+    def test_forward_matches(self, d, spectrum, iterations):
+        p = spectral_case(d, spectrum)
+        q, _ = ns_forward(p, iterations)
+        want, _ = newton_schulz_spectral(p, iterations, np.zeros((d, d)))
+        assert np.linalg.norm(q - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_backward_symmetric_part_matches(self, d, spectrum, iterations):
+        p = spectral_case(d, spectrum)
+        g = np.random.default_rng(d + 1).normal(size=(d, d))
+        q, trace = ns_forward(p, iterations)
+        got = ns_backward(trace, g)
+        _, want = newton_schulz_spectral(p, iterations, g)
+        got, want = got + got.T, want + want.T  # the part that reaches X
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        # Q(sP) = sqrt(s) Q(P), so <dL/dP, P> = <G, Q> / 2: this holds only
+        # with both tr(P) terms, pre-normalization and post-compensation
+        euler = np.sum(got * p) - np.sum(g * q)  # both sides doubled
+        assert abs(euler) <= 1e-13 * np.linalg.norm(got) * np.linalg.norm(p)
 
 
 class TestTrace:

@@ -15,7 +15,7 @@ from specgrad.core import (
 )
 from specgrad.errors import InvalidInputError, NumericalFailureError, PoleError
 from specgrad.layer import GcpLayerConfig, gcp_backward, gcp_forward
-from specgrad.newton_schulz import ns_gradient_of_x
+from specgrad.newton_schulz import DEFAULT_ITERATIONS, ns_gradient_of_x
 from specgrad.pade import diagonal_degrees, reciprocal_gap_pade
 from specgrad.schemes import (
     BackwardScheme,
@@ -58,8 +58,16 @@ class TestSchemeConfig:
         assert BackwardScheme.trunc().param == 1e10
         assert BackwardScheme.taylor().param == 100
         assert BackwardScheme.pade().param == 100
-        assert BackwardScheme.newton_schulz().param == 10
+        assert BackwardScheme.newton_schulz().param == 5
         assert BackwardScheme.topn().param is None
+
+    def test_newton_schulz_count_has_one_library_default(self):
+        # the backward scheme and the layer config default to the same count
+        assert (
+            BackwardScheme.newton_schulz().param
+            == GcpLayerConfig.newton_schulz().backward.param
+            == DEFAULT_ITERATIONS
+        )
 
     def test_topn_default_ratio(self):
         # top 200 of 256 scales to d
@@ -109,7 +117,7 @@ class TestSchemeConfig:
             (BackwardScheme.trunc(1e3), "trunc(t=1000)"),
             (BackwardScheme.taylor(), "taylor(degree=100)"),
             (BackwardScheme.pade(), "pade(degree=100)"),
-            (BackwardScheme.newton_schulz(), "newton_schulz(iterations=10)"),
+            (BackwardScheme.newton_schulz(), "newton_schulz(iterations=5)"),
         ],
     )
     def test_labels(self, scheme, label):
