@@ -12,10 +12,12 @@ digests two checkouts, and ``diff`` compares the two digests:
     PYTHONPATH=../parent/src python scripts/output_digest.py > old.txt
     diff old.txt new.txt
 
-The grid: ``train-toy`` at seeds 0-9 x both tasks x five backward schemes x
-``--n`` 32 and 4 (200 runs), ``gradcheck`` under all seven ``--scheme``
-values x the three ``--loss`` kinds (``sum``, the default, ``trace`` and
-``random-linear``; 21 runs), ``gradcheck --d 4 --n 20`` under ``--scheme
+The grid: ``train-toy`` at seeds 0-9 x both tasks x six backward schemes x
+``--n`` 32 and 4 (240 runs), and at seeds 0-9 x both tasks with
+``--switch-frac 1``, which stays in the Newton-Schulz phase throughout (20
+runs); ``gradcheck`` under all seven ``--scheme`` values x the three
+``--loss`` kinds (``sum``, the default, ``trace`` and ``random-linear``; 21
+runs), ``gradcheck --d 4 --n 20`` under ``--scheme
 ordinary`` and ``isqrt``, ``approx-table`` at both precisions, at its
 defaults and at ``--kind taylor --degrees 3,7 --ratios 0,0.5,0.9``,
 ``bounds`` at both precisions in both formats, and ``condition`` at both
@@ -47,7 +49,7 @@ import numpy as np
 from specgrad import cli
 from specgrad import io as feature_io
 
-TRAIN_BACKWARDS = ("pade", "taylor", "trunc", "ordinary", "topn")
+TRAIN_BACKWARDS = ("pade", "taylor", "trunc", "ordinary", "topn", "newton")
 GRADCHECK_SCHEMES = ("ordinary", "topn", "trunc", "taylor", "pade", "newton", "isqrt")
 GRADCHECK_LOSSES = ("trace", "random-linear")
 GRADCHECK_SMALL = ("ordinary", "isqrt")
@@ -88,6 +90,9 @@ def grid():
     ):
         argv = ["train-toy", "--seed", str(seed), "--task", task, "--backward", backward]
         yield f"train-toy/seed={seed}/{task}/{backward}/n={n}", argv + ["--n", str(n)]
+    for seed, task in itertools.product(range(10), ("balanced", "fine-grained")):
+        argv = ["train-toy", "--seed", str(seed), "--task", task, "--switch-frac", "1"]
+        yield f"train-toy/seed={seed}/{task}/switch-frac=1", argv
     for scheme in GRADCHECK_SCHEMES:
         yield f"gradcheck/{scheme}", ["gradcheck", "--scheme", scheme]
         for loss in GRADCHECK_LOSSES:

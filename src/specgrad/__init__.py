@@ -23,8 +23,6 @@ from .layer import (
     gcp_backward,
     gcp_forward,
     grad_check,
-    grad_from_upper_triangle,
-    upper_triangle_vector,
 )
 from .pade import (
     PadeApproximant,

@@ -9,9 +9,11 @@ Subcommands:
 
 Each flag's type, choices and default are declared once, in ``build_parser``.
 A flag not given takes its --config entry, held to the flag's own type and
-choices, else its declared default. Only the commands that draw random
-numbers (gradcheck, condition, train-toy) declare --seed; it then falls back
-to the SPECGRAD_SEED environment variable, then 0, and must be non-negative.
+choices, else its declared default. A config key given twice, or one that
+sets no flag of any command, exits 64; another command's flag is ignored.
+Only the commands that draw random numbers (gradcheck, condition,
+train-toy) declare --seed; it then falls back to the SPECGRAD_SEED
+environment variable, then 0, and must be non-negative.
 Three defaults follow other flags: gradcheck --n is 4·d, the --out of bounds
 and condition takes the --format suffix, and train-toy --lr-schedule drops
 tenfold at 80% of --steps.
@@ -206,18 +208,27 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--out", default="train_log.jsonl", help="JSON-lines log (default train_log.jsonl)"
     )
+    # one config file may serve every command, so each accepts the keys of all
+    keys = {a.dest.replace("_", "-") for c in sub.choices.values() for a in c._actions}
+    for command in sub.choices.values():
+        command.config_keys = keys - {"help", "config"}
     return parser
 
 
 def _resolve(args) -> None:
     """Fill each flag that was not given: its config entry, else its default.
 
-    A config value passes through the flag's own type and choices. A declared
-    --seed then falls back to the environment variable, then 0, and a negative
-    seed is rejected. ``args.given`` holds the flags given on the command line,
-    as config keys (``trunc-threshold``).
+    A config key that sets no flag of any command is refused, and an entry
+    of another command's flag is ignored. A config value passes through the
+    flag's own type and choices. A declared --seed then falls back to the
+    environment variable, then 0, and a negative seed is rejected.
+    ``args.given`` holds the flags given on the command line, as config keys
+    (``trunc-threshold``).
     """
     file = io.read_config_file(args.config) if args.config else {}
+    for key in file:
+        if key not in args.parser.config_keys:
+            raise InvalidInputError(f"config key {key!r} sets no flag of any command")
     flags = {
         action.dest.replace("_", "-"): action
         for action in args.parser._actions
@@ -445,7 +456,7 @@ def cmd_condition(args) -> int:
     values = []
     for block in blocks:
         lam, _ = eigh(covariance(FeatureMatrix(block).data))
-        values.append(condition_number(clamp_eigenvalues(lam, _DTYPES[args.precision])))
+        values.append(float(condition_number(clamp_eigenvalues(lam, _DTYPES[args.precision]))))
     flags = [v > ILL_CONDITIONED_THRESHOLD for v in values]
 
     d, n = blocks[0].shape

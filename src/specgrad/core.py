@@ -29,9 +29,10 @@ the Pade types. ``_triu``'s indices and ``_eye``'s scaled identities are
 cached read-only.
 
 Stacks: ``covariance`` takes (B, d, N) features and gives (B, d, d)
-covariances, and ``clamp_eigenvalues``, ``count_clamped`` and
-``matrix_power`` take (B, d) eigenvalues and (B, d, d) eigenvectors, so
-both layer paths run a whole mini-batch in one call. ``eigh`` takes a
+covariances, and ``clamp_eigenvalues``, ``count_clamped``,
+``matrix_power`` and ``condition_number`` take (B, d) eigenvalues and
+(B, d, d) eigenvectors, so both layer paths and the training step's logged
+condition numbers run a whole mini-batch in one call. ``eigh`` takes a
 stack too, though the layer still calls it once per matrix. Each matrix of
 a stack gets the same bits as it would alone, and a non-finite product of a
 stack raises what its first failing matrix raises alone.
@@ -40,7 +41,6 @@ stack raises what its first failing matrix raises alone.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,7 +282,9 @@ def matrix_power(lam: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     return q + q.mT
 
 
-def condition_number(lam: np.ndarray) -> float:
-    """Ratio of the extreme eigenvalues of non-increasing, clamped ``lam``; ``inf`` at a zero."""
-    lam_min = float(lam[-1])
-    return math.inf if lam_min == 0.0 else float(lam[0]) / lam_min
+def condition_number(lam: np.ndarray):
+    """Ratio of the extreme eigenvalues of non-increasing ``lam``: one, or one per row of a stack.
+
+    ``lam`` is clamped first, as every caller does, so the smallest is positive.
+    """
+    return lam[..., 0] / lam[..., -1]

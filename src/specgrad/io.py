@@ -137,7 +137,7 @@ def read_feature_file(path) -> list:
 
 
 def read_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines; blank lines and # comments ignored, and a key given twice refused."""
     conf: dict = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -146,5 +146,8 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise InvalidInputError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
-        conf[key.strip()] = value.strip()
+        key = key.strip()
+        if key in conf:
+            raise InvalidInputError(f"config key {key!r} given twice")
+        conf[key] = value.strip()
     return conf

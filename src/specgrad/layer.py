@@ -4,7 +4,8 @@ A configuration pairs one forward square-root method (exact eigendecomposition
 or Newton-Schulz iteration) with one backward gradient rule. The forward pass
 caches whatever its backward needs; the backward pass chains the covariance
 gradient to the input features. A finite-difference checker arbitrates every
-pairing.
+pairing. The classifier head that reads Q, and packs it into a vector, is
+the toy model's own, in ``training``.
 
 Between its stages the layer passes plain float64 arrays: the features'
 data, the covariance, the clamped eigenvalues and eigenvectors (which the
@@ -40,11 +41,8 @@ from .core import (
     FeatureMatrix,
     SymPsdMatrix,
     _finite,
-    _float_array,
     _gradient,
     _non_negative,
-    _positive,
-    _triu,
     clamp_eigenvalues,
     count_clamped,
     covariance,
@@ -181,33 +179,6 @@ def gcp_forward(x: FeatureMatrix, cfg: GcpLayerConfig) -> tuple[SymPsdMatrix, Gc
         ns_trace=trace,
     )
     return _trusted(SymPsdMatrix, data=q), cache
-
-
-def upper_triangle_vector(q: np.ndarray) -> np.ndarray:
-    """Flatten the upper triangle (diagonal included) into the classifier input.
-
-    A (..., d, d) stack gives a (..., d(d+1)/2) stack of vectors; anything
-    but square matrices is refused.
-    """
-    data = _float_array(q, "q")
-    if data.ndim < 2 or data.shape[-2] != data.shape[-1]:
-        raise InvalidInputError(f"expected d x d matrices, got shape {data.shape}")
-    return data[(..., *_triu(data.shape[-1]))]  # fancy indexing copies
-
-
-def grad_from_upper_triangle(grad_vec: np.ndarray, d: int) -> np.ndarray:
-    """Place upper-triangle gradient entries back into a d x d matrix.
-
-    A (..., d(d+1)/2) stack of vectors gives a (..., d, d) stack of matrices.
-    A ``d`` that is not a positive int is invalid input.
-    """
-    d = _positive(d, "d")
-    grad_vec = np.atleast_1d(_float_array(grad_vec, "gradient vector"))
-    if grad_vec.shape[-1] != d * (d + 1) // 2:
-        raise InvalidInputError(f"gradient vector of size {grad_vec.shape[-1]} does not fit d={d}")
-    out = np.zeros((*grad_vec.shape[:-1], d, d))
-    out[(..., *_triu(d))] = grad_vec
-    return out
 
 
 def _backward_raw(cache: GcpCache, grad_q: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

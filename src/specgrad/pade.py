@@ -204,7 +204,9 @@ def approximation_error_table(kind: str, degrees, ratios, dtype=np.float64) -> n
     order given: entry (i, j) is the error at ``ratios[i]`` of the
     ``reciprocal_gap_pade(kind, degrees[j], dtype)`` surrogate, the [K/0]
     Taylor polynomial or the degree-K-matched diagonal Pade approximant.
-    Both grids need at least one entry, and every ratio must lie in [0, 1).
+    Both grids need at least one entry, and every ratio must lie in [0, 1),
+    both as given and as cast to ``dtype``: float32 rounds 0.99999999 to 1.0,
+    the pole of 1/(1-x), which is refused naming the ratio and the width.
     """
     dtype = float_info(dtype).dtype
     degrees = [_positive(k, "degree") for k in degrees]
@@ -214,6 +216,11 @@ def approximation_error_table(kind: str, degrees, ratios, dtype=np.float64) -> n
     if not np.all((0.0 <= r) & (r < 1.0)):
         raise InvalidInputError("ratios must lie in [0, 1)")
     x = r.astype(dtype)
+    for given, cast in zip(r.tolist(), x.tolist()):
+        if not 0.0 <= cast < 1.0:
+            raise InvalidInputError(
+                f"ratio {given!r} rounds to {cast!r} in {dtype.name}, outside [0, 1)"
+            )
     exact = 1 / (1 - x)
 
     errors = np.zeros((x.size, len(degrees)))

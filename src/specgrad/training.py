@@ -14,10 +14,12 @@ pooled representation can carry.
 
 Stacks: both phases run each batch as one stack, one ``gcp_forward`` and one
 ``gcp_backward`` call, and ``evaluate_model`` pools the whole task in one
-``gcp_forward``. The classifier head takes the stack too. Each of its steps
-works within a sample, the gradients sum over the batch axis in sample order
-and the losses add one by one, so every value is bit-identical to a pass
-over one sample at a time. A failed check of a stack reports its first
+``gcp_forward``. The classifier head takes the stack too, and packs its own
+input: each Q's upper triangle, diagonal included, through the cached
+``core._triu`` indices, which also carry the gradient back into a zeroed
+(B, d, d) stack. Each of its steps works within a sample, the gradients sum
+over the batch axis in sample order and the losses add one by one, so every
+value is bit-identical to a pass over one sample at a time. A failed check of a stack reports its first
 failing sample with that sample's own figures, as a pass over that sample
 alone would; when samples fail at different checks, the stack raises the
 earliest check's error.
@@ -29,16 +31,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, _non_negative, _positive, _require_finite, clamp_eigenvalues, eigh
-from .errors import InvalidInputError, NumericalFailureError
-from .layer import (
-    GcpLayerConfig,
-    _trusted,
-    gcp_backward,
-    gcp_forward,
-    grad_from_upper_triangle,
-    upper_triangle_vector,
+from .core import (
+    FeatureMatrix,
+    _non_negative,
+    _positive,
+    _require_finite,
+    _triu,
+    clamp_eigenvalues,
+    condition_number,
+    eigh,
 )
+from .errors import InvalidInputError, NumericalFailureError
+from .layer import GcpLayerConfig, _trusted, gcp_backward, gcp_forward
 from .newton_schulz import DEFAULT_ITERATIONS
 from .schemes import BackwardScheme
 
@@ -257,11 +261,12 @@ def _head(model: ToyModel, q: np.ndarray, yb: np.ndarray):
     """Classifier head on a (B, d, d) stack of pooled Q and its B labels.
 
     Returns each sample's cross-entropy loss and whether its prediction hit
-    the label, the gradient at its logits, and its pooled vector. Each
-    sample gets the bits of a head run on it alone: the logits are one gemv
-    per sample, and every other step works within a sample.
+    the label, the gradient at its logits, and its pooled vector, the upper
+    triangle of its Q with the diagonal, row by row. Each sample gets the
+    bits of a head run on it alone: the logits are one gemv per sample, and
+    every other step works within a sample.
     """
-    v = upper_triangle_vector(q)
+    v = q[(..., *_triu(q.shape[-1]))]  # fancy indexing copies
     logits = np.matmul(model.w2, v[..., None])[..., 0]
     logits += model.b2
     # the ufunc reductions of ``max`` and ``sum`` without their Python
@@ -321,8 +326,9 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     q, cache = _pool(model, cfg, rb)
     lam = _clamped_eigenvalues(cache)
     losses, hits, dlogits, v = _head(model, q.data, yb)
-    # one gemv per sample, as for the logits
-    gq = grad_from_upper_triangle(np.matmul(model.w2.T, dlogits[..., None])[..., 0], q.d)
+    gq = np.zeros(q.data.shape)
+    # one gemv per sample, as for the logits, written back into each upper triangle
+    gq[(..., *_triu(q.d))] = np.matmul(model.w2.T, dlogits[..., None])[..., 0]
     _require_finite(gq, "loss gradient at Q", model.w2)
     dw1 = gcp_backward(cache, gq) @ rb.mT
     scale = 1.0 / yb.size
@@ -333,7 +339,7 @@ def _batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, yb: np.nda
     for name, grad, param in zip(("w1", "w2", "b2"), grads, (model.w1, model.w2, model.b2)):
         grad *= scale
         _require_finite(grad, f"batch gradient at {name}", param)
-    cond = lam[:, 0] / lam[:, -1]
+    cond = condition_number(lam)
     # sum, then divide: the arithmetic of ``np.mean`` without its Python wrappers
     mean_cond = float(np.add.reduce(cond) / cond.size)
     return _sum_in_order(losses) * scale, np.count_nonzero(hits) * scale, mean_cond, grads

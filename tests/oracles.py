@@ -34,13 +34,7 @@ import numpy as np
 from specgrad.core import FeatureMatrix, clamp_eigenvalues, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.pade import PadeApproximant, PowerSeries
-from specgrad.layer import (
-    GcpLayerConfig,
-    gcp_backward,
-    gcp_forward,
-    grad_from_upper_triangle,
-    upper_triangle_vector,
-)
+from specgrad.layer import GcpLayerConfig, gcp_backward, gcp_forward
 from specgrad.training import ToyModel, ToyTask, TrainingLog
 
 
@@ -420,13 +414,14 @@ def error_rate(log: TrainingLog, tail: int) -> float:
 def per_sample_evaluation(model: ToyModel, cfg: GcpLayerConfig, task: ToyTask) -> tuple[float, float]:
     """``evaluate_model``'s (mean cross-entropy, error rate), one sample at a time.
 
-    Each sample is pooled alone, and its softmax, loss and prediction are
-    computed from its own logits; the losses add up in sample order.
+    Each sample is pooled alone, its Q packed by ``np.triu_indices``, and its
+    softmax, loss and prediction are computed from its own logits; the
+    losses add up in sample order.
     """
     loss, hits = 0.0, 0
     for r, y in zip(task.inputs, task.labels):
         q, _ = gcp_forward(FeatureMatrix(model.w1 @ r), cfg)
-        logits = model.w2 @ upper_triangle_vector(q.data) + model.b2
+        logits = model.w2 @ q.data[np.triu_indices(q.d)] + model.b2
         e = np.exp(logits - logits.max())
         loss += -float(np.log(max(e[y] / e.sum(), 1e-300)))
         hits += int(np.argmax(logits) == y)
@@ -452,6 +447,8 @@ def per_sample_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, 
     Each sample runs the whole pass alone, features to ``w1`` gradient, and
     its terms add up in sample order; the first failing check of the first
     failing sample raises. The batch gradients are checked once, after the sum.
+    The head packs Q's upper triangle, diagonal included, by
+    ``np.triu_indices`` and writes the gradient back through the same indices.
     """
     scale = 1.0 / yb.size
     loss, hits, conds = 0.0, 0, []
@@ -462,14 +459,16 @@ def per_sample_batch_pass(model: ToyModel, cfg: GcpLayerConfig, rb: np.ndarray, 
         q, cache = gcp_forward(FeatureMatrix(features), cfg)
         lam = clamp_eigenvalues(eigh(cache.p.data)[0])
         conds.append(lam[0] / lam[-1])
-        v = upper_triangle_vector(q.data)
+        triangle = np.triu_indices(q.d)
+        v = q.data[triangle]
         logits = model.w2 @ v + model.b2
         e = np.exp(logits - logits.max())
         prob = e / e.sum()
         loss += -float(np.log(max(prob[y], 1e-300)))
         hits += int(np.argmax(logits) == y)
         prob[y] -= 1.0  # now the loss gradient at the logits
-        gq = grad_from_upper_triangle(model.w2.T @ prob, q.d)
+        gq = np.zeros((q.d, q.d))
+        gq[triangle] = model.w2.T @ prob
         _require_finite(gq, "loss gradient at Q", model.w2)
         grads[0] += gcp_backward(cache, gq) @ r.T
         grads[1] += np.outer(prob, v)

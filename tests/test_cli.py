@@ -172,6 +172,17 @@ class TestApproxTable:
         _, _, rows = read_csv(tmp_path / "approx_pade.csv")
         assert float(rows[0][1]) == 8.099998474121094
 
+    @pytest.mark.parametrize("kind", ["taylor", "pade"])
+    def test_ratio_that_rounds_to_one_in_single_precision_exits_64(self, tmp_path, capsys, kind):
+        # below 1 in float64, 0.99999999 rounds to 1.0 in float32: the pole of 1/(1-x)
+        args = ("--kind", kind, "--ratios", "0.5,0.99999999", "--out", str(tmp_path / "t"))
+        assert run("approx-table", *args, "--precision", "single") == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err.splitlines() == [
+            "specgrad: invalid input: ratio 0.99999999 rounds to 1.0 in float32, outside [0, 1)"
+        ]
+        assert not (tmp_path / "t").exists()
+        assert run("approx-table", *args, "--precision", "double") == EXIT_OK
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_and_rows_follow_the_given_grids_in_order(self, tmp_path, fmt):
         # the CLI builds the header and the ratio column from its own flags
@@ -227,6 +238,29 @@ def test_config_value_outside_choices_exits_64(tmp_path, capsys, command, config
     out = tmp_path / "out"
     assert run(command, "--config", str(path), "--out", str(out)) == EXIT_BAD_FLAGS
     assert config.partition("=")[0] + "=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ("bogus=1\ndegre=7\n", "bogus"),
+        ("degree=7\ndegre=7\n", "degre"),
+        ("config=other.conf\n", "config"),
+        ("seed=1\nseed=2\n", "seed"),
+        ("degree=7\ndegree=8\n", "degree"),
+    ],
+    ids=["unknown", "typo", "config", "seed-twice", "degree-twice"],
+)
+def test_config_key_that_sets_no_flag_or_comes_twice_exits_64(tmp_path, capsys, config, key):
+    # a key of another command's flag is ignored (``seed=`` under bounds), but
+    # one that no command declares, or one given twice, would be silently lost
+    path = tmp_path / "run.conf"
+    path.write_text(config)
+    out = tmp_path / "bounds.csv"
+    assert run("bounds", "--config", str(path), "--out", str(out)) == EXIT_BAD_FLAGS
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"config key {key!r} " in err[0]
     assert not out.exists()
 
 

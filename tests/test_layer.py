@@ -9,11 +9,11 @@ from specgrad.layer import (
     gcp_backward,
     gcp_forward,
     grad_check,
-    grad_from_upper_triangle,
-    upper_triangle_vector,
 )
 from specgrad.schemes import BackwardScheme, grad_covariance, k_matrix
 from specgrad.synth import feature_matrix_with_spectrum
+from specgrad import training
+from specgrad.training import N_CLASSES, ToyModel, _batch_pass, _head
 
 from conftest import random_features, same_bits
 from oracles import (
@@ -210,82 +210,94 @@ class TestForward:
 
 
 class TestUpperTriangle:
-    def test_roundtrip(self, rng):
-        q, _ = gcp_forward(
-            random_features(4, 12, rng), GcpLayerConfig.eig(BackwardScheme.ordinary())
+    """The toy model's head reads each pooled Q's upper triangle, diagonal
+    included, and ``_batch_pass`` writes the gradient at those entries back
+    into a zeroed dL/dQ, the one it hands ``gcp_backward``."""
+
+    @staticmethod
+    def batch(rng, d, size):
+        """A random model at width d, and a batch of ``size`` inputs and labels for it."""
+        model = ToyModel(
+            rng.normal(size=(d, d)),
+            rng.normal(size=(N_CLASSES, d * (d + 1) // 2)),
+            rng.normal(size=N_CLASSES),
         )
-        v = upper_triangle_vector(q.data)
-        assert v.size == 10
-        g = grad_from_upper_triangle(v, 4)
-        assert np.array_equal(g[np.triu_indices(4)], v)
-        assert np.abs(np.tril(g, -1)).max() == 0.0
+        return model, rng.normal(size=(size, d, 2 * d + 2)), rng.integers(0, N_CLASSES, size)
 
-    def test_gradient_vector_of_wrong_size_refused(self):
-        with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
-            grad_from_upper_triangle(np.ones(6), 4)
+    @staticmethod
+    def head_pass(monkeypatch, model, rb, yb, cfg=None):
+        """Q, the head's vectors and logit gradients, and the dL/dQ of one ``_batch_pass``."""
+        seen = {}
+        head, backward = training._head, training.gcp_backward
 
-    @pytest.mark.parametrize("d", [None, "4", 0, -4, 4.5, True], ids=repr)
-    def test_width_that_is_not_a_positive_int_refused(self, d):
-        with pytest.raises(InvalidInputError, match=f"^d must be a positive int, got {d!r}$"):
-            grad_from_upper_triangle(np.ones(10), d)
+        def recording_head(model, q, yb):
+            seen["q"], seen["head"] = q, head(model, q, yb)
+            return seen["head"]
 
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4), (4,)], ids=["stack", "wide", "vector"])
-    def test_non_square_input_refused(self, shape):
-        # the width is the last axis: a (2, 3, 4) input is not read as d = 2
-        with pytest.raises(InvalidInputError, match=r"expected d x d matrices, got shape"):
-            upper_triangle_vector(np.ones(shape))
+        def recording_backward(cache, grad_q):
+            seen["grad_q"] = grad_q
+            return backward(cache, grad_q)
+
+        monkeypatch.setattr(training, "_head", recording_head)
+        monkeypatch.setattr(training, "gcp_backward", recording_backward)
+        _batch_pass(model, cfg or GcpLayerConfig.eig(BackwardScheme.pade()), rb, yb)
+        _, _, dlogits, v = seen["head"]
+        return seen["q"], v, dlogits, seen["grad_q"]
+
+    @staticmethod
+    def assert_round_trip(model, q, v, dlogits, grad_q):
+        d = q.shape[-1]
+        triangle = np.triu_indices(d)
+        assert v.shape == (len(q), d * (d + 1) // 2) and grad_q.shape == q.shape
+        for b in range(len(q)):
+            assert np.array_equal(v[b], q[b][triangle])
+            assert np.array_equal(grad_q[b][triangle], model.w2.T @ dlogits[b])
+            assert np.array_equal(grad_q[b], np.triu(grad_q[b]))
+
+    def test_roundtrip(self, monkeypatch, rng):
+        model, rb, yb = self.batch(rng, 4, 1)
+        self.assert_round_trip(model, *self.head_pass(monkeypatch, model, rb, yb))
 
     @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["one-batch-axis", "two-batch-axes"])
     def test_stack_gives_each_matrix_its_own_vector(self, rng, batch):
+        # the head takes one batch axis: a (2, 3) grid of Q goes in row-major
         q = rng.normal(size=(*batch, 4, 4))
-        v = upper_triangle_vector(q)
-        assert v.shape == (*batch, 10)
+        model = ToyModel(None, rng.normal(size=(N_CLASSES, 10)), rng.normal(size=N_CLASSES))
+        size = q[..., 0, 0].size
+        v = _head(model, q.reshape(size, 4, 4), np.zeros(size, dtype=int))[3]
+        v = v.reshape(*batch, 10)
         for idx in np.ndindex(*batch):
             assert np.array_equal(v[idx], q[idx][np.triu_indices(4)])
-        assert np.array_equal(grad_from_upper_triangle(v, 4), np.triu(q))
-
-    @pytest.mark.parametrize(
-        "vec,reason",
-        [(["a"] * 10, "could not convert string to float"), ({"a": 1.0}, "not 'dict'")],
-        ids=["strings", "dict"],
-    )
-    def test_non_numeric_gradient_vector_refused(self, vec, reason):
-        message = f"^gradient vector must be numeric: .*{reason}"
-        with pytest.raises(InvalidInputError, match=message):
-            grad_from_upper_triangle(vec, 4)
-
-    def test_stack_of_gradient_vectors_of_wrong_size_refused(self):
-        # the vector size is the last axis: 3 x 6 = 18 entries do not fit d = 4 either
-        with pytest.raises(InvalidInputError, match="gradient vector of size 6 does not fit d=4"):
-            grad_from_upper_triangle(np.ones((3, 6)), 4)
+            alone = _head(model, q[idx][None], np.zeros(1, dtype=int))[3]
+            assert np.array_equal(alone[0], v[idx])
 
     @pytest.mark.parametrize("d", [1, 2, 8, 128])
-    def test_roundtrip_at_width(self, rng, d):
-        q = rng.normal(size=(d, d))
-        v = upper_triangle_vector(q)
-        g = grad_from_upper_triangle(v, d)
-        assert np.array_equal(g, np.triu(q))
-        assert np.array_equal(upper_triangle_vector(g), v)
+    def test_roundtrip_at_width(self, monkeypatch, rng, d):
+        model, rb, yb = self.batch(rng, d, 3)
+        self.assert_round_trip(model, *self.head_pass(monkeypatch, model, rb, yb))
 
     def test_result_is_owned_and_writable(self, rng):
-        # the cached indices must not leak: each call returns a fresh array
-        q = rng.normal(size=(5, 5))
-        v = upper_triangle_vector(q)
-        assert v.flags.owndata and v.flags.writeable
+        # the cached indices must not leak: each call packs a fresh array
+        model = ToyModel(None, rng.normal(size=(N_CLASSES, 15)), rng.normal(size=N_CLASSES))
+        q = rng.normal(size=(2, 5, 5))
+        labels = np.zeros(2, dtype=int)
+        v = _head(model, q, labels)[3]
+        assert v.flags.writeable and not np.shares_memory(v, q)
         kept = v.copy()
         v[:] = -1.0
-        assert np.array_equal(upper_triangle_vector(q), kept)
+        assert np.array_equal(_head(model, q, labels)[3], kept)
 
-    def test_same_width_builds_no_indices(self, rng, monkeypatch):
-        # the triangle indices depend only on the width: built once, not per call
+    def test_same_width_builds_no_indices(self, monkeypatch, rng):
+        # the triangle indices depend only on the width: built once, not per step
         x = random_features(5, 15, rng)
         grad_q = rng.normal(size=(5, 5))
+        model, rb, yb = self.batch(rng, 5, 3)
 
         def run():
             for cfg in all_legal_configs(5):
                 q, cache = gcp_forward(x, cfg)
                 gcp_backward(cache, grad_q)
-                grad_from_upper_triangle(upper_triangle_vector(q.data), 5)
+                _batch_pass(model, cfg, rb, yb)
 
         run()
         calls = []

@@ -428,6 +428,14 @@ class TestErrorTable:
         with pytest.raises(InvalidInputError):
             approximation_error_table("taylor", (50,), (1.0,))
 
+    @pytest.mark.parametrize("kind", ["taylor", "pade"])
+    def test_ratio_that_rounds_to_one_in_the_width_rejected(self, kind):
+        # 0.99999999 lies below 1 in float64 but is 1.0 in float32, the pole
+        message = r"^ratio 0\.99999999 rounds to 1\.0 in float32, outside \[0, 1\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            approximation_error_table(kind, (3,), (0.5, 0.99999999), np.float32)
+        assert approximation_error_table(kind, (3,), (0.99999999,)).shape == (1, 1)
+
     @pytest.mark.parametrize(
         "degrees,ratios,dtype",
         [((), (0.5,), np.float64), ((10,), (), np.float64), ((10,), (0.5,), np.int64)],

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from specgrad.core import FeatureMatrix
+from specgrad.core import FeatureMatrix, clamp_eigenvalues, condition_number, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import GcpLayerConfig, _trusted, gcp_forward
 from specgrad.schemes import BackwardScheme
@@ -414,6 +414,29 @@ class TestStackedPass:
         _, ns = gcp_forward(x, GcpLayerConfig.newton_schulz(3))
         _, exact = gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.pade()))
         assert np.array_equal(_clamped_eigenvalues(ns), exact.eigenvalues)
+
+    def test_logged_condition_number_is_the_mean_of_each_samples(self, monkeypatch):
+        # 24 Newton-Schulz steps, then 16 exact ones: in both phases a step
+        # logs the mean over its samples of each covariance's clamped ratio
+        import specgrad.training as training
+
+        spec = small_spec()
+        batches = list(batch_stream(make_toy_task(spec, 80, seed=2), 8, 40, seed=3))
+        covariances = []
+        forward = training.gcp_forward
+
+        def recording(x, cfg):
+            q, cache = forward(x, cfg)
+            covariances.append(cache.p.data)
+            return q, cache
+
+        monkeypatch.setattr(training, "gcp_forward", recording)
+        log = run_hybrid_training(spec, schedule(24, 40), batches)
+        assert (log.status, len(covariances)) == ("completed", 40)
+        assert [r.scheme.startswith("eig_sqrt+") for r in log.records] == [False] * 24 + [True] * 16
+        for record, p in zip(log.records, covariances):
+            conds = [condition_number(clamp_eigenvalues(eigh(p_b)[0])) for p_b in p]
+            assert record.mean_condition_number == np.mean(conds)
 
     def test_same_records_and_weights_as_per_sample(self, monkeypatch):
         spec = small_spec()
