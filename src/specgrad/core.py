@@ -1,27 +1,27 @@
 """Dense symmetric-matrix foundations.
 
-Covariance construction, the symmetric eigendecomposition (LAPACK through
-numpy), eigenvalue clamping, fractional matrix powers, and condition numbers.
-Two immutable value types hold checked input; the stage kernels are pure
-functions over plain arrays, and all heavier schemes build on them. A float
-width argument is a numpy dtype, float32 or float64; ``float_info`` reads
-its epsilon.
+Covariance construction, the symmetric eigendecomposition (LAPACK, through
+the gufunc behind ``np.linalg.eigh``), eigenvalue clamping, fractional matrix
+powers, and condition numbers. Two immutable value types hold checked input;
+the stage kernels are pure functions over plain arrays, and all heavier
+schemes build on them. A float width argument is a numpy dtype, float32 or
+float64; ``float_info`` reads its epsilon.
 
 Validation contract: input is checked once, at the layer's edge, where it
 enters the program. The public constructors of the value types
 (``FeatureMatrix``, ``SymPsdMatrix``) check every invariant and copy their
 arrays, and the CLI checks its input the same way. The stage kernels below
 (``covariance``, ``eigh``, ``clamp_eigenvalues``, ``count_clamped``,
-``matrix_power``, ``condition_number``) take and return plain float64
-arrays and trust them: a covariance from ``covariance`` is symmetric PSD
-by construction, eigenvalues from ``eigh`` come non-increasing with
-orthonormal eigenvectors and are clamped before any other kernel reads
-them, so the kernels refuse nothing. Where arithmetic on finite input can
-overflow (the covariance, a matrix power, and in training the features,
-the loss gradient at Q and the batch gradients), a non-finite product
-raises ``NumericalFailureError``, not ``InvalidInputError``, since the
-input was valid; so does an eigensolver that does not converge. ``layer``
-says where value objects are built from kernel results.
+``matrix_power``, ``condition_number``) take and return plain float64 arrays
+and trust them: a covariance from ``covariance`` is exactly symmetric and
+PSD by construction, eigenvalues from ``eigh`` come non-increasing with
+orthonormal eigenvectors and are clamped before any other kernel reads them,
+so the kernels refuse nothing. Where arithmetic on finite input can overflow
+(the covariance, a matrix power, and in training the features, the loss
+gradient at Q and the batch gradients), a non-finite product raises
+``NumericalFailureError``, not ``InvalidInputError``, since the input was
+valid; so does an eigensolver that does not converge. ``layer`` says where
+value objects are built from kernel results.
 
 Every array argument of the public API goes through ``_float_array``, which
 does not copy an array of its width: float64, but float32 stays float32 in
@@ -44,6 +44,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -214,8 +215,9 @@ class SymPsdMatrix:
 def covariance(x: np.ndarray) -> np.ndarray:
     """Sample covariance of the columns of ``x`` (d, N), or of each block of a stack.
 
-    Computed as X_c X_c^T / N with X_c the column-centered features, which is
-    algebraically identical to sandwiching the centering matrix.
+    Computed as X_c X_c^T / N, X_c the column-centered features. numpy forms
+    (i, j) and (j, i) of that product alike (BLAS syrk mirrors one triangle),
+    so P is exactly symmetric as it stands.
     """
     n = x.shape[-1]
     # sum, then divide: the two steps of ``mean`` without its Python wrappers
@@ -223,32 +225,30 @@ def covariance(x: np.ndarray) -> np.ndarray:
     p = xc @ xc.mT
     p /= n
     _require_finite(p, "covariance", x)
-    p *= 0.5  # halved once: P/2 + (P/2)^T has the bits of 0.5 P + 0.5 P^T
-    return p + p.mT
+    return p
 
 
 def eigh(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors ``(lam, u)`` of a symmetric matrix, or of each matrix of a stack.
 
-    LAPACK, via numpy. Eigenvalues come back sorted non-increasing, with U's
-    columns in the same order. The sign of each column is LAPACK's:
-    Q = U f(Lambda) U^T and its gradient are the same for either sign, so no
-    result reads it.
+    LAPACK through ``numpy.linalg._umath_linalg.eigh_lo``, the private gufunc
+    behind ``np.linalg.eigh`` (numpy>=2.0 is pinned), whose wrapper costs about
+    5 of 19 us at d = 8. The ascending eigenpairs land in reversed views of
+    fresh arrays: non-increasing and C-contiguous with no copy. Each column's
+    sign is LAPACK's; Q = U f(Lambda) U^T and its gradient do not read it.
 
     Raises:
         NumericalFailureError: LAPACK did not converge; ``details`` carry
             ``where="eigh"`` and ``max_entry``, the largest |entry| of ``p``.
     """
-    try:
-        lam, u = np.linalg.eigh(p)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"eigensolver did not converge: {exc}", where="eigh", max_entry=float(np.abs(p).max())
-        ) from exc
-    # LAPACK returns ascending eigenvalues; reversing the last axis orders
-    # each matrix's alike, and ``astype`` copies each reversed view into a
-    # C-contiguous float64 array
-    return lam[..., ::-1].astype(np.float64), u[..., ::-1].astype(np.float64)
+    lam, u = np.empty(p.shape[:-1]), np.empty(p.shape)
+    try:  # numpy's own failure condition: the invalid flag
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            _eigh_lo(p, out=(lam[..., ::-1], u[..., ::-1]))
+    except FloatingPointError as exc:
+        msg = "eigensolver did not converge: Eigenvalues did not converge"
+        raise NumericalFailureError(msg, where="eigh", max_entry=float(np.abs(p).max())) from exc
+    return lam, u
 
 
 def clamp_eigenvalues(lam: np.ndarray, dtype=np.float64) -> np.ndarray:

@@ -5,20 +5,22 @@ power-iteration gradient reproduces the leading block of the ``taylor``
 scheme, the continued fraction builds the diagonal Pade approximants that
 ``pade_from_series`` solves for, the series-match residual certifies an
 approximant against its series, the literal centering matrix is what
-``core.covariance`` centres by without forming it, the two bare-numpy forwards
-pin the bits of ``gcp_forward``'s Q under each forward and the bare-numpy chain
-to X those of ``ns_gradient_of_x``, the spectral form of Newton-Schulz
+``core.covariance`` centres by without forming it, the product symmetrized as
+0.5 P + 0.5 P^T and numpy's public ``eigh`` with its eigenpairs reversed pin
+the bits of ``core.covariance`` and ``core.eigh``, the two bare-numpy forwards
+pin the bits of ``gcp_forward``'s Q under each forward and the bare-numpy
+chain to X those of ``ns_gradient_of_x``, the spectral form of Newton-Schulz
 checks ``ns_forward`` and ``ns_backward`` from the eigenpairs and a scalar
-recurrence, at every width, the min-gap spectrum gives
-the finite-difference suite well-separated eigenvalues, the Loewner-form
-gradient shows which pairs of dL/dP reach dL/dX, and the beta-smoothness
-estimate compares the gradient fields of two schemes. The readers parse what
-the package writes or holds: ``read_csv`` a harness table, ``reconstruct`` a
-matrix from its eigenpairs, ``table_cell`` one entry of an approximation-error
-grid, and ``mean_condition`` and ``error_rate`` a training log. The per-sample
+recurrence, at every width, the min-gap spectrum gives the finite-difference
+suite well-separated eigenvalues, the Loewner-form gradient shows which pairs
+of dL/dP reach dL/dX, and the beta-smoothness estimate compares the gradient
+fields of two schemes. The readers parse what the package writes or holds:
+``read_csv`` a harness table, ``reconstruct`` a matrix from its eigenpairs,
+``table_cell`` one entry of an approximation-error grid, and
+``mean_condition`` and ``error_rate`` a training log. The per-sample
 evaluation and batch pass are ``training.evaluate_model`` and the training
-step's ``_batch_pass`` written as loops over samples, with the classifier
-head and the finiteness checks spelled out for one pooled matrix. Tests import this
+step's ``_batch_pass`` written as loops over samples, with the classifier head
+and the finiteness checks spelled out for one pooled matrix. Tests import this
 module the way they import ``conftest``. ``tests/test_oracles.py`` checks that
 every public name here has a test that imports it, and that none is also a
 name in ``specgrad``.
@@ -221,27 +223,42 @@ def series_match_residual(pa: PadeApproximant, s: PowerSeries) -> float:
     return float(np.abs(prod - p_pad).max() / scale)
 
 
-def _bare_covariance(x: np.ndarray) -> np.ndarray:
-    """X_c X_c^T / N with X_c the column-centered features, symmetrized as 0.5 P + 0.5 P^T."""
+def symmetrized_covariance(x: np.ndarray) -> np.ndarray:
+    """X_c X_c^T / N with X_c the column-centered features, symmetrized as 0.5 P + 0.5 P^T.
+
+    ``core.covariance`` returns X_c X_c^T / N as numpy forms it, with no
+    symmetrization, so it must match this bit for bit wherever that product
+    is exactly symmetric and halving it is exact (no subnormal entry).
+    """
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
     p = (xc @ xc.mT) / n
     return 0.5 * p + 0.5 * p.mT
 
 
+def numpy_eigh(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of ``p`` or of each matrix of a stack, eigenpairs reversed and copied.
+
+    Eigenvalues non-increasing and U's columns alike, each copied from the
+    reversed view into a C-contiguous float64 array: ``core.eigh`` as it
+    was written on numpy's public wrapper, which it must match bit for bit.
+    """
+    lam, u = np.linalg.eigh(p)
+    return lam[..., ::-1].astype(np.float64), u[..., ::-1].astype(np.float64)
+
+
 def eig_sqrt_forward(x: np.ndarray) -> np.ndarray:
     """Q of the exact forward, written as bare numpy, for a (d, N) block or a (B, d, N) stack.
 
-    Centre, X_c X_c^T / N, symmetrize, LAPACK ``eigh`` with its eigenpairs
-    reversed into non-increasing order, clamp at float64's epsilon,
-    U diag(lambda^(1/2)) U^T, symmetrize: the operations of ``gcp_forward``
-    in the order it runs them, so its Q must match this bit for bit. U is
-    copied C-contiguous, as ``core.eigh`` owns it, because a reversed view
-    is a different memory layout for matmul.
+    Centre, X_c X_c^T / N, symmetrize (which changes no bit of an exactly
+    symmetric product, so ``gcp_forward`` skips it), ``numpy_eigh``, clamp
+    at float64's epsilon, U diag(lambda^(1/2)) U^T, symmetrize: the
+    operations of ``gcp_forward`` in the order it runs them, so its Q must
+    match this bit for bit. U is C-contiguous, as ``core.eigh`` returns it,
+    because a reversed view is a different memory layout for matmul.
     """
-    lam, u = np.linalg.eigh(_bare_covariance(x))
-    lam = np.maximum(lam[..., ::-1], np.finfo(np.float64).eps)
-    u = np.ascontiguousarray(u[..., ::-1])
+    lam, u = numpy_eigh(symmetrized_covariance(x))
+    lam = np.maximum(lam, np.finfo(np.float64).eps)
     q = (u * np.power(lam, 0.5)[..., None, :]) @ u.mT
     return 0.5 * q + 0.5 * q.mT
 
@@ -253,7 +270,7 @@ def newton_schulz_forward(x: np.ndarray, iterations: int) -> np.ndarray:
     coupled loop T = 0.5 (3 I - Z Y), Y <- Y T, Z <- T Z from Y = A, Z = I
     with every product formed, Q = sqrt(tr(P)) Y_N, symmetrized.
     """
-    p = _bare_covariance(x)
+    p = symmetrized_covariance(x)
     tr = np.trace(p, axis1=-2, axis2=-1)[..., None, None]
     eye = np.eye(p.shape[-1])
     y, z = p / tr, eye
@@ -330,8 +347,7 @@ def loewner_gradient_of_x(x: np.ndarray, g: np.ndarray, phi_tied: float) -> np.n
     ``phi_tied``: 1 is the exact adjoint, 0 is what a finite K gives at a tie.
     """
     eps = np.finfo(np.float64).eps
-    lam, u = np.linalg.eigh(_bare_covariance(x))
-    lam, u = lam[::-1], u[:, ::-1]
+    lam, u = numpy_eigh(symmetrized_covariance(x))
     clamped = lam <= eps
     root = np.sqrt(np.maximum(lam, eps))
     phi = np.where(np.outer(clamped, clamped), phi_tied, 1.0)

@@ -21,7 +21,7 @@ from specgrad.core import (
     eigh,
     matrix_power,
 )
-from specgrad import io
+from specgrad import core, io
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import (
     GcpLayerConfig,
@@ -51,7 +51,7 @@ from specgrad.synth import feature_matrix_with_spectrum, gaussian_features, spec
 from specgrad.training import HybridSchedule, ToyModelSpec, batch_stream, make_toy_task
 
 from conftest import random_spd, same_bits
-from oracles import centering_matrix, reconstruct
+from oracles import centering_matrix, numpy_eigh, reconstruct, symmetrized_covariance
 
 #: the five schemes that build a K matrix
 K_SCHEMES = (
@@ -230,6 +230,23 @@ class TestCovariance:
             assert lam.min() >= -1e-10 * max(lam.max(), 1.0)
             assert np.array_equal(p, p.T)
 
+    @pytest.mark.parametrize("d", [1, 3, 8, 128])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "stack"])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_exactly_symmetric_with_the_bits_of_the_symmetrized_product(self, rng, d, layout, scale):
+        # numpy forms (i, j) and (j, i) of X_c X_c^T alike, so returning the
+        # product unsymmetrized keeps the bits of 0.5 P + 0.5 P^T; N below and
+        # above d, so rank-deficient covariances are among the cases
+        for n in (2, 4 * d):
+            if layout == "strided":
+                x = rng.normal(size=(2 * d, 2 * n))[::2, ::2]
+            else:
+                x = rng.normal(size=(3, d, n) if layout == "stack" else (d, n))
+            x = np.asfortranarray(x * scale) if layout == "F" else x * scale
+            p = covariance(x)
+            assert np.array_equal(p, p.mT)
+            assert same_bits(p, symmetrized_covariance(x))
+
 
 class TestEigh:
     def test_diagonal_matrix(self):
@@ -325,18 +342,20 @@ class TestEigh:
 
     def test_solver_failure_is_typed(self, monkeypatch):
         # the error names the solve and carries the largest |entry| of the
-        # matrix it was given; through a stack, that of the failing matrix
-        solve = np.linalg.eigh
+        # matrix it was given; through a stack, that of the failing matrix.
+        # The fake fails as LAPACK's gufunc does under ``eigh``'s errstate:
+        # numpy's invalid flag raises FloatingPointError
+        solve = core._eigh_lo
 
         def fail_above(limit):
-            def eigh_or_fail(a):
+            def eigh_or_fail(a, **kwargs):
                 if np.abs(a).max() > limit:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                return solve(a)
+                    raise FloatingPointError("invalid value encountered in eigh_lo")
+                return solve(a, **kwargs)
 
             return eigh_or_fail
 
-        monkeypatch.setattr(np.linalg, "eigh", fail_above(0.0))
+        monkeypatch.setattr(core, "_eigh_lo", fail_above(0.0))
         with pytest.raises(NumericalFailureError, match="^eigensolver did not converge") as err:
             eigh(np.diag([1.0, -3.0]))
         assert err.value.details == {"where": "eigh", "max_entry": 3.0}
@@ -348,11 +367,56 @@ class TestEigh:
         p = covariance(data)
         largest = [float(np.abs(p_b).max()) for p_b in p]
         # the first matrix passes; the second and third fail, and the third's entries are larger
-        monkeypatch.setattr(np.linalg, "eigh", fail_above(largest[0]))
+        monkeypatch.setattr(core, "_eigh_lo", fail_above(largest[0]))
         with pytest.raises(NumericalFailureError) as err:
             gcp_forward(x, GcpLayerConfig.eig(BackwardScheme.pade()))
         assert largest[0] < largest[1] < largest[2]
         assert err.value.details == {"where": "eigh", "max_entry": largest[1]}
+
+    def test_real_solver_failure_is_numpys(self):
+        # no patch: a NaN on the diagonal of a full matrix stops LAPACK from
+        # converging, under numpy's public wrapper and here alike, while a
+        # diagonal matrix with a NaN on its diagonal passes both silently;
+        # the failure condition is numpy's own invalid flag
+        x = np.random.default_rng(0).normal(size=(8, 32))
+        p = x @ x.T
+        p[0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            np.linalg.eigh(p)
+        with pytest.raises(NumericalFailureError) as err:
+            eigh(p)
+        assert str(err.value) == "eigensolver did not converge: Eigenvalues did not converge"
+        assert err.value.details["where"] == "eigh"
+        assert math.isnan(err.value.details["max_entry"])
+
+        e = np.eye(8)
+        e[3, 3] = np.nan
+        for got, want in zip(eigh(e), numpy_eigh(e)):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(eigh(e)[0]).sum() == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("spectrum", ["random", "tied", "rank-deficient"])
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    def test_bits_and_layout_of_numpys_wrapper(self, rng, d, spectrum, stack):
+        # the gufunc writes LAPACK's ascending eigenpairs through reversed
+        # views of fresh arrays: the bits numpy's wrapper gives once reversed
+        # and copied, in arrays that are C-contiguous, own their data and are
+        # writable (``gcp_forward`` marks them read-only in place)
+        def matrix():
+            if spectrum == "random":
+                return random_spd(d, rng)
+            if spectrum == "tied":  # every eigenvalue repeated, in a random basis
+                rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                return (rot * np.resize([3.0, 1.0], d)) @ rot.T
+            return covariance(rng.normal(size=(d, d // 2 + 1)))  # rank d // 2
+
+        p = np.stack([matrix() for _ in range(3)]) if stack else matrix()
+        got, want = eigh(p), numpy_eigh(p)
+        for out, ref in zip(got, want):
+            assert same_bits(out, ref)
+            assert out.dtype == np.float64
+            assert out.flags.c_contiguous and out.flags.owndata and out.flags.writeable
 
 
 def _stacked_stage_arrays() -> dict:

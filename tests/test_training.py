@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from specgrad import core
 from specgrad.core import FeatureMatrix, clamp_eigenvalues, condition_number, eigh
 from specgrad.errors import InvalidInputError, NumericalFailureError
 from specgrad.layer import GcpLayerConfig, _trusted, gcp_forward
@@ -344,13 +345,14 @@ class TestTraining:
     @pytest.mark.parametrize("switch", [None, 0], ids=["condition-solve", "exact-forward"])
     def test_eigensolver_failure_is_a_divergence(self, monkeypatch, switch):
         # the NS phase solves each covariance only for its logged condition
-        # number, the exact phase in the forward; either failure ends the run
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # number, the exact phase in the forward; either failure ends the run.
+        # The fake fails as LAPACK's gufunc does under ``core.eigh``'s errstate
+        def fail(a, **kwargs):
+            raise FloatingPointError("invalid value encountered in eigh_lo")
 
         spec = small_spec()
         task = make_toy_task(spec, 8, seed=6)
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(core, "_eigh_lo", fail)
         log = run_hybrid_training(spec, schedule(switch, 4), batch_stream(task, 2, 4, seed=1))
         assert (log.status, log.failure_step, log.records) == ("diverged", 0, [])
         assert log.failure_reason == "eigensolver did not converge: Eigenvalues did not converge"
